@@ -1,15 +1,15 @@
-"""Pure-Python grid-scan kernels; semantics identical to the compiled module.
+"""Grid-scan kernels behind the density and spiral searches.
 
-Both backends compare squared distances and take the first minimal index, and
+Both kernels compare squared distances and take the first minimal index, and
 evaluate each grid parameter as start + i*step (never by accumulation), so
-results agree bitwise between backends on the same libm.
+results depend only on the inputs and the platform's libm.
 """
 
 from __future__ import annotations
 
 import math
 
-BACKEND = "python"
+BACKEND = "python"  # recorded in every perfbench/run.py result
 
 
 def nearest_distances(grid, cloud, dim):

@@ -53,11 +53,19 @@ def _load_targets(cfg: dict, domain: str) -> constructions.TargetFamily:
     return constructions.default_target_family(int(spec["default_count"]), domain)
 
 
-def _base_point(obj, op):
+def _base_point(obj, op, field: str = "base_point"):
+    """Decode a config vector on op's domain: an [re, im] pair on C, a
+    SeqVector object on sequence spaces. A shape that does not fit the domain
+    is a ValueError naming the field."""
     dom = operators.operator_domain(op)
-    if dom == "scalar":
-        return jsonio.decode_complex(obj)
-    return SeqVector.from_json(obj)
+    try:
+        if dom == "scalar" and isinstance(obj, (list, tuple)):
+            return jsonio.decode_complex(obj)
+        if dom in (operators.UNILATERAL, operators.BILATERAL) and isinstance(obj, dict):
+            return SeqVector.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: malformed vector {obj!r} ({exc!r})") from exc
+    raise ValueError(f"{field}: {obj!r} is not a vector on the {dom!r} domain")
 
 
 def _cmd_classify(cfg: dict, out: "_Output") -> dict:
@@ -69,19 +77,11 @@ def _cmd_classify(cfg: dict, out: "_Output") -> dict:
     }
 
 
-def _cmd_build21(cfg: dict, out: "_Output") -> dict:
+def _cmd_build(cfg: dict, out: "_Output", build, domain: str) -> dict:
     sampler = scalar_sets.from_json(cfg["set"])
-    targets = _load_targets(cfg, operators.UNILATERAL)
-    trace = constructions.build_unilateral(sampler, targets, int(cfg["stages"]))
-    out.csv("residuals.csv", trace.to_csv())
-    return {"trace": trace.to_json()}
-
-
-def _cmd_build22(cfg: dict, out: "_Output") -> dict:
-    sampler = scalar_sets.from_json(cfg["set"])
-    targets = _load_targets(cfg, operators.BILATERAL)
-    trace = constructions.build_bilateral(sampler, targets, int(cfg["stages"]))
-    out.csv("residuals.csv", trace.to_csv())
+    targets = _load_targets(cfg, domain)
+    trace = build(sampler, targets, int(cfg["stages"]))
+    out.csv("residuals.csv", trace.to_csv)
     return {"trace": trace.to_json()}
 
 
@@ -130,7 +130,7 @@ def _cmd_density(cfg: dict, out: "_Output") -> dict:
         float(cfg["epsilon"]),
         float(cfg["grid_step"]),
     )
-    out.csv("heatmap.csv", _heatmap_csv(report))
+    out.csv("heatmap.csv", lambda: _heatmap_csv(report))
     return {"density": report.to_json(), "cloud_size": len(cloud)}
 
 
@@ -147,11 +147,6 @@ def _heatmap_csv(report: density.DensityReport) -> str:
 def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
     op = operators.operator_from_json(cfg["operator"])
     inv = operators.operator_from_json(cfg["right_inverse"])
-    dom = operators.operator_domain(op)
-
-    def load_vec(obj):
-        return jsonio.decode_complex(obj) if dom == "scalar" else SeqVector.from_json(obj)
-
     idx_cfg = cfg["indices"]
     indices = tuple(range(int(idx_cfg["upto"]) + 1)) if "upto" in idx_cfg else tuple(
         int(i) for i in idx_cfg
@@ -159,8 +154,12 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
     inst = criteria.CriterionInstance(
         operator=op,
         right_inverse=inv,
-        decay_vectors=tuple(load_vec(v) for v in cfg["decay_vectors"]),
-        target_vectors=tuple(load_vec(v) for v in cfg["target_vectors"]),
+        decay_vectors=tuple(
+            _base_point(v, op, f"decay_vectors[{i}]") for i, v in enumerate(cfg["decay_vectors"])
+        ),
+        target_vectors=tuple(
+            _base_point(v, op, f"target_vectors[{i}]") for i, v in enumerate(cfg["target_vectors"])
+        ),
         indices=indices,
         tolerance=float(cfg.get("tolerance", criteria.DEFAULT_TOLERANCE)),
     )
@@ -197,8 +196,13 @@ def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
 
 _HANDLERS = {
     "classify": _cmd_classify,
-    "build21": _cmd_build21,
-    "build22": _cmd_build22,
+    # the builders are looked up per call, so patched module attributes apply
+    "build21": lambda cfg, out: _cmd_build(
+        cfg, out, constructions.build_unilateral, operators.UNILATERAL
+    ),
+    "build22": lambda cfg, out: _cmd_build(
+        cfg, out, constructions.build_bilateral, operators.BILATERAL
+    ),
     "spiral": _cmd_spiral,
     "density": _cmd_density,
     "criterion": _cmd_criterion,
@@ -214,9 +218,10 @@ class _Output:
         if self.dir:
             self.dir.mkdir(parents=True, exist_ok=True)
 
-    def csv(self, name: str, text: str) -> None:
+    def csv(self, name: str, render) -> None:
+        """Write render() to name; the text is only rendered when it is written."""
         if self.emit_csv and self.dir:
-            (self.dir / name).write_text(text)
+            (self.dir / name).write_text(render())
 
     def report(self, text: str) -> None:
         if self.dir:

@@ -74,8 +74,21 @@ def dumps(obj, indent: int = 2) -> str:
     return "".join(parts)
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed in JSON input")
+
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if math.isinf(x):
+        raise ValueError(f"number {text} overflows to a non-finite float")
+    return x
+
+
 def loads(text: str):
-    return json.loads(text)
+    """Parse JSON text; NaN, Infinity and overflowing numbers are rejected
+    here, because a report could not encode them."""
+    return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
 
 
 def config_hash(cfg: dict) -> str:

@@ -130,3 +130,38 @@ def test_density_overrides(tmp_path):
     body = jsonio.loads((tmp_path / "report.json").read_text())
     assert body["result"]["density"]["epsilon"] == 0.5
     assert body["result"]["density"]["radius"] == 0.45
+
+
+def test_build21_past_float_range_without_csv(tmp_path):
+    # stage moduli beyond 2**1024 overflow only the CSV's float column; the
+    # report is exact, so it must not depend on rendering that column
+    cfg = load(CONFIG_DIR / "build21.json")
+    cfg["stages"] = 40
+    cfg["targets"] = {"default_count": 41}
+    code, report = cli.run_config(cfg, out_dir=tmp_path)
+    assert code == 0, report.get("error")
+    residuals = report["result"]["trace"]["residuals"]
+    assert len(residuals) == 41
+    assert all(r <= 2.0**-k for k, r in enumerate(residuals))
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_config_number_rejected_at_parse(token, tmp_path, capsys):
+    text = (CONFIG_DIR / "classify_ring.json").read_text()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text.replace("1.0", token, 1))
+    assert token in cfg_path.read_text()
+    assert cli.main(["classify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read config" in err
+    assert token in err
+
+
+def test_misshapen_vector_names_its_field(tmp_path, capsys):
+    cfg = load(CONFIG_DIR / "criterion_rolewicz.json")
+    cfg["target_vectors"][2] = [1.0, 0.0]  # a scalar pair where a sequence belongs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["criterion", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert "target_vectors[2]" in capsys.readouterr().err

@@ -1,68 +1,30 @@
-"""Backend parity: the compiled kernels must agree with the pure-Python ones."""
+"""Grid-scan kernels: hand-checked minima, tie-breaks and argument checks."""
 
 import math
-import random
 
 import pytest
 
-from orbitlab._kernels import available_backends
-
-BACKENDS = available_backends()
-HAVE_COMPILED = "compiled" in BACKENDS
-
-
-def flat_points(rng, count, dim):
-    return [rng.uniform(-5, 5) for _ in range(count * dim)]
+from orbitlab._kernels import nearest_distances, spiral_min_scan
 
 
 class TestPythonBackend:
     def test_nearest_by_hand(self):
-        py = BACKENDS["python"]
-        dists, idxs = py.nearest_distances([0.0, 0.0], [3.0, 4.0, 1.0, 0.0], 2)
+        dists, idxs = nearest_distances([0.0, 0.0], [3.0, 4.0, 1.0, 0.0], 2)
         assert dists == [1.0]
         assert idxs == [1]
 
     def test_tie_break_takes_first_index(self):
-        py = BACKENDS["python"]
-        _, idxs = py.nearest_distances([0.0, 0.0], [1.0, 0.0, 1.0, 0.0, -1.0, 0.0], 2)
+        _, idxs = nearest_distances([0.0, 0.0], [1.0, 0.0, 1.0, 0.0, -1.0, 0.0], 2)
         assert idxs == [0]
 
     def test_spiral_scan_hits_origin_parameter(self):
-        py = BACKENDS["python"]
-        idx, dist = py.spiral_min_scan(math.log(2.0), 1.0, 1.0, 0.0, -2.0, 0.125, 33)
+        idx, dist = spiral_min_scan(math.log(2.0), 1.0, 1.0, 0.0, -2.0, 0.125, 33)
         assert idx == 16  # s = 0 on the grid
         assert dist <= 1e-12
 
     def test_empty_cloud_rejected(self):
-        py = BACKENDS["python"]
         with pytest.raises(ValueError):
-            py.nearest_distances([0.0, 0.0], [], 2)
+            nearest_distances([0.0, 0.0], [], 2)
         with pytest.raises(ValueError):
-            py.spiral_min_scan(0.5, 1.0, 0.0, 0.0, 0.0, 0.1, 0)
+            spiral_min_scan(0.5, 1.0, 0.0, 0.0, 0.0, 0.1, 0)
 
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-class TestBackendParity:
-    @pytest.mark.parametrize("dim", [2, 4, 6])
-    def test_nearest_distances_bitwise_equal(self, dim):
-        rng = random.Random(1234 + dim)
-        grid = flat_points(rng, 37, dim)
-        cloud = flat_points(rng, 211, dim)
-        d_py, i_py = BACKENDS["python"].nearest_distances(grid, cloud, dim)
-        d_c, i_c = BACKENDS["compiled"].nearest_distances(grid, cloud, dim)
-        assert i_py == i_c
-        assert d_py == d_c
-
-    def test_spiral_scan_bitwise_equal(self):
-        args = (math.log(2.0), 1.0, -1.0, 0.0, -20.0, 1e-3, 40001)
-        got_py = BACKENDS["python"].spiral_min_scan(*args)
-        got_c = BACKENDS["compiled"].spiral_min_scan(*args)
-        assert got_py == got_c
-
-    def test_parity_with_duplicates(self):
-        grid = [0.0, 0.0, 2.0, 2.0]
-        cloud = [1.0, 1.0, 1.0, 1.0, 3.0, 3.0]
-        out_py = BACKENDS["python"].nearest_distances(grid, cloud, 2)
-        out_c = BACKENDS["compiled"].nearest_distances(grid, cloud, 2)
-        assert out_py == out_c
-        assert out_py[1] == [0, 0]
