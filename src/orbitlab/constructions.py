@@ -206,10 +206,14 @@ class ConstructionTrace:
         }
 
     def to_csv(self) -> str:
+        # a modulus whose square passes float range leaves its cell empty;
+        # modulus_log2 still carries its size
         lines = ["stage,modulus,modulus_log2,shift,residual"]
         for c, r in zip(self.choices, self.residuals):
+            modulus = c.modulus_float()
+            cell = jsonio.format_float(modulus) if math.isfinite(modulus) else ""
             lines.append(
-                f"{c.stage},{jsonio.format_float(c.modulus_float())},"
+                f"{c.stage},{cell},"
                 f"{jsonio.format_float(c.modulus_log2())},{c.shift},{jsonio.format_float(r)}"
             )
         return "\n".join(lines) + "\n"

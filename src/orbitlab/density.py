@@ -8,7 +8,9 @@ deterministic functions of their parameters, so reports reproduce exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -275,7 +277,10 @@ class DensityReport:
         }
 
 
-def _ball_grid(center: tuple[complex, ...], radius: float, step: float) -> list[tuple[float, ...]]:
+def _ball_grid(
+    center: tuple[complex, ...], radius: float, step: float
+) -> tuple[list[tuple[float, ...]], list[tuple[int, ...]]]:
+    """The ball's grid points and, for each, its per-axis offset indices."""
     axes = []
     for c in center:
         axes.append(c.real)
@@ -284,20 +289,24 @@ def _ball_grid(center: tuple[complex, ...], radius: float, step: float) -> list[
     offsets = [-radius + i * step for i in range(steps)]
     rsq = radius * radius * (1.0 + 1e-12)
     points: list[tuple[float, ...]] = []
+    indices: list[tuple[int, ...]] = []
 
-    def rec(prefix: list[float], acc: float, axis: int):
+    def rec(prefix: list[float], index: list[int], acc: float, axis: int):
         if axis == len(axes):
             points.append(tuple(prefix))
+            indices.append(tuple(index))
             return
-        for off in offsets:
+        for k, off in enumerate(offsets):
             a = acc + off * off
             if a <= rsq:
                 prefix.append(axes[axis] + off)
-                rec(prefix, a, axis + 1)
+                index.append(k)
+                rec(prefix, index, a, axis + 1)
                 prefix.pop()
+                index.pop()
 
-    rec([], 0.0, 0)
-    return points
+    rec([], [], 0.0, 0)
+    return points, indices
 
 
 def epsilon_density(
@@ -310,10 +319,9 @@ def epsilon_density(
 ) -> DensityReport:
     """Cover test of the ball's grid against the projected cloud.
 
-    Every grid point's nearest-sample distance is computed (first minimal
-    sample index wins ties); the verdict is covered when all distances are
-    within epsilon, otherwise a fully covered sub-ball is searched for before
-    declaring the region not covered.
+    Every grid point's nearest-sample distance is computed; the verdict is
+    covered when all distances are within epsilon, otherwise a fully covered
+    sub-ball is searched for before declaring the region not covered.
     """
     section = tuple(int(i) for i in section)
     center = tuple(complex(c) for c in center)
@@ -340,7 +348,7 @@ def epsilon_density(
     if not keep:
         keep = projected
 
-    grid = _ball_grid(center, radius, grid_step)
+    grid, indices = _ball_grid(center, radius, grid_step)
     dim = 2 * len(section)
     flat_grid: list[float] = [v for pt in grid for v in pt]
     flat_cloud: list[float] = []
@@ -348,7 +356,7 @@ def epsilon_density(
         for z in coords:
             flat_cloud.append(z.real)
             flat_cloud.append(z.imag)
-    dists, _ = nearest_distances(flat_grid, flat_cloud, dim)
+    dists = nearest_distances(flat_grid, flat_cloud, dim)
 
     covered_flags = [d <= epsilon for d in dists]
     covered = sum(covered_flags)
@@ -361,7 +369,7 @@ def epsilon_density(
     if covered == len(grid):
         verdict, witness = COVERED, None
     else:
-        witness = _somewhere_witness(grid, covered_flags, radius, grid_step)
+        witness = _somewhere_witness(grid, indices, covered_flags, radius, grid_step)
         verdict = SOMEWHERE if witness is not None else NOT_COVERED
 
     return DensityReport(
@@ -385,18 +393,39 @@ def _floats_to_coords(pt: tuple[float, ...]) -> tuple[complex, ...]:
     return tuple(complex(pt[2 * i], pt[2 * i + 1]) for i in range(len(pt) // 2))
 
 
-def _somewhere_witness(grid, covered_flags, radius, grid_step):
+def _somewhere_witness(grid, indices, covered_flags, radius, grid_step):
     """First grid point whose surrounding sub-ball of grid points is fully
-    covered (at least 3 of them), if any."""
+    covered (at least 3 of them), if any.
+
+    Candidate neighbours come from a lattice stencil: the offset-index
+    vectors of length at most sub_r/grid_step + 1. Coordinate rounding moves
+    a grid point far less than one step (whenever the ball's coordinates are
+    below about 10**14 steps), so every grid point that passes the float
+    distance test lies at a stencil offset, and each point's count and
+    verdict are those of a scan over the whole grid.
+    """
     sub_r = max(2.0 * grid_step, radius / 4.0)
     sub_rsq = sub_r * sub_r * (1.0 + 1e-12)
+    reach = sub_r / grid_step + 1.0
+    w = int(reach)
+    # nearest offsets first: an uncovered neighbour ends a point's scan early
+    stencil = sorted(
+        (d for d in itertools.product(range(-w, w + 1), repeat=len(indices[0]))
+         if sum(k * k for k in d) <= reach * reach),
+        key=lambda d: sum(k * k for k in d),
+    )
+    position = {idx: j for j, idx in enumerate(indices)}
     for i, pt in enumerate(grid):
         if not covered_flags[i]:
             continue
         count = 0
         good = True
-        for j, other in enumerate(grid):
-            s = sum((a - b) ** 2 for a, b in zip(pt, other))
+        here = indices[i]
+        for d in stencil:
+            j = position.get(tuple(map(operator.add, here, d)))
+            if j is None:
+                continue
+            s = sum((a - b) ** 2 for a, b in zip(pt, grid[j]))
             if s <= sub_rsq:
                 count += 1
                 if not covered_flags[j]:
@@ -440,7 +469,7 @@ def d_dense_check(
         for z in project(p, section):
             flat_cloud.append(z.real)
             flat_cloud.append(z.imag)
-    dists, _ = nearest_distances(flat_centers, flat_cloud, 2 * len(section))
+    dists = nearest_distances(flat_centers, flat_cloud, 2 * len(section))
     witnesses = tuple(
         (centers[i], dists[i]) for i in range(len(centers)) if not dists[i] < d
     )

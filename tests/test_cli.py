@@ -2,6 +2,7 @@
 exit code 1 with the violated precondition named."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -144,6 +145,24 @@ def test_build21_past_float_range_without_csv(tmp_path):
     assert len(residuals) == 41
     assert all(r <= 2.0**-k for k, r in enumerate(residuals))
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_build21_past_float_range_with_csv(tmp_path):
+    # a stage modulus past float range leaves its CSV cell empty, while
+    # modulus_log2 still carries it
+    cfg = load(CONFIG_DIR / "build21.json")
+    cfg["stages"] = 40
+    cfg["targets"] = {"default_count": 41}
+    code, report = cli.run_config(cfg, out_dir=tmp_path, emit_csv=True)
+    assert code == 0, report.get("error")
+    header, *rows = (tmp_path / "residuals.csv").read_text().splitlines()
+    assert header == "stage,modulus,modulus_log2,shift,residual"
+    assert len(rows) == 41
+    for stage, modulus, modulus_log2, _, _ in (row.split(",") for row in rows):
+        # the modulus squared overflows a float from 2**1024 on
+        assert (modulus == "") == (float(modulus_log2) >= 512), stage
+        if modulus:
+            assert math.log2(float(modulus)) == float(modulus_log2)
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])

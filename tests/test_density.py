@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     AngleSpec,
@@ -182,6 +184,50 @@ class TestEpsilonDensity:
             epsilon_density(hollow, [0], [0j], 0.4, 0.3, 0.2)
         with pytest.raises(density.EmptyCloudError):
             d_dense_check(hollow, [0], 0.5, [(0j,)])
+
+
+def _witness_brute(grid, covered_flags, radius, grid_step):
+    """Reference: each covered grid point against every grid point."""
+    sub_r = max(2.0 * grid_step, radius / 4.0)
+    sub_rsq = sub_r * sub_r * (1.0 + 1e-12)
+    for i, pt in enumerate(grid):
+        if not covered_flags[i]:
+            continue
+        count = 0
+        good = True
+        for j, other in enumerate(grid):
+            if sum((a - b) ** 2 for a, b in zip(pt, other)) <= sub_rsq:
+                count += 1
+                if not covered_flags[j]:
+                    good = False
+                    break
+        if good and count >= 3:
+            return (density._floats_to_coords(pt), sub_r)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.complex_numbers(max_magnitude=3.0), st.integers(2, 8)).map(
+            lambda c: ((c[0],), c[1])
+        ),
+        st.tuples(st.complex_numbers(max_magnitude=3.0), st.complex_numbers(max_magnitude=3.0)).map(
+            lambda c: (c, 2)
+        ),
+    ),
+    st.floats(0.05, 1.0),
+    st.floats(0.5, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_somewhere_witness_matches_full_scan(ball, radius, covered_share, seed):
+    center, steps_per_radius = ball
+    grid_step = radius / steps_per_radius
+    grid, indices = density._ball_grid(center, radius, grid_step)
+    rng = random.Random(seed)
+    flags = [rng.random() < covered_share for _ in grid]
+    found = density._somewhere_witness(grid, indices, flags, radius, grid_step)
+    assert found == _witness_brute(grid, flags, radius, grid_step)
 
 
 class TestBoundedness:
