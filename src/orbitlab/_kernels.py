@@ -52,14 +52,27 @@ sin). At a grid point:
     length is within the sum of the component errors of the true distance
     D <= rho + |z|_1.
 Altogether |sqrt(d2) - D| <= u*(rho*(2.03|s|*(|lam| + |th|) + 13.3) +
-2.01*|z|_1). The kernel takes, over an interval,
-  e = 64u * (rho_max * (|s|_max * (|lam| + |th|) + 1) + |z|_1) + 2**-1000,
-with rho_max an upper bound on exp(s*lam) there: at least 4.8 times the
-sum, the last term covering subnormal underflow. The argument error of
+2.01*|z|_1) while nothing underflows. Products that land among the
+subnormals (below 2**-1022) are off by up to 2**-1075 absolutely instead:
+in the components that adds at most a few times 2**-1075, and in re*re and
+im*im (when |re| or |im| is below about 2**-511) it adds up to 2**-1074 to
+d2, hence up to sqrt(2**-1074) = 2**-537 to sqrt(d2). The kernel takes,
+over an interval,
+  e = 64u * (rho_max * (|s|_max * (|lam| + |th|) + 1) + |z|_1) + 2**-530,
+with rho_max an upper bound on exp(s*lam) there (also padded by 2**-530,
+which covers exp underflowing to within 2**-1074 of rho): at least 4.8
+times the relative part, and the last term at least 128 times the subnormal
+part. The argument error of
 exp(s_max*lam) (at most 745u relative) and the roundings of hypot, of the
 bound itself and of its squaring are absorbed by the margins 1 +- 2**-40,
 so the float bound never exceeds the real one and a pruned interval holds
 only indices whose computed d2 exceeds the best.
+
+Overflow: the analysis assumes d2_mid is finite. A midpoint whose squares
+overflow (spiral modulus or target above about 1.3e154) has d2_mid = inf
+although its true distance is finite, so sqrt(d2_mid) bounds nothing and
+such an interval is never pruned, only split. An index whose own d2 is inf
+or NaN never wins, as in the dense scan, so the bound need not cover it.
 
 Tie rule: an interval is pruned only when the bound squared exceeds the best
 d2 found strictly, so every index attaining the computed minimum is
@@ -79,7 +92,7 @@ _LEAF_POINTS = 12  # kd-tree leaf size
 _LEAF_INDICES = 16  # spiral intervals this short are evaluated densely
 _U = 2.0**-53
 _ERR_FACTOR = 64.0 * _U
-_TINY = 2.0**-1000
+_TINY = 2.0**-530
 _UP = 1.0 + 2.0**-40
 _DOWN = 1.0 - 2.0**-40
 
@@ -200,9 +213,10 @@ def spiral_min_scan(log_base, angle_rate, target_re, target_im, s_start, step, c
     stack = [(0, count - 1, mid, d2)]
     while stack:
         a, b, mid, d2 = stack.pop()
-        lb = lower_bound(a, b, mid, d2)
-        if lb > 0.0 and lb * lb * _DOWN > best:
-            continue
+        if math.isfinite(d2):
+            lb = lower_bound(a, b, mid, d2)
+            if lb > 0.0 and lb * lb * _DOWN > best:
+                continue
         if b - a < _LEAF_INDICES:
             for i in range(a, b + 1):
                 if i != mid:

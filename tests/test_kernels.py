@@ -4,12 +4,14 @@ equality with the dense scans they prune."""
 import math
 import random
 import time
+import types
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitlab import _kernels
 from orbitlab._kernels import _eval_error, nearest_distances, spiral_min_scan
 from orbitlab.constructions import build_spiral_scenario, spiral_distance_to
 from orbitlab.scalar_sets import AngleSpec
@@ -158,11 +160,58 @@ def test_error_budget_dominates_true_error(base, rate, s):
         assert abs(mpmath.mpf(computed) - true) <= err
 
 
-def test_four_billion_point_scan_returns_quickly():
+@pytest.mark.parametrize("rate", [1.0, -0.7, 1e3])
+@pytest.mark.parametrize("s", [-537.5, -537.2, -536.0])
+def test_error_budget_covers_subnormal_squares(rate, s):
+    # modulus near 2**-537: re*re and im*im fall among the subnormals
+    mpmath.mp.dps = 60
+    log_base = math.log(2.0)
+    exact_rho = mpmath.exp(mpmath.mpf(s) * mpmath.mpf(log_base))
+    rho = float(exact_rho) * (1.0 + 4 * _U)
+    _, computed = spiral_min_scan(log_base, rate, 0.0, 0.0, s, 1.0, 1)
+    err = _eval_error(rho, abs(s), abs(log_base) + abs(rate), 0.0)
+    assert abs(mpmath.mpf(computed) - exact_rho) <= err
+
+
+@pytest.mark.parametrize(
+    "s_target, s_start, count",
+    [
+        # squares overflow at the upper midpoints although the minimum is finite
+        (508.0, 480.0, 5001),
+        (508.37, 500.0, 1001),
+        # squares of the components fall among the subnormals
+        (-540.0, -560.0, 4001),
+        (-530.2, -545.0, 3001),
+    ],
+)
+@pytest.mark.parametrize("perturb", [0.0, 1e-9])
+def test_spiral_extreme_moduli_match_dense_scan(s_target, s_start, count, perturb):
+    log_base = math.log(2.0)
+    t = 2.0**s_target * complex(math.cos(s_target), -math.sin(s_target)) * (1.0 + perturb)
+    case = (log_base, 1.0, t.real, t.imag, s_start, 0.01, count)
+    idx, dist = spiral_min_scan(*case)
+    ref_idx, ref_dist = _spiral_brute(*case)
+    assert (idx, dist.hex()) == (ref_idx, ref_dist.hex())
+
+
+def test_four_billion_point_scan_returns_quickly(monkeypatch):
+    # every grid evaluation and every interval bound calls exp once
+    counting = types.SimpleNamespace(**vars(math))
+    exp_calls = 0
+
+    def exp(x):
+        nonlocal exp_calls
+        exp_calls += 1
+        return math.exp(x)
+
+    counting.exp = exp
+    monkeypatch.setattr(_kernels, "math", counting)
     scenario = build_spiral_scenario(2.0, AngleSpec.irrational(1.0))
     start = time.perf_counter()
     result = spiral_distance_to(scenario, -1, (-20.0, 20.0), 1e-8)
-    assert time.perf_counter() - start < 2.0
+    assert exp_calls <= 1_000_000
+    assert time.perf_counter() - start < 30.0
+    monkeypatch.undo()
     idx = round((result.argmin_s + 20.0) / 1e-8)
     assert -20.0 + idx * 1e-8 == result.argmin_s
     window = _spiral_brute(math.log(2.0), 1.0, -1.0, 0.0, -20.0, 1e-8, idx + 2001, first=idx - 2000)
