@@ -48,8 +48,7 @@ class X2:
 
     @classmethod
     def from_float(cls, x: float) -> "X2":
-        fr = Fraction(x)
-        return cls(fr.numerator, fr.denominator)
+        return cls(*x.as_integer_ratio())
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "X2":
@@ -271,15 +270,6 @@ def xvec_norm_sq(x: dict[int, XC]) -> X2:
     for i in sorted(x):
         out = out + x[i].mod_sq()
     return out
-
-
-def xvec_scale(x: dict[int, XC], s: XC) -> dict[int, XC]:
-    return {i: c * s for i, c in x.items()}
-
-
-def xvec_add_into(acc: dict[int, XC], x: dict[int, XC]) -> None:
-    for i, c in x.items():
-        acc[i] = acc[i] + c if i in acc else c
 
 
 def xvec_sub(a: dict[int, XC], b: dict[int, XC]) -> dict[int, XC]:

@@ -53,18 +53,25 @@ def _load_targets(cfg: dict, domain: str) -> constructions.TargetFamily:
     return constructions.default_target_family(int(spec["default_count"]), domain)
 
 
-def _base_point(obj, op, field: str = "base_point"):
-    """Decode a config vector on op's domain: an [re, im] pair on C, a
-    SeqVector object on sequence spaces. A shape that does not fit the domain
-    is a ValueError naming the field."""
-    dom = operators.operator_domain(op)
-    try:
-        if dom == "scalar" and isinstance(obj, (list, tuple)):
-            return jsonio.decode_complex(obj)
-        if dom in (operators.UNILATERAL, operators.BILATERAL) and isinstance(obj, dict):
-            return SeqVector.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{field}: malformed vector {obj!r} ({exc!r})") from exc
+def _base_point(obj, dom, field: str = "base_point"):
+    """Decode a config vector on the domain dom (operator_domain of the
+    operator): an [re, im] pair on C, a SeqVector object on sequence spaces,
+    and on a direct sum a list with one vector per block. A shape that does
+    not fit the domain is a ValueError naming the field, e.g.
+    `target_vectors[2][0]`."""
+    if isinstance(dom, tuple):
+        if isinstance(obj, (list, tuple)) and len(obj) == len(dom):
+            return tuple(
+                _base_point(x, d, f"{field}[{i}]") for i, (x, d) in enumerate(zip(obj, dom))
+            )
+    else:
+        try:
+            if dom == "scalar" and isinstance(obj, (list, tuple)):
+                return jsonio.decode_complex(obj)
+            if dom in (operators.UNILATERAL, operators.BILATERAL) and isinstance(obj, dict):
+                return SeqVector.from_json(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{field}: malformed vector {obj!r} ({exc!r})") from exc
     raise ValueError(f"{field}: {obj!r} is not a vector on the {dom!r} domain")
 
 
@@ -110,7 +117,7 @@ def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
 
 def _cmd_density(cfg: dict, out: "_Output") -> dict:
     op = operators.operator_from_json(cfg["operator"])
-    base = _base_point(cfg["base_point"], op)
+    base = _base_point(cfg["base_point"], operators.operator_domain(op))
     s = scalar_sets.from_json(cfg["set"])
     window = cfg.get("radial_window")
     cloud = density.generate_orbit(
@@ -147,6 +154,7 @@ def _heatmap_csv(report: density.DensityReport) -> str:
 def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
     op = operators.operator_from_json(cfg["operator"])
     inv = operators.operator_from_json(cfg["right_inverse"])
+    dom = operators.operator_domain(op)
     idx_cfg = cfg["indices"]
     indices = tuple(range(int(idx_cfg["upto"]) + 1)) if "upto" in idx_cfg else tuple(
         int(i) for i in idx_cfg
@@ -155,10 +163,10 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
         operator=op,
         right_inverse=inv,
         decay_vectors=tuple(
-            _base_point(v, op, f"decay_vectors[{i}]") for i, v in enumerate(cfg["decay_vectors"])
+            _base_point(v, dom, f"decay_vectors[{i}]") for i, v in enumerate(cfg["decay_vectors"])
         ),
         target_vectors=tuple(
-            _base_point(v, op, f"target_vectors[{i}]") for i, v in enumerate(cfg["target_vectors"])
+            _base_point(v, dom, f"target_vectors[{i}]") for i, v in enumerate(cfg["target_vectors"])
         ),
         indices=indices,
         tolerance=float(cfg.get("tolerance", criteria.DEFAULT_TOLERANCE)),
@@ -175,7 +183,7 @@ def _cmd_winding(cfg: dict, out: "_Output") -> dict:
 
 def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
     op = operators.operator_from_json(cfg["operator"])
-    base = _base_point(cfg["base_point"], op)
+    base = _base_point(cfg["base_point"], operators.operator_domain(op))
     horizon = int(cfg["horizon"])
     cloud = density.generate_orbit(
         op, base, scalar_sets.FinitePoints([1.0 + 0.0j]), horizon, 1

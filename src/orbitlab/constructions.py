@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import jsonio
 from ._exact import X2, XC, xvec_from_seq, xvec_norm_sq, xvec_sub
@@ -151,18 +150,17 @@ def default_target_family(count: int, domain: str = UNILATERAL) -> TargetFamily:
 @dataclass(frozen=True)
 class StageChoice:
     stage: int
-    scalar: tuple[Fraction, Fraction]
+    scalar: XC
     shift: int
 
-    def modulus_sq(self) -> Fraction:
-        re, im = self.scalar
-        return re * re + im * im
+    def modulus_sq(self) -> X2:
+        return self.scalar.mod_sq()
 
     def modulus_log2(self) -> float:
-        return float(X2.from_fraction(self.modulus_sq()).log2()) / 2.0
+        return self.modulus_sq().log2() / 2.0
 
     def modulus_float(self) -> float:
-        return float(X2.from_fraction(self.modulus_sq())) ** 0.5
+        return float(self.modulus_sq()) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -189,8 +187,8 @@ class ConstructionTrace:
             "choices": [
                 {
                     "stage": c.stage,
-                    "scalar_re": jsonio.encode_fraction(c.scalar[0]),
-                    "scalar_im": jsonio.encode_fraction(c.scalar[1]),
+                    "scalar_re": _encode_x2(c.scalar.re),
+                    "scalar_im": _encode_x2(c.scalar.im),
                     "modulus_log2": c.modulus_log2(),
                     "shift": c.shift,
                 }
@@ -199,8 +197,7 @@ class ConstructionTrace:
             "conditions": [dict(c) for c in self.conditions],
             "residuals": list(self.residuals),
             "residual_sq_upper": [
-                jsonio.encode_fraction(r.round_up_bits(64).to_fraction())
-                for r in self.residual_sq_exact
+                _encode_x2(r.round_up_bits(64)) for r in self.residual_sq_exact
             ],
             "partial_sum": self.partial_sum.to_json(),
         }
@@ -217,6 +214,14 @@ class ConstructionTrace:
                 f"{jsonio.format_float(c.modulus_log2())},{c.shift},{jsonio.format_float(r)}"
             )
         return "\n".join(lines) + "\n"
+
+
+def _encode_x2(x: X2) -> dict:
+    """jsonio.encode_fraction(x.to_fraction()), without building the
+    Fraction when x is dyadic (den 1): every pick and reported bound is."""
+    if x.den != 1:
+        return jsonio.encode_fraction(x.to_fraction())
+    return {"num": x.num << max(x.exp, 0), "exp2": min(x.exp, 0)}
 
 
 def _residual_float(rsq: X2) -> float:
@@ -260,13 +265,12 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
         want = need + 1.0  # factor 1/2 slack
         four_k = X2.pow2(2 * k)
         for _ in range(200):
-            pick = pick_modulus_at_least(sampler, want)
-            if pick is None:
+            gx = pick_modulus_at_least(sampler, want)
+            if gx is None:
                 raise BoundedScalarSetError(
                     "scalar set must have unbounded modulus: no scalar of the "
                     "required size is available"
                 )
-            gx = XC.from_fractions(pick)
             msq = gx.mod_sq()
             ok = nsq * four_k < msq and all(
                 g.mod_sq() * nsq * four_k < msq for g in scalars
@@ -316,7 +320,7 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
     return ConstructionTrace(
         scheme="unilateral",
         choices=tuple(
-            StageChoice(k, scalars[k].to_fraction_pair(), shifts[k]) for k in range(stages + 1)
+            StageChoice(k, scalars[k], shifts[k]) for k in range(stages + 1)
         ),
         partial_sum=partial,
         residuals=tuple(_residual_float(r) for r in residual_sq),
@@ -406,13 +410,12 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
             cap = min(cap, -k + gi - (shifts[i] + degrees[i]) - norm_sqs[i].log2() / 2.0)
         want = cap - 1.0  # factor 1/2 slack
         for _ in range(200):
-            pick = pick_modulus_at_most(sampler, want)
-            if pick is None:
+            gx = pick_modulus_at_most(sampler, want)
+            if gx is None:
                 raise NotAccumulatingAtZeroError(
                     "scalar set must have positive moduli accumulating at 0: no "
                     "scalar of the required smallness is available"
                 )
-            gx = XC.from_fractions(pick)
             if gx.is_zero:
                 raise NotAccumulatingAtZeroError("resolver produced zero, which carries no scale")
             msq = gx.mod_sq()
@@ -503,7 +506,7 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
     return ConstructionTrace(
         scheme="bilateral",
         choices=tuple(
-            StageChoice(k, scalars[k].to_fraction_pair(), shifts[k]) for k in range(stages + 1)
+            StageChoice(k, scalars[k], shifts[k]) for k in range(stages + 1)
         ),
         partial_sum=partial,
         residuals=tuple(_residual_float(r) for r in residual_sq),

@@ -17,8 +17,10 @@ from typing import Optional, Sequence
 from . import jsonio
 from ._kernels import nearest_distances
 from .operators import (
+    DomainMismatchError,
     OperatorSpec,
     SeqVector,
+    UnsupportedOperatorError,
     Vector,
     apply,
     operator_domain,
@@ -191,8 +193,6 @@ def generate_orbit(
             x = complex(x)
     elif isinstance(dom, str):
         if not isinstance(x, SeqVector) or x.domain != dom:
-            from .operators import DomainMismatchError
-
             raise DomainMismatchError(f"base point must be a {dom!r} sequence vector")
     gammas = scalar_grid(s, gamma_grid, radial_window)
     samples = []
@@ -220,7 +220,7 @@ def project(point: Vector, section: Sequence[int]) -> tuple[complex, ...]:
         if tuple(section) != (0,):
             raise ValueError("a scalar point only has coordinate 0")
         return (point,)
-    raise TypeError("direct-sum points are not supported in density scans")
+    raise UnsupportedOperatorError("direct-sum points are not supported in density scans")
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +603,9 @@ def _inner(u: Vector, v: Vector) -> complex:
         return u.inner(v)
     if isinstance(u, complex) and isinstance(v, complex):
         return u * v.conjugate()
-    raise TypeError("inner product needs two sequence vectors or two scalars")
+    if isinstance(u, tuple) and isinstance(v, tuple) and len(u) == len(v):
+        return sum(_inner(a, b) for a, b in zip(u, v))
+    raise TypeError("inner product needs two vectors of the same shape")
 
 
 def multiplicative_closure_report(est: LambdaEstimate, tol: float = 1e-9) -> dict:

@@ -112,12 +112,3 @@ def encode_fraction(fr: Fraction) -> dict:
         return {"num": num, "exp2": -(den.bit_length() - 1)}
     return {"num": num, "den": den}
 
-
-def decode_fraction(obj) -> Fraction:
-    if "exp2" in obj:
-        exp = int(obj["exp2"])
-        num = int(obj["num"])
-        if exp >= 0:
-            return Fraction(num * (1 << exp))
-        return Fraction(num, 1 << (-exp))
-    return Fraction(int(obj["num"]), int(obj["den"]))

@@ -57,6 +57,13 @@ class SeqVector:
         return cls(domain, tuple(sorted((i, v) for i, v in cleaned.items() if v != 0)))
 
     @classmethod
+    def _from_sorted(cls, domain: str, entries) -> "SeqVector":
+        """make() for entries already sorted by unique valid index: keeps its
+        zero drop and its `0 + v` (which turns -0.0 parts into 0.0), skips the
+        validation, merge and sort."""
+        return cls(domain, tuple((i, 0 + v) for i, v in entries if v != 0))
+
+    @classmethod
     def basis(cls, index: int, domain: str = UNILATERAL) -> "SeqVector":
         return cls.make(domain, [(index, 1.0 + 0.0j)])
 
@@ -97,7 +104,7 @@ class SeqVector:
         return self.add(other.scale(-1))
 
     def scale(self, c: complex) -> "SeqVector":
-        return SeqVector.make(self.domain, [(i, c * v) for i, v in self.entries])
+        return SeqVector._from_sorted(self.domain, [(i, c * v) for i, v in self.entries])
 
     def inner(self, other: "SeqVector") -> complex:
         if other.domain != self.domain:
@@ -272,18 +279,18 @@ def apply(op: OperatorSpec, v: Vector) -> Vector:
     """Exact image of v under op; raises DomainMismatchError on shape errors."""
     if isinstance(op, BackwardShift):
         _expect_seq(v, UNILATERAL)
-        return SeqVector.make(UNILATERAL, [(i - 1, c) for i, c in v.entries if i >= 1])
+        return SeqVector._from_sorted(UNILATERAL, [(i - 1, c) for i, c in v.entries if i >= 1])
     if isinstance(op, ForwardShift):
         _expect_seq(v, UNILATERAL)
-        return SeqVector.make(UNILATERAL, [(i + 1, c) for i, c in v.entries])
+        return SeqVector._from_sorted(UNILATERAL, [(i + 1, c) for i, c in v.entries])
     if isinstance(op, WeightedBackward):
         _expect_seq(v, BILATERAL)
         w = op.weights
-        return SeqVector.make(BILATERAL, [(i - 1, w.weight(i) * c) for i, c in v.entries])
+        return SeqVector._from_sorted(BILATERAL, [(i - 1, w.weight(i) * c) for i, c in v.entries])
     if isinstance(op, WeightedForward):
         _expect_seq(v, BILATERAL)
         w = op.weights
-        return SeqVector.make(BILATERAL, [(i + 1, w.weight(i) * c) for i, c in v.entries])
+        return SeqVector._from_sorted(BILATERAL, [(i + 1, w.weight(i) * c) for i, c in v.entries])
     if isinstance(op, ScalarOnC):
         if not isinstance(v, complex):
             raise DomainMismatchError("scalar operator acts on complex numbers")
@@ -303,13 +310,65 @@ def _expect_seq(v, domain):
 
 
 def power_apply(op: OperatorSpec, n: int, v: Vector) -> Vector:
-    """op applied n times, by direct iteration on the sparse support."""
+    """op applied n times, folded entry by entry.
+
+    Catalog shifts move distinct indices to distinct indices, so each entry
+    of a sequence vector follows its own path. Along it the fold does the
+    multiplications of n calls of apply in their order (the weight, then the
+    ScalarMultiple factors from the inside out), each followed by make()'s
+    zero drop and `0 + c`, so the result is bitwise that of n calls of apply.
+    factor**n would not be: complex.__pow__ stops multiplying above n = 100.
+    """
     if n < 0:
         raise ValueError("power must be nonnegative")
-    out = v
+    return v if n == 0 else _power(op, n, v, ())
+
+
+def _power(op: OperatorSpec, n: int, v: Vector, outer: tuple) -> Vector:
+    """op^n v, with the factors `outer` (inside out) of the scalar multiples
+    around op applied after each step."""
+    if isinstance(op, ScalarMultiple):
+        return _power(op.inner, n, v, (op.factor,) + outer)
+    if isinstance(op, DirectSum) and isinstance(v, tuple) and len(v) == len(op.blocks):
+        return tuple(_power(b, n, x, outer) for b, x in zip(op.blocks, v))
+    if not isinstance(op, (BackwardShift, ForwardShift, WeightedBackward, WeightedForward)):
+        # ScalarOnC: a number has no entries to walk. apply also raises for a
+        # mis-shaped direct sum or an unknown operator
+        for _ in range(n):
+            v = apply(op, v)
+            for f in outer:
+                v = vector_scale(f, v)
+        return v
+    weights = getattr(op, "weights", None)
+    domain = UNILATERAL if weights is None else BILATERAL
+    _expect_seq(v, domain)
+    step = -1 if isinstance(op, (BackwardShift, WeightedBackward)) else 1
+    out = []
+    for i, c in v.entries:
+        # the unilateral backward shift drops index 0: entry i lives i steps
+        if weights is None and step < 0 and n > i:
+            continue
+        moved = _walk(i, c, n, step, weights, outer)
+        if moved is not None:
+            out.append(moved)
+    return SeqVector._from_sorted(domain, out)
+
+
+def _walk(i: int, c: complex, n: int, step: int, weights, outer: tuple):
+    """(index, value) of entry c at index i after n steps; None once it is 0."""
     for _ in range(n):
-        out = apply(op, out)
-    return out
+        if weights is not None:
+            c = weights.weight(i) * c
+        i += step
+        if c == 0:
+            return None
+        c = 0 + c
+        for f in outer:
+            c = f * c
+            if c == 0:
+                return None
+            c = 0 + c
+    return i, c
 
 
 def power_norm_bound(op: OperatorSpec, n: int) -> float:

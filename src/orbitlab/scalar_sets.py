@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import jsonio
+from ._exact import X2, XC, XC_ONE
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-9
@@ -661,163 +661,120 @@ def is_dense_in_plane(s: ScalarSet) -> bool:
 # deterministic modulus resolvers (sampler contract for the construction builders)
 
 
-def _fr_pair(z: complex) -> tuple[Fraction, Fraction]:
-    return (Fraction(z.real), Fraction(z.imag))
-
-
-def _fr_scale(pair: tuple[Fraction, Fraction], factor: complex) -> tuple[Fraction, Fraction]:
-    fre, fim = Fraction(factor.real), Fraction(factor.imag)
-    re, im = pair
-    return (re * fre - im * fim, re * fim + im * fre)
-
-
-def _pow2(k: int) -> Fraction:
-    return Fraction(2) ** k
-
-
 def _log2_abs(z: complex) -> float:
     return math.log2(abs(z))
 
 
-def pick_modulus_at_least(s: ScalarSet, min_log2: float) -> Optional[tuple[Fraction, Fraction]]:
-    """Deterministic member with log2 |value| >= min_log2, as an exact pair.
+def pick_modulus_at_least(s: ScalarSet, min_log2: float) -> Optional[XC]:
+    """Deterministic member with log2 |value| >= min_log2, as an exact XC.
 
     The threshold is on a log scale so required magnitudes beyond float range
     stay expressible. Interval-type variants answer with exact powers of two
-    whenever possible. Returns None when the set has no such member.
+    whenever possible. Every pick is dyadic (built from floats and powers of
+    two), so its X2 parts are canonical: odd numerator, denominator 1.
+    Returns None when the set has no such member.
     """
+    return _pick(s, min_log2, True)
+
+
+def pick_modulus_at_most(s: ScalarSet, max_log2: float) -> Optional[XC]:
+    """Deterministic nonzero member with log2 |value| <= max_log2 (exact XC)."""
+    return _pick(s, max_log2, False)
+
+
+def _pick(s: ScalarSet, bound: float, at_least: bool) -> Optional[XC]:
+    def fits(z: complex) -> bool:
+        lg = _log2_abs(z)
+        return lg >= bound if at_least else lg <= bound
+
     if isinstance(s, FinitePoints):
         for p in s.points:
-            if p != 0 and _log2_abs(p) >= min_log2:
-                return _fr_pair(p)
+            if p != 0 and fits(p):
+                return XC.from_complex(p)
         return None
     if isinstance(s, Geometric):
         lb = _log2_abs(s.base)
-        if lb > 0:
-            j = max(0, math.ceil(min_log2 / lb))
+        if lb > 0 if at_least else lb < 0:
+            j = max(0, math.ceil(bound / lb))
+        elif bound > 0 if at_least else bound < 0:
+            return None
         else:
             j = 0
-            if min_log2 > 0:
-                return None
-        return _cpow_exact(_fr_pair(s.base), j)
+        return _cpow_exact(XC.from_complex(s.base), j)
     if isinstance(s, (Circle, Arc)):
-        if _log2_abs(complex(s.radius)) >= min_log2:
-            ang = s.angle_lo if isinstance(s, Arc) else 0.0
-            return _fr_pair(s.radius * complex(math.cos(ang), math.sin(ang)))
-        return None
-    if isinstance(s, Annulus):
-        return _interval_pick_at_least(s.inner_radius, s.outer_radius, 0.0, min_log2)
-    if isinstance(s, Sector):
-        return _interval_pick_at_least(s.radius_lo, s.radius_hi, s.angle_lo, min_log2)
+        if not fits(complex(s.radius)):
+            return None
+        ang = s.angle_lo if isinstance(s, Arc) else 0.0
+        return XC.from_complex(s.radius * complex(math.cos(ang), math.sin(ang)))
+    if isinstance(s, (Annulus, Sector)):
+        lo, hi, ang = (
+            (s.inner_radius, s.outer_radius, 0.0)
+            if isinstance(s, Annulus)
+            else (s.radius_lo, s.radius_hi, s.angle_lo)
+        )
+        pick = _interval_pick_at_least if at_least else _interval_pick_at_most
+        r = pick(lo, hi, bound)
+        return None if r is None else _rotated(r, complex(math.cos(ang), math.sin(ang)))
     if isinstance(s, LogSpiral):
-        k = math.ceil(min_log2)
-        t = k * math.log(2) / math.log(s.base)
-        phase = complex(math.cos(t * s.rate.value), -math.sin(t * s.rate.value))
-        return _fr_scale((_pow2(k), Fraction(0)), phase)
+        k = math.ceil(bound) if at_least else math.floor(bound)
+        a = k * math.log(2) / math.log(s.base) * s.rate.value
+        return _rotated(X2.pow2(k), complex(math.cos(a), -math.sin(a)))
     if isinstance(s, Union):
         for m in s.members:
-            got = pick_modulus_at_least(m, min_log2)
+            got = _pick(m, bound, at_least)
             if got is not None:
                 return got
         return None
     if isinstance(s, Scaled):
-        got = pick_modulus_at_least(s.inner, min_log2 - _log2_abs(s.factor))
-        return None if got is None else _fr_scale(got, s.factor)
+        got = _pick(s.inner, bound - _log2_abs(s.factor), at_least)
+        return None if got is None else got * XC.from_complex(s.factor)
     if isinstance(s, CircleProduct):
-        return pick_modulus_at_least(s.inner, min_log2)
+        return _pick(s.inner, bound, at_least)
     raise TypeError(f"unknown scalar set variant {type(s).__name__}")
 
 
-def pick_modulus_at_most(s: ScalarSet, max_log2: float) -> Optional[tuple[Fraction, Fraction]]:
-    """Deterministic nonzero member with log2 |value| <= max_log2 (exact pair)."""
-    if isinstance(s, FinitePoints):
-        for p in s.points:
-            if p != 0 and _log2_abs(p) <= max_log2:
-                return _fr_pair(p)
-        return None
-    if isinstance(s, Geometric):
-        lb = _log2_abs(s.base)
-        if lb < 0:
-            j = max(0, math.ceil(max_log2 / lb))
-        else:
-            j = 0
-            if max_log2 < 0:
-                return None
-        return _cpow_exact(_fr_pair(s.base), j)
-    if isinstance(s, (Circle, Arc)):
-        if _log2_abs(complex(s.radius)) <= max_log2:
-            ang = s.angle_lo if isinstance(s, Arc) else 0.0
-            return _fr_pair(s.radius * complex(math.cos(ang), math.sin(ang)))
-        return None
-    if isinstance(s, Annulus):
-        return _interval_pick_at_most(s.inner_radius, s.outer_radius, 0.0, max_log2)
-    if isinstance(s, Sector):
-        return _interval_pick_at_most(s.radius_lo, s.radius_hi, s.angle_lo, max_log2)
-    if isinstance(s, LogSpiral):
-        k = math.floor(max_log2)
-        t = k * math.log(2) / math.log(s.base)
-        phase = complex(math.cos(t * s.rate.value), -math.sin(t * s.rate.value))
-        return _fr_scale((_pow2(k), Fraction(0)), phase)
-    if isinstance(s, Union):
-        for m in s.members:
-            got = pick_modulus_at_most(m, max_log2)
-            if got is not None:
-                return got
-        return None
-    if isinstance(s, Scaled):
-        got = pick_modulus_at_most(s.inner, max_log2 - _log2_abs(s.factor))
-        return None if got is None else _fr_scale(got, s.factor)
-    if isinstance(s, CircleProduct):
-        return pick_modulus_at_most(s.inner, max_log2)
-    raise TypeError(f"unknown scalar set variant {type(s).__name__}")
-
-
-def _interval_pick_at_least(lo, hi, angle, min_log2):
+def _interval_pick_at_least(lo, hi, min_log2):
     if hi == 0 or (hi != math.inf and _log2_abs(complex(hi)) < min_log2):
         return None
     k = math.ceil(min_log2)
-    r: Fraction | float
     if lo > 0 and math.log2(lo) >= min_log2:
-        r = Fraction(lo)
+        r = X2.from_float(lo)
     elif hi == math.inf or k <= math.log2(hi):
-        r = _pow2(k)
-        if lo > 0 and r < Fraction(lo):
-            r = Fraction(lo)
+        r = X2.pow2(k)
+        if lo > 0 and r < X2.from_float(lo):
+            r = X2.from_float(lo)
     else:
-        r = Fraction(hi)
-    if angle == 0.0:
-        return (r, Fraction(0))
-    return _fr_scale((r, Fraction(0)), complex(math.cos(angle), math.sin(angle)))
+        r = X2.from_float(hi)
+    return r
 
 
-def _interval_pick_at_most(lo, hi, angle, max_log2):
+def _interval_pick_at_most(lo, hi, max_log2):
     if hi == 0:
         return None
     if lo > 0 and math.log2(lo) > max_log2:
         return None
-    k = math.floor(max_log2)
-    r = _pow2(k)
-    if lo > 0 and r < Fraction(lo):
-        r = Fraction(lo)
-    if hi != math.inf and r > Fraction(hi):
-        r = Fraction(hi)
-    if angle == 0.0:
-        return (r, Fraction(0))
-    return _fr_scale((r, Fraction(0)), complex(math.cos(angle), math.sin(angle)))
+    r = X2.pow2(math.floor(max_log2))
+    if lo > 0 and r < X2.from_float(lo):
+        r = X2.from_float(lo)
+    if hi != math.inf and r > X2.from_float(hi):
+        r = X2.from_float(hi)
+    return r
 
 
-def _cpow_exact(pair: tuple[Fraction, Fraction], j: int) -> tuple[Fraction, Fraction]:
-    re, im = pair
-    if im == 0:
-        return (re ** j, Fraction(0))
-    out = (Fraction(1), Fraction(0))
-    base = pair
-    n = j
-    while n:
-        if n & 1:
-            out = (out[0] * base[0] - out[1] * base[1], out[0] * base[1] + out[1] * base[0])
-        base = (base[0] * base[0] - base[1] * base[1], 2 * base[0] * base[1])
-        n >>= 1
+def _rotated(r: X2, phase: complex) -> XC:
+    """r times the float phase, exactly."""
+    return XC(r, X2.ZERO) * XC.from_complex(phase)
+
+
+def _cpow_exact(base: XC, j: int) -> XC:
+    """base**j exactly, by squaring: for a power-of-two base every product
+    only adds exponents."""
+    out = XC_ONE
+    while j:
+        if j & 1:
+            out = out * base
+        base = base * base
+        j >>= 1
     return out
 
 

@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/tracing.py) patches package names from
+outside: module functions such as criteria.apply and the X2/XC methods. A
+refactor that removes or renames one of them must fail here, not in a
+traced benchmark run."""
+
+from pathlib import Path
+
+from orbitlab import criteria, operators
+from orbitlab.operators import BackwardShift, ScalarMultiple, SeqVector
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_installs_counts_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import _EXACT_METHODS, Tracer
+
+    methods = {(cls, m): cls.__dict__[m] for cls, ms in _EXACT_METHODS.items() for m in ms}
+    tracer = Tracer()
+    tracer.install()
+    try:
+        inst = criteria.CriterionInstance(
+            operator=ScalarMultiple(2.0, BackwardShift()),
+            right_inverse=ScalarMultiple(0.5, operators.ForwardShift()),
+            decay_vectors=(SeqVector.basis(1),),
+            target_vectors=(SeqVector.basis(2),),
+            indices=(0, 1, 2, 3),
+        )
+        criteria.check_criterion(inst)
+    finally:
+        tracer.uninstall()
+    # the criterion's iterates still go through the patched criteria.apply
+    assert tracer.counts.get("criteria.apply_calls", 0) > 0
+    assert criteria.apply is operators.apply
+    assert all(cls.__dict__[m] is raw for (cls, m), raw in methods.items())

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab import cli, jsonio
+from orbitlab import cli, criteria, jsonio
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
@@ -184,3 +184,81 @@ def test_misshapen_vector_names_its_field(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["criterion", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
     assert "target_vectors[2]" in capsys.readouterr().err
+
+
+def _direct_sum_criterion():
+    uni = lambda j: {"domain": "uni", "entries": [[j, 1.0, 0.0]]}  # noqa: E731
+    return {
+        "command": "criterion",
+        "operator": {"kind": "direct_sum", "blocks": [
+            {"kind": "scalar_on_c", "value": [0.5, 0.0]},
+            {"kind": "scalar_multiple", "factor": [2.0, 0.0], "inner": {"kind": "backward_shift"}},
+        ]},
+        "right_inverse": {"kind": "direct_sum", "blocks": [
+            {"kind": "scalar_on_c", "value": [2.0, 0.0]},
+            {"kind": "scalar_multiple", "factor": [0.5, 0.0], "inner": {"kind": "forward_shift"}},
+        ]},
+        "decay_vectors": [[[1.0, 0.0], uni(0)], [[0.0, 1.0], uni(3)]],
+        "target_vectors": [[[1.0, 0.0], uni(1)], [[0.5, -0.5], uni(4)]],
+        "indices": {"upto": 12},
+    }
+
+
+def test_direct_sum_criterion_decodes_each_block(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_direct_sum_criterion()))
+    assert cli.main(["criterion", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    traces = jsonio.loads((tmp_path / "report.json").read_text())["result"]["criterion"]["traces"]
+    # the scalar block's right inverse doubles, so only the round trip is exact
+    assert traces["roundtrip"] == [0.0] * 13
+    assert traces["forward_decay"][-1] == 0.5 ** 12
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("decay_vectors[1]", [[0.0, 1.0]]),  # one block of two
+        ("target_vectors[0][1]", [[1.0, 0.0], [1.0, 0.0]]),  # a pair where a sequence belongs
+    ],
+)
+def test_direct_sum_vector_of_wrong_shape_names_its_field(field, value, tmp_path, capsys):
+    cfg = _direct_sum_criterion()
+    cfg[field.split("[")[0]][int(field.split("[")[1][0])] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["criterion", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert f"{field}:" in capsys.readouterr().err
+
+
+_DIRECT_SUM = {"kind": "direct_sum", "blocks": [
+    {"kind": "scalar_on_c", "value": [0.5, 0.0]}, {"kind": "backward_shift"},
+]}
+_DIRECT_SUM_POINT = [[1.0, 0.0], {"domain": "uni", "entries": [[1, 1.0, 0.0]]}]
+
+
+def test_direct_sum_lambda_estimate_runs(tmp_path):
+    cfg = {"command": "lambda-est", "operator": _DIRECT_SUM, "base_point": _DIRECT_SUM_POINT,
+           "horizon": 4, "iterate": 1, "epsilon": 0.1}
+    code, report = cli.run_config(cfg, out_dir=tmp_path)
+    assert code == 0, report.get("error")
+    assert [lam for lam, _ in report["result"]["lambda_estimate"]["detected"]] == [1.0]
+
+
+def test_direct_sum_density_scan_is_refused_with_exit_one(tmp_path):
+    cfg = {"command": "density", "operator": _DIRECT_SUM, "base_point": _DIRECT_SUM_POINT,
+           "set": {"kind": "circle", "radius": 1.0}, "horizon": 3, "gamma_grid": 8,
+           "section": [0], "ball": {"center": [[0.0, 0.0]], "radius": 0.5},
+           "epsilon": 0.2, "grid_step": 0.1}
+    code, report = cli.run_config(cfg, out_dir=tmp_path)
+    assert code == 1
+    assert "direct-sum points are not supported" in report["error"]
+
+
+def test_internal_fault_in_criterion_exits_two(tmp_path, monkeypatch, capsys):
+    def broken(op, v):
+        raise RuntimeError("simulated internal fault")
+
+    monkeypatch.setattr(criteria, "apply", broken)
+    cfg_path = CONFIG_DIR / "criterion_rolewicz.json"
+    assert cli.main(["criterion", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "simulated internal fault" in capsys.readouterr().err

@@ -21,7 +21,8 @@ from orbitlab import (
     positive_ray,
     spiral_distance_to,
 )
-from orbitlab._exact import X2, XC, xvec_from_seq, xvec_norm_sq
+from orbitlab._exact import X2, xvec_from_seq, xvec_norm_sq
+from orbitlab.constructions import _encode_x2
 from orbitlab import jsonio
 
 IRR = AngleSpec.irrational(1.0, "one radian")
@@ -96,7 +97,7 @@ class TestUnilateralBuild:
         mods = [c.modulus_log2() for c in trace.choices]
         assert mods == sorted(mods)
         for c in trace.choices:
-            assert c.scalar[1] == 0 and c.scalar[0] > 0  # on the nonnegative ray
+            assert c.scalar.im == X2.ZERO and c.scalar.re > X2.ZERO  # on the nonnegative ray
 
     def test_geometric_growth_sampler_works(self):
         fam = default_target_family(6, "uni")
@@ -129,9 +130,9 @@ class TestBilateralBuild:
         norms = [xvec_norm_sq(xvec_from_seq(v)) for v in fam.vectors]
         degs = [v.degree() for v in fam.vectors]
         for k in range(1, trace.stages + 1):
-            msq_k = XC.from_fractions(trace.choices[k].scalar).mod_sq()
+            msq_k = trace.choices[k].scalar.mod_sq()
             for i in range(k):
-                msq_i = XC.from_fractions(trace.choices[i].scalar).mod_sq()
+                msq_i = trace.choices[i].scalar.mod_sq()
                 m_i = trace.choices[i].shift
                 lhs = msq_k * X2.pow2(2 * (m_i + degs[i]) + 2 * k) * norms[i]
                 assert lhs < msq_i
@@ -157,6 +158,12 @@ class TestBilateralBuild:
         csv = trace.to_csv()
         assert csv.splitlines()[0] == "stage,modulus,modulus_log2,shift,residual"
         assert len(csv.splitlines()) == trace.stages + 2
+
+    @pytest.mark.parametrize("num, den", [(1, 1), (-3, 1), (5, 1), (7, 3), (-1, 9)])
+    @pytest.mark.parametrize("exp", [-70, -1, 0, 1, 70])
+    def test_x2_encoding_matches_the_fraction_encoding(self, num, den, exp):
+        x = X2(num, den, exp)
+        assert _encode_x2(x) == jsonio.encode_fraction(x.to_fraction())
 
 
 class TestSpiralScenario:

@@ -106,7 +106,7 @@ class TestEpsilonDensity:
 
     def test_construction_cloud_covers_target_net(self):
         center, radius, step, lattice, trace = _net_fixture()
-        gammas = [complex(float(c.scalar[0]), float(c.scalar[1])) for c in trace.choices]
+        gammas = [complex(float(c.scalar.re), float(c.scalar.im)) for c in trace.choices]
         horizon = max(c.shift for c in trace.choices)
         cloud = generate_orbit(
             BackwardShift(), trace.partial_sum, FinitePoints(gammas), horizon, len(gammas)
@@ -118,7 +118,7 @@ class TestEpsilonDensity:
 
     def test_net_cloud_is_d_dense(self):
         center, radius, step, lattice, trace = _net_fixture()
-        gammas = [complex(float(c.scalar[0]), float(c.scalar[1])) for c in trace.choices]
+        gammas = [complex(float(c.scalar.re), float(c.scalar.im)) for c in trace.choices]
         horizon = max(c.shift for c in trace.choices)
         cloud = generate_orbit(
             BackwardShift(), trace.partial_sum, FinitePoints(gammas), horizon, len(gammas)

@@ -1,0 +1,84 @@
+"""Golden digests: every shipped config, plus build22 K=20 and criterion
+N=160, must write byte-for-byte the reports (minus the generated_at line)
+and CSVs recorded before the exact-power and X2-pick rewrite. A digest may
+change only with a declared change to the report format."""
+
+import hashlib
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from orbitlab import cli
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+_TS = re.compile(rb'  "generated_at": "[^"]*",\n')
+
+GOLDEN = {
+    "build21": {
+        "report.json": "1c41ad1de98dc373ab0868dd57174ae68518fc5aad2c7103d429aecc20e160ac",
+        "residuals.csv": "1af3ce7bd7b09c24a9cfe7d2dc2b5136b3f73b1ed1bef756b86dfa41a0b65d56",
+    },
+    "build22": {
+        "report.json": "00072f5ef552ed5d9179524bdaca217933127d345f65abafc1a009fc8bb79a86",
+        "residuals.csv": "0f1775f35c01469f8b9afd24643f5e38ed02dc310a0a57d771d442c7f3faea29",
+    },
+    "classify_ring": {
+        "report.json": "00eb5382060490417c9f55950c19bed989c5cc75ed52d97518df9997db3aba03",
+    },
+    "criterion_rolewicz": {
+        "report.json": "91eb0b6dd8f31200fcc798c05e0932bb16d11438a844847d9a1cebe51592acf2",
+    },
+    "lambda_scalar": {
+        "report.json": "1b6fb88961a515aea40e8fa627d752e77898a79116b57a4a261ee909e6c0c5bb",
+    },
+    "spiral": {
+        "report.json": "aa68b88e3313fb2b04edcbdf2049d830a68b8784fb64cd723000eec8e6f0d19c",
+    },
+    "spiral_density": {
+        "heatmap.csv": "83df3fff0e0b2edc979f6b880d173bf8abfda1bc5ef4f6e1b399965330af6af0",
+        "report.json": "b9125c922e15126d869022b8c86a3c25312abc2eb7804499124f5d5a34d2900b",
+    },
+    "winding_segment": {
+        "report.json": "e9675ce4889c94ca3b67d4e1e00c55dd2f7d7f080d04d079face0f985db7af5b",
+    },
+    "build22_K20": {
+        "report.json": "6d1daa6f109d4c5ca8eb7fadd8ed5c79680b816c0328268ca4f8dbafb378302c",
+        "residuals.csv": "c1c285fe0e92e0166a7d6e8201dd873670cbd439154c8e15006fc7e526c78e2b",
+    },
+    "criterion_N160": {
+        "report.json": "e90a1a50f70b0e80700b7e50b645381c843420981c119f86c29f3027063e0719",
+    },
+}
+
+
+def _config(name):
+    if name == "build22_K20":
+        cfg = json.loads((CONFIG_DIR / "build22.json").read_text())
+        cfg["stages"] = 20
+        cfg["targets"] = {"default_count": 21}
+        return cfg
+    if name == "criterion_N160":
+        cfg = json.loads((CONFIG_DIR / "criterion_rolewicz.json").read_text())
+        cfg["indices"] = {"upto": 160}
+        return cfg
+    return json.loads((CONFIG_DIR / f"{name}.json").read_text())
+
+
+def test_every_shipped_config_is_pinned():
+    assert {p.stem for p in CONFIG_DIR.glob("*.json")} <= GOLDEN.keys()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_golden_digests(name, tmp_path):
+    code, report = cli.run_config(_config(name), out_dir=tmp_path, emit_csv=True)
+    assert code == 0, report.get("error")
+    got = {}
+    for path in sorted(tmp_path.iterdir()):
+        blob = path.read_bytes()
+        if path.name == "report.json":
+            blob, stamps = _TS.subn(b"", blob)
+            assert stamps == 1
+        got[path.name] = hashlib.sha256(blob).hexdigest()
+    assert got == GOLDEN[name]

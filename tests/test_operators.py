@@ -26,6 +26,7 @@ from orbitlab import (
     power_norm_bound,
 )
 from orbitlab import operators
+from orbitlab.operators import vector_norm
 
 e = lambda j: SeqVector.basis(j, "uni")  # noqa: E731
 be = lambda j: SeqVector.basis(j, "bi")  # noqa: E731
@@ -122,6 +123,108 @@ class TestPowerApply:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             power_apply(B, -1, e(0))
+
+    def test_domain_checked_from_the_first_step(self):
+        assert power_apply(B, 0, be(0)) == be(0)
+        for op, v in [(B, be(0)), (BW, e(0)), (ScalarOnC(2.0), e(0)), (DirectSum(B, F), e(0))]:
+            with pytest.raises(DomainMismatchError):
+                power_apply(op, 3, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 400))
+    def test_matches_repeated_apply_bitwise(self, data, n):
+        op = data.draw(_operators())
+        v = data.draw(_vectors(operators.operator_domain(op)))
+        got, want = power_apply(op, n, v), _power_brute(op, n, v)
+        assert _bits(got) == _bits(want)
+        assert _norm_bits(got) == _norm_bits(want)
+
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            WeightedForward(WeightSpec((2,), (1e-200, math.inf))),
+            ScalarMultiple(1e-200, WeightedForward(WeightSpec((2,), (1.0, math.inf)))),
+        ],
+    )
+    def test_entry_dropped_at_zero_stays_dropped(self, op):
+        # the entry underflows to 0 before reaching the infinite weight; kept,
+        # it would come back as nan
+        assert power_apply(op, 4, be(0)).is_zero
+        assert _bits(power_apply(op, 4, be(0))) == _bits(_power_brute(op, 4, be(0)))
+
+
+def _power_brute(op, n, v):
+    """op^n v as n calls of apply: the reference power_apply must equal."""
+    for _ in range(n):
+        v = apply(op, v)
+    return v
+
+
+def _norm_bits(v):
+    try:
+        return vector_norm(v).hex()
+    except OverflowError:  # a block norm past 1.3e154 squares with float ** 2
+        return "OverflowError"
+
+
+def _bits(v):
+    if isinstance(v, tuple):
+        return tuple(_bits(b) for b in v)
+    if isinstance(v, complex):
+        return (v.real.hex(), v.imag.hex())
+    return (v.domain, tuple((i, c.real.hex(), c.imag.hex()) for i, c in v.entries))
+
+
+# non-dyadic values, so every product rounds; small and large moduli reach
+# underflow (entries dropped as zero) and overflow, and an infinite weight
+# past a breakpoint turns an entry that was not dropped at zero into nan
+_ODD_SCALARS = [
+    1.1 + 0.3j, 0.9 - 0.45j, -1.3j, 0.97 + 0.29j, 1e-3 + 2j, 0.7, 3.0, 2.0, 0.5, -2.0,
+    1e-100, complex(math.inf, 0.0),
+]
+
+
+@st.composite
+def _weights(draw):
+    cuts = sorted(draw(st.sets(st.integers(-10, 10), max_size=3)))
+    vals = draw(st.lists(st.sampled_from(_ODD_SCALARS), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return WeightSpec(tuple(cuts), tuple(vals))
+
+
+@st.composite
+def _operators(draw, depth=0):
+    kind = draw(st.sampled_from(["B", "F", "BW", "FW", "C", "SM", "SM2", "DS"][: 8 if depth == 0 else 5]))
+    if kind == "B":
+        return B
+    if kind == "F":
+        return F
+    if kind in ("BW", "FW"):
+        cls = WeightedBackward if kind == "BW" else WeightedForward
+        return cls(draw(_weights()))
+    if kind == "C":
+        return ScalarOnC(draw(st.sampled_from(_ODD_SCALARS)))
+    if kind in ("SM", "SM2"):
+        inner = draw(_operators(depth + 1))
+        if kind == "SM2":
+            inner = ScalarMultiple(draw(st.sampled_from(_ODD_SCALARS)), inner)
+        return ScalarMultiple(draw(st.sampled_from(_ODD_SCALARS)), inner)
+    blocks = draw(st.lists(_operators(depth + 1), min_size=1, max_size=3))
+    return DirectSum(*blocks)
+
+
+_values = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _vectors(draw, domain):
+    if isinstance(domain, tuple):
+        return tuple(draw(_vectors(d)) for d in domain)
+    if domain == "scalar":
+        return draw(_values)
+    lo = 0 if domain == "uni" else -12
+    entries = draw(st.lists(st.tuples(st.integers(lo, 12), _values), max_size=6))
+    return SeqVector.make(domain, entries)
 
 
 class TestPowerNormBound:
@@ -234,6 +337,14 @@ class TestSerialization:
     )
     def test_operator_round_trip(self, op):
         assert operators.operator_from_json(operators.operator_to_json(op)) == op
+
+    def test_images_drop_negative_zero_parts_like_make(self):
+        # stored as given, bypassing make(): the parts keep their -0.0 signs
+        v = SeqVector("uni", ((1, complex(-0.0, 2.0)), (2, complex(3.0, -0.0))))
+        shifted = [(0, complex(-0.0, 2.0)), (1, complex(3.0, -0.0))]
+        assert _bits(apply(B, v)) == _bits(SeqVector.make("uni", shifted))
+        assert _bits(v.scale(1)) == _bits(SeqVector.make("uni", v.entries))
+        assert "-0.0" not in repr(power_apply(B, 1, v).to_json())
 
     def test_unilateral_rejects_negative_indices(self):
         with pytest.raises(ValueError):

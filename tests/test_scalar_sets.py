@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from orbitlab import (
     rotation_group_product,
 )
 from orbitlab import scalar_sets
+from orbitlab._exact import X2
 
 IRR = AngleSpec.irrational(1.0, "one radian")
 
@@ -257,13 +259,13 @@ class TestResolvers:
     def test_ray_picks_exact_powers_of_two(self):
         got = scalar_sets.pick_modulus_at_least(positive_ray(), 10.3)
         assert got is not None
-        re, im = got
-        assert im == 0 and re == 2 ** 11
+        re, im = got.re, got.im
+        assert im == X2.ZERO and re == X2.from_int(2 ** 11)
 
     def test_geometric_small_picks(self):
         got = scalar_sets.pick_modulus_at_most(Geometric(0.5), -7.5)
-        re, im = got
-        assert im == 0
+        re, im = got.re, got.im
+        assert im == X2.ZERO
         assert float(re) == 2.0 ** -8
 
     def test_bounded_sets_refuse_large_requests(self):
@@ -274,9 +276,171 @@ class TestResolvers:
         for s in [Annulus(1, 4), Circle(2), Sector(0.5, 8.0, 0.3, 1.0), LogSpiral(2.0, IRR)]:
             got = scalar_sets.pick_modulus_at_least(s, 1.0)
             assert got is not None
-            z = complex(float(got[0]), float(got[1]))
+            z = complex(float(got.re), float(got.im))
             assert s.contains(z, 1e-9)
             assert abs(z) >= 2.0 * (1 - 1e-12)
+
+
+# The resolvers as they were written over Fractions: a reference the XC
+# picks must equal exactly, part for part and in canonical X2 form.
+
+
+def _ref_pair(z):
+    return (Fraction(z.real), Fraction(z.imag))
+
+
+def _ref_scale(pair, factor):
+    fre, fim = Fraction(factor.real), Fraction(factor.imag)
+    re, im = pair
+    return (re * fre - im * fim, re * fim + im * fre)
+
+
+def _ref_cpow(pair, j):
+    re, im = pair
+    if im == 0:
+        return (re ** j, Fraction(0))
+    out = (Fraction(1), Fraction(0))
+    while j:
+        if j & 1:
+            out = (out[0] * pair[0] - out[1] * pair[1], out[0] * pair[1] + out[1] * pair[0])
+        pair = (pair[0] * pair[0] - pair[1] * pair[1], 2 * pair[0] * pair[1])
+        j >>= 1
+    return out
+
+
+def _ref_phase(angle):
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def _ref_pick(s, t, at_least):
+    """The old pick_modulus_at_least (at_least) or pick_modulus_at_most."""
+    ok = (lambda lg: lg >= t) if at_least else (lambda lg: lg <= t)
+    if isinstance(s, FinitePoints):
+        for p in s.points:
+            if p != 0 and ok(math.log2(abs(p))):
+                return _ref_pair(p)
+        return None
+    if isinstance(s, Geometric):
+        lb = math.log2(abs(s.base))
+        if lb > 0 if at_least else lb < 0:
+            j = max(0, math.ceil(t / lb))
+        elif t > 0 if at_least else t < 0:
+            return None
+        else:
+            j = 0
+        return _ref_cpow(_ref_pair(s.base), j)
+    if isinstance(s, (Circle, Arc)):
+        if ok(math.log2(abs(s.radius))):
+            ang = s.angle_lo if isinstance(s, Arc) else 0.0
+            return _ref_pair(s.radius * _ref_phase(ang))
+        return None
+    if isinstance(s, (Annulus, Sector)):
+        lo, hi, ang = (
+            (s.inner_radius, s.outer_radius, 0.0)
+            if isinstance(s, Annulus)
+            else (s.radius_lo, s.radius_hi, s.angle_lo)
+        )
+        if at_least:
+            if hi == 0 or (hi != math.inf and math.log2(hi) < t):
+                return None
+            k = math.ceil(t)
+            if lo > 0 and math.log2(lo) >= t:
+                r = Fraction(lo)
+            elif hi == math.inf or k <= math.log2(hi):
+                r = Fraction(2) ** k
+                if lo > 0 and r < Fraction(lo):
+                    r = Fraction(lo)
+            else:
+                r = Fraction(hi)
+        else:
+            if hi == 0 or (lo > 0 and math.log2(lo) > t):
+                return None
+            r = Fraction(2) ** math.floor(t)
+            if lo > 0 and r < Fraction(lo):
+                r = Fraction(lo)
+            if hi != math.inf and r > Fraction(hi):
+                r = Fraction(hi)
+        if ang == 0.0:
+            return (r, Fraction(0))
+        return _ref_scale((r, Fraction(0)), _ref_phase(ang))
+    if isinstance(s, LogSpiral):
+        k = math.ceil(t) if at_least else math.floor(t)
+        u = k * math.log(2) / math.log(s.base)
+        phase = complex(math.cos(u * s.rate.value), -math.sin(u * s.rate.value))
+        return _ref_scale((Fraction(2) ** k, Fraction(0)), phase)
+    if isinstance(s, Union):
+        for m in s.members:
+            got = _ref_pick(m, t, at_least)
+            if got is not None:
+                return got
+        return None
+    if isinstance(s, Scaled):
+        got = _ref_pick(s.inner, t - math.log2(abs(s.factor)), at_least)
+        return None if got is None else _ref_scale(got, s.factor)
+    if isinstance(s, CircleProduct):
+        return _ref_pick(s.inner, t, at_least)
+    raise TypeError(type(s).__name__)
+
+
+PICK_SETS = [
+    FinitePoints([0.0, 0.3 + 0.1j, 5.0, -2j, 1e-7, 3e8 - 1e8j]),
+    Geometric(0.5),
+    Geometric(3.0),
+    Geometric(-0.75),
+    Geometric(0.6 + 0.3j),
+    Geometric(1.1 - 0.7j),
+    Circle(1.7),
+    Arc(0.3, 0.4, 1.9),
+    Annulus(1, 4),
+    Annulus(0.1, 0.3),
+    Sector(0.5, 8.0, 0.3, 1.0),
+    Sector(0.0, math.inf, 0.0, 0.0),
+    Sector(1e-3, math.inf, -2.5, 0.5),
+    LogSpiral(2.0, IRR),
+    LogSpiral(0.3, AngleSpec.rational_pi(3, 7)),
+    Union(Annulus(1, 2), Geometric(0.5), Circle(100.0)),
+    Scaled(0.3 - 1.2j, Sector(0.0, math.inf, 0.7, 0.7)),
+    Scaled(1e-5, Scaled(7.0 + 1j, Geometric(2.5))),
+    CircleProduct(LogSpiral(2.0, IRR)),
+]
+
+
+def _canonical(x):
+    return (x.num, x.den, x.exp)
+
+
+class TestPicksMatchFractionReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(PICK_SETS),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.booleans(),
+    )
+    def test_pick_equals_old_fraction_resolver(self, s, t, at_least):
+        pick = (
+            scalar_sets.pick_modulus_at_least(s, t)
+            if at_least
+            else scalar_sets.pick_modulus_at_most(s, t)
+        )
+        ref = _ref_pick(s, t, at_least)
+        if ref is None:
+            assert pick is None
+            return
+        want_re, want_im = X2.from_fraction(ref[0]), X2.from_fraction(ref[1])
+        assert want_re == pick.re and want_im == pick.im
+        # both are dyadic, so the canonical forms agree bit for bit
+        assert _canonical(pick.re) == _canonical(want_re) and pick.re.den == 1
+        assert _canonical(pick.im) == _canonical(want_im) and pick.im.den == 1
+
+    @pytest.mark.parametrize("t", [-84_309_546.0, -1e6, 1e6])
+    def test_far_geometric_picks_are_exponent_shifts(self, t):
+        s = Geometric(0.5) if t < 0 else Geometric(2.0)
+        pick = (
+            scalar_sets.pick_modulus_at_most(s, t)
+            if t < 0
+            else scalar_sets.pick_modulus_at_least(s, t)
+        )
+        assert _canonical(pick.re) == (1, 1, int(t)) and pick.im == X2.ZERO
 
 
 class TestJson:
