@@ -188,13 +188,17 @@ _ODD_SCALARS = [
 @st.composite
 def _weights(draw):
     cuts = sorted(draw(st.sets(st.integers(-10, 10), max_size=3)))
-    vals = draw(st.lists(st.sampled_from(_ODD_SCALARS), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    size = len(cuts) + 1
+    vals = draw(st.lists(st.sampled_from(_ODD_SCALARS), min_size=size, max_size=size))
     return WeightSpec(tuple(cuts), tuple(vals))
 
 
 @st.composite
 def _operators(draw, depth=0):
-    kind = draw(st.sampled_from(["B", "F", "BW", "FW", "C", "SM", "SM2", "DS"][: 8 if depth == 0 else 5]))
+    # two levels of composites (scalar multiples of direct sums and the
+    # reverse, multiples of multiples), then leaves
+    kinds = ["B", "F", "BW", "FW", "C", "SM", "SM2", "DS"]
+    kind = draw(st.sampled_from(kinds if depth < 2 else kinds[:5]))
     if kind == "B":
         return B
     if kind == "F":
