@@ -48,7 +48,9 @@ COMMANDS = (
 def _load_targets(cfg: dict, domain: str) -> constructions.TargetFamily:
     spec = cfg.get("targets", {"default_count": cfg["stages"] + 1})
     if "vectors" in spec:
-        vecs = tuple(SeqVector.from_json(v) for v in spec["vectors"])
+        vecs = tuple(
+            _base_point(v, domain, f"targets.vectors[{i}]") for i, v in enumerate(spec["vectors"])
+        )
         return constructions.TargetFamily(vecs)
     return constructions.default_target_family(int(spec["default_count"]), domain)
 
@@ -59,33 +61,24 @@ def _base_point(obj, dom, field: str = "base_point"):
     and on a direct sum a list with one vector per block. A shape that does
     not fit the domain is a ValueError naming the field, e.g.
     `target_vectors[2][0]`."""
-    if isinstance(dom, tuple):
-        if isinstance(obj, (list, tuple)) and len(obj) == len(dom):
-            return tuple(
-                _base_point(x, d, f"{field}[{i}]") for i, (x, d) in enumerate(zip(obj, dom))
-            )
-    else:
-        try:
-            if dom == "scalar" and isinstance(obj, (list, tuple)):
-                return jsonio.decode_complex(obj)
-            if dom in (operators.UNILATERAL, operators.BILATERAL) and isinstance(obj, dict):
-                return SeqVector.from_json(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{field}: malformed vector {obj!r} ({exc!r})") from exc
+    if not isinstance(dom, tuple):
+        return jsonio.decode(complex if dom == "scalar" else SeqVector, obj, field)
+    if isinstance(obj, list) and len(obj) == len(dom):
+        return tuple(_base_point(x, d, f"{field}[{i}]") for i, (x, d) in enumerate(zip(obj, dom)))
     raise ValueError(f"{field}: {obj!r} is not a vector on the {dom!r} domain")
 
 
 def _cmd_classify(cfg: dict, out: "_Output") -> dict:
-    s = scalar_sets.from_json(cfg["set"])
+    s = scalar_sets.from_json(cfg["set"], "set")
     result = scalar_sets.classify(s)
     return {
-        "classification": result.to_json(),
+        "classification": jsonio.encode(result),
         "modulus_set": scalar_sets.modulus_set(scalar_sets.strip_zero(s)).to_json(),
     }
 
 
 def _cmd_build(cfg: dict, out: "_Output", build, domain: str) -> dict:
-    sampler = scalar_sets.from_json(cfg["set"])
+    sampler = scalar_sets.from_json(cfg["set"], "set")
     targets = _load_targets(cfg, domain)
     trace = build(sampler, targets, int(cfg["stages"]))
     out.csv("residuals.csv", trace.to_csv)
@@ -93,32 +86,32 @@ def _cmd_build(cfg: dict, out: "_Output", build, domain: str) -> dict:
 
 
 def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
-    rate = scalar_sets.AngleSpec.from_json(cfg["rate"])
+    rate = jsonio.decode(scalar_sets.AngleSpec, cfg["rate"], "rate")
     scenario = constructions.build_spiral_scenario(float(cfg["base"]), rate)
     result: dict = {
-        "operator": operators.operator_to_json(scenario.operator),
-        "scalar_set": scalar_sets.to_json(scenario.scalar_set),
+        "operator": jsonio.encode(scenario.operator),
+        "scalar_set": jsonio.encode(scenario.scalar_set),
     }
     spectrum = operators.adjoint_point_spectrum(scenario.operator)
     result["adjoint_point_spectrum"] = sorted(
-        (jsonio.encode_complex(z) for z in spectrum), key=tuple
+        (jsonio.encode(z) for z in spectrum), key=tuple
     )
     if "target" in cfg:
         s_lo, s_hi = cfg.get("s_range", [-20.0, 20.0])
         dist = constructions.spiral_distance_to(
             scenario,
-            jsonio.decode_complex(cfg["target"]),
+            jsonio.decode(complex, cfg["target"], "target"),
             (float(s_lo), float(s_hi)),
             float(cfg.get("step", 1e-4)),
         )
-        result["distance"] = dist.to_json()
+        result["distance"] = jsonio.encode(dist)
     return result
 
 
 def _cmd_density(cfg: dict, out: "_Output") -> dict:
-    op = operators.operator_from_json(cfg["operator"])
+    op = jsonio.decode(operators.OperatorSpec, cfg["operator"], "operator")
     base = _base_point(cfg["base_point"], operators.operator_domain(op))
-    s = scalar_sets.from_json(cfg["set"])
+    s = scalar_sets.from_json(cfg["set"], "set")
     window = cfg.get("radial_window")
     cloud = density.generate_orbit(
         op,
@@ -132,7 +125,7 @@ def _cmd_density(cfg: dict, out: "_Output") -> dict:
     report = density.epsilon_density(
         cloud,
         [int(i) for i in cfg["section"]],
-        [jsonio.decode_complex(c) for c in ball["center"]],
+        [jsonio.decode(complex, c, f"ball.center[{i}]") for i, c in enumerate(ball["center"])],
         float(ball["radius"]),
         float(cfg["epsilon"]),
         float(cfg["grid_step"]),
@@ -152,8 +145,8 @@ def _heatmap_csv(report: density.DensityReport) -> str:
 
 
 def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
-    op = operators.operator_from_json(cfg["operator"])
-    inv = operators.operator_from_json(cfg["right_inverse"])
+    op = jsonio.decode(operators.OperatorSpec, cfg["operator"], "operator")
+    inv = jsonio.decode(operators.OperatorSpec, cfg["right_inverse"], "right_inverse")
     dom = operators.operator_domain(op)
     idx_cfg = cfg["indices"]
     indices = tuple(range(int(idx_cfg["upto"]) + 1)) if "upto" in idx_cfg else tuple(
@@ -176,13 +169,13 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
 
 
 def _cmd_winding(cfg: dict, out: "_Output") -> dict:
-    curve = winding.curve_from_json(cfg["curve"])
+    curve = jsonio.decode(winding.CircleCurve, cfg["curve"], "curve")
     result = winding.winding_number(curve)
-    return {"winding": result.to_json(), "index": result.index}
+    return {"winding": jsonio.encode(result), "index": result.index}
 
 
 def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
-    op = operators.operator_from_json(cfg["operator"])
+    op = jsonio.decode(operators.OperatorSpec, cfg["operator"], "operator")
     base = _base_point(cfg["base_point"], operators.operator_domain(op))
     horizon = int(cfg["horizon"])
     cloud = density.generate_orbit(
@@ -197,7 +190,7 @@ def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
         int(cfg.get("phase_grid", 360)),
     )
     return {
-        "lambda_estimate": est.to_json(),
+        "lambda_estimate": jsonio.encode(est),
         "multiplicative_closure": density.multiplicative_closure_report(est),
     }
 

@@ -551,14 +551,6 @@ class SpiralDistanceResult:
     tail_low_margin: float
     tail_high_margin: float
 
-    def to_json(self) -> dict:
-        return {
-            "distance": self.distance,
-            "argmin_s": self.argmin_s,
-            "tail_low_margin": self.tail_low_margin,
-            "tail_high_margin": self.tail_high_margin,
-        }
-
 
 def spiral_distance_to(
     scenario: SpiralScenario,

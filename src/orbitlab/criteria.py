@@ -10,7 +10,6 @@ operator S with S_{n} = S^n (for example S = F/2 against 2B).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .operators import (
@@ -96,7 +95,7 @@ def check_criterion(inst: CriterionInstance) -> CriterionReport:
         r2_trace.append(max(vector_norm(v) for v in s_rows[n]))
         r3 = 0.0
         for y, trip in zip(inst.target_vectors, trips):
-            r3 = max(r3, _diff_norm(trip, y))
+            r3 = max(r3, vector_norm(_diff(trip, y)))
         r3_trace.append(r3)
 
     traces = (tuple(r1_trace), tuple(r2_trace), tuple(r3_trace))
@@ -117,13 +116,13 @@ def kitai_mode(inst: CriterionInstance) -> CriterionReport:
     return check_criterion(replace(inst, indices=tuple(range(inst.indices[-1] + 1))))
 
 
-def _diff_norm(a: Vector, b: Vector) -> float:
+def _diff(a: Vector, b: Vector) -> Vector:
     if isinstance(a, SeqVector) and isinstance(b, SeqVector):
-        return a.sub(b).norm()
+        return a.sub(b)
     if isinstance(a, complex) and isinstance(b, complex):
-        return abs(a - b)
+        return a - b
     if isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b):
-        return math.sqrt(sum(_diff_norm(x, y) ** 2 for x, y in zip(a, b)))
+        return tuple(map(_diff, a, b))
     raise MapDomainMismatchError("cannot compare vectors of different shapes")
 
 

@@ -256,7 +256,7 @@ class DensityReport:
     def to_json(self) -> dict:
         return {
             "section": list(self.section),
-            "center": [jsonio.encode_complex(c) for c in self.center],
+            "center": jsonio.encode(self.center),
             "radius": self.radius,
             "epsilon": self.epsilon,
             "grid_step": self.grid_step,
@@ -267,11 +267,11 @@ class DensityReport:
             "witness_ball": None
             if self.witness_ball is None
             else {
-                "center": [jsonio.encode_complex(c) for c in self.witness_ball[0]],
+                "center": jsonio.encode(self.witness_ball[0]),
                 "radius": self.witness_ball[1],
             },
             "miss_witnesses": [
-                {"point": [jsonio.encode_complex(c) for c in coords], "distance": d}
+                {"point": jsonio.encode(coords), "distance": d}
                 for coords, d in self.miss_witnesses
             ],
         }
@@ -507,14 +507,6 @@ class LambdaEstimate:
 
     def multipliers(self) -> tuple[float, ...]:
         return tuple(lam for lam, _ in self.detected)
-
-    def to_json(self) -> dict:
-        return {
-            "iterate": self.iterate,
-            "epsilon": self.epsilon,
-            "phase_grid": self.phase_grid,
-            "detected": [[lam, slack] for lam, slack in self.detected],
-        }
 
 
 def scalar_lambda_oracle(c: complex, n: int, horizon: int) -> tuple[float, ...]:

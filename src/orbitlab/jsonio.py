@@ -5,13 +5,20 @@ policy: floats are printed with 17 significant digits (round-trip exact for
 IEEE doubles), dict keys keep insertion order, and arbitrary-precision
 integers pass through unchanged. Complex numbers are encoded as [re, im]
 pairs; exact scalars as {"num", "exp2"} when dyadic, {"num", "den"} otherwise.
+
+It also owns the one codec between dataclasses and JSON values: encode
+writes a dataclass's fields in declaration order, and decode builds one from
+its field types, naming the path of the first malformed value.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
+import typing
 from fractions import Fraction
 
 
@@ -95,16 +102,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(dumps(cfg).encode("utf-8")).hexdigest()
 
 
-def encode_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def decode_complex(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
-
-
 def encode_fraction(fr: Fraction) -> dict:
     """Exact encoding; dyadic denominators compress to an exponent field."""
     num, den = fr.numerator, fr.denominator
@@ -112,3 +109,143 @@ def encode_fraction(fr: Fraction) -> dict:
         return {"num": num, "exp2": -(den.bit_length() - 1)}
     return {"num": num, "den": den}
 
+
+# ---------------------------------------------------------------------------
+# dataclass codec
+
+
+class Family:
+    """Root of a variant family, such as ScalarSet.
+
+    Each member names its kind, `class Circle(ScalarSet, kind="circle")`, and
+    so enters the root's `kinds` table. Its JSON object leads with "kind".
+    """
+
+    def __init_subclass__(cls, kind=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if Family in cls.__bases__:
+            cls.kinds = {}
+        elif kind is not None:
+            cls.kind = kind
+            cls.kinds[kind] = cls
+
+
+def encode(obj):
+    """The JSON value of obj.
+
+    A dataclass becomes an object of its fields in declaration order, led by
+    "kind" for a family member. A field's metadata may rename its key
+    ("key") or name the value that null stands for ("null"). Complex numbers
+    become [re, im] pairs and tuples lists; a class with its own to_json
+    encodes through it.
+    """
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, tuple):
+        return [encode(x) for x in obj]
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    out = {"kind": obj.kind} if isinstance(obj, Family) else {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        null = f.metadata.get("null")
+        out[f.metadata.get("key", f.name)] = (
+            None if null is not None and value == null else encode(value)
+        )
+    return out
+
+
+_JSON_TYPES = {
+    bool: "a boolean", int: "a number", float: "a number", str: "a string",
+    list: "a list", dict: "an object", type(None): "null",
+}
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            bool: (bool, "a boolean"), str: (str, "a string")}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    # resolved on first use: a process that decodes nothing pays nothing
+    return typing.get_type_hints(cls)
+
+
+def _expected(what: str, obj, path: str) -> ValueError:
+    return ValueError(f"{path}: expected {what}, got {_JSON_TYPES.get(type(obj), 'a value')}")
+
+
+def construct(make, path: str, *args):
+    """make(*args), with a ValueError it raises prefixed by path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def decode_key(cls, obj, key: str, path: str, default=dataclasses.MISSING):
+    """decode(cls, obj[key], f"{path}.{key}") for the JSON object obj; a
+    missing key gives default, or is an error when there is none."""
+    if not isinstance(obj, dict):
+        raise _expected("an object", obj, path)
+    if key in obj:
+        return decode(cls, obj[key], f"{path}.{key}")
+    if default is dataclasses.MISSING:
+        raise ValueError(f"{path}.{key}: missing field")
+    return default
+
+
+def decode(cls, obj, path: str):
+    """Build a value of type cls from the JSON value obj.
+
+    The inverse of encode: a family root reads "kind" to pick its member,
+    and a class with its own from_json decodes through it. Numbers must be
+    JSON numbers (not booleans or strings). Every malformed value is a
+    ValueError that starts with its path, e.g.
+    `set.members[1].radius: missing field`.
+    """
+    if cls in _SCALARS:
+        types, what = _SCALARS[cls]
+        if not isinstance(obj, types) or (isinstance(obj, bool) and cls is not bool):
+            raise _expected(what, obj, path)
+        try:
+            return cls(obj)
+        except OverflowError:
+            raise ValueError(f"{path}: number too large for a float") from None
+    if cls is complex:
+        if not (isinstance(obj, list) and len(obj) == 2):
+            raise _expected("an [re, im] pair", obj, path)
+        z = complex(decode(float, obj[0], f"{path}[0]"), decode(float, obj[1], f"{path}[1]"))
+        try:
+            abs(z)  # every consumer takes the modulus
+        except OverflowError:
+            raise ValueError(f"{path}: modulus too large for a float") from None
+        return z
+    if typing.get_origin(cls) is tuple:
+        items = typing.get_args(cls)
+        if items[-1] is Ellipsis:
+            if not isinstance(obj, list):
+                raise _expected("a list", obj, path)
+            items = items[:1] * len(obj)
+        elif not (isinstance(obj, list) and len(obj) == len(items)):
+            raise _expected(f"a list of {len(items)}", obj, path)
+        return tuple(decode(t, x, f"{path}[{i}]") for i, (t, x) in enumerate(zip(items, obj)))
+    from_json = getattr(cls, "from_json", None)
+    if from_json is not None:
+        return from_json(obj, path)
+    if "kinds" in cls.__dict__:
+        kind = decode_key(str, obj, "kind", path)
+        if kind not in cls.kinds:
+            raise ValueError(f"{path}.kind: unknown kind {kind!r}, not one of {sorted(cls.kinds)}")
+        cls = cls.kinds[kind]
+    if not isinstance(obj, dict):
+        raise _expected("an object", obj, path)
+    hints = _field_types(cls)
+    args = []
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("key", f.name)
+        if "null" in f.metadata and key in obj and obj[key] is None:
+            args.append(f.metadata["null"])
+        else:
+            args.append(decode_key(hints[f.name], obj, key, path, f.default))
+    return construct(cls, path, *args)

@@ -119,8 +119,11 @@ class SeqVector:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SeqVector":
-        return cls.make(obj["domain"], [(int(i), complex(re, im)) for i, re, im in obj["entries"]])
+    def from_json(cls, obj, path: str) -> "SeqVector":
+        domain = jsonio.decode_key(str, obj, "domain", path)
+        entries = jsonio.decode_key(tuple[tuple[int, float, float], ...], obj, "entries", path)
+        pairs = [(i, complex(re, im)) for i, re, im in entries]
+        return jsonio.construct(cls.make, path, domain, pairs)
 
     def to_csv_rows(self) -> list[str]:
         return [f"{i},{jsonio.format_float(v.real)},{jsonio.format_float(v.imag)}" for i, v in self.entries]
@@ -133,8 +136,17 @@ def vector_norm(v: Vector) -> float:
     if isinstance(v, SeqVector):
         return v.norm()
     if isinstance(v, tuple):
-        return math.sqrt(sum(vector_norm(b) ** 2 for b in v))
+        return math.sqrt(sum(map(_square, map(vector_norm, v))))
     return abs(v)
+
+
+def _square(x: float) -> float:
+    """x ** 2, or inf where that overflows. x * x is no substitute: it can
+    differ in the last bit, because float ** 2 rounds through libm pow."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def vector_scale(c: complex, v: Vector) -> Vector:
@@ -189,19 +201,6 @@ class WeightSpec:
             tuple(1 / complex(v) for v in self.values),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": list(self.breakpoints),
-            "values": [jsonio.encode_complex(v) for v in self.values],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WeightSpec":
-        return cls(
-            tuple(int(b) for b in obj["breakpoints"]),
-            tuple(jsonio.decode_complex(v) for v in obj["values"]),
-        )
-
 
 def doubling_weights() -> WeightSpec:
     """Weight 2 on positive indices, 1 elsewhere (the standard bilateral instance)."""
@@ -213,36 +212,36 @@ def doubling_weights() -> WeightSpec:
 
 
 @dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(jsonio.Family):
     pass
 
 
 @dataclass(frozen=True)
-class BackwardShift(OperatorSpec):
+class BackwardShift(OperatorSpec, kind="backward_shift"):
     """(x0, x1, ...) -> (x1, x2, ...) on unilateral sequences."""
 
 
 @dataclass(frozen=True)
-class ForwardShift(OperatorSpec):
+class ForwardShift(OperatorSpec, kind="forward_shift"):
     """(x0, x1, ...) -> (0, x0, x1, ...) on unilateral sequences."""
 
 
 @dataclass(frozen=True)
-class WeightedBackward(OperatorSpec):
+class WeightedBackward(OperatorSpec, kind="weighted_backward"):
     """Bilateral backward shift: e_j -> weight(j) * e_{j-1}."""
 
     weights: WeightSpec
 
 
 @dataclass(frozen=True)
-class WeightedForward(OperatorSpec):
+class WeightedForward(OperatorSpec, kind="weighted_forward"):
     """Bilateral forward shift: e_j -> weight(j) * e_{j+1}."""
 
     weights: WeightSpec
 
 
 @dataclass(frozen=True)
-class ScalarOnC(OperatorSpec):
+class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
     """Multiplication by a fixed scalar on the one-dimensional space C."""
 
     value: complex
@@ -252,7 +251,7 @@ class ScalarOnC(OperatorSpec):
 
 
 @dataclass(frozen=True)
-class ScalarMultiple(OperatorSpec):
+class ScalarMultiple(OperatorSpec, kind="scalar_multiple"):
     factor: complex
     inner: OperatorSpec
 
@@ -262,7 +261,7 @@ class ScalarMultiple(OperatorSpec):
 
 
 @dataclass(frozen=True)
-class DirectSum(OperatorSpec):
+class DirectSum(OperatorSpec, kind="direct_sum"):
     """Blockwise action on tuples of vectors, one block per summand."""
 
     blocks: tuple[OperatorSpec, ...]
@@ -450,48 +449,3 @@ def operator_domain(op: OperatorSpec):
     if isinstance(op, DirectSum):
         return tuple(operator_domain(b) for b in op.blocks)
     raise UnsupportedOperatorError(f"unknown operator {type(op).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# JSON codec
-
-
-def operator_to_json(op: OperatorSpec) -> dict:
-    if isinstance(op, BackwardShift):
-        return {"kind": "backward_shift"}
-    if isinstance(op, ForwardShift):
-        return {"kind": "forward_shift"}
-    if isinstance(op, WeightedBackward):
-        return {"kind": "weighted_backward", "weights": op.weights.to_json()}
-    if isinstance(op, WeightedForward):
-        return {"kind": "weighted_forward", "weights": op.weights.to_json()}
-    if isinstance(op, ScalarOnC):
-        return {"kind": "scalar_on_c", "value": jsonio.encode_complex(op.value)}
-    if isinstance(op, ScalarMultiple):
-        return {
-            "kind": "scalar_multiple",
-            "factor": jsonio.encode_complex(op.factor),
-            "inner": operator_to_json(op.inner),
-        }
-    if isinstance(op, DirectSum):
-        return {"kind": "direct_sum", "blocks": [operator_to_json(b) for b in op.blocks]}
-    raise UnsupportedOperatorError(f"unknown operator {type(op).__name__}")
-
-
-def operator_from_json(obj: dict) -> OperatorSpec:
-    kind = obj["kind"]
-    if kind == "backward_shift":
-        return BackwardShift()
-    if kind == "forward_shift":
-        return ForwardShift()
-    if kind == "weighted_backward":
-        return WeightedBackward(WeightSpec.from_json(obj["weights"]))
-    if kind == "weighted_forward":
-        return WeightedForward(WeightSpec.from_json(obj["weights"]))
-    if kind == "scalar_on_c":
-        return ScalarOnC(jsonio.decode_complex(obj["value"]))
-    if kind == "scalar_multiple":
-        return ScalarMultiple(jsonio.decode_complex(obj["factor"]), operator_from_json(obj["inner"]))
-    if kind == "direct_sum":
-        return DirectSum(tuple(operator_from_json(b) for b in obj["blocks"]))
-    raise ValueError(f"unknown operator kind {kind!r}")

@@ -84,11 +84,14 @@ class AngleSpec:
         return {"irrational": self.declared, "tag": self.tag}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "AngleSpec":
-        if "pi_rational" in obj:
-            p, q = obj["pi_rational"]
-            return cls.rational_pi(int(p), int(q))
-        return cls.irrational(float(obj["irrational"]), str(obj.get("tag", "")))
+    def from_json(cls, obj, path: str) -> "AngleSpec":
+        if isinstance(obj, dict) and "pi_rational" in obj:
+            p, q = jsonio.decode_key(tuple[int, int], obj, "pi_rational", path)
+            return jsonio.construct(cls.rational_pi, path, p, q)
+        return cls.irrational(
+            jsonio.decode_key(float, obj, "irrational", path),
+            jsonio.decode_key(str, obj, "tag", path, ""),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,7 @@ class AngleSpec:
 
 
 @dataclass(frozen=True)
-class ScalarSet:
+class ScalarSet(jsonio.Family):
     """Base class; use the concrete variants."""
 
     def contains(self, z: complex, tol: float = 1e-9) -> bool:
@@ -104,7 +107,7 @@ class ScalarSet:
 
 
 @dataclass(frozen=True)
-class FinitePoints(ScalarSet):
+class FinitePoints(ScalarSet, kind="finite_points"):
     points: tuple[complex, ...]
 
     def __init__(self, points):
@@ -115,7 +118,7 @@ class FinitePoints(ScalarSet):
 
 
 @dataclass(frozen=True)
-class Circle(ScalarSet):
+class Circle(ScalarSet, kind="circle"):
     radius: float
 
     def __post_init__(self):
@@ -127,7 +130,7 @@ class Circle(ScalarSet):
 
 
 @dataclass(frozen=True)
-class Annulus(ScalarSet):
+class Annulus(ScalarSet, kind="annulus"):
     """All z with inner_radius <= |z| <= outer_radius (a closed ring)."""
 
     inner_radius: float
@@ -150,7 +153,7 @@ def _angle_between(theta: float, lo: float, hi: float, tol: float) -> bool:
 
 
 @dataclass(frozen=True)
-class Arc(ScalarSet):
+class Arc(ScalarSet, kind="arc"):
     radius: float
     angle_lo: float
     angle_hi: float
@@ -168,11 +171,11 @@ class Arc(ScalarSet):
 
 
 @dataclass(frozen=True)
-class Sector(ScalarSet):
+class Sector(ScalarSet, kind="sector"):
     """{r*exp(i*a) : radius_lo <= r <= radius_hi, angle_lo <= a <= angle_hi}."""
 
     radius_lo: float
-    radius_hi: float  # math.inf allowed
+    radius_hi: float = field(metadata={"null": math.inf})  # math.inf allowed; null in JSON
     angle_lo: float
     angle_hi: float
 
@@ -197,7 +200,7 @@ def positive_ray() -> Sector:
 
 
 @dataclass(frozen=True)
-class LogSpiral(ScalarSet):
+class LogSpiral(ScalarSet, kind="log_spiral"):
     """{base^t * exp(-i*t*rate) : t real}; base > 0, base != 1."""
 
     base: float
@@ -222,7 +225,7 @@ class LogSpiral(ScalarSet):
 
 
 @dataclass(frozen=True)
-class Geometric(ScalarSet):
+class Geometric(ScalarSet, kind="geometric"):
     """The point sequence {base^j : j >= 0}; |base| != 1 so moduli form a tail."""
 
     base: complex
@@ -244,7 +247,7 @@ class Geometric(ScalarSet):
 
 
 @dataclass(frozen=True)
-class Union(ScalarSet):
+class Union(ScalarSet, kind="union"):
     members: tuple[ScalarSet, ...]
 
     def __init__(self, *members):
@@ -259,7 +262,7 @@ class Union(ScalarSet):
 
 
 @dataclass(frozen=True)
-class Scaled(ScalarSet):
+class Scaled(ScalarSet, kind="scaled"):
     factor: complex
     inner: ScalarSet
 
@@ -275,7 +278,7 @@ class Scaled(ScalarSet):
 
 
 @dataclass(frozen=True)
-class CircleProduct(ScalarSet):
+class CircleProduct(ScalarSet, kind="circle_product"):
     """Closure of {g*z : g in inner, |z| = 1}: rotation-invariant, fixed by its moduli."""
 
     inner: ScalarSet
@@ -415,17 +418,6 @@ class ClassificationResult:
     is_hypercyclic_scalar_set: bool
     is_somewhere_hypercyclic_scalar_set: bool
     explanation: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_json(self) -> dict:
-        return {
-            "nonempty_nonzero": self.nonempty_nonzero,
-            "bounded": self.bounded,
-            "bounded_away_zero": self.bounded_away_zero,
-            "modulus_empty_interior": self.modulus_empty_interior,
-            "is_hypercyclic_scalar_set": self.is_hypercyclic_scalar_set,
-            "is_somewhere_hypercyclic_scalar_set": self.is_somewhere_hypercyclic_scalar_set,
-            "explanation": list(self.explanation),
-        }
 
 
 def strip_zero(s: ScalarSet) -> Optional[ScalarSet]:
@@ -782,63 +774,5 @@ def _cpow_exact(base: XC, j: int) -> XC:
 # JSON codec
 
 
-def to_json(s: ScalarSet) -> dict:
-    if isinstance(s, FinitePoints):
-        return {"kind": "finite_points", "points": [jsonio.encode_complex(p) for p in s.points]}
-    if isinstance(s, Circle):
-        return {"kind": "circle", "radius": s.radius}
-    if isinstance(s, Annulus):
-        return {"kind": "annulus", "inner_radius": s.inner_radius, "outer_radius": s.outer_radius}
-    if isinstance(s, Arc):
-        return {"kind": "arc", "radius": s.radius, "angle_lo": s.angle_lo, "angle_hi": s.angle_hi}
-    if isinstance(s, Sector):
-        hi = None if s.radius_hi == math.inf else s.radius_hi
-        return {
-            "kind": "sector",
-            "radius_lo": s.radius_lo,
-            "radius_hi": hi,
-            "angle_lo": s.angle_lo,
-            "angle_hi": s.angle_hi,
-        }
-    if isinstance(s, LogSpiral):
-        return {"kind": "log_spiral", "base": s.base, "rate": s.rate.to_json()}
-    if isinstance(s, Geometric):
-        return {"kind": "geometric", "base": jsonio.encode_complex(s.base)}
-    if isinstance(s, Union):
-        return {"kind": "union", "members": [to_json(m) for m in s.members]}
-    if isinstance(s, Scaled):
-        return {"kind": "scaled", "factor": jsonio.encode_complex(s.factor), "inner": to_json(s.inner)}
-    if isinstance(s, CircleProduct):
-        return {"kind": "circle_product", "inner": to_json(s.inner)}
-    raise TypeError(f"unknown scalar set variant {type(s).__name__}")
-
-
-def from_json(obj: dict) -> ScalarSet:
-    kind = obj["kind"]
-    if kind == "finite_points":
-        return FinitePoints(tuple(jsonio.decode_complex(p) for p in obj["points"]))
-    if kind == "circle":
-        return Circle(float(obj["radius"]))
-    if kind == "annulus":
-        return Annulus(float(obj["inner_radius"]), float(obj["outer_radius"]))
-    if kind == "arc":
-        return Arc(float(obj["radius"]), float(obj["angle_lo"]), float(obj["angle_hi"]))
-    if kind == "sector":
-        hi = obj["radius_hi"]
-        return Sector(
-            float(obj["radius_lo"]),
-            math.inf if hi is None else float(hi),
-            float(obj["angle_lo"]),
-            float(obj["angle_hi"]),
-        )
-    if kind == "log_spiral":
-        return LogSpiral(float(obj["base"]), AngleSpec.from_json(obj["rate"]))
-    if kind == "geometric":
-        return Geometric(jsonio.decode_complex(obj["base"]))
-    if kind == "union":
-        return Union(tuple(from_json(m) for m in obj["members"]))
-    if kind == "scaled":
-        return Scaled(jsonio.decode_complex(obj["factor"]), from_json(obj["inner"]))
-    if kind == "circle_product":
-        return CircleProduct(from_json(obj["inner"]))
-    raise ValueError(f"unknown scalar set kind {kind!r}")
+def from_json(obj, path: str) -> ScalarSet:
+    return jsonio.decode(ScalarSet, obj, path)

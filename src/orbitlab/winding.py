@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import jsonio
@@ -49,12 +49,12 @@ def unit_circle_param(t: float, b: float) -> complex:
 
 
 @dataclass(frozen=True)
-class CircleCurve:
+class CircleCurve(jsonio.Family):
     pass
 
 
 @dataclass(frozen=True)
-class SampledCurve(CircleCurve):
+class SampledCurve(CircleCurve, kind="sampled"):
     points: tuple[complex, ...]
     closed: bool = True
 
@@ -69,12 +69,12 @@ class SampledCurve(CircleCurve):
 
 
 @dataclass(frozen=True)
-class ParamSegment(CircleCurve):
+class ParamSegment(CircleCurve, kind="param_segment"):
     """t in [0,1] mapped to unit_circle_param(lerp(start, end, t), b)."""
 
     b: float
-    start: float
-    end: float
+    start: float = field(metadata={"key": "from"})
+    end: float = field(metadata={"key": "to"})
 
     def __post_init__(self):
         if self.b <= 1:
@@ -85,7 +85,7 @@ class ParamSegment(CircleCurve):
 
 
 @dataclass(frozen=True)
-class ConstantCurve(CircleCurve):
+class ConstantCurve(CircleCurve, kind="constant"):
     value: complex
 
     def __init__(self, value):
@@ -96,7 +96,7 @@ class ConstantCurve(CircleCurve):
 
 
 @dataclass(frozen=True)
-class ConcatCurve(CircleCurve):
+class ConcatCurve(CircleCurve, kind="concat"):
     parts: tuple[CircleCurve, ...]
 
     def __init__(self, *parts):
@@ -113,14 +113,6 @@ class WindingResult:
     min_modulus: float
     max_step_turn: float
     confident: bool
-
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "min_modulus": self.min_modulus,
-            "max_step_turn": self.max_step_turn,
-            "confident": self.confident,
-        }
 
 
 @dataclass(frozen=True)
@@ -233,13 +225,6 @@ class AuditVerdict:
     reason: str
     segment_index: Optional[int] = None
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "segment_index": self.segment_index,
-        }
-
 
 def contradiction_audit(n_list, segment_index: Optional[int] = None) -> AuditVerdict:
     """Audit the chain n * w = 1 for every n in n_list.
@@ -268,39 +253,3 @@ def contradiction_audit(n_list, segment_index: Optional[int] = None) -> AuditVer
         f"no integer w satisfies n*w = 1 for all n in {ns}",
         None,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON codec
-
-
-def curve_to_json(curve: CircleCurve) -> dict:
-    if isinstance(curve, SampledCurve):
-        return {
-            "kind": "sampled",
-            "points": [jsonio.encode_complex(p) for p in curve.points],
-            "closed": curve.closed,
-        }
-    if isinstance(curve, ParamSegment):
-        return {"kind": "param_segment", "b": curve.b, "from": curve.start, "to": curve.end}
-    if isinstance(curve, ConstantCurve):
-        return {"kind": "constant", "value": jsonio.encode_complex(curve.value)}
-    if isinstance(curve, ConcatCurve):
-        return {"kind": "concat", "parts": [curve_to_json(p) for p in curve.parts]}
-    raise TypeError(f"unknown curve variant {type(curve).__name__}")
-
-
-def curve_from_json(obj: dict) -> CircleCurve:
-    kind = obj["kind"]
-    if kind == "sampled":
-        return SampledCurve(
-            tuple(jsonio.decode_complex(p) for p in obj["points"]),
-            bool(obj.get("closed", True)),
-        )
-    if kind == "param_segment":
-        return ParamSegment(float(obj["b"]), float(obj["from"]), float(obj["to"]))
-    if kind == "constant":
-        return ConstantCurve(jsonio.decode_complex(obj["value"]))
-    if kind == "concat":
-        return ConcatCurve(tuple(curve_from_json(p) for p in obj["parts"]))
-    raise ValueError(f"unknown curve kind {kind!r}")

@@ -5,10 +5,11 @@ traced benchmark run."""
 
 from pathlib import Path
 
-from orbitlab import criteria, operators
+from orbitlab import cli, criteria, jsonio, operators
 from orbitlab.operators import BackwardShift, ScalarMultiple, SeqVector
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracer_installs_counts_and_uninstalls(monkeypatch):
@@ -33,3 +34,21 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     assert tracer.counts.get("criteria.apply_calls", 0) > 0
     assert criteria.apply is operators.apply
     assert all(cls.__dict__[m] is raw for (cls, m), raw in methods.items())
+
+
+def test_traced_config_reaches_the_scalar_set_boundary(monkeypatch, tmp_path):
+    # every workload requires a traced scalar_sets.from_json layer, so the
+    # CLI must decode its scalar sets through that module attribute
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    cfg = jsonio.loads((ROOT / "configs" / "classify_ring.json").read_text())
+    tracer = Tracer()
+    tracer.install()
+    try:
+        with tracer.job(1):
+            code, _ = cli.run_config(cfg, tmp_path)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.totals["scalar_sets.from_json"][0] == 1

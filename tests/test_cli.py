@@ -262,3 +262,62 @@ def test_internal_fault_in_criterion_exits_two(tmp_path, monkeypatch, capsys):
     cfg_path = CONFIG_DIR / "criterion_rolewicz.json"
     assert cli.main(["criterion", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "simulated internal fault" in capsys.readouterr().err
+
+
+def _main(cfg, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return cli.main([cfg["command"], "--config", str(cfg_path), "--out", str(tmp_path)])
+
+
+def _circle(radius):
+    return {"command": "classify", "set": {"kind": "circle", "radius": radius}}
+
+
+def _targets(vector):
+    return {"command": "build21", "set": {"kind": "geometric", "base": [2.0, 0.0]},
+            "stages": 1, "targets": {"vectors": [vector]}}
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"command": "classify", "set": {"kind": "circle"}}, "set.radius"),
+        ({"command": "classify", "set": {"radius": 1.0}}, "set.kind"),
+        ({"command": "classify", "set": [{"kind": "circle", "radius": 1.0}]}, "set"),
+        ({"command": "classify", "set": {"kind": "union", "members": 5}}, "set.members"),
+        (_circle(True), "set.radius"),
+        (_circle([1]), "set.radius"),
+        (_circle(None), "set.radius"),
+        ({"command": "classify", "set": {"kind": "union", "members": [
+            {"kind": "circle", "radius": 1.0}, {"kind": "circle"}]}}, "set.members[1].radius"),
+        ({"command": "winding", "curve": {"kind": "param_segment", "b": 2.0, "to": 1.0}},
+         "curve.from"),
+        ({"command": "lambda-est", "operator": {"kind": "weighted_backward"},
+          "base_point": [1.0, 0.0], "horizon": 3, "iterate": 1, "epsilon": 0.1},
+         "operator.weights"),
+        (_targets({"domain": "uni"}), "targets.vectors[0].entries"),
+        (_targets([1.0, 0.0]), "targets.vectors[0]"),
+    ],
+)
+def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
+    assert _main(cfg, tmp_path) == 1
+    assert f"precondition violated: {field}:" in capsys.readouterr().err
+
+
+def test_direct_sum_criterion_overflow_exits_one(tmp_path, capsys):
+    # the scalar block's right inverse doubles 600 times: its residual
+    # overflows to inf, which a report cannot hold
+    uni = {"domain": "uni", "entries": [[1, 1.0, 0.0]]}
+    cfg = {
+        "command": "criterion",
+        "operator": {"kind": "direct_sum", "blocks": [
+            {"kind": "scalar_on_c", "value": [0.5, 0.0]}, {"kind": "backward_shift"}]},
+        "right_inverse": {"kind": "direct_sum", "blocks": [
+            {"kind": "scalar_on_c", "value": [2.0, 0.0]}, {"kind": "forward_shift"}]},
+        "decay_vectors": [[[1.0, 0.0], uni]],
+        "target_vectors": [[[1.0, 0.0], uni]],
+        "indices": {"upto": 600},
+    }
+    assert _main(cfg, tmp_path) == 1
+    assert "non-finite" in capsys.readouterr().err

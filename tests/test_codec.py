@@ -1,0 +1,208 @@
+"""The dataclass JSON codec: every variant round-trips, and no JSON tree
+placed where a config expects a variant makes the CLI exit 2."""
+
+import json
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitlab import cli, jsonio
+from orbitlab.operators import (
+    BackwardShift,
+    DirectSum,
+    ForwardShift,
+    OperatorSpec,
+    ScalarMultiple,
+    ScalarOnC,
+    WeightedBackward,
+    WeightedForward,
+    doubling_weights,
+)
+from orbitlab.scalar_sets import (
+    AngleSpec,
+    Annulus,
+    Arc,
+    Circle,
+    CircleProduct,
+    FinitePoints,
+    Geometric,
+    LogSpiral,
+    ScalarSet,
+    Scaled,
+    Sector,
+    Union,
+)
+from orbitlab.winding import CircleCurve, ConcatCurve, ConstantCurve, ParamSegment, SampledCurve
+
+IRR = AngleSpec.irrational(1.0, "one radian")
+
+# one instance of every variant, by family root
+EXAMPLES = {
+    ScalarSet: [
+        FinitePoints([1.0, 2j]),
+        Circle(1.5),
+        Annulus(1.0, 2.0),
+        Arc(2.0, 0.1, 0.7),
+        Sector(0.5, math.inf, 0.0, 1.0),
+        LogSpiral(0.5, AngleSpec.rational_pi(3, 7)),
+        Geometric(0.5 + 0.25j),
+        Union(Circle(1.0), Geometric(2.0)),
+        Scaled(5j, Circle(1.0)),
+        CircleProduct(LogSpiral(2.0, IRR)),
+    ],
+    OperatorSpec: [
+        BackwardShift(),
+        ForwardShift(),
+        WeightedBackward(doubling_weights()),
+        WeightedForward(doubling_weights().inverse_shifted()),
+        ScalarOnC(0.5 - 1j),
+        ScalarMultiple(2.0, BackwardShift()),
+        DirectSum(ScalarOnC(1j), ForwardShift()),
+    ],
+    CircleCurve: [
+        SampledCurve([1, 1j, -1, -1j, 1]),
+        ParamSegment(2.0, 2.0, 1.0),
+        ConstantCurve(1.0 - 1j),
+        ConcatCurve(ConstantCurve(1.0), ParamSegment(1.5, 1.5, 1.0)),
+    ],
+}
+
+
+def _concrete_subclasses(root):
+    found = set()
+    stack = list(root.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        # classes defined in tests (say, an unknown variant) are not catalog members
+        if cls.__module__.startswith("orbitlab."):
+            found.add(cls)
+        stack.extend(cls.__subclasses__())
+    return found
+
+
+@pytest.mark.parametrize("root", list(EXAMPLES), ids=lambda r: r.__name__)
+def test_kind_table_round_trips_every_variant(root):
+    examples = EXAMPLES[root]
+    assert set(root.kinds.values()) == _concrete_subclasses(root)
+    assert {type(x) for x in examples} == set(root.kinds.values())
+    for x in examples:
+        blob = jsonio.encode(x)
+        assert next(iter(blob)) == "kind" and root.kinds[blob["kind"]] is type(x)
+        assert jsonio.decode(root, json.loads(json.dumps(blob)), "x") == x
+
+
+def test_encode_maps_the_irregular_fields():
+    assert jsonio.encode(Sector(0.0, math.inf, 0.0, 0.0))["radius_hi"] is None
+    assert jsonio.encode(ParamSegment(2.0, 2.0, 1.0)) == {
+        "kind": "param_segment", "b": 2.0, "from": 2.0, "to": 1.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "root, obj, message",
+    [
+        (ScalarSet,
+         {"kind": "union", "members": [{"kind": "circle", "radius": 1}, {"kind": "circle"}]},
+         "set.members[1].radius: missing field"),
+        (ScalarSet, {"kind": "circle", "radius": True}, "set.radius: expected a number"),
+        (ScalarSet, {"kind": "circle", "radius": "1.5"}, "set.radius: expected a number"),
+        (ScalarSet, {"kind": "circle", "radius": None}, "set.radius: expected a number"),
+        (ScalarSet, {"kind": "circle", "radius": 10**400}, "set.radius: number too large"),
+        (ScalarSet, {"kind": "circle", "radius": -1.0}, "set: circle radius must be positive"),
+        (ScalarSet, {"kind": "geometric", "base": [0.5]}, "set.base: expected an [re, im] pair"),
+        (ScalarSet, {"kind": "finite_points", "points": [[1.5e308, 1.5e308]]},
+         "set.points[0]: modulus too large"),
+        (ScalarSet, {"kind": "log_spiral", "base": 2.0, "rate": {"pi_rational": [1, 2.5]}},
+         "set.rate.pi_rational[1]: expected an integer"),
+        (ScalarSet, {"kind": "disc"}, "set.kind: unknown kind 'disc'"),
+        (OperatorSpec, {"kind": "weighted_forward", "weights": {"breakpoints": [1], "values": []}},
+         "set.weights: need exactly"),
+    ],
+)
+def test_decode_errors_name_their_path(root, obj, message):
+    with pytest.raises(ValueError) as exc:
+        jsonio.decode(root, obj, "set")
+    assert str(exc.value).startswith(message)
+
+
+# ---------------------------------------------------------------------------
+# decode fuzzing through the CLI
+
+_KEYS = sorted(
+    {"kind", "from", "to", "pi_rational", "irrational", "tag", "breakpoints", "values"}
+    | {f for root in EXAMPLES for cls in root.kinds.values() for f in cls.__dataclass_fields__}
+)
+_KINDS = sorted({k for root in EXAMPLES for k in root.kinds})
+
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_KINDS)
+    | st.text(max_size=4)
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+def _slots(tree):
+    """Every (container, key) in the JSON tree, depth first."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    else:
+        items = enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield tree, key
+        yield from _slots(value)
+
+
+@st.composite
+def _broken(draw, examples):
+    """A valid object with one field, at any depth, dropped or retyped."""
+    tree = jsonio.encode(draw(st.sampled_from(examples)))
+    owner, key = draw(st.sampled_from(list(_slots(tree))))
+    if isinstance(owner, dict) and draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = draw(_trees)
+    return tree
+
+
+def _criterion(operator, right_inverse):
+    uni = {"domain": "uni", "entries": [[1, 1.0, 0.0]]}
+    return {"command": "criterion", "operator": operator, "right_inverse": right_inverse,
+            "decay_vectors": [uni], "target_vectors": [uni], "indices": {"upto": 3}}
+
+
+_VALID_OP = {"kind": "scalar_multiple", "factor": [2.0, 0.0], "inner": {"kind": "backward_shift"}}
+_PLACEMENTS = {
+    "set": (EXAMPLES[ScalarSet], lambda t: {"command": "classify", "set": t}),
+    "curve": (EXAMPLES[CircleCurve], lambda t: {"command": "winding", "curve": t}),
+    "rate": ([IRR, AngleSpec.rational_pi(3, 7)],
+             lambda t: {"command": "spiral", "base": 2.0, "rate": t}),
+    "operator": (EXAMPLES[OperatorSpec], lambda t: _criterion(t, _VALID_OP)),
+    "right_inverse": (EXAMPLES[OperatorSpec], lambda t: _criterion(_VALID_OP, t)),
+}
+
+
+@pytest.mark.parametrize("place", list(_PLACEMENTS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_variant_exits_zero_or_one_never_two(place, data):
+    examples, make_config = _PLACEMENTS[place]
+    cfg = make_config(data.draw(_trees | _broken(examples)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main([cfg["command"], "--config", path, "--out", tmp])
+    assert code in (0, 1), cfg

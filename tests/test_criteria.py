@@ -1,6 +1,10 @@
 """Hypercyclicity criterion checker: pass/fail instances and the trend guard."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     BackwardShift,
@@ -12,7 +16,8 @@ from orbitlab import (
     check_criterion,
     kitai_mode,
 )
-from orbitlab.criteria import MapDomainMismatchError
+from orbitlab.criteria import MapDomainMismatchError, _diff
+from orbitlab.operators import vector_norm
 
 e = lambda j: SeqVector.basis(j, "uni")  # noqa: E731
 BASIS6 = tuple(e(j) for j in range(6))
@@ -152,3 +157,25 @@ class TestValidation:
         )
         with pytest.raises(MapDomainMismatchError):
             check_criterion(inst)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=6))
+@example([(536870913.0, 0.0), (5.34533871137612e16, 0.0)])  # x * x differs in the last bit
+def test_block_norms_match_the_power_formula_bit_for_bit(pairs):
+    """Block norms of a direct sum square as x ** 2 did, bit for bit, and
+    reach inf where x ** 2 raised OverflowError."""
+
+    def old(norms):
+        try:
+            return math.sqrt(sum(b ** 2 for b in norms))
+        except OverflowError:
+            return math.inf
+
+    a = tuple(complex(x, 0.0) for x, _ in pairs)
+    b = tuple(complex(y, 0.0) for _, y in pairs)
+    assert vector_norm(a).hex() == old(vector_norm(x) for x in a).hex()
+    assert vector_norm(_diff(a, b)).hex() == old(abs(x - y) for x, y in zip(a, b)).hex()

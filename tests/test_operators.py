@@ -25,7 +25,7 @@ from orbitlab import (
     power_apply,
     power_norm_bound,
 )
-from orbitlab import operators
+from orbitlab import jsonio, operators
 from orbitlab.operators import vector_norm
 
 e = lambda j: SeqVector.basis(j, "uni")  # noqa: E731
@@ -320,7 +320,7 @@ class TestWeightSpec:
 class TestSerialization:
     def test_vector_round_trip(self):
         v = SeqVector.make("bi", [(-3, 1 + 2j), (4, -0.5j)])
-        assert SeqVector.from_json(v.to_json()) == v
+        assert SeqVector.from_json(v.to_json(), "v") == v
 
     def test_vector_csv(self):
         v = SeqVector.make("uni", [(0, 1.5 + 0j), (2, -1j)])
@@ -340,7 +340,7 @@ class TestSerialization:
         ],
     )
     def test_operator_round_trip(self, op):
-        assert operators.operator_from_json(operators.operator_to_json(op)) == op
+        assert jsonio.decode(operators.OperatorSpec, jsonio.encode(op), "operator") == op
 
     def test_images_drop_negative_zero_parts_like_make(self):
         # stored as given, bypassing make(): the parts keep their -0.0 signs

@@ -31,7 +31,7 @@ from orbitlab import (
     positive_ray,
     rotation_group_product,
 )
-from orbitlab import scalar_sets
+from orbitlab import jsonio, scalar_sets
 from orbitlab._exact import X2
 
 IRR = AngleSpec.irrational(1.0, "one radian")
@@ -461,4 +461,4 @@ class TestJson:
         ],
     )
     def test_round_trip(self, s):
-        assert scalar_sets.from_json(scalar_sets.to_json(s)) == s
+        assert jsonio.decode(ScalarSet, jsonio.encode(s), "set") == s

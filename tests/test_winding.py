@@ -19,7 +19,8 @@ from orbitlab import (
     unit_circle_param,
     winding_number,
 )
-from orbitlab.winding import ParamRangeError, curve_from_json, curve_to_json, reverse
+from orbitlab import jsonio
+from orbitlab.winding import CircleCurve, ParamRangeError, reverse
 
 
 def circle_points(count=720, turns=1, radius=1.0, phase=0.0):
@@ -180,4 +181,4 @@ class TestJson:
         ],
     )
     def test_round_trip(self, curve):
-        assert curve_from_json(curve_to_json(curve)) == curve
+        assert jsonio.decode(CircleCurve, jsonio.encode(curve), "curve") == curve
