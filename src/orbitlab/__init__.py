@@ -53,6 +53,7 @@ from .constructions import (  # noqa: F401
     ConstructionTrace,
     NotAccumulatingAtZeroError,
     ScanRangeError,
+    ShiftSearchLimitError,
     SpiralBaseOneError,
     SpiralScenario,
     TargetFamily,

@@ -27,6 +27,10 @@ class X2:
     __slots__ = ("num", "den", "exp")
 
     def __init__(self, num: int, den: int = 1, exp: int = 0):
+        if num & den & 1 and den > 0:
+            # odd mantissas are canonical already, as every product of canonical values is
+            self.num, self.den, self.exp = num, den, exp
+            return
         if den == 0:
             raise ZeroDivisionError("X2 denominator is zero")
         if den < 0:
@@ -184,7 +188,10 @@ class X2:
             q = (abs(self.num) << p) // self.den
         else:
             q = abs(self.num) // (self.den << (-p))
-        val = math.ldexp(float(q), t)
+        try:
+            val = math.ldexp(float(q), t)
+        except OverflowError:  # q rounds up to 2^1024
+            val = math.inf
         return val if self.num > 0 else -val
 
     def __repr__(self):
@@ -265,11 +272,61 @@ def xvec_from_seq(v) -> dict[int, XC]:
     return {i: XC.from_complex(c) for i, c in v.entries}
 
 
-def xvec_norm_sq(x: dict[int, XC]) -> X2:
+def x2_sum(terms) -> X2:
+    """The exact sum, added left to right from zero. X2 skips gcd reduction,
+    so a non-dyadic sum's representation (and its float) depends on this
+    order."""
     out = X2.ZERO
-    for i in sorted(x):
-        out = out + x[i].mod_sq()
+    for t in terms:
+        out = out + t
     return out
+
+
+# cell_sum grids: floors on 2^(T - _FLOOR_BITS), cells of 2^(T - _CELL_BITS)
+_FLOOR_BITS = 300
+_CELL_BITS = 100
+
+
+def cell_sum(terms, bound: X2) -> X2:
+    """x2_sum(terms) for positive terms, or a stand-in that reads the same.
+
+    With dyadic terms and T the top-bit bound of the largest (every term
+    < 2^T), each term is floored onto the grid 2^g, g = T - 300. No floored
+    remainder: the grid sum is exact. Otherwise the sum lies in the open
+    interval (S, S + n) * 2^g (S the floored sum, n the terms with a
+    remainder); when that interval lies in one cell of the aligned grid
+    2^(T - 100) and bound is a multiple of the cell width, the cell
+    midpoint is returned. The sum is at least 2^(T - 1), so every rounding
+    or truncation boundary that float(), round_up_bits(64) and `<= bound`
+    read (multiples of 2^(top bit - 64) or coarser, powers of two, and
+    bound) lies on the cell grid: they give the same answer at the midpoint
+    as at the sum. Anything else, a non-dyadic term included, falls back to
+    the exact x2_sum.
+    """
+    terms = [t for t in terms if t.num]
+    if not terms or bound.den != 1 or any(t.den != 1 or t.num < 0 for t in terms):
+        return x2_sum(terms)
+    g = max(t.exp + t.num.bit_length() for t in terms) - _FLOOR_BITS
+    s = 0
+    n = 0
+    for t in terms:
+        d = t.exp - g
+        if d >= 0:
+            s += t.num << d
+        else:
+            s += t.num >> -d
+            n += 1  # the mantissa is odd, so the dropped bits are not all zero
+    if not n:
+        return X2(s, 1, g)
+    width = _FLOOR_BITS - _CELL_BITS
+    cell = s >> width
+    if (s + n - 1) >> width != cell or bound.exp < g + width:
+        return x2_sum(terms)
+    return X2(2 * cell + 1, 1, g + width - 1)
+
+
+def xvec_norm_sq(x: dict[int, XC]) -> X2:
+    return x2_sum(x[i].mod_sq() for i in sorted(x))
 
 
 def xvec_sub(a: dict[int, XC], b: dict[int, XC]) -> dict[int, XC]:

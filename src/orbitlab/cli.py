@@ -24,6 +24,7 @@ _PRECONDITION_ERRORS = (
     constructions.NotAccumulatingAtZeroError,
     constructions.SpiralBaseOneError,
     constructions.ScanRangeError,
+    constructions.ShiftSearchLimitError,
     density.EmptyCloudError,
     operators.DomainMismatchError,
     operators.UnsupportedOperatorError,

@@ -20,17 +20,20 @@ Two schemes are implemented:
 
 All stage conditions and residual bounds are verified with exact
 scaled-rational arithmetic; the recorded booleans are exact statements, not
-float comparisons. Scalar choices follow a margin rule: the first resolver
+float comparisons. A residual square is summed on a cell grid
+(_exact.cell_sum) that the bound check and the reported values read exactly
+as they read the exact sum; the exact sums are built only when read. Scalar choices follow a margin rule: the first resolver
 value achieving the strict inequality with factor 1/2 slack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import jsonio
-from ._exact import X2, XC, xvec_from_seq, xvec_norm_sq, xvec_sub
+from ._exact import X2, XC, cell_sum, x2_sum, xvec_from_seq, xvec_norm_sq, xvec_sub
 from ._kernels import spiral_min_scan
 from .operators import (
     BILATERAL,
@@ -62,6 +65,14 @@ class SpiralBaseOneError(ValueError):
 
 class ScanRangeError(ValueError):
     """The scan range cannot certify that the tail stays farther than the grid minimum."""
+
+
+class ShiftSearchLimitError(ValueError):
+    """A bilateral stage needs a shift beyond the search cap SHIFT_CAP."""
+
+
+# the exact fallback of a residual sum would hold integers of about this many bits
+SHIFT_CAP = 1 << 40
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +180,22 @@ class ConstructionTrace:
     choices: tuple[StageChoice, ...]
     partial_sum: SeqVector
     residuals: tuple[float, ...]
-    residual_sq_exact: tuple[X2, ...]
+    # per stage: round_up_bits(64) of the squared residual norm
+    residual_sq_upper: tuple[X2, ...]
     conditions: tuple[dict, ...]
     tail_bound: float
+    # per stage: the squared moduli of the residual's entries, by index
+    residual_terms: tuple[tuple[X2, ...], ...] = field(repr=False)
 
     @property
     def stages(self) -> int:
         return len(self.choices) - 1
+
+    @functools.cached_property
+    def residual_sq_exact(self) -> tuple[X2, ...]:
+        """The exact squared residual norms. Their mantissas can run to
+        millions of bits, so they are summed only when read."""
+        return tuple(x2_sum(terms) for terms in self.residual_terms)
 
     def to_json(self) -> dict:
         # exact residual squares can carry huge mantissas; reports ship a
@@ -196,9 +216,7 @@ class ConstructionTrace:
             ],
             "conditions": [dict(c) for c in self.conditions],
             "residuals": list(self.residuals),
-            "residual_sq_upper": [
-                _encode_x2(r.round_up_bits(64)) for r in self.residual_sq_exact
-            ],
+            "residual_sq_upper": [_encode_x2(r) for r in self.residual_sq_upper],
             "partial_sum": self.partial_sum.to_json(),
         }
 
@@ -227,6 +245,29 @@ def _encode_x2(x: X2) -> dict:
 def _residual_float(rsq: X2) -> float:
     val = float(rsq)
     return math.sqrt(val) if val > 0 else 0.0
+
+
+class _Residuals:
+    """Stage residuals, checked against their bounds and kept for the trace."""
+
+    def __init__(self):
+        self.terms: list[tuple[X2, ...]] = []
+        self.sums: list[X2] = []
+
+    def add(self, k: int, diff: dict[int, XC], bound: X2) -> None:
+        terms = tuple(diff[i].mod_sq() for i in sorted(diff))
+        rsq = cell_sum(terms, bound)
+        if not rsq <= bound:
+            raise RuntimeError(f"stage {k} residual exceeds its certified bound")
+        self.terms.append(terms)
+        self.sums.append(rsq)
+
+    def trace_fields(self) -> dict:
+        return {
+            "residuals": tuple(_residual_float(r) for r in self.sums),
+            "residual_sq_upper": tuple(r.round_up_bits(64) for r in self.sums),
+            "residual_terms": tuple(self.terms),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +333,12 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
             term = c * inv
             x[idx] = x[idx] + term if idx in x else term
 
-    residual_sq: list[X2] = []
+    residuals = _Residuals()
     conditions: list[dict] = []
     for k in range(stages + 1):
         m_k = shifts[k]
         scaled = {j - m_k: c * scalars[k] for j, c in x.items() if j - m_k >= 0}
-        diff = xvec_sub(scaled, exact_targets[k])
-        rsq = xvec_norm_sq(diff)
-        bound = X2.pow2(-2 * k)
-        if not rsq <= bound:
-            raise RuntimeError(f"stage {k} residual exceeds its certified bound")
-        residual_sq.append(rsq)
+        residuals.add(k, xvec_sub(scaled, exact_targets[k]), X2.pow2(-2 * k))
         four_k = X2.pow2(2 * k)
         msq = scalars[k].mod_sq()
         conditions.append(
@@ -323,10 +359,9 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
             StageChoice(k, scalars[k], shifts[k]) for k in range(stages + 1)
         ),
         partial_sum=partial,
-        residuals=tuple(_residual_float(r) for r in residual_sq),
-        residual_sq_exact=tuple(residual_sq),
         conditions=tuple(conditions),
         tail_bound=2.0 ** (-stages),
+        **residuals.trace_fields(),
     )
 
 
@@ -451,8 +486,11 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
         hi = max(lo, 1)
         while not _shift_ok(hi):
             hi *= 2
-            if hi > 1 << 40:
-                raise RuntimeError("no admissible shift found")
+            if hi > SHIFT_CAP:
+                raise ShiftSearchLimitError(
+                    f"stages: {stages} stages need a shift beyond the search cap "
+                    f"2**40 (stage {k} has none below it)"
+                )
         while lo < hi:
             mid = (lo + hi) // 2
             if _shift_ok(mid):
@@ -469,18 +507,14 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
             term = c * inv
             x[j] = x[j] + term if j in x else term
 
-    residual_sq: list[X2] = []
+    residuals = _Residuals()
     conditions: list[dict] = []
     for k in range(stages + 1):
         m_k = shifts[k]
         image = _bwd_apply_exact(x, m_k)
         scaled = {j: c * scalars[k] for j, c in image.items()}
-        diff = xvec_sub(scaled, exact_targets[k])
-        rsq = xvec_norm_sq(diff)
         bound = X2.from_int((k + 1) * (k + 1)) * X2.pow2(-2 * k)
-        if not rsq <= bound:
-            raise RuntimeError(f"stage {k} residual exceeds its certified bound")
-        residual_sq.append(rsq)
+        residuals.add(k, xvec_sub(scaled, exact_targets[k]), bound)
 
         msq = scalars[k].mod_sq()
         four_k = X2.pow2(2 * k)
@@ -509,10 +543,9 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
             StageChoice(k, scalars[k], shifts[k]) for k in range(stages + 1)
         ),
         partial_sum=partial,
-        residuals=tuple(_residual_float(r) for r in residual_sq),
-        residual_sq_exact=tuple(residual_sq),
         conditions=tuple(conditions),
         tail_bound=2.0 ** (-stages),
+        **residuals.trace_fields(),
     )
 
 

@@ -58,7 +58,14 @@ class AngleSpec:
         g = math.gcd(p, q)
         if g:
             p, q = p // g, q // g
-        return cls(kind="pi_rational", p=p, q=q)
+        angle = cls(kind="pi_rational", p=p, q=q)
+        try:
+            finite = math.isfinite(angle.value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("angle p*pi/q is beyond float range")
+        return angle
 
     @classmethod
     def irrational(cls, value: float, tag: str = "") -> "AngleSpec":
@@ -87,7 +94,7 @@ class AngleSpec:
     def from_json(cls, obj, path: str) -> "AngleSpec":
         if isinstance(obj, dict) and "pi_rational" in obj:
             p, q = jsonio.decode_key(tuple[int, int], obj, "pi_rational", path)
-            return jsonio.construct(cls.rational_pi, path, p, q)
+            return jsonio.construct(cls.rational_pi, f"{path}.pi_rational", p, q)
         return cls.irrational(
             jsonio.decode_key(float, obj, "irrational", path),
             jsonio.decode_key(str, obj, "tag", path, ""),

@@ -82,6 +82,14 @@ class ParamSegment(CircleCurve, kind="param_segment"):
         for v in (self.start, self.end):
             if not (1.0 <= v <= self.b):
                 raise ParamRangeError(f"segment endpoint {v} outside [1, {self.b}]")
+        if not math.isfinite(self.turn):
+            raise ValueError("segment turn 2*pi*(to - from)/(b - 1) is beyond float range")
+
+    @property
+    def turn(self) -> float:
+        """The angle walked, in radians. This operation order is the one
+        reports were recorded with."""
+        return _TWO_PI * (self.end - self.start) / (self.b - 1.0)
 
 
 @dataclass(frozen=True)
@@ -141,9 +149,8 @@ def _walk(curve: CircleCurve) -> _Walk:
             end=pts[-1],
         )
     if isinstance(curve, ParamSegment):
-        turn = _TWO_PI * (curve.end - curve.start) / (curve.b - 1.0)
         return _Walk(
-            total_turn=turn,
+            total_turn=curve.turn,
             max_step=0.0,
             min_modulus=1.0,
             start=unit_circle_param(curve.start, curve.b),

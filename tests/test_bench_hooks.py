@@ -36,13 +36,11 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     assert all(cls.__dict__[m] is raw for (cls, m), raw in methods.items())
 
 
-def test_traced_config_reaches_the_scalar_set_boundary(monkeypatch, tmp_path):
-    # every workload requires a traced scalar_sets.from_json layer, so the
-    # CLI must decode its scalar sets through that module attribute
+def _traced_run(monkeypatch, tmp_path, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
-    cfg = jsonio.loads((ROOT / "configs" / "classify_ring.json").read_text())
+    cfg = jsonio.loads((ROOT / "configs" / f"{name}.json").read_text())
     tracer = Tracer()
     tracer.install()
     try:
@@ -51,4 +49,19 @@ def test_traced_config_reaches_the_scalar_set_boundary(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     assert code == 0
+    return tracer
+
+
+def test_traced_config_reaches_the_scalar_set_boundary(monkeypatch, tmp_path):
+    # every workload requires a traced scalar_sets.from_json layer, so the
+    # CLI must decode its scalar sets through that module attribute
+    tracer = _traced_run(monkeypatch, tmp_path, "classify_ring")
     assert tracer.totals["scalar_sets.from_json"][0] == 1
+
+
+def test_traced_build_reaches_exact_arithmetic_and_trace_encode(monkeypatch, tmp_path):
+    # shift_builds requires both layers: the residual sums must still go
+    # through the X2/XC methods, and the report through ConstructionTrace.to_json
+    tracer = _traced_run(monkeypatch, tmp_path, "build22")
+    assert tracer.totals["exact.ops"][0] > 0
+    assert tracer.totals["constructions.trace_encode"][0] == 1

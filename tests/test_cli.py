@@ -298,6 +298,12 @@ def _targets(vector):
          "operator.weights"),
         (_targets({"domain": "uni"}), "targets.vectors[0].entries"),
         (_targets([1.0, 0.0]), "targets.vectors[0]"),
+        ({"command": "spiral", "base": 2.0, "rate": {"pi_rational": [10**400, 3]}},
+         "rate.pi_rational"),
+        ({"command": "winding", "curve": {"kind": "param_segment", "b": 1e308, "from": 1.0,
+                                          "to": 1e308}}, "curve"),
+        ({"command": "build22", "set": {"kind": "geometric", "base": [0.5, 0.0]},
+          "stages": 36}, "stages"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Certified construction traces and the spiral counterexample scenario."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -105,6 +106,19 @@ class TestUnilateralBuild:
         for k, rsq in enumerate(trace.residual_sq_exact):
             assert rsq <= X2.pow2(-2 * k)
 
+    def test_reported_residuals_read_the_exact_sums(self):
+        trace = build_unilateral(positive_ray(), default_target_family(21, "uni"), 20)
+        _assert_reports_read_exact(trace)
+
+
+def _assert_reports_read_exact(trace):
+    """residuals and residual_sq_upper are what the exact residual squares give."""
+    exact = trace.residual_sq_exact
+    assert [(u.num, u.den, u.exp) for u in trace.residual_sq_upper] == [
+        (u.num, u.den, u.exp) for u in (r.round_up_bits(64) for r in exact)
+    ]
+    assert trace.residuals == tuple(math.sqrt(float(r)) for r in exact)
+
 
 @pytest.fixture(scope="module")
 def trace():
@@ -145,6 +159,31 @@ class TestBilateralBuild:
     def test_single_target_is_exact(self):
         trace = build_bilateral(Geometric(0.5), TargetFamily((unit(0, "bi"),)), 0)
         assert trace.residual_sq_exact[0].is_zero
+
+    def test_reported_residuals_read_the_exact_sums(self, trace):
+        _assert_reports_read_exact(trace)
+
+    def test_non_dyadic_scalars_take_the_exact_sum(self):
+        # 1/0.3^j is not dyadic, so the residual terms are not either
+        trace = build_bilateral(Geometric(0.3), default_target_family(6, "bi"), 5)
+        assert any(t.den != 1 for terms in trace.residual_terms for t in terms)
+        for k, rsq in enumerate(trace.residual_sq_exact):
+            assert rsq <= X2.from_int((k + 1) * (k + 1)) * X2.pow2(-2 * k)
+        _assert_reports_read_exact(trace)
+        assert all(v for c in trace.conditions for key, v in c.items() if key != "stage")
+
+    def test_thirty_five_stages_in_bounded_memory(self):
+        fam = default_target_family(36, "bi")
+        tracemalloc.start()
+        try:
+            trace = build_bilateral(Geometric(0.5), fam, 35)
+            jsonio.dumps(trace.to_json())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert all(v for c in trace.conditions for key, v in c.items() if key != "stage")
+        assert trace.choices[-1].shift > 1 << 34
 
     def test_bounded_away_scalar_set_is_rejected(self):
         fam = default_target_family(3, "bi")
