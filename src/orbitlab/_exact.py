@@ -14,7 +14,10 @@ multi-kilobit integers are the expensive part of Fraction arithmetic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # to_fraction imports it when called; most commands never do
+    from fractions import Fraction
 
 
 def _two_val(n: int) -> int:
@@ -143,6 +146,8 @@ class X2:
     # -- conversions ------------------------------------------------------
 
     def to_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if self.exp >= 0:
             return Fraction(self.num << self.exp, self.den)
         return Fraction(self.num, self.den << (-self.exp))

@@ -3,7 +3,11 @@
 Every subcommand reads one JSON config, runs deterministically, and emits a
 report whose only non-reproducible field is the timestamp. Exit codes:
 0 success, 1 violated operation precondition (the message names it), 2
-internal error or bad invocation.
+internal error or bad invocation. Every precondition error the package raises
+derives from ValueError, which is what maps to exit code 1.
+
+Each command imports only the modules it runs, so a process pays for
+compiling and executing just those.
 """
 
 from __future__ import annotations
@@ -14,25 +18,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, jsonio
-from . import constructions, criteria, density, operators, scalar_sets, winding
-from .operators import SeqVector
-
-_PRECONDITION_ERRORS = (
-    scalar_sets.EmptyScalarSetError,
-    scalar_sets.UndecidableDensityError,
-    constructions.BoundedScalarSetError,
-    constructions.NotAccumulatingAtZeroError,
-    constructions.SpiralBaseOneError,
-    constructions.ScanRangeError,
-    constructions.ShiftSearchLimitError,
-    density.EmptyCloudError,
-    operators.DomainMismatchError,
-    operators.UnsupportedOperatorError,
-    criteria.MapDomainMismatchError,
-    winding.CurveNotClosedError,
-    winding.ParamRangeError,
-    ValueError,
-)
 
 COMMANDS = (
     "classify",
@@ -46,7 +31,9 @@ COMMANDS = (
 )
 
 
-def _load_targets(cfg: dict, domain: str) -> constructions.TargetFamily:
+def _load_targets(cfg: dict, domain: str):
+    from . import constructions
+
     spec = cfg.get("targets", {"default_count": cfg["stages"] + 1})
     if "vectors" in spec:
         vecs = tuple(
@@ -62,14 +49,18 @@ def _base_point(obj, dom, field: str = "base_point"):
     and on a direct sum a list with one vector per block. A shape that does
     not fit the domain is a ValueError naming the field, e.g.
     `target_vectors[2][0]`."""
+    from . import operators
+
     if not isinstance(dom, tuple):
-        return jsonio.decode(complex if dom == "scalar" else SeqVector, obj, field)
+        return jsonio.decode(complex if dom == "scalar" else operators.SeqVector, obj, field)
     if isinstance(obj, list) and len(obj) == len(dom):
         return tuple(_base_point(x, d, f"{field}[{i}]") for i, (x, d) in enumerate(zip(obj, dom)))
     raise ValueError(f"{field}: {obj!r} is not a vector on the {dom!r} domain")
 
 
 def _cmd_classify(cfg: dict, out: "_Output") -> dict:
+    from . import scalar_sets
+
     s = scalar_sets.from_json(cfg["set"], "set")
     result = scalar_sets.classify(s)
     return {
@@ -79,6 +70,8 @@ def _cmd_classify(cfg: dict, out: "_Output") -> dict:
 
 
 def _cmd_build(cfg: dict, out: "_Output", build, domain: str) -> dict:
+    from . import scalar_sets
+
     sampler = scalar_sets.from_json(cfg["set"], "set")
     targets = _load_targets(cfg, domain)
     trace = build(sampler, targets, int(cfg["stages"]))
@@ -86,7 +79,22 @@ def _cmd_build(cfg: dict, out: "_Output", build, domain: str) -> dict:
     return {"trace": trace.to_json()}
 
 
+# the builders are looked up per call, so patched module attributes apply
+def _cmd_build21(cfg: dict, out: "_Output") -> dict:
+    from . import constructions, operators
+
+    return _cmd_build(cfg, out, constructions.build_unilateral, operators.UNILATERAL)
+
+
+def _cmd_build22(cfg: dict, out: "_Output") -> dict:
+    from . import constructions, operators
+
+    return _cmd_build(cfg, out, constructions.build_bilateral, operators.BILATERAL)
+
+
 def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
+    from . import constructions, operators, scalar_sets
+
     rate = jsonio.decode(scalar_sets.AngleSpec, cfg["rate"], "rate")
     scenario = constructions.build_spiral_scenario(float(cfg["base"]), rate)
     result: dict = {
@@ -110,6 +118,8 @@ def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
 
 
 def _cmd_density(cfg: dict, out: "_Output") -> dict:
+    from . import density, operators, scalar_sets
+
     op = jsonio.decode(operators.OperatorSpec, cfg["operator"], "operator")
     base = _base_point(cfg["base_point"], operators.operator_domain(op))
     s = scalar_sets.from_json(cfg["set"], "set")
@@ -135,7 +145,7 @@ def _cmd_density(cfg: dict, out: "_Output") -> dict:
     return {"density": report.to_json(), "cloud_size": len(cloud)}
 
 
-def _heatmap_csv(report: density.DensityReport) -> str:
+def _heatmap_csv(report) -> str:
     lines = ["grid_point,distance"]
     for coords, dist in report.heatmap_rows():
         flat = ";".join(
@@ -146,6 +156,8 @@ def _heatmap_csv(report: density.DensityReport) -> str:
 
 
 def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
+    from . import criteria, operators
+
     op = jsonio.decode(operators.OperatorSpec, cfg["operator"], "operator")
     inv = jsonio.decode(operators.OperatorSpec, cfg["right_inverse"], "right_inverse")
     dom = operators.operator_domain(op)
@@ -170,12 +182,16 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
 
 
 def _cmd_winding(cfg: dict, out: "_Output") -> dict:
+    from . import winding
+
     curve = jsonio.decode(winding.CircleCurve, cfg["curve"], "curve")
     result = winding.winding_number(curve)
     return {"winding": jsonio.encode(result), "index": result.index}
 
 
 def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
+    from . import density, operators, scalar_sets
+
     op = jsonio.decode(operators.OperatorSpec, cfg["operator"], "operator")
     base = _base_point(cfg["base_point"], operators.operator_domain(op))
     horizon = int(cfg["horizon"])
@@ -198,13 +214,8 @@ def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
 
 _HANDLERS = {
     "classify": _cmd_classify,
-    # the builders are looked up per call, so patched module attributes apply
-    "build21": lambda cfg, out: _cmd_build(
-        cfg, out, constructions.build_unilateral, operators.UNILATERAL
-    ),
-    "build22": lambda cfg, out: _cmd_build(
-        cfg, out, constructions.build_bilateral, operators.BILATERAL
-    ),
+    "build21": _cmd_build21,
+    "build22": _cmd_build22,
     "spiral": _cmd_spiral,
     "density": _cmd_density,
     "criterion": _cmd_criterion,
@@ -234,6 +245,8 @@ class _Output:
 
 def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
     """Execute one config; returns (exit_code, report dict)."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config top level must be a JSON object")
     command = cfg.get("command")
     if command not in _HANDLERS:
         raise ValueError(f"unknown command {command!r}")
@@ -247,7 +260,7 @@ def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
     }
     try:
         report["result"] = _HANDLERS[command](cfg, output)
-    except _PRECONDITION_ERRORS as exc:
+    except ValueError as exc:
         report["error"] = str(exc)
         output.report(jsonio.dumps(report))
         return 1, report
@@ -292,6 +305,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = jsonio.loads(Path(args.config).read_text())
+        if not isinstance(cfg, dict):
+            raise ValueError("top level must be a JSON object")
     except (OSError, ValueError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
@@ -307,7 +322,7 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(cfg, args)
         code, report = run_config(cfg, args.out, args.emit_csv)
-    except _PRECONDITION_ERRORS as exc:
+    except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - report and exit 2

@@ -19,7 +19,9 @@ import hashlib
 import json
 import math
 import typing
-from fractions import Fraction
+
+if typing.TYPE_CHECKING:  # annotation only: most commands never load fractions
+    from fractions import Fraction
 
 
 def format_float(x: float) -> str:

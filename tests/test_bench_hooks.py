@@ -3,8 +3,13 @@ outside: module functions such as criteria.apply and the X2/XC methods. A
 refactor that removes or renames one of them must fail here, not in a
 traced benchmark run."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import orbitlab
 from orbitlab import cli, criteria, jsonio, operators
 from orbitlab.operators import BackwardShift, ScalarMultiple, SeqVector
 
@@ -65,3 +70,34 @@ def test_traced_build_reaches_exact_arithmetic_and_trace_encode(monkeypatch, tmp
     tracer = _traced_run(monkeypatch, tmp_path, "build22")
     assert tracer.totals["exact.ops"][0] > 0
     assert tracer.totals["constructions.trace_encode"][0] == 1
+
+
+
+def _traced_process(tmp_path, name):
+    """Trace file of perfbench/traced_cli.py running a shipped config in a
+    fresh interpreter, where cli imports a command's modules only inside its
+    handler: the tracer's patches must still be the names the handler calls."""
+    config = ROOT / "configs" / f"{name}.json"
+    command = json.loads(config.read_text())["command"]
+    trace_file = tmp_path / "trace.json"
+    src = str(Path(orbitlab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced_cli.py"), str(trace_file), "1", *argv],
+        env=env,
+        check=True,
+    )
+    return json.loads(trace_file.read_text())
+
+
+def test_traced_process_reaches_the_winding_boundary(tmp_path):
+    trace = _traced_process(tmp_path, "winding_segment")
+    assert "winding.winding_number" in {s["name"] for s in trace["spans"]}
+
+
+def test_traced_process_counts_the_criterion_apply_calls(tmp_path):
+    trace = _traced_process(tmp_path, "criterion_rolewicz")
+    assert "criteria.check_criterion" in {s["name"] for s in trace["spans"]}
+    assert trace["counts"]["criteria.apply_calls"] > 0

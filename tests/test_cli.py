@@ -1,6 +1,7 @@
 """CLI: demo configs run clean, reports reproduce byte-for-byte, errors map to
 exit code 1 with the violated precondition named."""
 
+import importlib
 import json
 import math
 import re
@@ -175,6 +176,31 @@ def test_non_finite_config_number_rejected_at_parse(token, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot read config" in err
     assert token in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"classify"'])
+def test_config_top_level_must_be_an_object(text, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main(["classify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert "cannot read config: top level must be a JSON object" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="JSON object"):
+        cli.run_config(json.loads(text))
+
+
+def test_every_package_error_maps_to_exit_one():
+    # cli maps exactly the ValueErrors to exit code 1, so a precondition
+    # error deriving from anything else would exit 2 as an internal error
+    errors = {
+        obj
+        for name in ("scalar_sets", "operators", "constructions", "density", "criteria", "winding")
+        for obj in vars(importlib.import_module(f"orbitlab.{name}")).values()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and obj.__module__.startswith("orbitlab")
+    }
+    assert len(errors) == 13
+    assert all(issubclass(e, ValueError) for e in errors)
 
 
 def test_misshapen_vector_names_its_field(tmp_path, capsys):
