@@ -19,36 +19,28 @@ from pathlib import Path
 
 from . import __version__, jsonio
 
-COMMANDS = (
-    "classify",
-    "build21",
-    "build22",
-    "spiral",
-    "density",
-    "criterion",
-    "winding",
-    "lambda-est",
-)
+
+def _field(cfg: dict, key: str, cls=object, *default):
+    """The top-level config field key decoded as cls (object, list and dict
+    give the raw JSON value); missing or mistyped, a ValueError naming key."""
+    return jsonio.decode_key(cls, cfg, key, "", *default)
 
 
-def _load_targets(cfg: dict, domain: str):
+def _load_targets(cfg: dict, stages: int, domain: str):
     from . import constructions
 
-    spec = cfg.get("targets", {"default_count": cfg["stages"] + 1})
-    if "vectors" in spec:
-        vecs = tuple(
-            _base_point(v, domain, f"targets.vectors[{i}]") for i, v in enumerate(spec["vectors"])
-        )
-        return constructions.TargetFamily(vecs)
-    return constructions.default_target_family(int(spec["default_count"]), domain)
+    spec = _field(cfg, "targets", dict, None)
+    if spec is not None and "vectors" in spec:
+        return constructions.TargetFamily(_vectors(spec, "vectors", domain, "targets"))
+    count = stages + 1 if spec is None else jsonio.decode_key(int, spec, "default_count", "targets")
+    return constructions.default_target_family(count, domain)
 
 
 def _base_point(obj, dom, field: str = "base_point"):
-    """Decode a config vector on the domain dom (operator_domain of the
-    operator): an [re, im] pair on C, a SeqVector object on sequence spaces,
-    and on a direct sum a list with one vector per block. A shape that does
-    not fit the domain is a ValueError naming the field, e.g.
-    `target_vectors[2][0]`."""
+    """Decode a config vector on the operator_domain() dom: an [re, im] pair
+    on C, a SeqVector object on sequence spaces, and on a direct sum a list
+    with one vector per block. A shape that does not fit the domain is a
+    ValueError naming the field, e.g. `target_vectors[2][0]`."""
     from . import operators
 
     if not isinstance(dom, tuple):
@@ -58,45 +50,45 @@ def _base_point(obj, dom, field: str = "base_point"):
     raise ValueError(f"{field}: {obj!r} is not a vector on the {dom!r} domain")
 
 
+def _vectors(cfg: dict, key: str, dom, path: str = "") -> tuple:
+    """The list field key of config vectors on the domain dom."""
+    vecs = jsonio.decode_key(list, cfg, key, path)
+    field = f"{path}.{key}" if path else key
+    return tuple(_base_point(v, dom, f"{field}[{i}]") for i, v in enumerate(vecs))
+
+
 def _cmd_classify(cfg: dict, out: "_Output") -> dict:
     from . import scalar_sets
 
-    s = scalar_sets.from_json(cfg["set"], "set")
+    s = scalar_sets.from_json(_field(cfg, "set", dict), "set")
     result = scalar_sets.classify(s)
     return {
         "classification": jsonio.encode(result),
-        "modulus_set": scalar_sets.modulus_set(scalar_sets.strip_zero(s)).to_json(),
+        "modulus_set": s.strip_zero().modulus_set().to_json(),
     }
 
 
-def _cmd_build(cfg: dict, out: "_Output", build, domain: str) -> dict:
-    from . import scalar_sets
+def _cmd_build(cfg: dict, out: "_Output") -> dict:
+    from . import constructions, operators, scalar_sets
 
-    sampler = scalar_sets.from_json(cfg["set"], "set")
-    targets = _load_targets(cfg, domain)
-    trace = build(sampler, targets, int(cfg["stages"]))
+    # build21 is the unilateral scheme, build22 the bilateral one; the builder
+    # is looked up per call, so a patched module attribute applies
+    if cfg["command"] == "build22":
+        build, domain = constructions.build_bilateral, operators.BILATERAL
+    else:
+        build, domain = constructions.build_unilateral, operators.UNILATERAL
+    sampler = scalar_sets.from_json(_field(cfg, "set", dict), "set")
+    stages = _field(cfg, "stages", int)
+    trace = build(sampler, _load_targets(cfg, stages, domain), stages)
     out.csv("residuals.csv", trace.to_csv)
     return {"trace": trace.to_json()}
-
-
-# the builders are looked up per call, so patched module attributes apply
-def _cmd_build21(cfg: dict, out: "_Output") -> dict:
-    from . import constructions, operators
-
-    return _cmd_build(cfg, out, constructions.build_unilateral, operators.UNILATERAL)
-
-
-def _cmd_build22(cfg: dict, out: "_Output") -> dict:
-    from . import constructions, operators
-
-    return _cmd_build(cfg, out, constructions.build_bilateral, operators.BILATERAL)
 
 
 def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
     from . import constructions, operators, scalar_sets
 
-    rate = jsonio.decode(scalar_sets.AngleSpec, cfg["rate"], "rate")
-    scenario = constructions.build_spiral_scenario(float(cfg["base"]), rate)
+    rate = _field(cfg, "rate", scalar_sets.AngleSpec)
+    scenario = constructions.build_spiral_scenario(_field(cfg, "base", float), rate)
     result: dict = {
         "operator": jsonio.encode(scenario.operator),
         "scalar_set": jsonio.encode(scenario.scalar_set),
@@ -106,12 +98,11 @@ def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
         (jsonio.encode(z) for z in spectrum), key=tuple
     )
     if "target" in cfg:
-        s_lo, s_hi = cfg.get("s_range", [-20.0, 20.0])
         dist = constructions.spiral_distance_to(
             scenario,
-            jsonio.decode(complex, cfg["target"], "target"),
-            (float(s_lo), float(s_hi)),
-            float(cfg.get("step", 1e-4)),
+            _field(cfg, "target", complex),
+            _field(cfg, "s_range", tuple[float, float], (-20.0, 20.0)),
+            _field(cfg, "step", float, 1e-4),
         )
         result["distance"] = jsonio.encode(dist)
     return result
@@ -120,26 +111,26 @@ def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
 def _cmd_density(cfg: dict, out: "_Output") -> dict:
     from . import density, operators, scalar_sets
 
-    op = jsonio.decode(operators.OperatorSpec, cfg["operator"], "operator")
-    base = _base_point(cfg["base_point"], operators.operator_domain(op))
-    s = scalar_sets.from_json(cfg["set"], "set")
+    op = _field(cfg, "operator", operators.OperatorSpec)
+    base = _base_point(_field(cfg, "base_point"), op.operator_domain())
+    s = scalar_sets.from_json(_field(cfg, "set", dict), "set")
     window = cfg.get("radial_window")
     cloud = density.generate_orbit(
         op,
         base,
         s,
-        int(cfg["horizon"]),
-        int(cfg["gamma_grid"]),
-        None if window is None else (float(window[0]), float(window[1])),
+        _field(cfg, "horizon", int),
+        _field(cfg, "gamma_grid", int),
+        None if window is None else _field(cfg, "radial_window", tuple[float, float]),
     )
-    ball = cfg["ball"]
+    ball = _field(cfg, "ball", dict)
     report = density.epsilon_density(
         cloud,
-        [int(i) for i in cfg["section"]],
-        [jsonio.decode(complex, c, f"ball.center[{i}]") for i, c in enumerate(ball["center"])],
-        float(ball["radius"]),
-        float(cfg["epsilon"]),
-        float(cfg["grid_step"]),
+        _field(cfg, "section", tuple[int, ...]),
+        jsonio.decode_key(tuple[complex, ...], ball, "center", "ball"),
+        jsonio.decode_key(float, ball, "radius", "ball"),
+        _field(cfg, "epsilon", float),
+        _field(cfg, "grid_step", float),
     )
     out.csv("heatmap.csv", lambda: _heatmap_csv(report))
     return {"density": report.to_json(), "cloud_size": len(cloud)}
@@ -158,24 +149,18 @@ def _heatmap_csv(report) -> str:
 def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
     from . import criteria, operators
 
-    op = jsonio.decode(operators.OperatorSpec, cfg["operator"], "operator")
-    inv = jsonio.decode(operators.OperatorSpec, cfg["right_inverse"], "right_inverse")
-    dom = operators.operator_domain(op)
-    idx_cfg = cfg["indices"]
-    indices = tuple(range(int(idx_cfg["upto"]) + 1)) if "upto" in idx_cfg else tuple(
-        int(i) for i in idx_cfg
-    )
+    op = _field(cfg, "operator", operators.OperatorSpec)
+    dom = op.operator_domain()
+    indices = _field(cfg, "indices")
     inst = criteria.CriterionInstance(
         operator=op,
-        right_inverse=inv,
-        decay_vectors=tuple(
-            _base_point(v, dom, f"decay_vectors[{i}]") for i, v in enumerate(cfg["decay_vectors"])
-        ),
-        target_vectors=tuple(
-            _base_point(v, dom, f"target_vectors[{i}]") for i, v in enumerate(cfg["target_vectors"])
-        ),
-        indices=indices,
-        tolerance=float(cfg.get("tolerance", criteria.DEFAULT_TOLERANCE)),
+        right_inverse=_field(cfg, "right_inverse", operators.OperatorSpec),
+        decay_vectors=_vectors(cfg, "decay_vectors", dom),
+        target_vectors=_vectors(cfg, "target_vectors", dom),
+        indices=tuple(range(jsonio.decode_key(int, indices, "upto", "indices") + 1))
+        if isinstance(indices, dict)
+        else jsonio.decode(tuple[int, ...], indices, "indices"),
+        tolerance=_field(cfg, "tolerance", float, criteria.DEFAULT_TOLERANCE),
     )
     report = criteria.kitai_mode(inst) if cfg.get("mode") == "full" else criteria.check_criterion(inst)
     return {"criterion": report.to_json()}
@@ -184,27 +169,25 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
 def _cmd_winding(cfg: dict, out: "_Output") -> dict:
     from . import winding
 
-    curve = jsonio.decode(winding.CircleCurve, cfg["curve"], "curve")
-    result = winding.winding_number(curve)
+    result = winding.winding_number(_field(cfg, "curve", winding.CircleCurve))
     return {"winding": jsonio.encode(result), "index": result.index}
 
 
 def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
     from . import density, operators, scalar_sets
 
-    op = jsonio.decode(operators.OperatorSpec, cfg["operator"], "operator")
-    base = _base_point(cfg["base_point"], operators.operator_domain(op))
-    horizon = int(cfg["horizon"])
+    op = _field(cfg, "operator", operators.OperatorSpec)
+    base = _base_point(_field(cfg, "base_point"), op.operator_domain())
     cloud = density.generate_orbit(
-        op, base, scalar_sets.FinitePoints([1.0 + 0.0j]), horizon, 1
+        op, base, scalar_sets.FinitePoints([1.0 + 0.0j]), _field(cfg, "horizon", int), 1
     )
     est = density.lambda_set_estimate(
         op,
         base,
-        int(cfg["iterate"]),
+        _field(cfg, "iterate", int),
         cloud,
-        float(cfg["epsilon"]),
-        int(cfg.get("phase_grid", 360)),
+        _field(cfg, "epsilon", float),
+        _field(cfg, "phase_grid", int, 360),
     )
     return {
         "lambda_estimate": jsonio.encode(est),
@@ -214,8 +197,8 @@ def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
 
 _HANDLERS = {
     "classify": _cmd_classify,
-    "build21": _cmd_build21,
-    "build22": _cmd_build22,
+    "build21": _cmd_build,
+    "build22": _cmd_build,
     "spiral": _cmd_spiral,
     "density": _cmd_density,
     "criterion": _cmd_criterion,
@@ -291,7 +274,7 @@ def main(argv=None) -> int:
         "constructions, density scans, criterion checks, winding audits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")

@@ -45,7 +45,6 @@ from .scalar_sets import (
     AngleSpec,
     LogSpiral,
     ScalarSet,
-    modulus_set,
     pick_modulus_at_least,
     pick_modulus_at_most,
 )
@@ -270,6 +269,19 @@ class _Residuals:
         }
 
 
+def _trace(scheme, domain, scalars, shifts, x, conditions, residuals) -> ConstructionTrace:
+    """The trace of a finished build: its stage choices, the partial sum x
+    and the checked residuals."""
+    return ConstructionTrace(
+        scheme=scheme,
+        choices=tuple(StageChoice(k, g, m) for k, (g, m) in enumerate(zip(scalars, shifts))),
+        partial_sum=SeqVector.make(domain, [(j, c.to_complex()) for j, c in x.items()]),
+        conditions=tuple(conditions),
+        tail_bound=2.0 ** -(len(scalars) - 1),
+        **residuals.trace_fields(),
+    )
+
+
 # ---------------------------------------------------------------------------
 # unilateral scheme (backward shift, unbounded scalar moduli)
 
@@ -285,7 +297,7 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
         raise ValueError("unilateral scheme needs unilateral targets")
     if len(targets) < stages + 1:
         raise ValueError("need at least stages+1 target vectors")
-    if not modulus_set(sampler).unbounded:
+    if not sampler.modulus_set().unbounded:
         raise BoundedScalarSetError(
             "scalar set must have unbounded modulus: the unilateral scheme "
             "requires arbitrarily large scalars"
@@ -352,17 +364,7 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
             }
         )
 
-    partial = SeqVector.make(UNILATERAL, [(j, c.to_complex()) for j, c in x.items()])
-    return ConstructionTrace(
-        scheme="unilateral",
-        choices=tuple(
-            StageChoice(k, scalars[k], shifts[k]) for k in range(stages + 1)
-        ),
-        partial_sum=partial,
-        conditions=tuple(conditions),
-        tail_bound=2.0 ** (-stages),
-        **residuals.trace_fields(),
-    )
+    return _trace("unilateral", UNILATERAL, scalars, shifts, x, conditions, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +424,7 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
         raise ValueError("bilateral scheme needs bilateral targets")
     if len(targets) < stages + 1:
         raise ValueError("need at least stages+1 target vectors")
-    if modulus_set(sampler).inf_positive() > 0:
+    if sampler.modulus_set().inf_positive() > 0:
         raise NotAccumulatingAtZeroError(
             "scalar set must have positive moduli accumulating at 0: the "
             "bilateral scheme requires arbitrarily small nonzero scalars"
@@ -536,17 +538,7 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
             }
         )
 
-    partial = SeqVector.make(BILATERAL, [(j, c.to_complex()) for j, c in x.items()])
-    return ConstructionTrace(
-        scheme="bilateral",
-        choices=tuple(
-            StageChoice(k, scalars[k], shifts[k]) for k in range(stages + 1)
-        ),
-        partial_sum=partial,
-        conditions=tuple(conditions),
-        tail_bound=2.0 ** (-stages),
-        **residuals.trace_fields(),
-    )
+    return _trace("bilateral", BILATERAL, scalars, shifts, x, conditions, residuals)
 
 
 # ---------------------------------------------------------------------------

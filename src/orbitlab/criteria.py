@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 from .operators import (
     DomainMismatchError,
     OperatorSpec,
-    SeqVector,
-    UnsupportedOperatorError,
     Vector,
     apply,
     power_apply,
     vector_norm,
+    vector_sub,
 )
 
 TAIL_GUARD = 5
@@ -79,23 +78,28 @@ def _iterates(op: OperatorSpec, vecs, upto: int):
 def check_criterion(inst: CriterionInstance) -> CriterionReport:
     """Evaluate the three residual traces along the instance's index sequence."""
     top = inst.indices[-1]
+    targets = inst.target_vectors
     try:
         t_rows = _iterates(inst.operator, inst.decay_vectors, top)
-        s_rows = _iterates(inst.right_inverse, inst.target_vectors, top)
-        round_trips = [[power_apply(inst.operator, n, y) for y in s_rows[n]] for n in inst.indices]
-    except (DomainMismatchError, UnsupportedOperatorError) as exc:
+        s_rows = _iterates(inst.right_inverse, targets, top)
+        # T^n S^n y - y for each target y
+        misses = [
+            [vector_sub(power_apply(inst.operator, n, sy), y) for sy, y in zip(s_rows[n], targets)]
+            for n in inst.indices
+        ]
+    except DomainMismatchError as exc:
         # a map that does not act on the vectors; any other error is a fault
         raise MapDomainMismatchError(str(exc)) from exc
 
     r1_trace = []
     r2_trace = []
     r3_trace = []
-    for n, trips in zip(inst.indices, round_trips):
+    for n, row in zip(inst.indices, misses):
         r1_trace.append(max(vector_norm(v) for v in t_rows[n]))
         r2_trace.append(max(vector_norm(v) for v in s_rows[n]))
         r3 = 0.0
-        for y, trip in zip(inst.target_vectors, trips):
-            r3 = max(r3, vector_norm(_diff(trip, y)))
+        for miss in row:
+            r3 = max(r3, vector_norm(miss))
         r3_trace.append(r3)
 
     traces = (tuple(r1_trace), tuple(r2_trace), tuple(r3_trace))
@@ -114,16 +118,6 @@ def kitai_mode(inst: CriterionInstance) -> CriterionReport:
     """Same check with the index sequence forced to 0, 1, ..., max(indices):
     the full-sequence (Kitai-style) specialization."""
     return check_criterion(replace(inst, indices=tuple(range(inst.indices[-1] + 1))))
-
-
-def _diff(a: Vector, b: Vector) -> Vector:
-    if isinstance(a, SeqVector) and isinstance(b, SeqVector):
-        return a.sub(b)
-    if isinstance(a, complex) and isinstance(b, complex):
-        return a - b
-    if isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b):
-        return tuple(map(_diff, a, b))
-    raise MapDomainMismatchError("cannot compare vectors of different shapes")
 
 
 def _tail_nonincreasing(trace) -> bool:

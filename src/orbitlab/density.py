@@ -23,141 +23,15 @@ from .operators import (
     UnsupportedOperatorError,
     Vector,
     apply,
-    operator_domain,
+    vector_inner,
     vector_norm,
     vector_scale,
 )
-from .scalar_sets import (
-    Annulus,
-    Arc,
-    Circle,
-    CircleProduct,
-    FinitePoints,
-    Geometric,
-    LogSpiral,
-    ScalarSet,
-    Scaled,
-    Sector,
-    Union,
-)
-
-_TWO_PI = 2.0 * math.pi
-DEFAULT_RADIAL_WINDOW = (1e-6, 1e6)
+from .scalar_sets import ScalarSet
 
 
 class EmptyCloudError(ValueError):
     """The orbit cloud holds no samples; density queries are undefined."""
-
-
-# ---------------------------------------------------------------------------
-# deterministic scalar grids
-
-
-def scalar_grid(
-    s: ScalarSet, count: int, radial_window: Optional[tuple[float, float]] = None
-) -> list[complex]:
-    """count deterministic sample points of the scalar set.
-
-    Unbounded or zero-touching radial ranges are clipped to radial_window
-    (default (1e-6, 1e6)); radial sweeps are geometric, angular sweeps uniform.
-    """
-    if count < 1:
-        raise ValueError("grid size must be positive")
-    if isinstance(s, FinitePoints):
-        return list(s.points[:count])
-    if isinstance(s, Geometric):
-        return [s.base ** j for j in range(count)]
-    if isinstance(s, Circle):
-        return [s.radius * _cis(_TWO_PI * k / count) for k in range(count)]
-    if isinstance(s, Arc):
-        return [s.radius * _cis(a) for a in _linspace(s.angle_lo, s.angle_hi, count)]
-    if isinstance(s, Annulus):
-        return _radial_angular(s.inner_radius, s.outer_radius, 0.0, _TWO_PI, count, full_turn=True)
-    if isinstance(s, Sector):
-        lo, hi = radial_window or DEFAULT_RADIAL_WINDOW
-        rlo = max(s.radius_lo, lo)
-        rhi = min(s.radius_hi, hi)
-        if rhi < rlo:
-            rhi = rlo
-        full = s.angle_hi - s.angle_lo >= _TWO_PI
-        return _radial_angular(rlo, rhi, s.angle_lo, s.angle_hi, count, full_turn=full)
-    if isinstance(s, LogSpiral):
-        if radial_window is not None:
-            lb = math.log(s.base)
-            t_lo = math.log(radial_window[0]) / lb
-            t_hi = math.log(radial_window[1]) / lb
-            if t_hi < t_lo:
-                t_lo, t_hi = t_hi, t_lo
-        else:
-            t_lo, t_hi = -20.0, 20.0
-        return [s.point_at(t) for t in _linspace(t_lo, t_hi, count)]
-    if isinstance(s, Union):
-        k = len(s.members)
-        base, extra = divmod(count, k)
-        out: list[complex] = []
-        for i, m in enumerate(s.members):
-            take = base + (1 if i < extra else 0)
-            if take:
-                out.extend(scalar_grid(m, take, radial_window))
-        return out[:count]
-    if isinstance(s, Scaled):
-        rw = radial_window
-        if rw is not None:
-            f = abs(s.factor)
-            rw = (rw[0] / f, rw[1] / f)
-        return [s.factor * z for z in scalar_grid(s.inner, count, rw)]
-    if isinstance(s, CircleProduct):
-        na = min(count, 12)
-        ni = -(-count // na)
-        inner = scalar_grid(s.inner, ni, radial_window)
-        out = []
-        for p in inner:
-            for k in range(na):
-                out.append(p * _cis(_TWO_PI * k / na))
-                if len(out) == count:
-                    return out
-        return out
-    raise TypeError(f"unknown scalar set variant {type(s).__name__}")
-
-
-def _cis(a: float) -> complex:
-    return complex(math.cos(a), math.sin(a))
-
-
-def _linspace(lo: float, hi: float, count: int) -> list[float]:
-    if count == 1 or hi == lo:
-        return [lo] * count
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
-
-
-def _geomspace(lo: float, hi: float, count: int) -> list[float]:
-    if lo <= 0:
-        raise ValueError("geometric sweep needs a positive lower bound")
-    if count == 1 or hi == lo:
-        return [lo] * count
-    ratio = (hi / lo) ** (1.0 / (count - 1))
-    return [lo * ratio ** i for i in range(count)]
-
-
-def _radial_angular(rlo, rhi, alo, ahi, count, full_turn):
-    if rhi == rlo:
-        radii = [rlo]
-    else:
-        nr = max(1, math.isqrt(count))
-        radii = _geomspace(rlo, rhi, nr) if rlo > 0 else _linspace(rlo, rhi, nr)
-    na = -(-count // len(radii))
-    if full_turn:
-        angles = [alo + _TWO_PI * k / na for k in range(na)]
-    else:
-        angles = _linspace(alo, ahi, na)
-    out = []
-    for r in radii:
-        for a in angles:
-            out.append(r * _cis(a))
-            if len(out) == count:
-                return out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +61,16 @@ def generate_orbit(
     """All samples gamma * T^n x for n <= horizon and gamma in the set's grid."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    dom = operator_domain(op)
+    dom = op.operator_domain()
     if dom == "scalar":
         if not isinstance(x, complex):
             x = complex(x)
     elif isinstance(dom, str):
         if not isinstance(x, SeqVector) or x.domain != dom:
             raise DomainMismatchError(f"base point must be a {dom!r} sequence vector")
-    gammas = scalar_grid(s, gamma_grid, radial_window)
+    if gamma_grid < 1:
+        raise ValueError("grid size must be positive")
+    gammas = s.scalar_grid(gamma_grid, radial_window)
     samples = []
     iterate = x
     for n in range(horizon + 1):
@@ -281,10 +157,7 @@ def _ball_grid(
     center: tuple[complex, ...], radius: float, step: float
 ) -> tuple[list[tuple[float, ...]], list[tuple[int, ...]]]:
     """The ball's grid points and, for each, its per-axis offset indices."""
-    axes = []
-    for c in center:
-        axes.append(c.real)
-        axes.append(c.imag)
+    axes = _flat([center])
     steps = int(math.floor(2.0 * radius / step + 1e-12)) + 1
     offsets = [-radius + i * step for i in range(steps)]
     rsq = radius * radius * (1.0 + 1e-12)
@@ -349,14 +222,7 @@ def epsilon_density(
         keep = projected
 
     grid, indices = _ball_grid(center, radius, grid_step)
-    dim = 2 * len(section)
-    flat_grid: list[float] = [v for pt in grid for v in pt]
-    flat_cloud: list[float] = []
-    for coords in keep:
-        for z in coords:
-            flat_cloud.append(z.real)
-            flat_cloud.append(z.imag)
-    dists = nearest_distances(flat_grid, flat_cloud, dim)
+    dists = nearest_distances([v for pt in grid for v in pt], _flat(keep), 2 * len(section))
 
     covered_flags = [d <= epsilon for d in dists]
     covered = sum(covered_flags)
@@ -387,6 +253,11 @@ def epsilon_density(
         grid_points=tuple(_floats_to_coords(pt) for pt in grid),
         distances=tuple(dists),
     )
+
+
+def _flat(points) -> list[float]:
+    """The real and imaginary parts of every coordinate of every point, in order."""
+    return [x for coords in points for z in coords for x in (z.real, z.imag)]
 
 
 def _floats_to_coords(pt: tuple[float, ...]) -> tuple[complex, ...]:
@@ -458,18 +329,9 @@ def d_dense_check(
     if not cloud.samples:
         raise EmptyCloudError("orbit cloud has no samples")
     section = tuple(int(i) for i in section)
-    flat_centers: list[float] = []
     centers = [tuple(complex(c) for c in ctr) for ctr in centers]
-    for ctr in centers:
-        for z in ctr:
-            flat_centers.append(z.real)
-            flat_centers.append(z.imag)
-    flat_cloud: list[float] = []
-    for _, _, p in cloud.samples:
-        for z in project(p, section):
-            flat_cloud.append(z.real)
-            flat_cloud.append(z.imag)
-    dists = nearest_distances(flat_centers, flat_cloud, 2 * len(section))
+    cloud_coords = (project(p, section) for _, _, p in cloud.samples)
+    dists = nearest_distances(_flat(centers), _flat(cloud_coords), 2 * len(section))
     witnesses = tuple(
         (centers[i], dists[i]) for i in range(len(centers)) if not dists[i] < d
     )
@@ -569,7 +431,7 @@ def lambda_set_estimate(
             if nu == 0:
                 continue
             a = lam * lam * nu * nu + norm_t * norm_t
-            p = _inner(u, target)
+            p = vector_inner(u, target)
             mag = abs(p)
             if mag == 0:
                 d2 = a
@@ -588,16 +450,6 @@ def lambda_set_estimate(
     return LambdaEstimate(
         iterate=n, epsilon=epsilon, phase_grid=phase_grid, detected=tuple(detected)
     )
-
-
-def _inner(u: Vector, v: Vector) -> complex:
-    if isinstance(u, SeqVector) and isinstance(v, SeqVector):
-        return u.inner(v)
-    if isinstance(u, complex) and isinstance(v, complex):
-        return u * v.conjugate()
-    if isinstance(u, tuple) and isinstance(v, tuple) and len(u) == len(v):
-        return sum(_inner(a, b) for a, b in zip(u, v))
-    raise TypeError("inner product needs two vectors of the same shape")
 
 
 def multiplicative_closure_report(est: LambdaEstimate, tol: float = 1e-9) -> dict:

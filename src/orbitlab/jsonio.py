@@ -165,6 +165,8 @@ _JSON_TYPES = {
 }
 _SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
             bool: (bool, "a boolean"), str: (str, "a string")}
+# raw JSON values, checked for their type only: a list, an object, anything
+_RAW = {list: "a list", dict: "an object", object: "a value"}
 
 
 @functools.cache
@@ -186,14 +188,16 @@ def construct(make, path: str, *args):
 
 
 def decode_key(cls, obj, key: str, path: str, default=dataclasses.MISSING):
-    """decode(cls, obj[key], f"{path}.{key}") for the JSON object obj; a
-    missing key gives default, or is an error when there is none."""
+    """decode(cls, obj[key], f"{path}.{key}") for the JSON object obj (just
+    key at the top level, where path is ""); a missing key gives default, or
+    is an error when there is none."""
     if not isinstance(obj, dict):
         raise _expected("an object", obj, path)
+    sub = f"{path}.{key}" if path else key
     if key in obj:
-        return decode(cls, obj[key], f"{path}.{key}")
+        return decode(cls, obj[key], sub)
     if default is dataclasses.MISSING:
-        raise ValueError(f"{path}.{key}: missing field")
+        raise ValueError(f"{sub}: missing field")
     return default
 
 
@@ -201,7 +205,8 @@ def decode(cls, obj, path: str):
     """Build a value of type cls from the JSON value obj.
 
     The inverse of encode: a family root reads "kind" to pick its member,
-    and a class with its own from_json decodes through it. Numbers must be
+    and a class with its own from_json decodes through it. list, dict and
+    object stand for raw JSON values of that type. Numbers must be
     JSON numbers (not booleans or strings). Every malformed value is a
     ValueError that starts with its path, e.g.
     `set.members[1].radius: missing field`.
@@ -214,6 +219,10 @@ def decode(cls, obj, path: str):
             return cls(obj)
         except OverflowError:
             raise ValueError(f"{path}: number too large for a float") from None
+    if cls in _RAW:
+        if not isinstance(obj, cls):
+            raise _expected(_RAW[cls], obj, path)
+        return obj
     if cls is complex:
         if not (isinstance(obj, list) and len(obj) == 2):
             raise _expected("an [re, im] pair", obj, path)

@@ -157,6 +157,27 @@ def vector_scale(c: complex, v: Vector) -> Vector:
     return c * v
 
 
+def _same_shape(a: Vector, b: Vector) -> type:
+    """The shared type of two vectors; DomainMismatchError if they differ in shape."""
+    if type(a) is not type(b) or (type(a) is tuple and len(a) != len(b)):
+        raise DomainMismatchError("cannot combine vectors of different shapes")
+    return type(a)
+
+
+def vector_sub(a: Vector, b: Vector) -> Vector:
+    kind = _same_shape(a, b)
+    if kind is SeqVector:
+        return a.sub(b)
+    return tuple(map(vector_sub, a, b)) if kind is tuple else a - b
+
+
+def vector_inner(a: Vector, b: Vector) -> complex:
+    kind = _same_shape(a, b)
+    if kind is SeqVector:
+        return a.inner(b)
+    return sum(map(vector_inner, a, b)) if kind is tuple else a * b.conjugate()
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -213,17 +234,93 @@ def doubling_weights() -> WeightSpec:
 
 @dataclass(frozen=True)
 class OperatorSpec(jsonio.Family):
-    pass
+    """Base class; use the concrete variants.
+
+    Every variant implements apply(v) and power_norm_bound(n) (see the module
+    functions); the methods below are defaults. The shifts carry `domain` and
+    `step` (+1 forward, -1 backward) as plain class attributes, which are no
+    dataclass fields and so stay out of the JSON form.
+    """
+
+    def operator_domain(self):
+        """"uni", "bi" or "scalar", or a tuple of these for a direct sum."""
+        return self.domain
+
+    def _power(self, n: int, v: Vector, outer: tuple) -> Vector:
+        """op^n v, with the factors `outer` (inside out) of the scalar
+        multiples around op applied after each step. This default makes n
+        calls of apply: a number has no entries to walk."""
+        for _ in range(n):
+            v = self.apply(v)
+            for f in outer:
+                v = vector_scale(f, v)
+        return v
+
+    def adjoint_point_spectrum(self) -> Optional[frozenset]:
+        """Point spectrum of the adjoint; None = unknown."""
+        return None
+
+
+def _shift_apply(op, v: Vector) -> SeqVector:
+    return _shift_power(op, 1, v, ())
+
+
+def _shift_power(op, n: int, v: Vector, outer: tuple) -> SeqVector:
+    """The shifts' _power: each entry follows its own path (see power_apply)."""
+    if not isinstance(v, SeqVector) or v.domain != op.domain:
+        raise DomainMismatchError(f"operator expects a {op.domain!r} sequence vector")
+    weights = getattr(op, "weights", None)
+    out = []
+    for i, c in v.entries:
+        # the unilateral backward shift drops index 0: entry i lives i steps
+        if weights is None and op.step < 0 and n > i:
+            continue
+        moved = _walk(i, c, n, op.step, weights, outer)
+        if moved is not None:
+            out.append(moved)
+    return SeqVector._from_sorted(op.domain, out)
+
+
+def _shift_norm_bound(op, n: int) -> float:
+    """The sup over j of |product of n consecutive weights| ending (backward)
+    or starting (forward) at j: exact for piecewise-constant weights."""
+    w = getattr(op, "weights", None)
+    if w is None or n == 0:
+        return 1.0
+    best = max(abs(w.values[0]) ** n, abs(w.values[-1]) ** n)
+    if not w.breakpoints:
+        return best
+    lo_bp, hi_bp = w.breakpoints[0], w.breakpoints[-1]
+    if op.step < 0:
+        candidates = range(lo_bp - 1, hi_bp + n)
+        windows = ((j - n + 1, j) for j in candidates)
+    else:
+        candidates = range(lo_bp - n, hi_bp + 1)
+        windows = ((j, j + n - 1) for j in candidates)
+    for a, b in windows:
+        best = max(best, abs(w.window_product(a, b)))
+    return best
 
 
 @dataclass(frozen=True)
 class BackwardShift(OperatorSpec, kind="backward_shift"):
     """(x0, x1, ...) -> (x1, x2, ...) on unilateral sequences."""
 
+    domain, step = UNILATERAL, -1
+    apply, _power, power_norm_bound = _shift_apply, _shift_power, _shift_norm_bound
+
+    def adjoint_point_spectrum(self):
+        # a standard fact, not derived here: the adjoint is the isometric
+        # forward shift, which has no eigenvalues
+        return frozenset()
+
 
 @dataclass(frozen=True)
 class ForwardShift(OperatorSpec, kind="forward_shift"):
     """(x0, x1, ...) -> (0, x0, x1, ...) on unilateral sequences."""
+
+    domain, step = UNILATERAL, 1
+    apply, _power, power_norm_bound = _shift_apply, _shift_power, _shift_norm_bound
 
 
 @dataclass(frozen=True)
@@ -231,6 +328,8 @@ class WeightedBackward(OperatorSpec, kind="weighted_backward"):
     """Bilateral backward shift: e_j -> weight(j) * e_{j-1}."""
 
     weights: WeightSpec
+    domain, step = BILATERAL, -1
+    apply, _power, power_norm_bound = _shift_apply, _shift_power, _shift_norm_bound
 
 
 @dataclass(frozen=True)
@@ -238,6 +337,8 @@ class WeightedForward(OperatorSpec, kind="weighted_forward"):
     """Bilateral forward shift: e_j -> weight(j) * e_{j+1}."""
 
     weights: WeightSpec
+    domain, step = BILATERAL, 1
+    apply, _power, power_norm_bound = _shift_apply, _shift_power, _shift_norm_bound
 
 
 @dataclass(frozen=True)
@@ -245,9 +346,21 @@ class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
     """Multiplication by a fixed scalar on the one-dimensional space C."""
 
     value: complex
+    domain = "scalar"
 
     def __init__(self, value):
         object.__setattr__(self, "value", complex(value))
+
+    def apply(self, v):
+        if not isinstance(v, complex):
+            raise DomainMismatchError("scalar operator acts on complex numbers")
+        return self.value * v
+
+    def power_norm_bound(self, n):
+        return abs(self.value) ** n
+
+    def adjoint_point_spectrum(self):
+        return frozenset({self.value.conjugate()})
 
 
 @dataclass(frozen=True)
@@ -258,6 +371,25 @@ class ScalarMultiple(OperatorSpec, kind="scalar_multiple"):
     def __init__(self, factor, inner):
         object.__setattr__(self, "factor", complex(factor))
         object.__setattr__(self, "inner", inner)
+
+    def apply(self, v):
+        return vector_scale(self.factor, self.inner.apply(v))
+
+    def operator_domain(self):
+        return self.inner.operator_domain()
+
+    def power_norm_bound(self, n):
+        return abs(self.factor) ** n * self.inner.power_norm_bound(n)
+
+    def _power(self, n, v, outer):
+        return self.inner._power(n, v, (self.factor,) + outer)
+
+    def adjoint_point_spectrum(self):
+        inner = self.inner.adjoint_point_spectrum()
+        if inner is None:
+            return None
+        f = self.factor.conjugate()
+        return frozenset({f * lam for lam in inner})
 
 
 @dataclass(frozen=True)
@@ -273,39 +405,37 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
             raise ValueError("direct sum needs at least one block")
         object.__setattr__(self, "blocks", tuple(blocks))
 
+    def _pairs(self, v):
+        """(block, vector) pairs of v, a tuple with one vector per block."""
+        if not (isinstance(v, tuple) and len(v) == len(self.blocks)):
+            raise DomainMismatchError("direct sum acts on tuples matching its blocks")
+        return zip(self.blocks, v)
+
+    def apply(self, v):
+        return tuple(b.apply(x) for b, x in self._pairs(v))
+
+    def operator_domain(self):
+        return tuple(b.operator_domain() for b in self.blocks)
+
+    def power_norm_bound(self, n):
+        return max(b.power_norm_bound(n) for b in self.blocks)
+
+    def _power(self, n, v, outer):
+        return tuple(b._power(n, x, outer) for b, x in self._pairs(v))
+
+    def adjoint_point_spectrum(self):
+        out = set()
+        for b in self.blocks:
+            spec = b.adjoint_point_spectrum()
+            if spec is None:
+                return None
+            out.update(spec)
+        return frozenset(out)
+
 
 def apply(op: OperatorSpec, v: Vector) -> Vector:
     """Exact image of v under op; raises DomainMismatchError on shape errors."""
-    if isinstance(op, BackwardShift):
-        _expect_seq(v, UNILATERAL)
-        return SeqVector._from_sorted(UNILATERAL, [(i - 1, c) for i, c in v.entries if i >= 1])
-    if isinstance(op, ForwardShift):
-        _expect_seq(v, UNILATERAL)
-        return SeqVector._from_sorted(UNILATERAL, [(i + 1, c) for i, c in v.entries])
-    if isinstance(op, WeightedBackward):
-        _expect_seq(v, BILATERAL)
-        w = op.weights
-        return SeqVector._from_sorted(BILATERAL, [(i - 1, w.weight(i) * c) for i, c in v.entries])
-    if isinstance(op, WeightedForward):
-        _expect_seq(v, BILATERAL)
-        w = op.weights
-        return SeqVector._from_sorted(BILATERAL, [(i + 1, w.weight(i) * c) for i, c in v.entries])
-    if isinstance(op, ScalarOnC):
-        if not isinstance(v, complex):
-            raise DomainMismatchError("scalar operator acts on complex numbers")
-        return op.value * v
-    if isinstance(op, ScalarMultiple):
-        return vector_scale(op.factor, apply(op.inner, v))
-    if isinstance(op, DirectSum):
-        if not isinstance(v, tuple) or len(v) != len(op.blocks):
-            raise DomainMismatchError("direct sum acts on tuples matching its blocks")
-        return tuple(apply(b, x) for b, x in zip(op.blocks, v))
-    raise UnsupportedOperatorError(f"unknown operator {type(op).__name__}")
-
-
-def _expect_seq(v, domain):
-    if not isinstance(v, SeqVector) or v.domain != domain:
-        raise DomainMismatchError(f"operator expects a {domain!r} sequence vector")
+    return op.apply(v)
 
 
 def power_apply(op: OperatorSpec, n: int, v: Vector) -> Vector:
@@ -320,37 +450,7 @@ def power_apply(op: OperatorSpec, n: int, v: Vector) -> Vector:
     """
     if n < 0:
         raise ValueError("power must be nonnegative")
-    return v if n == 0 else _power(op, n, v, ())
-
-
-def _power(op: OperatorSpec, n: int, v: Vector, outer: tuple) -> Vector:
-    """op^n v, with the factors `outer` (inside out) of the scalar multiples
-    around op applied after each step."""
-    if isinstance(op, ScalarMultiple):
-        return _power(op.inner, n, v, (op.factor,) + outer)
-    if isinstance(op, DirectSum) and isinstance(v, tuple) and len(v) == len(op.blocks):
-        return tuple(_power(b, n, x, outer) for b, x in zip(op.blocks, v))
-    if not isinstance(op, (BackwardShift, ForwardShift, WeightedBackward, WeightedForward)):
-        # ScalarOnC: a number has no entries to walk. apply also raises for a
-        # mis-shaped direct sum or an unknown operator
-        for _ in range(n):
-            v = apply(op, v)
-            for f in outer:
-                v = vector_scale(f, v)
-        return v
-    weights = getattr(op, "weights", None)
-    domain = UNILATERAL if weights is None else BILATERAL
-    _expect_seq(v, domain)
-    step = -1 if isinstance(op, (BackwardShift, WeightedBackward)) else 1
-    out = []
-    for i, c in v.entries:
-        # the unilateral backward shift drops index 0: entry i lives i steps
-        if weights is None and step < 0 and n > i:
-            continue
-        moved = _walk(i, c, n, step, weights, outer)
-        if moved is not None:
-            out.append(moved)
-    return SeqVector._from_sorted(domain, out)
+    return v if n == 0 else op._power(n, v, ())
 
 
 def _walk(i: int, c: complex, n: int, step: int, weights, outer: tuple):
@@ -374,78 +474,9 @@ def power_norm_bound(op: OperatorSpec, n: int) -> float:
     """An upper bound for the operator norm of op^n (not necessarily attained)."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    if isinstance(op, (BackwardShift, ForwardShift)):
-        return 1.0
-    if isinstance(op, WeightedBackward):
-        return _shift_window_sup(op.weights, n, backward=True)
-    if isinstance(op, WeightedForward):
-        return _shift_window_sup(op.weights, n, backward=False)
-    if isinstance(op, ScalarOnC):
-        return abs(op.value) ** n
-    if isinstance(op, ScalarMultiple):
-        return abs(op.factor) ** n * power_norm_bound(op.inner, n)
-    if isinstance(op, DirectSum):
-        return max(power_norm_bound(b, n) for b in op.blocks)
-    raise UnsupportedOperatorError(f"no norm bound for {type(op).__name__}")
-
-
-def _shift_window_sup(w: WeightSpec, n: int, backward: bool) -> float:
-    """sup over j of |product of n consecutive weights| ending (backward) or
-    starting (forward) at j; exact for piecewise-constant weights."""
-    if n == 0:
-        return 1.0
-    best = max(abs(w.values[0]) ** n, abs(w.values[-1]) ** n)
-    if not w.breakpoints:
-        return best
-    lo_bp, hi_bp = w.breakpoints[0], w.breakpoints[-1]
-    if backward:
-        candidates = range(lo_bp - 1, hi_bp + n)
-        windows = ((j - n + 1, j) for j in candidates)
-    else:
-        candidates = range(lo_bp - n, hi_bp + 1)
-        windows = ((j, j + n - 1) for j in candidates)
-    for a, b in windows:
-        best = max(best, abs(w.window_product(a, b)))
-    return best
+    return op.power_norm_bound(n)
 
 
 def adjoint_point_spectrum(op: OperatorSpec) -> Optional[frozenset]:
-    """Point spectrum of the adjoint, for the closed-form catalog; None = unknown.
-
-    The empty answer for the unilateral backward shift is a standard fact (its
-    adjoint is the isometric forward shift, which has no eigenvalues), recorded
-    here as such rather than derived from the constructions in this package.
-    """
-    if isinstance(op, BackwardShift):
-        return frozenset()
-    if isinstance(op, ScalarOnC):
-        return frozenset({op.value.conjugate()})
-    if isinstance(op, ScalarMultiple):
-        inner = adjoint_point_spectrum(op.inner)
-        if inner is None:
-            return None
-        f = op.factor.conjugate()
-        return frozenset({f * lam for lam in inner})
-    if isinstance(op, DirectSum):
-        out = set()
-        for b in op.blocks:
-            spec = adjoint_point_spectrum(b)
-            if spec is None:
-                return None
-            out.update(spec)
-        return frozenset(out)
-    return None
-
-
-def operator_domain(op: OperatorSpec):
-    if isinstance(op, (BackwardShift, ForwardShift)):
-        return UNILATERAL
-    if isinstance(op, (WeightedBackward, WeightedForward)):
-        return BILATERAL
-    if isinstance(op, ScalarOnC):
-        return "scalar"
-    if isinstance(op, ScalarMultiple):
-        return operator_domain(op.inner)
-    if isinstance(op, DirectSum):
-        return tuple(operator_domain(b) for b in op.blocks)
-    raise UnsupportedOperatorError(f"unknown operator {type(op).__name__}")
+    """Point spectrum of the adjoint, for the closed-form catalog; None = unknown."""
+    return op.adjoint_point_spectrum()

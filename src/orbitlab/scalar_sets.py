@@ -107,10 +107,40 @@ class AngleSpec:
 
 @dataclass(frozen=True)
 class ScalarSet(jsonio.Family):
-    """Base class; use the concrete variants."""
+    """Base class; use the concrete variants.
+
+    Every variant implements contains(z, tol); modulus_set(), the closure of
+    its moduli as a canonical ModulusSet; scalar_grid(count, radial_window),
+    count >= 1 deterministic sample points, with unbounded or zero-touching
+    radial ranges clipped to radial_window (default (1e-6, 1e6)); and
+    _pick(bound, at_least), a nonzero member with log2 |value| >= bound (or
+    <= bound) as an exact XC, or None. The methods below are defaults.
+    """
 
     def contains(self, z: complex, tol: float = 1e-9) -> bool:
         raise NotImplementedError
+
+    def strip_zero(self) -> Optional["ScalarSet"]:
+        """The set without its exact zero points; None if nothing nonzero remains."""
+        return self
+
+    def is_rotation_invariant(self) -> bool:
+        return False
+
+    def rotate(self, phase: float) -> "ScalarSet":
+        """The set times exp(i*phase), here kept as a scaling."""
+        return self if self.is_rotation_invariant() else Scaled(_cis(phase), self)
+
+    def _group_product(self, step: float, order: int) -> "ScalarSet":
+        """The union of the set rotated by k*step for 0 <= k < order."""
+        return Union(tuple(self.rotate(k * step) for k in range(order)))
+
+    def _coverage_leaves(self, phase: float, factor: float, out: list) -> None:
+        """Append the (angle_lo, angle_hi, r_lo, r_hi) patches of the set
+        times factor*exp(i*phase); None angles mean a full turn."""
+        raise UndecidableDensityError(
+            f"density in the plane is not decidable for variant {type(self).__name__}"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,6 +153,32 @@ class FinitePoints(ScalarSet, kind="finite_points"):
     def contains(self, z, tol=1e-9):
         return any(abs(z - p) <= tol for p in self.points)
 
+    def modulus_set(self):
+        return ModulusSet.canonical([(abs(p), abs(p)) for p in self.points])
+
+    def scalar_grid(self, count, radial_window=None):
+        return list(self.points[:count])
+
+    def _pick(self, bound, at_least):
+        for p in self.points:
+            if p != 0 and _fits(p, bound, at_least):
+                return XC.from_complex(p)
+        return None
+
+    def strip_zero(self):
+        pts = tuple(p for p in self.points if p != 0)
+        return FinitePoints(pts) if pts else None
+
+    def rotate(self, phase):
+        w = _cis(phase)
+        return FinitePoints(tuple(w * p for p in self.points))
+
+    def _group_product(self, step, order):
+        return FinitePoints(tuple(p for k in range(order) for p in self.rotate(k * step).points))
+
+    def _coverage_leaves(self, phase, factor, out):
+        pass  # nowhere dense: no coverage of the plane
+
 
 @dataclass(frozen=True)
 class Circle(ScalarSet, kind="circle"):
@@ -134,6 +190,21 @@ class Circle(ScalarSet, kind="circle"):
 
     def contains(self, z, tol=1e-9):
         return abs(abs(z) - self.radius) <= tol
+
+    def modulus_set(self):
+        return ModulusSet.canonical([(self.radius, self.radius)])
+
+    def scalar_grid(self, count, radial_window=None):
+        return [self.radius * _cis(_TWO_PI * k / count) for k in range(count)]
+
+    def _pick(self, bound, at_least):
+        return _radius_pick(self.radius, 0.0, bound, at_least)
+
+    def is_rotation_invariant(self):
+        return True
+
+    def _coverage_leaves(self, phase, factor, out):
+        out.append((None, None, self.radius * factor, self.radius * factor))
 
 
 @dataclass(frozen=True)
@@ -150,6 +221,21 @@ class Annulus(ScalarSet, kind="annulus"):
     def contains(self, z, tol=1e-9):
         return self.inner_radius - tol <= abs(z) <= self.outer_radius + tol
 
+    def modulus_set(self):
+        return ModulusSet.canonical([(self.inner_radius, self.outer_radius)])
+
+    def scalar_grid(self, count, radial_window=None):
+        return _radial_angular(self.inner_radius, self.outer_radius, 0.0, _TWO_PI, count, True)
+
+    def _pick(self, bound, at_least):
+        return _interval_pick(self.inner_radius, self.outer_radius, 0.0, bound, at_least)
+
+    def is_rotation_invariant(self):
+        return True
+
+    def _coverage_leaves(self, phase, factor, out):
+        out.append((None, None, self.inner_radius * factor, self.outer_radius * factor))
+
 
 def _angle_between(theta: float, lo: float, hi: float, tol: float) -> bool:
     span = hi - lo
@@ -157,6 +243,13 @@ def _angle_between(theta: float, lo: float, hi: float, tol: float) -> bool:
         return True
     t = (theta - lo) % _TWO_PI
     return t <= span + tol or t >= _TWO_PI - tol
+
+
+def _patch(angle_lo, angle_hi, r_lo, r_hi, phase, factor):
+    """The coverage patch of a sector: a full turn drops its angles."""
+    if angle_hi - angle_lo >= _TWO_PI:
+        return (None, None, r_lo * factor, r_hi * factor)
+    return (angle_lo + phase, angle_hi + phase, r_lo * factor, r_hi * factor)
 
 
 @dataclass(frozen=True)
@@ -175,6 +268,21 @@ class Arc(ScalarSet, kind="arc"):
         if abs(abs(z) - self.radius) > tol:
             return False
         return _angle_between(math.atan2(z.imag, z.real), self.angle_lo, self.angle_hi, tol)
+
+    def modulus_set(self):
+        return ModulusSet.canonical([(self.radius, self.radius)])
+
+    def scalar_grid(self, count, radial_window=None):
+        return [self.radius * _cis(a) for a in _linspace(self.angle_lo, self.angle_hi, count)]
+
+    def _pick(self, bound, at_least):
+        return _radius_pick(self.radius, self.angle_lo, bound, at_least)
+
+    def rotate(self, phase):
+        return Arc(self.radius, self.angle_lo + phase, self.angle_hi + phase)
+
+    def _coverage_leaves(self, phase, factor, out):
+        out.append(_patch(self.angle_lo, self.angle_hi, self.radius, self.radius, phase, factor))
 
 
 @dataclass(frozen=True)
@@ -199,6 +307,37 @@ class Sector(ScalarSet, kind="sector"):
         if r <= tol:
             return self.radius_lo <= tol
         return _angle_between(math.atan2(z.imag, z.real), self.angle_lo, self.angle_hi, tol)
+
+    def modulus_set(self):
+        if self.radius_hi == self.radius_lo == 0:
+            return ModulusSet.canonical([(0.0, 0.0)])
+        return ModulusSet.canonical([(self.radius_lo, self.radius_hi)])
+
+    def scalar_grid(self, count, radial_window=None):
+        lo, hi = radial_window or DEFAULT_RADIAL_WINDOW
+        rlo = max(self.radius_lo, lo)
+        rhi = max(rlo, min(self.radius_hi, hi))
+        full = self.angle_hi - self.angle_lo >= _TWO_PI
+        return _radial_angular(rlo, rhi, self.angle_lo, self.angle_hi, count, full)
+
+    def _pick(self, bound, at_least):
+        return _interval_pick(self.radius_lo, self.radius_hi, self.angle_lo, bound, at_least)
+
+    def strip_zero(self):
+        return None if self.radius_hi == 0 else self  # the degenerate sector {0}
+
+    def is_rotation_invariant(self):
+        return self.angle_hi - self.angle_lo >= _TWO_PI
+
+    def rotate(self, phase):
+        if self.is_rotation_invariant():
+            return self
+        return Sector(self.radius_lo, self.radius_hi, self.angle_lo + phase, self.angle_hi + phase)
+
+    def _coverage_leaves(self, phase, factor, out):
+        out.append(
+            _patch(self.angle_lo, self.angle_hi, self.radius_lo, self.radius_hi, phase, factor)
+        )
 
 
 def positive_ray() -> Sector:
@@ -230,6 +369,26 @@ class LogSpiral(ScalarSet, kind="log_spiral"):
         diff = abs(target - actual)
         return min(diff, _TWO_PI - diff) <= tol
 
+    def modulus_set(self):
+        # moduli {base^t : t real} = (0, inf); the closure adds 0
+        return ModulusSet.canonical([(0.0, math.inf)])
+
+    def scalar_grid(self, count, radial_window=None):
+        if radial_window is None:
+            t_lo, t_hi = -20.0, 20.0
+        else:
+            lb = math.log(self.base)
+            t_lo, t_hi = sorted(math.log(w) / lb for w in radial_window)
+        return [self.point_at(t) for t in _linspace(t_lo, t_hi, count)]
+
+    def _pick(self, bound, at_least):
+        k = math.ceil(bound) if at_least else math.floor(bound)
+        a = k * math.log(2) / math.log(self.base) * self.rate.value
+        return _rotated(X2.pow2(k), complex(math.cos(a), -math.sin(a)))
+
+    def _coverage_leaves(self, phase, factor, out):
+        pass  # nowhere dense: no coverage of the plane
+
 
 @dataclass(frozen=True)
 class Geometric(ScalarSet, kind="geometric"):
@@ -252,6 +411,25 @@ class Geometric(ScalarSet, kind="geometric"):
             return False
         return abs(z - self.base ** j) <= tol * max(1.0, r)
 
+    def modulus_set(self):
+        return ModulusSet.canonical([], [(1.0, abs(self.base))])
+
+    def scalar_grid(self, count, radial_window=None):
+        return [self.base ** j for j in range(count)]
+
+    def _pick(self, bound, at_least):
+        lb = _log2_abs(self.base)
+        if lb > 0 if at_least else lb < 0:
+            j = max(0, math.ceil(bound / lb))
+        elif bound > 0 if at_least else bound < 0:
+            return None
+        else:
+            j = 0
+        return _cpow_exact(XC.from_complex(self.base), j)
+
+    def _coverage_leaves(self, phase, factor, out):
+        pass  # nowhere dense: no coverage of the plane
+
 
 @dataclass(frozen=True)
 class Union(ScalarSet, kind="union"):
@@ -266,6 +444,44 @@ class Union(ScalarSet, kind="union"):
 
     def contains(self, z, tol=1e-9):
         return any(m.contains(z, tol) for m in self.members)
+
+    def modulus_set(self):
+        out = ModulusSet()
+        for m in self.members:
+            out = out.merge(m.modulus_set())
+        return out
+
+    def scalar_grid(self, count, radial_window=None):
+        base, extra = divmod(count, len(self.members))
+        out: list[complex] = []
+        for i, m in enumerate(self.members):
+            take = base + (1 if i < extra else 0)
+            if take:
+                out.extend(m.scalar_grid(take, radial_window))
+        return out[:count]
+
+    def _pick(self, bound, at_least):
+        for m in self.members:
+            got = m._pick(bound, at_least)
+            if got is not None:
+                return got
+        return None
+
+    def strip_zero(self):
+        kept = [m for m in (m.strip_zero() for m in self.members) if m is not None]
+        if not kept:
+            return None
+        return kept[0] if len(kept) == 1 else Union(kept)
+
+    def is_rotation_invariant(self):
+        return all(m.is_rotation_invariant() for m in self.members)
+
+    def rotate(self, phase):
+        return Union(tuple(m.rotate(phase) for m in self.members))
+
+    def _coverage_leaves(self, phase, factor, out):
+        for m in self.members:
+            m._coverage_leaves(phase, factor, out)
 
 
 @dataclass(frozen=True)
@@ -283,6 +499,34 @@ class Scaled(ScalarSet, kind="scaled"):
     def contains(self, z, tol=1e-9):
         return self.inner.contains(z / self.factor, tol / max(1.0, abs(self.factor)))
 
+    def modulus_set(self):
+        return self.inner.modulus_set().scaled(abs(self.factor))
+
+    def scalar_grid(self, count, radial_window=None):
+        rw = radial_window
+        if rw is not None:
+            f = abs(self.factor)
+            rw = (rw[0] / f, rw[1] / f)
+        return [self.factor * z for z in self.inner.scalar_grid(count, rw)]
+
+    def _pick(self, bound, at_least):
+        got = self.inner._pick(bound - _log2_abs(self.factor), at_least)
+        return None if got is None else got * XC.from_complex(self.factor)
+
+    def strip_zero(self):
+        inner = self.inner.strip_zero()
+        return None if inner is None else Scaled(self.factor, inner)
+
+    def is_rotation_invariant(self):
+        return self.inner.is_rotation_invariant()
+
+    def rotate(self, phase):
+        return self if self.is_rotation_invariant() else Scaled(self.factor * _cis(phase), self.inner)
+
+    def _coverage_leaves(self, phase, factor, out):
+        f = self.factor
+        self.inner._coverage_leaves(phase + math.atan2(f.imag, f.real), factor * abs(f), out)
+
 
 @dataclass(frozen=True)
 class CircleProduct(ScalarSet, kind="circle_product"):
@@ -291,7 +535,34 @@ class CircleProduct(ScalarSet, kind="circle_product"):
     inner: ScalarSet
 
     def contains(self, z, tol=1e-9):
-        return modulus_set(self.inner).contains(abs(z), tol)
+        return self.inner.modulus_set().contains(abs(z), tol)
+
+    def modulus_set(self):
+        return self.inner.modulus_set()
+
+    def scalar_grid(self, count, radial_window=None):
+        na = min(count, 12)
+        out = []
+        for p in self.inner.scalar_grid(-(-count // na), radial_window):
+            for k in range(na):
+                out.append(p * _cis(_TWO_PI * k / na))
+                if len(out) == count:
+                    return out
+        return out
+
+    def _pick(self, bound, at_least):
+        return self.inner._pick(bound, at_least)
+
+    def strip_zero(self):
+        inner = self.inner.strip_zero()
+        return None if inner is None else CircleProduct(inner)
+
+    def is_rotation_invariant(self):
+        return True
+
+    def _coverage_leaves(self, phase, factor, out):
+        for lo, hi in self.inner.modulus_set().intervals:
+            out.append((None, None, lo * factor, hi * factor))
 
 
 # ---------------------------------------------------------------------------
@@ -383,33 +654,7 @@ class ModulusSet:
 
 def modulus_set(s: ScalarSet) -> ModulusSet:
     """Closure of the moduli of the set, as a canonical ModulusSet."""
-    if isinstance(s, FinitePoints):
-        return ModulusSet.canonical([(abs(p), abs(p)) for p in s.points])
-    if isinstance(s, Circle):
-        return ModulusSet.canonical([(s.radius, s.radius)])
-    if isinstance(s, Annulus):
-        return ModulusSet.canonical([(s.inner_radius, s.outer_radius)])
-    if isinstance(s, Arc):
-        return ModulusSet.canonical([(s.radius, s.radius)])
-    if isinstance(s, Sector):
-        if s.radius_hi == s.radius_lo == 0:
-            return ModulusSet.canonical([(0.0, 0.0)])
-        return ModulusSet.canonical([(s.radius_lo, s.radius_hi)])
-    if isinstance(s, LogSpiral):
-        # moduli {base^t : t real} = (0, inf); the closure adds 0
-        return ModulusSet.canonical([(0.0, math.inf)])
-    if isinstance(s, Geometric):
-        return ModulusSet.canonical([], [(1.0, abs(s.base))])
-    if isinstance(s, Union):
-        out = ModulusSet()
-        for m in s.members:
-            out = out.merge(modulus_set(m))
-        return out
-    if isinstance(s, Scaled):
-        return modulus_set(s.inner).scaled(abs(s.factor))
-    if isinstance(s, CircleProduct):
-        return modulus_set(s.inner)
-    raise TypeError(f"unknown scalar set variant {type(s).__name__}")
+    return s.modulus_set()
 
 
 # ---------------------------------------------------------------------------
@@ -427,27 +672,6 @@ class ClassificationResult:
     explanation: tuple[str, ...] = field(default_factory=tuple)
 
 
-def strip_zero(s: ScalarSet) -> Optional[ScalarSet]:
-    """Remove exact zero points; None if nothing nonzero remains."""
-    if isinstance(s, FinitePoints):
-        pts = tuple(p for p in s.points if p != 0)
-        return FinitePoints(pts) if pts else None
-    if isinstance(s, Union):
-        kept = [m for m in (strip_zero(m) for m in s.members) if m is not None]
-        if not kept:
-            return None
-        return kept[0] if len(kept) == 1 else Union(kept)
-    if isinstance(s, Scaled):
-        inner = strip_zero(s.inner)
-        return None if inner is None else Scaled(s.factor, inner)
-    if isinstance(s, CircleProduct):
-        inner = strip_zero(s.inner)
-        return None if inner is None else CircleProduct(inner)
-    if isinstance(s, Sector) and s.radius_hi == 0:
-        return None  # the degenerate sector {0}
-    return s
-
-
 def classify(s: ScalarSet) -> ClassificationResult:
     """Decide both scalar-set verdicts from the modulus set of the set minus {0}.
 
@@ -455,28 +679,24 @@ def classify(s: ScalarSet) -> ClassificationResult:
     bounded away from 0; the somewhere-dense verdict additionally requires the
     modulus closure to contain no interval of positive length.
     """
-    stripped = strip_zero(s)
+    stripped = s.strip_zero()
     if stripped is None:
         raise EmptyScalarSetError("scalar set denotes the empty set or {0}")
-    ms = modulus_set(stripped)
-    bounded = not ms.unbounded and math.isfinite(ms.sup())
+    ms = stripped.modulus_set()
+    sup = ms.sup()
+    bounded = not ms.unbounded and math.isfinite(sup)
     inf_pos = ms.inf_positive()
     away = inf_pos > 0
     empty_interior = not ms.has_interior()
-
-    notes = []
-    notes.append("nonzero part is non-empty")
-    sup = ms.sup()
-    notes.append(f"modulus set bounded (sup = {sup})" if bounded else "modulus set unbounded")
-    notes.append(
+    notes = (
+        "nonzero part is non-empty",
+        f"modulus set bounded (sup = {sup})" if bounded else "modulus set unbounded",
         f"modulus set bounded away from 0 (inf = {inf_pos})"
         if away
-        else "moduli reach arbitrarily close to 0"
-    )
-    notes.append(
+        else "moduli reach arbitrarily close to 0",
         "modulus closure contains no interval of positive length"
         if empty_interior
-        else "modulus closure contains an interval of positive length"
+        else "modulus closure contains an interval of positive length",
     )
 
     hyper = bounded and away
@@ -488,45 +708,12 @@ def classify(s: ScalarSet) -> ClassificationResult:
         modulus_empty_interior=empty_interior,
         is_hypercyclic_scalar_set=hyper,
         is_somewhere_hypercyclic_scalar_set=somewhere,
-        explanation=tuple(notes),
+        explanation=notes,
     )
 
 
 # ---------------------------------------------------------------------------
 # rotation products
-
-
-def is_rotation_invariant(s: ScalarSet) -> bool:
-    if isinstance(s, (Circle, Annulus, CircleProduct)):
-        return True
-    if isinstance(s, Sector) and s.angle_hi - s.angle_lo >= _TWO_PI:
-        return True
-    if isinstance(s, Union):
-        return all(is_rotation_invariant(m) for m in s.members)
-    if isinstance(s, Scaled):
-        return is_rotation_invariant(s.inner)
-    return False
-
-
-def rotate(s: ScalarSet, phase: float) -> ScalarSet:
-    """The set multiplied by exp(i*phase)."""
-    if is_rotation_invariant(s):
-        return s
-    if isinstance(s, FinitePoints):
-        w = complex(math.cos(phase), math.sin(phase))
-        return FinitePoints(tuple(w * p for p in s.points))
-    if isinstance(s, Arc):
-        return Arc(s.radius, s.angle_lo + phase, s.angle_hi + phase)
-    if isinstance(s, Sector):
-        return Sector(s.radius_lo, s.radius_hi, s.angle_lo + phase, s.angle_hi + phase)
-    if isinstance(s, Union):
-        return Union(tuple(rotate(m, phase) for m in s.members))
-    if isinstance(s, Scaled):
-        w = complex(math.cos(phase), math.sin(phase))
-        return Scaled(s.factor * w, s.inner)
-    # spirals, geometric sequences: keep the rotation as a scaling
-    w = complex(math.cos(phase), math.sin(phase))
-    return Scaled(w, s)
 
 
 def rotation_group_product(s: ScalarSet, angle: AngleSpec) -> ScalarSet:
@@ -537,64 +724,15 @@ def rotation_group_product(s: ScalarSet, angle: AngleSpec) -> ScalarSet:
     circle and the closed product is the rotation closure of the set.
     """
     order = angle.group_order()
+    if order == 1 or s.is_rotation_invariant():
+        return s
     if order is None:
-        if is_rotation_invariant(s):
-            return s
         return CircleProduct(s)
-    if order == 1:
-        return s
-    if is_rotation_invariant(s):
-        return s
-    step = angle.value
-    if isinstance(s, FinitePoints):
-        pts = []
-        for k in range(order):
-            w = complex(math.cos(k * step), math.sin(k * step))
-            pts.extend(w * p for p in s.points)
-        return FinitePoints(tuple(pts))
-    return Union(tuple(rotate(s, k * step) for k in range(order)))
+    return s._group_product(angle.value, order)
 
 
 # ---------------------------------------------------------------------------
 # density in the plane
-
-
-def _coverage_leaves(s: ScalarSet, phase: float, factor: float, out: list) -> None:
-    """Collect (angle_lo, angle_hi, r_lo, r_hi) patches; None angles mean full turn.
-
-    Finite point lists, geometric sequences and spirals are nowhere dense and
-    can never complete two-dimensional coverage, so they contribute nothing.
-    """
-    if isinstance(s, (FinitePoints, Geometric, LogSpiral)):
-        return
-    if isinstance(s, Circle):
-        out.append((None, None, s.radius * factor, s.radius * factor))
-    elif isinstance(s, Annulus):
-        out.append((None, None, s.inner_radius * factor, s.outer_radius * factor))
-    elif isinstance(s, Arc):
-        if s.angle_hi - s.angle_lo >= _TWO_PI:
-            out.append((None, None, s.radius * factor, s.radius * factor))
-        else:
-            out.append((s.angle_lo + phase, s.angle_hi + phase, s.radius * factor, s.radius * factor))
-    elif isinstance(s, Sector):
-        if s.angle_hi - s.angle_lo >= _TWO_PI:
-            out.append((None, None, s.radius_lo * factor, s.radius_hi * factor))
-        else:
-            out.append(
-                (s.angle_lo + phase, s.angle_hi + phase, s.radius_lo * factor, s.radius_hi * factor)
-            )
-    elif isinstance(s, CircleProduct):
-        for lo, hi in modulus_set(s.inner).intervals:
-            out.append((None, None, lo * factor, hi * factor))
-    elif isinstance(s, Union):
-        for m in s.members:
-            _coverage_leaves(m, phase, factor, out)
-    elif isinstance(s, Scaled):
-        _coverage_leaves(s.inner, phase + math.atan2(s.factor.imag, s.factor.real), factor * abs(s.factor), out)
-    else:
-        raise UndecidableDensityError(
-            f"density in the plane is not decidable for variant {type(s).__name__}"
-        )
 
 
 def _radial_union_covers(intervals: list[tuple[float, float]]) -> bool:
@@ -622,7 +760,7 @@ def is_dense_in_plane(s: ScalarSet) -> bool:
     unrecognized variants, never guesses.
     """
     patches: list = []
-    _coverage_leaves(s, 0.0, 1.0, patches)
+    s._coverage_leaves(0.0, 1.0, patches)
     if not patches:
         return False
 
@@ -664,6 +802,11 @@ def _log2_abs(z: complex) -> float:
     return math.log2(abs(z))
 
 
+def _fits(z: complex, bound: float, at_least: bool) -> bool:
+    lg = _log2_abs(z)
+    return lg >= bound if at_least else lg <= bound
+
+
 def pick_modulus_at_least(s: ScalarSet, min_log2: float) -> Optional[XC]:
     """Deterministic member with log2 |value| >= min_log2, as an exact XC.
 
@@ -673,91 +816,46 @@ def pick_modulus_at_least(s: ScalarSet, min_log2: float) -> Optional[XC]:
     two), so its X2 parts are canonical: odd numerator, denominator 1.
     Returns None when the set has no such member.
     """
-    return _pick(s, min_log2, True)
+    return s._pick(min_log2, True)
 
 
 def pick_modulus_at_most(s: ScalarSet, max_log2: float) -> Optional[XC]:
     """Deterministic nonzero member with log2 |value| <= max_log2 (exact XC)."""
-    return _pick(s, max_log2, False)
+    return s._pick(max_log2, False)
 
 
-def _pick(s: ScalarSet, bound: float, at_least: bool) -> Optional[XC]:
-    def fits(z: complex) -> bool:
-        lg = _log2_abs(z)
-        return lg >= bound if at_least else lg <= bound
-
-    if isinstance(s, FinitePoints):
-        for p in s.points:
-            if p != 0 and fits(p):
-                return XC.from_complex(p)
+def _radius_pick(radius, angle, bound, at_least):
+    """The circle point at the angle, if its radius fits the bound."""
+    if not _fits(complex(radius), bound, at_least):
         return None
-    if isinstance(s, Geometric):
-        lb = _log2_abs(s.base)
-        if lb > 0 if at_least else lb < 0:
-            j = max(0, math.ceil(bound / lb))
-        elif bound > 0 if at_least else bound < 0:
-            return None
-        else:
-            j = 0
-        return _cpow_exact(XC.from_complex(s.base), j)
-    if isinstance(s, (Circle, Arc)):
-        if not fits(complex(s.radius)):
-            return None
-        ang = s.angle_lo if isinstance(s, Arc) else 0.0
-        return XC.from_complex(s.radius * complex(math.cos(ang), math.sin(ang)))
-    if isinstance(s, (Annulus, Sector)):
-        lo, hi, ang = (
-            (s.inner_radius, s.outer_radius, 0.0)
-            if isinstance(s, Annulus)
-            else (s.radius_lo, s.radius_hi, s.angle_lo)
-        )
-        pick = _interval_pick_at_least if at_least else _interval_pick_at_most
-        r = pick(lo, hi, bound)
-        return None if r is None else _rotated(r, complex(math.cos(ang), math.sin(ang)))
-    if isinstance(s, LogSpiral):
-        k = math.ceil(bound) if at_least else math.floor(bound)
-        a = k * math.log(2) / math.log(s.base) * s.rate.value
-        return _rotated(X2.pow2(k), complex(math.cos(a), -math.sin(a)))
-    if isinstance(s, Union):
-        for m in s.members:
-            got = _pick(m, bound, at_least)
-            if got is not None:
-                return got
-        return None
-    if isinstance(s, Scaled):
-        got = _pick(s.inner, bound - _log2_abs(s.factor), at_least)
-        return None if got is None else got * XC.from_complex(s.factor)
-    if isinstance(s, CircleProduct):
-        return _pick(s.inner, bound, at_least)
-    raise TypeError(f"unknown scalar set variant {type(s).__name__}")
+    return XC.from_complex(radius * _cis(angle))
 
 
-def _interval_pick_at_least(lo, hi, min_log2):
-    if hi == 0 or (hi != math.inf and _log2_abs(complex(hi)) < min_log2):
-        return None
-    k = math.ceil(min_log2)
-    if lo > 0 and math.log2(lo) >= min_log2:
-        r = X2.from_float(lo)
-    elif hi == math.inf or k <= math.log2(hi):
-        r = X2.pow2(k)
-        if lo > 0 and r < X2.from_float(lo):
-            r = X2.from_float(lo)
-    else:
-        r = X2.from_float(hi)
-    return r
-
-
-def _interval_pick_at_most(lo, hi, max_log2):
+def _interval_pick(lo, hi, angle, bound, at_least):
+    """A radius in [lo, hi] that fits the bound, turned by the angle exactly."""
     if hi == 0:
         return None
-    if lo > 0 and math.log2(lo) > max_log2:
-        return None
-    r = X2.pow2(math.floor(max_log2))
-    if lo > 0 and r < X2.from_float(lo):
-        r = X2.from_float(lo)
-    if hi != math.inf and r > X2.from_float(hi):
-        r = X2.from_float(hi)
-    return r
+    if at_least:
+        if hi != math.inf and _log2_abs(complex(hi)) < bound:
+            return None
+        k = math.ceil(bound)
+        if lo > 0 and math.log2(lo) >= bound:
+            r = X2.from_float(lo)
+        elif hi == math.inf or k <= math.log2(hi):
+            r = X2.pow2(k)
+            if lo > 0 and r < X2.from_float(lo):
+                r = X2.from_float(lo)
+        else:
+            r = X2.from_float(hi)
+    else:
+        if lo > 0 and math.log2(lo) > bound:
+            return None
+        r = X2.pow2(math.floor(bound))
+        if lo > 0 and r < X2.from_float(lo):
+            r = X2.from_float(lo)
+        if hi != math.inf and r > X2.from_float(hi):
+            r = X2.from_float(hi)
+    return _rotated(r, _cis(angle))
 
 
 def _rotated(r: X2, phase: complex) -> XC:
@@ -774,6 +872,53 @@ def _cpow_exact(base: XC, j: int) -> XC:
             out = out * base
         base = base * base
         j >>= 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# deterministic scalar grids
+
+
+DEFAULT_RADIAL_WINDOW = (1e-6, 1e6)
+
+
+def _cis(a: float) -> complex:
+    return complex(math.cos(a), math.sin(a))
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    if count == 1 or hi == lo:
+        return [lo] * count
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count)]
+
+
+def _geomspace(lo: float, hi: float, count: int) -> list[float]:
+    if lo <= 0:
+        raise ValueError("geometric sweep needs a positive lower bound")
+    if count == 1 or hi == lo:
+        return [lo] * count
+    ratio = (hi / lo) ** (1.0 / (count - 1))
+    return [lo * ratio ** i for i in range(count)]
+
+
+def _radial_angular(rlo, rhi, alo, ahi, count, full_turn):
+    if rhi == rlo:
+        radii = [rlo]
+    else:
+        nr = max(1, math.isqrt(count))
+        radii = _geomspace(rlo, rhi, nr) if rlo > 0 else _linspace(rlo, rhi, nr)
+    na = -(-count // len(radii))
+    if full_turn:
+        angles = [alo + _TWO_PI * k / na for k in range(na)]
+    else:
+        angles = _linspace(alo, ahi, na)
+    out = []
+    for r in radii:
+        for a in angles:
+            out.append(r * _cis(a))
+            if len(out) == count:
+                return out
     return out
 
 

@@ -49,8 +49,18 @@ def unit_circle_param(t: float, b: float) -> complex:
 
 
 @dataclass(frozen=True)
+class _Walk:
+    total_turn: float
+    max_step: float
+    min_modulus: float
+    start: complex
+    end: complex
+
+
+@dataclass(frozen=True)
 class CircleCurve(jsonio.Family):
-    pass
+    """Base class; use the concrete variants. Every variant implements
+    _walk(), the _Walk of the curve, and reverse(), the curve walked backwards."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,19 @@ class SampledCurve(CircleCurve, kind="sampled"):
             raise ValueError("curve points must avoid the origin")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", bool(closed))
+
+    def _walk(self):
+        pts = self.points
+        total = 0.0
+        max_step = 0.0
+        for a, b in zip(pts, pts[1:]):
+            inc = cmath.phase(b / a)
+            total += inc
+            max_step = max(max_step, abs(inc))
+        return _Walk(total, max_step, min(abs(p) for p in pts), pts[0], pts[-1])
+
+    def reverse(self):
+        return SampledCurve(tuple(reversed(self.points)), self.closed)
 
 
 @dataclass(frozen=True)
@@ -91,6 +114,13 @@ class ParamSegment(CircleCurve, kind="param_segment"):
         reports were recorded with."""
         return _TWO_PI * (self.end - self.start) / (self.b - 1.0)
 
+    def _walk(self):
+        start, end = unit_circle_param(self.start, self.b), unit_circle_param(self.end, self.b)
+        return _Walk(self.turn, 0.0, 1.0, start, end)
+
+    def reverse(self):
+        return ParamSegment(self.b, self.end, self.start)
+
 
 @dataclass(frozen=True)
 class ConstantCurve(CircleCurve, kind="constant"):
@@ -101,6 +131,12 @@ class ConstantCurve(CircleCurve, kind="constant"):
         if value == 0:
             raise ValueError("constant curve must avoid the origin")
         object.__setattr__(self, "value", value)
+
+    def _walk(self):
+        return _Walk(0.0, 0.0, abs(self.value), self.value, self.value)
+
+    def reverse(self):
+        return self
 
 
 @dataclass(frozen=True)
@@ -114,52 +150,8 @@ class ConcatCurve(CircleCurve, kind="concat"):
             raise ValueError("concatenation needs at least one part")
         object.__setattr__(self, "parts", tuple(parts))
 
-
-@dataclass(frozen=True)
-class WindingResult:
-    index: int
-    min_modulus: float
-    max_step_turn: float
-    confident: bool
-
-
-@dataclass(frozen=True)
-class _Walk:
-    total_turn: float
-    max_step: float
-    min_modulus: float
-    start: complex
-    end: complex
-
-
-def _walk(curve: CircleCurve) -> _Walk:
-    if isinstance(curve, SampledCurve):
-        pts = curve.points
-        total = 0.0
-        max_step = 0.0
-        for a, b in zip(pts, pts[1:]):
-            inc = cmath.phase(b / a)
-            total += inc
-            max_step = max(max_step, abs(inc))
-        return _Walk(
-            total_turn=total,
-            max_step=max_step,
-            min_modulus=min(abs(p) for p in pts),
-            start=pts[0],
-            end=pts[-1],
-        )
-    if isinstance(curve, ParamSegment):
-        return _Walk(
-            total_turn=curve.turn,
-            max_step=0.0,
-            min_modulus=1.0,
-            start=unit_circle_param(curve.start, curve.b),
-            end=unit_circle_param(curve.end, curve.b),
-        )
-    if isinstance(curve, ConstantCurve):
-        return _Walk(0.0, 0.0, abs(curve.value), curve.value, curve.value)
-    if isinstance(curve, ConcatCurve):
-        walks = [_walk(p) for p in curve.parts]
+    def _walk(self):
+        walks = [p._walk() for p in self.parts]
         total = 0.0
         max_step = 0.0
         min_mod = math.inf
@@ -172,7 +164,17 @@ def _walk(curve: CircleCurve) -> _Walk:
                 total += junction
                 max_step = max(max_step, abs(junction))
         return _Walk(total, max_step, min_mod, walks[0].start, walks[-1].end)
-    raise TypeError(f"unknown curve variant {type(curve).__name__}")
+
+    def reverse(self):
+        return ConcatCurve(tuple(p.reverse() for p in reversed(self.parts)))
+
+
+@dataclass(frozen=True)
+class WindingResult:
+    index: int
+    min_modulus: float
+    max_step_turn: float
+    confident: bool
 
 
 def winding_number(curve: CircleCurve) -> WindingResult:
@@ -182,7 +184,7 @@ def winding_number(curve: CircleCurve) -> WindingResult:
     step is included in the accumulated turn. The result is confident when no
     step (including junctions) turns by pi/2 or more.
     """
-    w = _walk(curve)
+    w = curve._walk()
     gap = abs(w.start - w.end)
     if gap > CLOSURE_TOL * max(1.0, abs(w.start)):
         raise CurveNotClosedError(f"curve endpoints differ by {gap:.3e}")
@@ -199,18 +201,6 @@ def winding_number(curve: CircleCurve) -> WindingResult:
         max_step_turn=max_step,
         confident=max_step < CONFIDENT_MAX_TURN,
     )
-
-
-def reverse(curve: CircleCurve) -> CircleCurve:
-    if isinstance(curve, SampledCurve):
-        return SampledCurve(tuple(reversed(curve.points)), curve.closed)
-    if isinstance(curve, ParamSegment):
-        return ParamSegment(curve.b, curve.end, curve.start)
-    if isinstance(curve, ConstantCurve):
-        return curve
-    if isinstance(curve, ConcatCurve):
-        return ConcatCurve(tuple(reverse(p) for p in reversed(curve.parts)))
-    raise TypeError(f"unknown curve variant {type(curve).__name__}")
 
 
 def concat_additivity_check(parts) -> bool:

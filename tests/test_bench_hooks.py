@@ -101,3 +101,21 @@ def test_traced_process_counts_the_criterion_apply_calls(tmp_path):
     trace = _traced_process(tmp_path, "criterion_rolewicz")
     assert "criteria.check_criterion" in {s["name"] for s in trace["spans"]}
     assert trace["counts"]["criteria.apply_calls"] > 0
+
+
+def test_traced_density_counts_operator_applies(monkeypatch, tmp_path):
+    # grid_scan's operators.apply_calls counts the calls through density.apply;
+    # an orbit built around that name would read 0 there
+    from tracing import pass_metrics
+
+    tracer = _traced_run(monkeypatch, tmp_path, "spiral_density")
+    assert pass_metrics(tracer)[1]["operators.apply_calls"] > 0
+
+
+def test_traced_build_counts_scalar_picks(monkeypatch, tmp_path):
+    # shift_builds' scalar_sets.pick_calls counts the calls through
+    # constructions.pick_modulus_at_least/_at_most
+    from tracing import pass_metrics
+
+    tracer = _traced_run(monkeypatch, tmp_path, "build22")
+    assert pass_metrics(tracer)[1]["scalar_sets.pick_calls"] > 0

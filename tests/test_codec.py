@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlab import cli, jsonio
+from orbitlab import cli, jsonio, operators, scalar_sets
 from orbitlab.operators import (
     BackwardShift,
     DirectSum,
@@ -19,6 +19,7 @@ from orbitlab.operators import (
     ScalarMultiple,
     ScalarOnC,
     WeightedBackward,
+    SeqVector,
     WeightedForward,
     doubling_weights,
 )
@@ -36,7 +37,14 @@ from orbitlab.scalar_sets import (
     Sector,
     Union,
 )
-from orbitlab.winding import CircleCurve, ConcatCurve, ConstantCurve, ParamSegment, SampledCurve
+from orbitlab.winding import (
+    CircleCurve,
+    ConcatCurve,
+    ConstantCurve,
+    ParamSegment,
+    SampledCurve,
+    winding_number,
+)
 
 IRR = AngleSpec.irrational(1.0, "one radian")
 
@@ -93,6 +101,67 @@ def test_kind_table_round_trips_every_variant(root):
         blob = jsonio.encode(x)
         assert next(iter(blob)) == "kind" and root.kinds[blob["kind"]] is type(x)
         assert jsonio.decode(root, json.loads(json.dumps(blob)), "x") == x
+
+
+# ---------------------------------------------------------------------------
+# behaviour methods
+
+_VECTORS = {"uni": SeqVector.basis(2), "bi": SeqVector.basis(-1, "bi"), "scalar": 0.5 + 1j}
+
+
+def _vector(dom):
+    return tuple(map(_vector, dom)) if isinstance(dom, tuple) else _VECTORS[dom]
+
+
+def _xc(x):
+    return None if x is None else (x.re, x.im)
+
+
+def _check_scalar_set(s):
+    assert s.contains(1.0) in (True, False)
+    assert s.modulus_set() == scalar_sets.modulus_set(s)
+    assert 1 <= len(s.scalar_grid(5)) <= 5
+    stripped = s.strip_zero()
+    assert stripped is None or isinstance(stripped, ScalarSet)
+    assert s.is_rotation_invariant() in (True, False)
+    assert isinstance(s.rotate(0.5), ScalarSet)
+    assert isinstance(s._group_product(0.5, 3), ScalarSet)
+    s._coverage_leaves(0.0, 1.0, [])
+    assert scalar_sets.is_dense_in_plane(s) in (True, False)
+    for bound in (-3.0, 0.0, 3.0):
+        assert _xc(s._pick(bound, True)) == _xc(scalar_sets.pick_modulus_at_least(s, bound))
+        assert _xc(s._pick(bound, False)) == _xc(scalar_sets.pick_modulus_at_most(s, bound))
+
+
+def _check_operator(op):
+    v = _vector(op.operator_domain())
+    assert op.apply(v) == operators.apply(op, v)
+    assert op._power(3, v, ()) == operators.power_apply(op, 3, v)
+    assert op.power_norm_bound(2) == operators.power_norm_bound(op, 2)
+    assert op.adjoint_point_spectrum() == operators.adjoint_point_spectrum(op)
+
+
+def _check_curve(curve):
+    walk = curve._walk()
+    assert math.isfinite(walk.total_turn) and walk.min_modulus > 0
+    assert curve.reverse().reverse() == curve
+    assert winding_number(curve.reverse()).index == -winding_number(curve).index
+
+
+_BEHAVIOUR = {ScalarSet: _check_scalar_set, OperatorSpec: _check_operator,
+              CircleCurve: _check_curve}
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [x for root in EXAMPLES for x in EXAMPLES[root]],
+    ids=lambda x: type(x).__name__,
+)
+def test_every_variant_answers_its_family_methods(variant):
+    """Each catalog variant answers every behaviour method of its family, and
+    each module-level entry point returns what the method returns."""
+    root = next(r for r in EXAMPLES if isinstance(variant, r))
+    _BEHAVIOUR[root](variant)
 
 
 def test_encode_maps_the_irregular_fields():
@@ -206,3 +275,65 @@ def test_malformed_variant_exits_zero_or_one_never_two(place, data):
             json.dump(cfg, fh)
         code = cli.main([cfg["command"], "--config", path, "--out", tmp])
     assert code in (0, 1), cfg
+
+
+# ---------------------------------------------------------------------------
+# top-level config fields
+
+_CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+_SHIPPED = sorted(f for f in os.listdir(_CONFIG_DIR) if f.endswith(".json"))
+# fields a command may go without; every other field of a shipped config is required
+_OPTIONAL = {"targets", "target", "s_range", "step", "tolerance", "phase_grid"}
+# plain objects whose own keys are fields too (variants are fuzzed above)
+_PLAIN = {"targets", "ball", "indices"}
+_JSON_VALUES = ["x", 7, 2.5, True, None, [], {}]
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _field_cases():
+    """(config name, broken config, field) for every field of every shipped
+    config: dropped when required, else replaced by a value of another JSON type."""
+    for name in _SHIPPED:
+        with open(os.path.join(_CONFIG_DIR, name)) as fh:
+            cfg = json.load(fh)
+        fields = [((key,), value) for key, value in cfg.items() if key != "command"]
+        fields += [((key, sub), v) for key, value in cfg.items() if key in _PLAIN
+                   for sub, v in value.items()]
+        for keys, value in fields:
+            field = ".".join(keys)
+            if keys[-1] not in _OPTIONAL:
+                broken = json.loads(json.dumps(cfg))
+                owner = broken if len(keys) == 1 else broken[keys[0]]
+                del owner[keys[-1]]
+                yield name, broken, field
+            for wrong in _JSON_VALUES:
+                if _json_type(wrong) != _json_type(value):
+                    broken = json.loads(json.dumps(cfg))
+                    owner = broken if len(keys) == 1 else broken[keys[0]]
+                    owner[keys[-1]] = wrong
+                    yield name, broken, field
+
+
+def _run_main(cfg, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main([cfg.get("command", "classify"), "--config", path, "--out", tmp])
+    return code, capsys.readouterr().err
+
+
+def test_every_shipped_field_is_decoded(capsys):
+    """A dropped or mistyped top-level field exits 1 naming the field, never 2."""
+    cases = list(_field_cases())
+    assert len(cases) > 100
+    for name, cfg, field in cases:
+        code, err = _run_main(cfg, capsys)
+        assert code == 1 and f"precondition violated: {field}" in err, (name, cfg, err)
+
+
+def test_empty_classify_config_names_set(capsys):
+    assert _run_main({}, capsys) == (1, "precondition violated: set: missing field\n")

@@ -327,9 +327,11 @@ class TestScalarGrid:
             Union(Circle(1.0), Circle(3.0)),
         ]
         for s in sets:
-            for z in density.scalar_grid(s, 25):
+            for z in s.scalar_grid(25):
                 assert s.contains(z, 1e-6)
 
     def test_grid_sizes(self):
-        assert len(density.scalar_grid(ONE, 5)) == 1  # finite sets cap at their size
-        assert len(density.scalar_grid(density.Circle(1.0), 7)) == 7
+        from orbitlab import Circle
+
+        assert len(ONE.scalar_grid(5)) == 1  # finite sets cap at their size
+        assert len(Circle(1.0).scalar_grid(7)) == 7

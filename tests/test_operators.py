@@ -134,7 +134,7 @@ class TestPowerApply:
     @given(st.data(), st.integers(0, 400))
     def test_matches_repeated_apply_bitwise(self, data, n):
         op = data.draw(_operators())
-        v = data.draw(_vectors(operators.operator_domain(op)))
+        v = data.draw(_vectors(op.operator_domain()))
         got, want = power_apply(op, n, v), _power_brute(op, n, v)
         assert _bits(got) == _bits(want)
         assert _norm_bits(got) == _norm_bits(want)
