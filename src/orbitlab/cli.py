@@ -16,6 +16,7 @@ import argparse
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Literal
 
 from . import __version__, jsonio
 
@@ -162,7 +163,8 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
         else jsonio.decode(tuple[int, ...], indices, "indices"),
         tolerance=_field(cfg, "tolerance", float, criteria.DEFAULT_TOLERANCE),
     )
-    report = criteria.kitai_mode(inst) if cfg.get("mode") == "full" else criteria.check_criterion(inst)
+    full = _field(cfg, "mode", Literal["full"], None) == "full"
+    report = criteria.kitai_mode(inst) if full else criteria.check_criterion(inst)
     return {"criterion": report.to_json()}
 
 
@@ -195,15 +197,22 @@ def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
     }
 
 
+_BUILD_FIELDS = ("set", "stages", "targets")
+_ORBIT_FIELDS = ("operator", "base_point", "horizon")
+# each command's handler and the top-level fields it reads; a config key
+# outside these (and "command") is refused, so a typo cannot go unnoticed
 _HANDLERS = {
-    "classify": _cmd_classify,
-    "build21": _cmd_build,
-    "build22": _cmd_build,
-    "spiral": _cmd_spiral,
-    "density": _cmd_density,
-    "criterion": _cmd_criterion,
-    "winding": _cmd_winding,
-    "lambda-est": _cmd_lambda_est,
+    "classify": (_cmd_classify, ("set",)),
+    "build21": (_cmd_build, _BUILD_FIELDS),
+    "build22": (_cmd_build, _BUILD_FIELDS),
+    "spiral": (_cmd_spiral, ("base", "rate", "target", "s_range", "step")),
+    "density": (_cmd_density, _ORBIT_FIELDS + (
+        "set", "gamma_grid", "radial_window", "section", "ball", "epsilon", "grid_step")),
+    "criterion": (_cmd_criterion, (
+        "operator", "right_inverse", "decay_vectors", "target_vectors", "indices",
+        "tolerance", "mode")),
+    "winding": (_cmd_winding, ("curve",)),
+    "lambda-est": (_cmd_lambda_est, _ORBIT_FIELDS + ("iterate", "epsilon", "phase_grid")),
 }
 
 
@@ -241,8 +250,12 @@ def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
         "config_sha256": jsonio.config_hash(cfg),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
+    handler, fields = _HANDLERS[command]
     try:
-        report["result"] = _HANDLERS[command](cfg, output)
+        unknown = [key for key in cfg if key != "command" and key not in fields]
+        if unknown:
+            raise ValueError(f"{unknown[0]}: unknown field for {command}")
+        report["result"] = handler(cfg, output)
     except ValueError as exc:
         report["error"] = str(exc)
         output.report(jsonio.dumps(report))

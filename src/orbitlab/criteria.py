@@ -6,15 +6,33 @@ residual within tolerance AND a nonincreasing residual tail over the last
 five indices. The trend guard blocks false positives from residuals that dip
 momentarily while diverging. Right inverses are given symbolically as an
 operator S with S_{n} = S^n (for example S = F/2 against 2B).
+
+The round trips are telescoped along the index sequence. For consecutive
+indices p < n, b = T^(n-p) S^n y is computed first. Where b holds the same
+bits as S^p y, T^n S^n y = T^p b is bit for bit T^p S^p y, so the miss at p
+is reused; otherwise T^p b finishes the n steps. power_apply equals n calls
+of apply bit for bit, so both ways give the bits of the direct T^n S^n y.
+Reuse applies wherever S is an exact right inverse of T along the orbit of
+y (dyadic weights and factors, such as 2B with F/2, and many states of
+inexact pairs); there a round trip costs n - p steps instead of n, and a
+full index sequence up to N costs O(N) steps per target instead of O(N^2).
+The iterates are streamed: only the rows at the current and the previous
+index are held, so memory does not grow with N.
+
+A residual norm that is not finite (an overflow to inf, or NaN) is refused
+with NonFiniteResidualError naming its vector and index: max() would hide
+a NaN (max(0.0, nan) is 0.0), and a report cannot hold either.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .operators import (
     DomainMismatchError,
     OperatorSpec,
+    SeqVector,
     Vector,
     apply,
     power_apply,
@@ -28,6 +46,10 @@ DEFAULT_TOLERANCE = 1e-9
 
 class MapDomainMismatchError(ValueError):
     """The right-inverse map does not act on the test vectors' domain."""
+
+
+class NonFiniteResidualError(ValueError):
+    """A residual norm overflowed to inf or is NaN."""
 
 
 @dataclass(frozen=True)
@@ -67,26 +89,86 @@ class CriterionReport:
         }
 
 
-def _iterates(op: OperatorSpec, vecs, upto: int):
-    """vecs under op^0..op^upto, computed incrementally."""
-    rows = [list(vecs)]
-    for _ in range(upto):
-        rows.append([apply(op, v) for v in rows[-1]])
-    return rows
+def _iterates(op: OperatorSpec, vecs, indices):
+    """vecs under op^n for each n in indices, computed incrementally; only
+    the latest row is held, so memory does not grow with the largest index."""
+    done = 0
+    for n in indices:
+        for _ in range(n - done):
+            vecs = [apply(op, v) for v in vecs]
+        done = n
+        yield vecs
+
+
+def _same(a: Vector, b: Vector) -> bool:
+    """Whether a and b hold the same bits. Unlike ==, signed zeros differ
+    (scalar-domain values are not normalised by `0 + c`), and NaN, which
+    never equals itself, never matches."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is SeqVector:
+        return (
+            a.domain == b.domain
+            and len(a.entries) == len(b.entries)
+            and all(i == j and _same_number(c, d) for (i, c), (j, d) in zip(a.entries, b.entries))
+        )
+    return _same_number(a, b)
+
+
+def _same_number(c: complex, d: complex) -> bool:
+    return (
+        c == d
+        and math.copysign(1.0, c.real) == math.copysign(1.0, d.real)
+        and math.copysign(1.0, c.imag) == math.copysign(1.0, d.imag)
+    )
+
+
+def _round_trips(op: OperatorSpec, s_rows, targets, indices):
+    """For each index n, its row S^n y of s_rows and the pairs (T^n S^n y - y,
+    its norm) for the targets y, telescoped as the module docstring says."""
+    prev = None
+    for n, row in zip(indices, s_rows):
+        trips = []
+        for j, (sy, y) in enumerate(zip(row, targets)):
+            if prev is None:
+                image = power_apply(op, n, sy)
+            else:
+                p, p_row, p_trips = prev
+                b = power_apply(op, n - p, sy)
+                if _same(b, p_row[j]):
+                    trips.append(p_trips[j])
+                    continue
+                image = power_apply(op, p, b)
+            miss = vector_sub(image, y)
+            trips.append((miss, vector_norm(miss)))
+        yield row, trips
+        prev = n, row, trips
+
+
+def _peak(norms, field: str, trace: str, n: int) -> float:
+    """The largest of norms, one per vector of the field; a non-finite norm
+    raises NonFiniteResidualError naming its vector."""
+    for i, x in enumerate(norms):
+        if not math.isfinite(x):
+            raise NonFiniteResidualError(
+                f"{field}[{i}]: non-finite {trace} residual {x!r} at index {n}"
+            )
+    return max(norms)
 
 
 def check_criterion(inst: CriterionInstance) -> CriterionReport:
     """Evaluate the three residual traces along the instance's index sequence."""
-    top = inst.indices[-1]
-    targets = inst.target_vectors
+    op, indices, targets = inst.operator, inst.indices, inst.target_vectors
+    forward, inverse, roundtrip = [], [], []
     try:
-        t_rows = _iterates(inst.operator, inst.decay_vectors, top)
-        s_rows = _iterates(inst.right_inverse, targets, top)
-        # T^n S^n y - y for each target y
-        misses = [
-            [vector_sub(power_apply(inst.operator, n, sy), y) for sy, y in zip(s_rows[n], targets)]
-            for n in inst.indices
-        ]
+        for row in _iterates(op, inst.decay_vectors, indices):
+            forward.append(list(map(vector_norm, row)))
+        s_rows = _iterates(inst.right_inverse, targets, indices)
+        for row, trips in _round_trips(op, s_rows, targets, indices):
+            inverse.append(list(map(vector_norm, row)))
+            roundtrip.append([norm for _, norm in trips])
     except DomainMismatchError as exc:
         # a map that does not act on the vectors; any other error is a fault
         raise MapDomainMismatchError(str(exc)) from exc
@@ -94,13 +176,10 @@ def check_criterion(inst: CriterionInstance) -> CriterionReport:
     r1_trace = []
     r2_trace = []
     r3_trace = []
-    for n, row in zip(inst.indices, misses):
-        r1_trace.append(max(vector_norm(v) for v in t_rows[n]))
-        r2_trace.append(max(vector_norm(v) for v in s_rows[n]))
-        r3 = 0.0
-        for miss in row:
-            r3 = max(r3, vector_norm(miss))
-        r3_trace.append(r3)
+    for k, n in enumerate(indices):
+        r1_trace.append(_peak(forward[k], "decay_vectors", "forward_decay", n))
+        r2_trace.append(_peak(inverse[k], "target_vectors", "inverse_decay", n))
+        r3_trace.append(_peak(roundtrip[k], "target_vectors", "roundtrip", n))
 
     traces = (tuple(r1_trace), tuple(r2_trace), tuple(r3_trace))
     finals = tuple(t[-1] for t in traces)

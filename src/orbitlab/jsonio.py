@@ -206,10 +206,10 @@ def decode(cls, obj, path: str):
 
     The inverse of encode: a family root reads "kind" to pick its member,
     and a class with its own from_json decodes through it. list, dict and
-    object stand for raw JSON values of that type. Numbers must be
-    JSON numbers (not booleans or strings). Every malformed value is a
-    ValueError that starts with its path, e.g.
-    `set.members[1].radius: missing field`.
+    object stand for raw JSON values of that type, and Literal[...] admits
+    only the values it lists. Numbers must be JSON numbers (not booleans or
+    strings). Every malformed value is a ValueError that starts with its
+    path, e.g. `set.members[1].radius: missing field`.
     """
     if cls in _SCALARS:
         types, what = _SCALARS[cls]
@@ -222,6 +222,11 @@ def decode(cls, obj, path: str):
     if cls in _RAW:
         if not isinstance(obj, cls):
             raise _expected(_RAW[cls], obj, path)
+        return obj
+    if typing.get_origin(cls) is typing.Literal:
+        allowed = typing.get_args(cls)
+        if obj not in allowed:
+            raise ValueError(f"{path}: expected one of {list(allowed)}, got {obj!r}")
         return obj
     if cls is complex:
         if not (isinstance(obj, list) and len(obj) == 2):

@@ -373,7 +373,9 @@ class ScalarMultiple(OperatorSpec, kind="scalar_multiple"):
         object.__setattr__(self, "inner", inner)
 
     def apply(self, v):
-        return vector_scale(self.factor, self.inner.apply(v))
+        # one walk with the factor as an outer step: the multiplications,
+        # zero drops and `0 + c` of scaling inner.apply(v), bit for bit
+        return self._power(1, v, ())
 
     def operator_domain(self):
         return self.inner.operator_domain()

@@ -199,7 +199,7 @@ def test_every_package_error_maps_to_exit_one():
         and issubclass(obj, Exception)
         and obj.__module__.startswith("orbitlab")
     }
-    assert len(errors) == 13
+    assert len(errors) == 14
     assert all(issubclass(e, ValueError) for e in errors)
 
 
@@ -330,6 +330,12 @@ def _targets(vector):
                                           "to": 1e308}}, "curve"),
         ({"command": "build22", "set": {"kind": "geometric", "base": [0.5, 0.0]},
           "stages": 36}, "stages"),
+        # a misspelt or unknown key is refused, not silently ignored
+        ({**load(CONFIG_DIR / "criterion_rolewicz.json"), "tolerence": 0.5}, "tolerence"),
+        ({**load(CONFIG_DIR / "criterion_rolewicz.json"), "mode": "Full"}, "mode"),
+        ({**load(CONFIG_DIR / "criterion_rolewicz.json"), "mode": None}, "mode"),
+        ({**_circle(1.0), "radial_window": [0.5, 2.0]}, "radial_window"),
+        ({**load(CONFIG_DIR / "spiral.json"), "stages": 3}, "stages"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
@@ -337,11 +343,11 @@ def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsy
     assert f"precondition violated: {field}:" in capsys.readouterr().err
 
 
-def test_direct_sum_criterion_overflow_exits_one(tmp_path, capsys):
+def _overflowing_direct_sum():
     # the scalar block's right inverse doubles 600 times: its residual
     # overflows to inf, which a report cannot hold
     uni = {"domain": "uni", "entries": [[1, 1.0, 0.0]]}
-    cfg = {
+    return {
         "command": "criterion",
         "operator": {"kind": "direct_sum", "blocks": [
             {"kind": "scalar_on_c", "value": [0.5, 0.0]}, {"kind": "backward_shift"}]},
@@ -351,5 +357,37 @@ def test_direct_sum_criterion_overflow_exits_one(tmp_path, capsys):
         "target_vectors": [[[1.0, 0.0], uni]],
         "indices": {"upto": 600},
     }
-    assert _main(cfg, tmp_path) == 1
+
+
+def test_direct_sum_criterion_overflow_exits_one(tmp_path, capsys):
+    assert _main(_overflowing_direct_sum(), tmp_path) == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def _nan_decay_criterion():
+    # T^33 e_32 multiplies by 2**33 thirty-two times, overflows to inf and
+    # then meets the weight 2**-33 as inf + nan*j; the other decay vector
+    # underflows to 0, and max(0.0, nan) is 0.0
+    weights = lambda bp, lo, hi: {"breakpoints": [bp], "values": [[lo, 0.0], [hi, 0.0]]}  # noqa: E731
+    return {
+        "command": "criterion",
+        "operator": {"kind": "weighted_backward", "weights": weights(1, 2.0**-33, 2.0**33)},
+        "right_inverse": {"kind": "weighted_forward", "weights": weights(0, 2.0**33, 2.0**-33)},
+        "decay_vectors": [{"domain": "bi", "entries": [[-2, 1e100, 0.0]]},
+                          {"domain": "bi", "entries": [[32, 1.0, 0.0]]}],
+        "target_vectors": [{"domain": "bi", "entries": [[1, 2.0**43, 0.0]]}],
+        "indices": [0, 1, 2, 3, 33],
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (_nan_decay_criterion(), "decay_vectors[1]: non-finite forward_decay residual nan at index 33"),
+        (_overflowing_direct_sum(), "target_vectors[0]: non-finite inverse_decay residual inf"),
+    ],
+    ids=["nan", "inf"],
+)
+def test_non_finite_residual_exits_one_naming_its_vector(cfg, message, tmp_path, capsys):
+    assert _main(cfg, tmp_path) == 1
+    assert f"precondition violated: {message}" in capsys.readouterr().err

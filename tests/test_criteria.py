@@ -1,6 +1,7 @@
 """Hypercyclicity criterion checker: pass/fail instances and the trend guard."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,12 +10,19 @@ from hypothesis import strategies as st
 from orbitlab import (
     BackwardShift,
     CriterionInstance,
+    DirectSum,
     ForwardShift,
     ScalarMultiple,
     ScalarOnC,
     SeqVector,
+    WeightedBackward,
+    WeightedForward,
+    WeightSpec,
     check_criterion,
+    criteria,
     kitai_mode,
+    operators,
+    power_apply,
 )
 from orbitlab.criteria import MapDomainMismatchError
 from orbitlab.operators import vector_norm, vector_sub
@@ -179,3 +187,121 @@ def test_block_norms_match_the_power_formula_bit_for_bit(pairs):
     b = tuple(complex(y, 0.0) for _, y in pairs)
     assert vector_norm(a).hex() == old(vector_norm(x) for x in a).hex()
     assert vector_norm(vector_sub(a, b)).hex() == old(abs(x - y) for x, y in zip(a, b)).hex()
+
+
+# ---------------------------------------------------------------------------
+# telescoped round trips: bit for bit the direct formula, linear work
+
+
+def _bits(v):
+    """v as bytes: equal exactly when the vectors hold the same bits."""
+    if isinstance(v, tuple):
+        return tuple(map(_bits, v))
+    if isinstance(v, SeqVector):
+        return v.domain, tuple((i, _bits(c)) for i, c in v.entries)
+    return struct.pack("dd", v.real, v.imag)
+
+
+def _trace_bits(trace):
+    return struct.pack(f"{len(trace)}d", *trace)
+
+
+_FACTORS = [2.0, 0.5, 3.0, 1 / 3, 1.1, 1 / 1.1, 1j, -1j, 0.6 + 0.8j, 0.6 - 0.8j]
+# scalar-domain values keep signed zeros, which == cannot tell apart
+_SCALARS = _FACTORS + [complex(-2.0, 0.0), complex(-0.5, 0.0), complex(2.0, -0.0),
+                       complex(-0.0, 1.0), complex(1.0, -0.0)]
+_PARTS = st.sampled_from([1.0, -1.0, 0.5, 3.0, 0.0, -0.0])
+
+
+@st.composite
+def _block(draw):
+    """(T, S, vector strategy) of one domain; S is often T's exact inverse."""
+    kind = draw(st.sampled_from(["uni", "bi", "scalar"]))
+    if kind == "scalar":
+        t = draw(st.sampled_from(_SCALARS))
+        s = draw(st.sampled_from([1 / t] + _SCALARS))
+        return ScalarOnC(t), ScalarOnC(s), st.builds(complex, _PARTS, _PARTS)
+    f = draw(st.sampled_from(_FACTORS))
+    g = draw(st.sampled_from([1 / f] + _FACTORS))
+    if kind == "uni":
+        op, inv = BackwardShift(), ForwardShift()
+    else:
+        bps = tuple(sorted(draw(st.sets(st.integers(-3, 3), max_size=2))))
+        values = tuple(draw(st.lists(st.sampled_from(_FACTORS), min_size=len(bps) + 1,
+                                     max_size=len(bps) + 1)))
+        weights = WeightSpec(bps, values)
+        op, inv = WeightedBackward(weights), WeightedForward(weights.inverse_shifted())
+    lo = 0 if kind == "uni" else -4
+    entries = st.lists(st.tuples(st.integers(lo, 6), st.builds(complex, _PARTS, _PARTS)),
+                       max_size=4)
+    vectors = entries.map(lambda e: SeqVector.make(kind, e))
+    return ScalarMultiple(f, op), ScalarMultiple(g, inv), vectors
+
+
+@st.composite
+def _instances(draw):
+    blocks = draw(st.lists(_block(), min_size=1, max_size=2))
+    if len(blocks) == 1 and draw(st.booleans()):
+        op, inv, vectors = blocks[0]
+    else:
+        op = DirectSum(*(b[0] for b in blocks))
+        inv = DirectSum(*(b[1] for b in blocks))
+        vectors = st.tuples(*(b[2] for b in blocks))
+    indices = draw(st.sets(st.integers(0, 40), min_size=1, max_size=12))
+    return CriterionInstance(
+        operator=op,
+        right_inverse=inv,
+        decay_vectors=tuple(draw(st.lists(vectors, min_size=1, max_size=3))),
+        target_vectors=tuple(draw(st.lists(vectors, min_size=1, max_size=3))),
+        indices=tuple(sorted(indices)),
+    )
+
+
+# -2 * -0.5 turns 1+0j into 1-0j, which == takes for the target itself
+_SIGNED_ZERO = CriterionInstance(
+    operator=ScalarOnC(-2.0),
+    right_inverse=ScalarOnC(-0.5),
+    decay_vectors=(1 + 0j,),
+    target_vectors=(1 + 0j,),
+    indices=(0, 1),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_instances())
+@example(_SIGNED_ZERO)
+def test_telescoped_round_trips_match_the_direct_formula_bit_for_bit(inst):
+    """check_criterion against the direct per-index formula: each miss
+    T^n S^n y - y bit for bit, and all three traces."""
+    T, S, indices, targets = inst.operator, inst.right_inverse, inst.indices, inst.target_vectors
+    s_rows = [[power_apply(S, n, y) for y in targets] for n in indices]
+    direct = [[vector_sub(power_apply(T, n, sy), y) for sy, y in zip(row, targets)]
+              for n, row in zip(indices, s_rows)]
+    trips = criteria._round_trips(T, s_rows, targets, indices)
+    assert [[_bits(m) for m, _ in row] for _, row in trips] == [list(map(_bits, row)) for row in direct]
+
+    peak = lambda vecs: max(map(vector_norm, vecs))  # noqa: E731
+    expected = (
+        [peak(power_apply(T, n, x) for x in inst.decay_vectors) for n in indices],
+        list(map(peak, s_rows)),
+        list(map(peak, direct)),
+    )
+    report = check_criterion(inst)
+    assert list(map(_trace_bits, report.traces)) == list(map(_trace_bits, expected))
+
+
+def test_exact_round_trips_walk_linearly_many_steps(monkeypatch):
+    """Rolewicz at N=2000: the telescoped round trips reuse every miss, so
+    the whole check walks O(N) entry steps per target, not about N^2 / 2."""
+    steps = 0
+    walk = operators._walk
+
+    def counting(i, c, n, *rest):
+        nonlocal steps
+        steps += n
+        return walk(i, c, n, *rest)
+
+    monkeypatch.setattr(operators, "_walk", counting)
+    inst = rolewicz_instance(upto=2000)
+    check_criterion(inst)
+    assert 0 < steps <= 4 * 2000 * len(inst.target_vectors)

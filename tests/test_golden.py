@@ -1,7 +1,10 @@
 """Golden digests: every shipped config, plus build22 K=20 and criterion
 N=160, must write byte-for-byte the reports (minus the generated_at line)
-and CSVs recorded before the exact-power and X2-pick rewrite. A digest may
-change only with a declared change to the report format."""
+and CSVs recorded before the exact-power and X2-pick rewrite. The two
+criterion_ratio pins (factor 1.1 against 1/1.1, an inverse that is not
+exact, at N=200 and on a sparse index list) were recorded before the
+round trips were telescoped. A digest may change only with a declared
+change to the report format."""
 
 import hashlib
 import json
@@ -50,6 +53,18 @@ GOLDEN = {
     "criterion_N160": {
         "report.json": "e90a1a50f70b0e80700b7e50b645381c843420981c119f86c29f3027063e0719",
     },
+    "criterion_ratio_N200": {
+        "report.json": "5780b9ea037b3fea237dcf29820fec05f7aafcdf95d4d53433a1707184c4a5c1",
+    },
+    "criterion_ratio_sparse": {
+        "report.json": "3c2c5341e22812b26eca10473b0913199aaef46ff3a93cb5704d143d8f5d0ca2",
+    },
+}
+
+# the ratio pair: T = 1.1 B with S = F / 1.1, whose round trip is not exact
+_RATIO_INDICES = {
+    "criterion_ratio_N200": {"upto": 200},
+    "criterion_ratio_sparse": [0, 1, 5, 6, 17, 64, 65, 130, 199, 200],
 }
 
 
@@ -62,6 +77,14 @@ def _config(name):
     if name == "criterion_N160":
         cfg = json.loads((CONFIG_DIR / "criterion_rolewicz.json").read_text())
         cfg["indices"] = {"upto": 160}
+        return cfg
+    if name in _RATIO_INDICES:
+        cfg = json.loads((CONFIG_DIR / "criterion_rolewicz.json").read_text())
+        cfg["operator"] = {"kind": "scalar_multiple", "factor": [1.1, 0.0],
+                           "inner": {"kind": "backward_shift"}}
+        cfg["right_inverse"] = {"kind": "scalar_multiple", "factor": [1 / 1.1, 0.0],
+                                "inner": {"kind": "forward_shift"}}
+        cfg["indices"] = _RATIO_INDICES[name]
         return cfg
     return json.loads((CONFIG_DIR / f"{name}.json").read_text())
 
