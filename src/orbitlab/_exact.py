@@ -152,6 +152,15 @@ class X2:
             return Fraction(self.num << self.exp, self.den)
         return Fraction(self.num, self.den << (-self.exp))
 
+    def to_json(self) -> dict:
+        """In lowest terms: {"num", "exp2"} when the denominator is a power of two
+        (never built, so huge exponents stay cheap), {"num", "den"} otherwise."""
+        g = math.gcd(self.num, self.den)
+        num, den = self.num // g << max(self.exp, 0), self.den // g
+        if den == 1:
+            return {"num": num, "exp2": min(self.exp, 0)}
+        return {"num": num, "den": den << max(-self.exp, 0)}
+
     def round_up_bits(self, bits: int = 64) -> "X2":
         """Smallest X2 >= self (nonnegative self) whose mantissa fits in ~bits
         bits: a compact certified upper bound for reporting."""

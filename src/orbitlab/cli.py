@@ -7,7 +7,9 @@ internal error or bad invocation. Every precondition error the package raises
 derives from ValueError, which is what maps to exit code 1.
 
 Each command imports only the modules it runs, so a process pays for
-compiling and executing just those.
+compiling and executing just those. A handler returns plain result objects
+(dataclasses, NamedTuples, complex numbers, tuples, dicts); run_config
+encodes them once through jsonio.encode.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ def _field(cfg: dict, key: str, cls=object, *default):
 def _load_targets(cfg: dict, stages: int, domain: str):
     from . import constructions
 
-    spec = _field(cfg, "targets", dict, None)
-    if spec is not None and "vectors" in spec:
+    spec = _field(cfg, "targets", dict, {"default_count": stages + 1})
+    jsonio.check_keys(spec, ("vectors", "default_count"), "targets")
+    if "vectors" in spec:
         return constructions.TargetFamily(_vectors(spec, "vectors", domain, "targets"))
-    count = stages + 1 if spec is None else jsonio.decode_key(int, spec, "default_count", "targets")
+    count = jsonio.decode_key(int, spec, "default_count", "targets")
     return constructions.default_target_family(count, domain)
 
 
@@ -62,10 +65,9 @@ def _cmd_classify(cfg: dict, out: "_Output") -> dict:
     from . import scalar_sets
 
     s = scalar_sets.from_json(_field(cfg, "set", dict), "set")
-    result = scalar_sets.classify(s)
     return {
-        "classification": jsonio.encode(result),
-        "modulus_set": s.strip_zero().modulus_set().to_json(),
+        "classification": scalar_sets.classify(s),
+        "modulus_set": s.strip_zero().modulus_set(),
     }
 
 
@@ -82,7 +84,7 @@ def _cmd_build(cfg: dict, out: "_Output") -> dict:
     stages = _field(cfg, "stages", int)
     trace = build(sampler, _load_targets(cfg, stages, domain), stages)
     out.csv("residuals.csv", trace.to_csv)
-    return {"trace": trace.to_json()}
+    return {"trace": trace}
 
 
 def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
@@ -90,22 +92,19 @@ def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
 
     rate = _field(cfg, "rate", scalar_sets.AngleSpec)
     scenario = constructions.build_spiral_scenario(_field(cfg, "base", float), rate)
-    result: dict = {
-        "operator": jsonio.encode(scenario.operator),
-        "scalar_set": jsonio.encode(scenario.scalar_set),
-    }
     spectrum = operators.adjoint_point_spectrum(scenario.operator)
-    result["adjoint_point_spectrum"] = sorted(
-        (jsonio.encode(z) for z in spectrum), key=tuple
-    )
+    result = {
+        "operator": scenario.operator,
+        "scalar_set": scenario.scalar_set,
+        "adjoint_point_spectrum": sorted(spectrum, key=lambda z: (z.real, z.imag)),
+    }
     if "target" in cfg:
-        dist = constructions.spiral_distance_to(
+        result["distance"] = constructions.spiral_distance_to(
             scenario,
             _field(cfg, "target", complex),
             _field(cfg, "s_range", tuple[float, float], (-20.0, 20.0)),
             _field(cfg, "step", float, 1e-4),
         )
-        result["distance"] = jsonio.encode(dist)
     return result
 
 
@@ -125,6 +124,7 @@ def _cmd_density(cfg: dict, out: "_Output") -> dict:
         None if window is None else _field(cfg, "radial_window", tuple[float, float]),
     )
     ball = _field(cfg, "ball", dict)
+    jsonio.check_keys(ball, ("center", "radius"), "ball")
     report = density.epsilon_density(
         cloud,
         _field(cfg, "section", tuple[int, ...]),
@@ -134,7 +134,7 @@ def _cmd_density(cfg: dict, out: "_Output") -> dict:
         _field(cfg, "grid_step", float),
     )
     out.csv("heatmap.csv", lambda: _heatmap_csv(report))
-    return {"density": report.to_json(), "cloud_size": len(cloud)}
+    return {"density": report, "cloud_size": len(cloud)}
 
 
 def _heatmap_csv(report) -> str:
@@ -153,6 +153,8 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
     op = _field(cfg, "operator", operators.OperatorSpec)
     dom = op.operator_domain()
     indices = _field(cfg, "indices")
+    if isinstance(indices, dict):
+        jsonio.check_keys(indices, ("upto",), "indices")
     inst = criteria.CriterionInstance(
         operator=op,
         right_inverse=_field(cfg, "right_inverse", operators.OperatorSpec),
@@ -165,14 +167,14 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
     )
     full = _field(cfg, "mode", Literal["full"], None) == "full"
     report = criteria.kitai_mode(inst) if full else criteria.check_criterion(inst)
-    return {"criterion": report.to_json()}
+    return {"criterion": report}
 
 
 def _cmd_winding(cfg: dict, out: "_Output") -> dict:
     from . import winding
 
     result = winding.winding_number(_field(cfg, "curve", winding.CircleCurve))
-    return {"winding": jsonio.encode(result), "index": result.index}
+    return {"winding": result, "index": result.index}
 
 
 def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
@@ -192,7 +194,7 @@ def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
         _field(cfg, "phase_grid", int, 360),
     )
     return {
-        "lambda_estimate": jsonio.encode(est),
+        "lambda_estimate": est,
         "multiplicative_closure": density.multiplicative_closure_report(est),
     }
 
@@ -252,10 +254,8 @@ def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
     }
     handler, fields = _HANDLERS[command]
     try:
-        unknown = [key for key in cfg if key != "command" and key not in fields]
-        if unknown:
-            raise ValueError(f"{unknown[0]}: unknown field for {command}")
-        report["result"] = handler(cfg, output)
+        jsonio.check_keys(cfg, ("command",) + fields, "")
+        report["result"] = jsonio.encode(handler(cfg, output))
     except ValueError as exc:
         report["error"] = str(exc)
         output.report(jsonio.dumps(report))

@@ -197,8 +197,8 @@ class ConstructionTrace:
         return tuple(x2_sum(terms) for terms in self.residual_terms)
 
     def to_json(self) -> dict:
-        # exact residual squares can carry huge mantissas; reports ship a
-        # compact certified upper bound instead
+        # the report's values, for jsonio.encode; exact residual squares can carry
+        # huge mantissas, so reports ship a compact certified upper bound instead
         return {
             "scheme": self.scheme,
             "stages": self.stages,
@@ -206,17 +206,17 @@ class ConstructionTrace:
             "choices": [
                 {
                     "stage": c.stage,
-                    "scalar_re": _encode_x2(c.scalar.re),
-                    "scalar_im": _encode_x2(c.scalar.im),
+                    "scalar_re": c.scalar.re,
+                    "scalar_im": c.scalar.im,
                     "modulus_log2": c.modulus_log2(),
                     "shift": c.shift,
                 }
                 for c in self.choices
             ],
-            "conditions": [dict(c) for c in self.conditions],
-            "residuals": list(self.residuals),
-            "residual_sq_upper": [_encode_x2(r) for r in self.residual_sq_upper],
-            "partial_sum": self.partial_sum.to_json(),
+            "conditions": self.conditions,
+            "residuals": self.residuals,
+            "residual_sq_upper": self.residual_sq_upper,
+            "partial_sum": self.partial_sum,
         }
 
     def to_csv(self) -> str:
@@ -231,14 +231,6 @@ class ConstructionTrace:
                 f"{jsonio.format_float(c.modulus_log2())},{c.shift},{jsonio.format_float(r)}"
             )
         return "\n".join(lines) + "\n"
-
-
-def _encode_x2(x: X2) -> dict:
-    """jsonio.encode_fraction(x.to_fraction()), without building the
-    Fraction when x is dyadic (den 1): every pick and reported bound is."""
-    if x.den != 1:
-        return jsonio.encode_fraction(x.to_fraction())
-    return {"num": x.num << max(x.exp, 0), "exp2": min(x.exp, 0)}
 
 
 def _residual_float(rsq: X2) -> float:

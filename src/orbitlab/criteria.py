@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .operators import (
     DomainMismatchError,
@@ -69,24 +70,20 @@ class CriterionInstance:
             raise ValueError("indices must be strictly increasing and nonnegative")
 
 
+class Traces(NamedTuple):
+    """The three residual traces, one peak per index."""
+
+    forward_decay: tuple[float, ...]
+    inverse_decay: tuple[float, ...]
+    roundtrip: tuple[float, ...]
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     passes: bool
     final_residuals: tuple[float, float, float]
-    traces: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
     tail_nonincreasing: tuple[bool, bool, bool]
-
-    def to_json(self) -> dict:
-        return {
-            "passes": self.passes,
-            "final_residuals": list(self.final_residuals),
-            "tail_nonincreasing": list(self.tail_nonincreasing),
-            "traces": {
-                "forward_decay": list(self.traces[0]),
-                "inverse_decay": list(self.traces[1]),
-                "roundtrip": list(self.traces[2]),
-            },
-        }
+    traces: Traces
 
 
 def _iterates(op: OperatorSpec, vecs, indices):
@@ -181,15 +178,15 @@ def check_criterion(inst: CriterionInstance) -> CriterionReport:
         r2_trace.append(_peak(inverse[k], "target_vectors", "inverse_decay", n))
         r3_trace.append(_peak(roundtrip[k], "target_vectors", "roundtrip", n))
 
-    traces = (tuple(r1_trace), tuple(r2_trace), tuple(r3_trace))
+    traces = Traces(tuple(r1_trace), tuple(r2_trace), tuple(r3_trace))
     finals = tuple(t[-1] for t in traces)
     tails = tuple(_tail_nonincreasing(t) for t in traces)
     passes = all(f <= inst.tolerance for f in finals) and all(tails)
     return CriterionReport(
         passes=passes,
         final_residuals=finals,  # type: ignore[arg-type]
-        traces=traces,
         tail_nonincreasing=tails,  # type: ignore[arg-type]
+        traces=traces,
     )
 
 

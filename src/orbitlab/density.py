@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
-from . import jsonio
 from ._kernels import nearest_distances
 from .operators import (
     DomainMismatchError,
@@ -108,6 +107,18 @@ NOT_COVERED = "not_covered"
 SOMEWHERE = "somewhere_witness"
 
 
+class Ball(NamedTuple):
+    center: tuple[complex, ...]
+    radius: float
+
+
+class Miss(NamedTuple):
+    """A grid point left uncovered, with its nearest-sample distance."""
+
+    point: tuple[complex, ...]
+    distance: float
+
+
 @dataclass(frozen=True)
 class DensityReport:
     section: tuple[int, ...]
@@ -118,39 +129,16 @@ class DensityReport:
     grid_count: int
     covered_count: int
     covered_fraction: float
-    miss_witnesses: tuple[tuple[tuple[complex, ...], float], ...]
     verdict: str
-    witness_ball: Optional[tuple[tuple[complex, ...], float]] = None
+    witness_ball: Optional[Ball]
+    miss_witnesses: tuple[Miss, ...]
     # full scan data for the heat-map export; omitted from the JSON summary
-    grid_points: tuple[tuple[complex, ...], ...] = ()
-    distances: tuple[float, ...] = ()
+    grid_points: tuple[tuple[complex, ...], ...] = field(default=(), metadata={"omit": True})
+    distances: tuple[float, ...] = field(default=(), metadata={"omit": True})
 
     def heatmap_rows(self):
         """(grid point coords, nearest-sample distance) for every grid point."""
         return tuple(zip(self.grid_points, self.distances))
-
-    def to_json(self) -> dict:
-        return {
-            "section": list(self.section),
-            "center": jsonio.encode(self.center),
-            "radius": self.radius,
-            "epsilon": self.epsilon,
-            "grid_step": self.grid_step,
-            "grid_count": self.grid_count,
-            "covered_count": self.covered_count,
-            "covered_fraction": self.covered_fraction,
-            "verdict": self.verdict,
-            "witness_ball": None
-            if self.witness_ball is None
-            else {
-                "center": jsonio.encode(self.witness_ball[0]),
-                "radius": self.witness_ball[1],
-            },
-            "miss_witnesses": [
-                {"point": jsonio.encode(coords), "distance": d}
-                for coords, d in self.miss_witnesses
-            ],
-        }
 
 
 def _ball_grid(
@@ -226,11 +214,7 @@ def epsilon_density(
 
     covered_flags = [d <= epsilon for d in dists]
     covered = sum(covered_flags)
-    misses = [
-        (_floats_to_coords(grid[i]), dists[i])
-        for i in range(len(grid))
-        if not covered_flags[i]
-    ]
+    misses = [i for i in range(len(grid)) if not covered_flags[i]][:1000]
 
     if covered == len(grid):
         verdict, witness = COVERED, None
@@ -247,9 +231,9 @@ def epsilon_density(
         grid_count=len(grid),
         covered_count=covered,
         covered_fraction=covered / len(grid) if grid else 0.0,
-        miss_witnesses=tuple(misses[:1000]),
         verdict=verdict,
         witness_ball=witness,
+        miss_witnesses=tuple(Miss(_floats_to_coords(grid[i]), dists[i]) for i in misses),
         grid_points=tuple(_floats_to_coords(pt) for pt in grid),
         distances=tuple(dists),
     )
@@ -303,7 +287,7 @@ def _somewhere_witness(grid, indices, covered_flags, radius, grid_step):
                     good = False
                     break
         if good and count >= 3:
-            return (_floats_to_coords(pt), sub_r)
+            return Ball(_floats_to_coords(pt), sub_r)
     return None
 
 

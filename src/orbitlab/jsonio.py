@@ -3,12 +3,16 @@
 Reports must be byte-reproducible, so this module owns one serialization
 policy: floats are printed with 17 significant digits (round-trip exact for
 IEEE doubles), dict keys keep insertion order, and arbitrary-precision
-integers pass through unchanged. Complex numbers are encoded as [re, im]
-pairs; exact scalars as {"num", "exp2"} when dyadic, {"num", "den"} otherwise.
+integers pass through unchanged.
 
-It also owns the one codec between dataclasses and JSON values: encode
-writes a dataclass's fields in declaration order, and decode builds one from
-its field types, naming the path of the first malformed value.
+It also owns the one codec between Python values and JSON values. encode is
+the only place where a report value becomes JSON. It tests for the JSON
+leaves (float, int, str, bool, None) first, recurses into dicts, lists and
+tuples (a NamedTuple becomes an object of its fields), writes a dataclass's
+fields in declaration order minus those whose metadata sets "omit", and
+encodes whatever a to_json method returns in turn. decode builds a
+dataclass from its field types, refusing keys it does not declare and
+naming the path of the first malformed value.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import hashlib
 import json
 import math
 import typing
-
-if typing.TYPE_CHECKING:  # annotation only: most commands never load fractions
-    from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str, in C
 
 
 def format_float(x: float) -> str:
@@ -47,7 +49,7 @@ def _encode(obj, parts: list[str], indent: str, level: int) -> None:
     elif isinstance(obj, float):
         parts.append(format_float(obj))
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        parts.append(_quote(obj))
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -56,20 +58,19 @@ def _encode(obj, parts: list[str], indent: str, level: int) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(f"{inner}{json.dumps(key)}: ")
+            parts.append(f"{inner}{_quote(key)}: ")
             _encode(value, parts, indent, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             parts.append("[]")
             return
         parts.append("[\n")
-        for i, value in enumerate(seq):
+        for i, value in enumerate(obj):
             parts.append(inner)
             _encode(value, parts, indent, level + 1)
-            parts.append(",\n" if i + 1 < len(seq) else "\n")
+            parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
@@ -104,14 +105,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(dumps(cfg).encode("utf-8")).hexdigest()
 
 
-def encode_fraction(fr: Fraction) -> dict:
-    """Exact encoding; dyadic denominators compress to an exponent field."""
-    num, den = fr.numerator, fr.denominator
-    if den & (den - 1) == 0:
-        return {"num": num, "exp2": -(den.bit_length() - 1)}
-    return {"num": num, "den": den}
-
-
 # ---------------------------------------------------------------------------
 # dataclass codec
 
@@ -132,25 +125,35 @@ class Family:
             cls.kinds[kind] = cls
 
 
+_LEAVES = frozenset({float, int, str, bool, type(None)})
+
+
 def encode(obj):
     """The JSON value of obj.
 
-    A dataclass becomes an object of its fields in declaration order, led by
-    "kind" for a family member. A field's metadata may rename its key
-    ("key") or name the value that null stands for ("null"). Complex numbers
-    become [re, im] pairs and tuples lists; a class with its own to_json
-    encodes through it.
+    A dataclass becomes an object of its fields, led by "kind" for a family
+    member. A field's metadata may rename its key ("key"), name the value
+    that null stands for ("null") or leave the field out ("omit"). Complex
+    numbers become [re, im] pairs.
     """
+    if type(obj) in _LEAVES:  # most values are: test first, and inline in containers
+        return obj
+    if type(obj) in (list, tuple):
+        return [x if type(x) in _LEAVES else encode(x) for x in obj]
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, tuple):
-        return [encode(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: x if type(x) in _LEAVES else encode(x) for key, x in obj.items()}
+    if isinstance(obj, tuple):  # a NamedTuple
+        return {key: x if type(x) in _LEAVES else encode(x) for key, x in zip(obj._fields, obj)}
     if hasattr(obj, "to_json"):
-        return obj.to_json()
+        return encode(obj.to_json())
     if not dataclasses.is_dataclass(obj):
         return obj
     out = {"kind": obj.kind} if isinstance(obj, Family) else {}
     for f in dataclasses.fields(obj):
+        if f.metadata.get("omit"):
+            continue
         value = getattr(obj, f.name)
         null = f.metadata.get("null")
         out[f.metadata.get("key", f.name)] = (
@@ -187,6 +190,22 @@ def construct(make, path: str, *args):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def check_keys(obj, known, path: str) -> None:
+    """Refuse a JSON object obj (at path) holding a key outside known: the
+    ValueError names the first such key, e.g. `set.outer_radus: unknown field`."""
+    if not isinstance(obj, dict):
+        raise _expected("an object", obj, path)
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
+
+
+@functools.cache
+def _declared_keys(cls) -> frozenset:
+    keys = {f.metadata.get("key", f.name) for f in dataclasses.fields(cls)}
+    return frozenset(keys | {"kind"} if issubclass(cls, Family) else keys)
+
+
 def decode_key(cls, obj, key: str, path: str, default=dataclasses.MISSING):
     """decode(cls, obj[key], f"{path}.{key}") for the JSON object obj (just
     key at the top level, where path is ""); a missing key gives default, or
@@ -205,11 +224,12 @@ def decode(cls, obj, path: str):
     """Build a value of type cls from the JSON value obj.
 
     The inverse of encode: a family root reads "kind" to pick its member,
-    and a class with its own from_json decodes through it. list, dict and
-    object stand for raw JSON values of that type, and Literal[...] admits
-    only the values it lists. Numbers must be JSON numbers (not booleans or
-    strings). Every malformed value is a ValueError that starts with its
-    path, e.g. `set.members[1].radius: missing field`.
+    and a class with its own from_json decodes through it. A key that the
+    dataclass does not declare is refused ("kind" is declared for a family
+    member). list, dict and object stand for raw JSON values of that type,
+    and Literal[...] admits only the values it lists. Numbers must be JSON
+    numbers (not booleans or strings). Every malformed value is a ValueError
+    that starts with its path, e.g. `set.members[1].radius: missing field`.
     """
     if cls in _SCALARS:
         types, what = _SCALARS[cls]
@@ -254,8 +274,7 @@ def decode(cls, obj, path: str):
         if kind not in cls.kinds:
             raise ValueError(f"{path}.kind: unknown kind {kind!r}, not one of {sorted(cls.kinds)}")
         cls = cls.kinds[kind]
-    if not isinstance(obj, dict):
-        raise _expected("an object", obj, path)
+    check_keys(obj, _declared_keys(cls), path)
     hints = _field_types(cls)
     args = []
     for f in dataclasses.fields(cls):

@@ -120,13 +120,11 @@ class SeqVector:
 
     @classmethod
     def from_json(cls, obj, path: str) -> "SeqVector":
+        jsonio.check_keys(obj, ("domain", "entries"), path)
         domain = jsonio.decode_key(str, obj, "domain", path)
         entries = jsonio.decode_key(tuple[tuple[int, float, float], ...], obj, "entries", path)
         pairs = [(i, complex(re, im)) for i, re, im in entries]
         return jsonio.construct(cls.make, path, domain, pairs)
-
-    def to_csv_rows(self) -> list[str]:
-        return [f"{i},{jsonio.format_float(v.real)},{jsonio.format_float(v.imag)}" for i, v in self.entries]
 
 
 Vector = TUnion[SeqVector, complex, tuple]

@@ -93,8 +93,10 @@ class AngleSpec:
     @classmethod
     def from_json(cls, obj, path: str) -> "AngleSpec":
         if isinstance(obj, dict) and "pi_rational" in obj:
+            jsonio.check_keys(obj, ("pi_rational",), path)
             p, q = jsonio.decode_key(tuple[int, int], obj, "pi_rational", path)
             return jsonio.construct(cls.rational_pi, f"{path}.pi_rational", p, q)
+        jsonio.check_keys(obj, ("irrational", "tag"), path)
         return cls.irrational(
             jsonio.decode_key(float, obj, "irrational", path),
             jsonio.decode_key(str, obj, "tag", path, ""),
@@ -645,11 +647,8 @@ class ModulusSet:
         )
 
     def to_json(self) -> dict:
-        return {
-            "intervals": [[lo, hi if hi != math.inf else None] for lo, hi in self.intervals],
-            "tails": [[s, r] for s, r in self.tails],
-            "unbounded": self.unbounded,
-        }
+        intervals = [(lo, hi if hi != math.inf else None) for lo, hi in self.intervals]
+        return {"intervals": intervals, "tails": self.tails, "unbounded": self.unbounded}
 
 
 def modulus_set(s: ScalarSet) -> ModulusSet:

@@ -300,6 +300,13 @@ def _circle(radius):
     return {"command": "classify", "set": {"kind": "circle", "radius": radius}}
 
 
+def _edited(name, edit):
+    """The shipped config name after edit(cfg) changed it in place."""
+    cfg = load(CONFIG_DIR / f"{name}.json")
+    edit(cfg)
+    return cfg
+
+
 def _targets(vector):
     return {"command": "build21", "set": {"kind": "geometric", "base": [2.0, 0.0]},
             "stages": 1, "targets": {"vectors": [vector]}}
@@ -336,6 +343,21 @@ def _targets(vector):
         ({**load(CONFIG_DIR / "criterion_rolewicz.json"), "mode": None}, "mode"),
         ({**_circle(1.0), "radial_window": [0.5, 2.0]}, "radial_window"),
         ({**load(CONFIG_DIR / "spiral.json"), "stages": 3}, "stages"),
+        # ... and so is one inside a nested object
+        ({"command": "classify", "set": {"kind": "annulus", "inner_radius": 0.5,
+                                         "outer_radus": 1.0}}, "set.outer_radus"),
+        (_edited("spiral_density", lambda c: c["ball"].update(radus=0.1)), "ball.radus"),
+        (_edited("spiral_density", lambda c: c["set"]["rate"].update(tga="x")), "set.rate.tga"),
+        (_edited("spiral", lambda c: c.update(rate={"pi_rational": [1, 3], "tag": "x"})),
+         "rate.tag"),
+        (_edited("criterion_rolewicz", lambda c: c.update(indices={"up_to": 10})),
+         "indices.up_to"),
+        (_edited("criterion_rolewicz", lambda c: c["decay_vectors"][0].update(domian="uni")),
+         "decay_vectors[0].domian"),
+        (_edited("criterion_rolewicz", lambda c: c["operator"]["inner"].update(weights={})),
+         "operator.inner.weights"),
+        (_edited("build22", lambda c: c.update(targets={"default_cont": 16})),
+         "targets.default_cont"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

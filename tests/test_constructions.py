@@ -23,7 +23,6 @@ from orbitlab import (
     spiral_distance_to,
 )
 from orbitlab._exact import X2, xvec_from_seq, xvec_norm_sq
-from orbitlab.constructions import _encode_x2
 from orbitlab import jsonio
 
 IRR = AngleSpec.irrational(1.0, "one radian")
@@ -177,7 +176,7 @@ class TestBilateralBuild:
         tracemalloc.start()
         try:
             trace = build_bilateral(Geometric(0.5), fam, 35)
-            jsonio.dumps(trace.to_json())
+            jsonio.dumps(jsonio.encode(trace))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -191,18 +190,26 @@ class TestBilateralBuild:
             build_bilateral(Annulus(1, 2), fam, 2)
 
     def test_trace_serializes_compactly(self, trace):
-        text = jsonio.dumps(trace.to_json())
+        text = jsonio.dumps(jsonio.encode(trace))
         assert len(text) < 200_000
         assert '"residual_sq_upper"' in text
         csv = trace.to_csv()
         assert csv.splitlines()[0] == "stage,modulus,modulus_log2,shift,residual"
         assert len(csv.splitlines()) == trace.stages + 2
 
-    @pytest.mark.parametrize("num, den", [(1, 1), (-3, 1), (5, 1), (7, 3), (-1, 9)])
-    @pytest.mark.parametrize("exp", [-70, -1, 0, 1, 70])
+    # X2(3, 3, exp) keeps its odd mantissas unreduced; at exp -2 it must
+    # encode as {"num": 1, "exp2": -2}
+    @pytest.mark.parametrize("num, den", [(1, 1), (-3, 1), (5, 1), (7, 3), (-1, 9), (3, 3)])
+    @pytest.mark.parametrize("exp", [-70, -1, 0, 1, 70, -2])
     def test_x2_encoding_matches_the_fraction_encoding(self, num, den, exp):
-        x = X2(num, den, exp)
-        assert _encode_x2(x) == jsonio.encode_fraction(x.to_fraction())
+        # the reference: the Fraction in lowest terms, a power-of-two
+        # denominator written as its exponent
+        fr = X2(num, den, exp).to_fraction()
+        if fr.denominator & (fr.denominator - 1) == 0:
+            expected = {"num": fr.numerator, "exp2": 1 - fr.denominator.bit_length()}
+        else:
+            expected = {"num": fr.numerator, "den": fr.denominator}
+        assert X2(num, den, exp).to_json() == expected
 
 
 class TestSpiralScenario:

@@ -20,6 +20,7 @@ from orbitlab import (
     WeightSpec,
     check_criterion,
     criteria,
+    jsonio,
     kitai_mode,
     operators,
     power_apply,
@@ -140,8 +141,10 @@ class TestModes:
 
     def test_report_serializes(self):
         report = check_criterion(rolewicz_instance(upto=10))
-        blob = report.to_json()
-        assert set(blob["traces"]) == {"forward_decay", "inverse_decay", "roundtrip"}
+        blob = jsonio.encode(report)
+        assert list(blob) == ["passes", "final_residuals", "tail_nonincreasing", "traces"]
+        assert list(blob["traces"]) == ["forward_decay", "inverse_decay", "roundtrip"]
+        assert blob["traces"]["roundtrip"] == list(report.traces.roundtrip)
 
 
 class TestValidation:

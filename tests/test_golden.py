@@ -3,11 +3,15 @@ N=160, must write byte-for-byte the reports (minus the generated_at line)
 and CSVs recorded before the exact-power and X2-pick rewrite. The two
 criterion_ratio pins (factor 1.1 against 1/1.1, an inverse that is not
 exact, at N=200 and on a sparse index list) were recorded before the
-round trips were telescoped. A digest may change only with a declared
-change to the report format."""
+round trips were telescoped. The density_2b_section pin (the only report
+with a witness ball and two-coordinate miss witnesses) was recorded before
+the density report was encoded through jsonio.encode. A digest may change
+only with a declared change to the report format."""
 
+import cmath
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -59,6 +63,10 @@ GOLDEN = {
     "criterion_ratio_sparse": {
         "report.json": "3c2c5341e22812b26eca10473b0913199aaef46ff3a93cb5704d143d8f5d0ca2",
     },
+    "density_2b_section": {
+        "heatmap.csv": "859a540bbf15baa6a76500c799f4fc19e41232722aaeabb2f973dc95d34082ba",
+        "report.json": "1a3a4e2f0f2144c4e2c54f871029251184f9677a9cbcc1c161b78606bce16127",
+    },
 }
 
 # the ratio pair: T = 1.1 B with S = F / 1.1, whose round trip is not exact
@@ -68,7 +76,33 @@ _RATIO_INDICES = {
 }
 
 
+def _section_2b():
+    """2B on an annulus, scanned on the 2-coordinate section [0, 1] around a
+    ball off the origin: the benchmark's density_2b_section job."""
+    angle = math.pi * (3.0 - math.sqrt(5.0))
+    entries = []
+    for j in range(32):
+        z = cmath.rect(2.0 ** -j, angle * j * j)
+        entries.append([j, z.real, z.imag])
+    center = [cmath.rect(0.75, 0.0), cmath.rect(0.75, angle)]
+    return {
+        "command": "density",
+        "operator": {"kind": "scalar_multiple", "factor": [2.0, 0.0],
+                     "inner": {"kind": "backward_shift"}},
+        "base_point": {"domain": "uni", "entries": entries},
+        "set": {"kind": "annulus", "inner_radius": 0.5, "outer_radius": 1.0},
+        "horizon": 30,
+        "gamma_grid": 64,
+        "section": [0, 1],
+        "ball": {"center": [[z.real, z.imag] for z in center], "radius": 0.35},
+        "epsilon": 0.2,
+        "grid_step": 0.35 / 4,
+    }
+
+
 def _config(name):
+    if name == "density_2b_section":
+        return _section_2b()
     if name == "build22_K20":
         cfg = json.loads((CONFIG_DIR / "build22.json").read_text())
         cfg["stages"] = 20

@@ -322,11 +322,6 @@ class TestSerialization:
         v = SeqVector.make("bi", [(-3, 1 + 2j), (4, -0.5j)])
         assert SeqVector.from_json(v.to_json(), "v") == v
 
-    def test_vector_csv(self):
-        v = SeqVector.make("uni", [(0, 1.5 + 0j), (2, -1j)])
-        rows = v.to_csv_rows()
-        assert rows[0].startswith("0,1.5,")
-
     @pytest.mark.parametrize(
         "op",
         [
