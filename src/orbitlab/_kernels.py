@@ -9,17 +9,28 @@ the inputs and the platform's libm.
 
 Nearest distances (kd-tree best-match search; Friedman, Bentley and Finkel,
 ACM TOMS 3(3), 1977). A point's squared distance is the float sum
-``s = 0.0; s += t*t`` with ``t = q[d] - p[d]`` over the axes in order. For a
-node with bounding box [lo, hi] the lower bound takes on each axis the gap
+``(q0-p0)*(q0-p0) + (q1-p1)*(q1-p1) + ...`` over the axes in order, written
+out for the dimension (see _search). Python adds left to right, and
+``0.0 + x == x`` for every x >= 0, so this is bit for bit the loop
+``s = 0.0; s += t*t`` with ``t = q[d] - p[d]``, which the dense scan runs. For
+a node with bounding box [lo, hi] the lower bound takes on each axis the gap
 ``q[d] - lo[d]`` (query below the box) or ``q[d] - hi[d]`` (above it), or 0.0
-inside, and sums the squared gaps from 0.0 in the same axis order. IEEE
-subtraction, multiplication and addition are monotone under rounding to
-nearest, so for every point p in the box each rounded gap is no larger in
-magnitude than the rounded ``q[d] - p[d]``, each rounded square no larger,
-and each rounded partial sum no larger. The bound therefore never exceeds
-the computed squared distance of any point in the box, with no slack, and a
-node whose bound is at least the best value found holds no point that could
-lower it. Only the minimum is returned, so ties need no bookkeeping.
+inside, and sums the squared gaps in the same axis order. IEEE subtraction,
+multiplication and addition are monotone under rounding to nearest, so for
+every point p in the box each rounded gap is no larger in magnitude than the
+rounded ``q[d] - p[d]``, each rounded square no larger, and each rounded
+partial sum no larger. The bound therefore never exceeds the computed squared
+distance of any point in the box, with no slack, and a node whose bound is at
+least the best value found holds no point that could lower it. Only the
+minimum is returned, so ties need no bookkeeping, and the shape of the tree
+(how it splits, how large its leaves are) moves only the time, never a bit
+of the result.
+
+NaN and infinities. A cloud point with a coordinate that is inf or NaN is
+at distance inf or NaN from every query, and neither compares below inf, the
+dense scan's starting value, so such points are dropped before the tree is
+built; the boxes then hold finite numbers only. A warm start that reads NaN
+(a query with a NaN coordinate) is replaced by inf.
 
 Spiral scan (Lipschitz branch and bound; Piyavskii 1972, Shubert 1972). With
 lam = log_base and th = angle_rate taken as exact reals, grid point i sits on
@@ -83,6 +94,7 @@ intervals, so memory stays bounded whatever the grid size.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import itemgetter
 
@@ -106,69 +118,99 @@ def nearest_distances(grid, cloud, dim):
         raise ValueError("flat arrays must have length divisible by dim")
     if not cloud:
         raise ValueError("cloud is empty")
-    points = [tuple(cloud[j : j + dim]) for j in range(0, len(cloud), dim)]
-    root = _kd_build(points, dim)
-    dists = []
-    near = points[0]
-    for base in range(0, len(grid), dim):
-        q = tuple(grid[base : base + dim])
-        # warm start from the previous query's nearest sample
-        best = 0.0
-        for a, b in zip(q, near):
-            t = a - b
-            best += t * t
-        stack = [(0.0, root)]
-        while stack:
-            bound, (_, _, kids, leaf) = stack.pop()
-            if bound >= best:
-                continue
-            if kids is None:
-                for p in leaf:
-                    s = 0.0
-                    for a, b in zip(q, p):
-                        t = a - b
-                        s += t * t
-                    if s < best:
-                        best = s
-                        near = p
-                continue
-            first, second = [(_box_bound(q, kid), kid) for kid in kids]
-            if first[0] < second[0]:
-                first, second = second, first
-            if first[0] < best:
-                stack.append(first)
-            if second[0] < best:
-                stack.append(second)
-        dists.append(math.sqrt(best))
-    return dists
+    points = list(zip(*[iter(cloud)] * dim))
+    if not all(map(math.isfinite, cloud)):
+        points = [p for p in points if all(map(math.isfinite, p))]
+        if not points:
+            return [math.inf] * (len(grid) // dim)
+    return _search(dim)(grid, _kd_build(points, 0, dim), points[0])
 
 
-def _box_bound(q, node):
-    """Float sum of the squared per-axis gaps from q to the node's box."""
-    bound = 0.0
-    for a, l, h in zip(q, node[0], node[1]):
-        if a < l:
-            t = a - l
-            bound += t * t
-        elif a > h:
-            t = a - h
-            bound += t * t
-    return bound
-
-
-def _kd_build(points, dim):
-    """Node (lo, hi, kids, leaf): the points' bounding box, then either the
-    two children split at the median of the widest axis and leaf None, or
-    kids None and leaf the points."""
-    columns = list(zip(*points))
-    lo = tuple(map(min, columns))
-    hi = tuple(map(max, columns))
+def _kd_build(points, axis, dim):
+    """Node (a, b, leaf, lo0, hi0, lo1, hi1, ...): either the two children
+    split at the median of the axis, which cycles with the depth, and leaf
+    None, or a and b None and leaf the points. Then the points' bounding
+    box, which a leaf takes from its points and a parent from its children."""
     if len(points) <= _LEAF_POINTS:
-        return (lo, hi, None, points)
-    axis = max(range(dim), key=lambda d: hi[d] - lo[d])
+        return (None, None, points, *[f(c) for c in zip(*points) for f in (min, max)])
     points = sorted(points, key=itemgetter(axis))
     mid = len(points) // 2
-    return (lo, hi, (_kd_build(points[:mid], dim), _kd_build(points[mid:], dim)), None)
+    axis = (axis + 1) % dim
+    a = _kd_build(points[:mid], axis, dim)
+    b = _kd_build(points[mid:], axis, dim)
+    return (a, b, None, *[f(x, y) for x, y, f in zip(a[3:], b[3:], (min, max) * dim)])
+
+
+# The search for one dimension, with every per-axis sum written out: {q},
+# {p}, {n} and {box} stand for the axes' names (q0, q1, ...; l0, h0, ...),
+# {dist} and {warm} for the squared distances from q to p and to the warm
+# start n, and {bound} for the bound from q to the box (see the docstring).
+_SEARCH = """
+def search(grid, root, near):
+    dists = []
+    {n} = near
+    for {q} in zip(*[iter(grid)] * {dim}):
+        best = {warm}  # warm start from the previous query's nearest point
+        if best != best:
+            best = inf
+        stack = [(0.0, root)]
+        while stack:
+            bound, node = stack.pop()
+            if bound >= best:
+                continue
+            while True:  # down the nearer child, the other one stacked
+                a, b, leaf, {blank} = node
+                if leaf is not None:
+                    for {p} in leaf:
+                        s = {dist}
+                        if s < best:
+                            best = s
+                            {n} = {p}
+                    break
+                _, _, _, {box} = a
+                ab = {bound}
+                _, _, _, {box} = b
+                bb = {bound}
+                if bb < ab:
+                    a, b, ab, bb = b, a, bb, ab
+                if bb < best:
+                    stack.append((bb, b))
+                if ab >= best:
+                    break
+                node = a
+        dists.append(sqrt(best))
+    return dists
+"""
+
+
+@functools.cache
+def _search(dim):
+    """search(grid, root, near) for dim axes, generated from _SEARCH."""
+
+    def names(c):
+        return "".join(f"{c}{d}, " for d in range(dim))
+
+    def sq(a, b):
+        return f"({a} - {b}) * ({a} - {b})"
+
+    gaps = (
+        f"({sq(f'q{d}', f'l{d}')} if q{d} < l{d} else {sq(f'q{d}', f'h{d}')} if q{d} > h{d} else 0.0)"
+        for d in range(dim)
+    )
+    source = _SEARCH.format(
+        dim=dim,
+        q=names("q"),
+        p=names("p"),
+        n=names("n"),
+        box="".join(f"l{d}, h{d}, " for d in range(dim)),
+        blank="_, " * (2 * dim),
+        dist=" + ".join(sq(f"q{d}", f"p{d}") for d in range(dim)),
+        warm=" + ".join(sq(f"q{d}", f"n{d}") for d in range(dim)),
+        bound=" + ".join(gaps),
+    )
+    namespace = {"inf": math.inf, "sqrt": math.sqrt}
+    exec(compile(source, f"<nearest search, dim {dim}>", "exec"), namespace)
+    return namespace["search"]
 
 
 def spiral_min_scan(log_base, angle_rate, target_re, target_im, s_start, step, count):

@@ -34,10 +34,18 @@ def _load_targets(cfg: dict, stages: int, domain: str):
 
     spec = _field(cfg, "targets", dict, {"default_count": stages + 1})
     jsonio.check_keys(spec, ("vectors", "default_count"), "targets")
-    if "vectors" in spec:
-        return constructions.TargetFamily(_vectors(spec, "vectors", domain, "targets"))
-    count = jsonio.decode_key(int, spec, "default_count", "targets")
-    return constructions.default_target_family(count, domain)
+    if "vectors" not in spec:
+        count = jsonio.decode_key(int, spec, "default_count", "targets")
+        return constructions.default_target_family(count, domain)
+    vectors = _vectors(spec, "vectors", domain, "targets")
+    if "default_count" in spec:
+        count = jsonio.decode_key(int, spec, "default_count", "targets")
+        if count != len(vectors):
+            raise ValueError(
+                f"targets.default_count: {count} does not match the {len(vectors)} "
+                "vectors in targets.vectors"
+            )
+    return constructions.TargetFamily(vectors)
 
 
 def _base_point(obj, dom, field: str = "base_point"):

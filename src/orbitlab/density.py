@@ -39,14 +39,45 @@ class EmptyCloudError(ValueError):
 
 @dataclass(frozen=True)
 class OrbitCloud:
+    """The samples gamma * T^n x for n <= horizon and gamma in the scalar
+    grid, kept as the iterates T^n x (n = 0, ..., horizon) and the grid; a
+    sample's scaled vector is only formed when samples is read."""
+
     base_point: Vector
     operator: OperatorSpec
-    samples: tuple[tuple[int, complex, Vector], ...]  # (iterate, scalar, point)
+    iterates: tuple[Vector, ...]
     horizon: int
     gamma_grid_size: int
+    gammas: tuple[complex, ...] = ()
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.iterates) * len(self.gammas)
+
+    @property
+    def samples(self) -> tuple[tuple[int, complex, Vector], ...]:
+        """(iterate, scalar, point) for every sample, n major."""
+        return tuple(
+            (n, g, vector_scale(g, it)) for n, it in enumerate(self.iterates) for g in self.gammas
+        )
+
+    def section_coords(self, section: tuple[int, ...]) -> list[tuple[complex, ...]]:
+        """[project(p, section) for _, _, p in self.samples], bit for bit,
+        with only the section's coordinates scaled: vector_scale keeps
+        0 + g*v where g*v != 0 and drops the entry otherwise, which project
+        reads as 0j; a number is scaled to g*v as it is."""
+        out = []
+        for it in self.iterates:
+            if isinstance(it, SeqVector):
+                d = it.as_dict()
+                coords = [d.get(i) for i in section]
+                for g in self.gammas:
+                    out.append(
+                        tuple(0j if v is None or (w := g * v) == 0 else 0 + w for v in coords)
+                    )
+            else:
+                (z,) = project(it, section)  # a number; a direct sum is refused
+                out.extend((g * z,) for g in self.gammas)
+        return out
 
 
 def generate_orbit(
@@ -69,20 +100,17 @@ def generate_orbit(
             raise DomainMismatchError(f"base point must be a {dom!r} sequence vector")
     if gamma_grid < 1:
         raise ValueError("grid size must be positive")
-    gammas = s.scalar_grid(gamma_grid, radial_window)
-    samples = []
-    iterate = x
-    for n in range(horizon + 1):
-        for g in gammas:
-            samples.append((n, g, vector_scale(g, iterate)))
-        if n < horizon:
-            iterate = apply(op, iterate)
+    gammas = tuple(s.scalar_grid(gamma_grid, radial_window))
+    iterates = [x]
+    for _ in range(horizon):
+        iterates.append(apply(op, iterates[-1]))
     return OrbitCloud(
         base_point=x,
         operator=op,
-        samples=tuple(samples),
+        iterates=tuple(iterates),
         horizon=horizon,
         gamma_grid_size=len(gammas),
+        gammas=gammas,
     )
 
 
@@ -192,10 +220,10 @@ def epsilon_density(
         raise ValueError("radius and grid step must be positive")
     if not epsilon > grid_step / 2.0:
         raise ValueError("epsilon must exceed half the grid step")
-    if not cloud.samples:
+    if not len(cloud):
         raise EmptyCloudError("orbit cloud has no samples")
 
-    projected = [project(p, section) for _, _, p in cloud.samples]
+    projected = cloud.section_coords(section)
     # bounding-box prefilter: anything farther than radius+epsilon from the
     # ball on some axis can never cover a grid point at epsilon
     keep: list[tuple[complex, ...]] = []
@@ -310,11 +338,11 @@ def d_dense_check(
     """True iff every open ball of radius d around the centers holds a sample."""
     if d <= 0:
         raise ValueError("ball radius must be positive")
-    if not cloud.samples:
+    if not len(cloud):
         raise EmptyCloudError("orbit cloud has no samples")
     section = tuple(int(i) for i in section)
     centers = [tuple(complex(c) for c in ctr) for ctr in centers]
-    cloud_coords = (project(p, section) for _, _, p in cloud.samples)
+    cloud_coords = cloud.section_coords(section)
     dists = nearest_distances(_flat(centers), _flat(cloud_coords), 2 * len(section))
     witnesses = tuple(
         (centers[i], dists[i]) for i in range(len(centers)) if not dists[i] < d
@@ -378,9 +406,9 @@ def lambda_set_estimate(
     discretization error (pi/N times the scaled sample norm) is added to the
     acceptance threshold so a true match never fails by grid phase alone.
     """
-    if not cloud.samples:
+    if not len(cloud):
         raise EmptyCloudError("orbit cloud has no samples")
-    if any(g != 1 for _, g, _ in cloud.samples):
+    if any(g != 1 for g in cloud.gammas):
         raise ValueError("multiplier estimation needs a cloud with scalar grid {1}")
     if cloud.operator != op or cloud.base_point != x:
         raise ValueError("cloud was not generated from this operator and base point")

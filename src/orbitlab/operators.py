@@ -87,10 +87,32 @@ class SeqVector:
         return max(top) if top else 0
 
     def norm_sq(self) -> float:
-        return sum(v.real * v.real + v.imag * v.imag for _, v in self.entries)
+        # added left to right: sum() of floats is compensated from Python
+        # 3.12 on, which would move the last bits of reported norms
+        s = 0.0
+        for _, v in self.entries:
+            s += v.real * v.real + v.imag * v.imag
+        return s
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        """sqrt(norm_sq()), unless the squares leave float range: when the sum
+        is inf, or 0.0 for a nonzero vector, the entries are first scaled by
+        the power of two that brings the largest part into [0.5, 1)."""
+        s = self.norm_sq()
+        if 0.0 < s < math.inf or not self.entries:
+            return math.sqrt(s)
+        top = max(max(abs(v.real), abs(v.imag)) for _, v in self.entries)
+        if not 0.0 < top < math.inf:  # an inf or nan entry
+            return math.sqrt(s)
+        e = math.frexp(top)[1]
+        scaled = 0.0
+        for _, v in self.entries:
+            re, im = math.ldexp(v.real, -e), math.ldexp(v.imag, -e)
+            scaled += re * re + im * im
+        try:
+            return math.ldexp(math.sqrt(scaled), e)
+        except OverflowError:  # the norm itself is past the largest float
+            return math.inf
 
     def add(self, other: "SeqVector") -> "SeqVector":
         if other.domain != self.domain:

@@ -4,6 +4,7 @@ exit code 1 with the violated precondition named."""
 import importlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -76,6 +77,10 @@ def test_unknown_command_rejected():
 
 def test_main_subprocess_smoke(tmp_path):
     out = tmp_path / "run"
+    # the orbitlab this test imported, also when only pytest's path has it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [
             sys.executable,
@@ -87,6 +92,7 @@ def test_main_subprocess_smoke(tmp_path):
             "--out",
             str(out),
         ],
+        env=env,
         capture_output=True,
         text=True,
         timeout=60,
@@ -363,6 +369,44 @@ def _targets(vector):
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
     assert _main(cfg, tmp_path) == 1
     assert f"precondition violated: {field}:" in capsys.readouterr().err
+
+
+def _two_targets(count):
+    cfg = _targets({"domain": "uni", "entries": [[0, 1.0, 0.0]]})
+    cfg["targets"]["vectors"].append({"domain": "uni", "entries": [[1, 0.5, 0.0]]})
+    cfg["targets"]["default_count"] = count
+    return cfg
+
+
+def test_target_count_must_match_the_vectors(tmp_path, capsys):
+    assert _main(_two_targets(99), tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "precondition violated: targets.default_count: 99 does not match the 2 vectors" in err
+    assert _main(_two_targets(2), tmp_path) == 0
+
+
+@pytest.mark.parametrize("part", [1e200, 1e-200])
+def test_criterion_past_the_squares_float_range_exits_zero(part, tmp_path):
+    # the square of the decay vector's entry leaves float range; its norm
+    # does not (2 e_0 is the image of e_1 under T = 2B)
+    cfg = load(CONFIG_DIR / "criterion_rolewicz.json")
+    cfg["decay_vectors"] = [{"domain": "uni", "entries": [[1, 0.0, part]]}]
+    cfg["indices"] = {"upto": 3}
+    assert _main(cfg, tmp_path) == 0
+    traces = load(tmp_path / "report.json")["result"]["criterion"]["traces"]
+    assert traces["forward_decay"] == [part, 2 * part, 0.0, 0.0]
+
+
+def test_density_scan_past_a_nan_sample_exits_zero(tmp_path):
+    # the first sample is (2+2j) * (1e308+1e308j) = nan + inf*j; the nearest
+    # distances come from the finite samples further down the orbit
+    cfg = {"command": "density", "operator": {"kind": "scalar_on_c", "value": [0.5, 0.0]},
+           "base_point": [1e308, 1e308], "set": {"kind": "finite_points", "points": [[2.0, 2.0]]},
+           "horizon": 700, "gamma_grid": 1, "section": [0],
+           "ball": {"center": [[0.0, 0.0]], "radius": 1.0}, "epsilon": 0.6, "grid_step": 1.0}
+    assert _main(cfg, tmp_path) == 0
+    density = load(tmp_path / "report.json")["result"]["density"]
+    assert [math.isfinite(m["distance"]) for m in density["miss_witnesses"]] == [True] * 5
 
 
 def _overflowing_direct_sum():

@@ -5,12 +5,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitlab import (
     AngleSpec,
     BackwardShift,
+    DirectSum,
     FinitePoints,
     ScalarMultiple,
     ScalarOnC,
@@ -30,7 +31,7 @@ from orbitlab import (
 )
 from orbitlab import density
 from orbitlab.density import COVERED, NOT_COVERED, SOMEWHERE
-from orbitlab.operators import power_apply, vector_scale
+from orbitlab.operators import UnsupportedOperatorError, power_apply, vector_scale
 
 IRR = AngleSpec.irrational(1.0, "one radian")
 ONE = FinitePoints([1.0 + 0j])
@@ -75,6 +76,90 @@ class TestGenerateOrbit:
 
         with pytest.raises(DomainMismatchError):
             generate_orbit(BackwardShift(), be(0), ONE, 2, 1)
+
+    def test_samples_are_only_built_when_read(self, monkeypatch):
+        cloud = generate_orbit(BackwardShift(), e(3), FinitePoints([1.0, 2j, -0.5]), 4, 3)
+        monkeypatch.setattr(density, "vector_scale", None)  # any scaling would fail
+        assert len(cloud) == 15
+        coords = cloud.section_coords((2,))
+        monkeypatch.undo()
+        assert coords == [density.project(p, (2,)) for _, _, p in cloud.samples]
+
+
+# parts whose products underflow to (signed) zeros, land among the
+# subnormals, overflow or turn into nan
+_PARTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1e-200, -1e-200, 5e-324, -5e-324, 1e-310, 1.5, -2.5, 1e200, -1e308,
+         math.inf, -math.inf]
+    ),
+    st.floats(-1e3, 1e3),
+)
+_COMPLEX = st.builds(complex, _PARTS, _PARTS)
+
+
+@st.composite
+def _projection_case(draw):
+    """A cloud of a few iterates on one domain ("uni", "bi", "scalar" or a
+    direct sum) and its scalar grid, and a section that may leave the
+    iterates' supports."""
+    kind = draw(st.sampled_from(["uni", "bi", "scalar", "sum"]))
+    count = draw(st.integers(1, 3))
+    if kind == "scalar":
+        iterates = [draw(_COMPLEX) for _ in range(count)]
+        section = draw(st.sampled_from([(0,), (0,), (1,), (0, 0)]))
+    else:
+        lo = -3 if kind == "bi" else 0
+        vectors = st.dictionaries(st.integers(lo, 5), _COMPLEX, max_size=5).map(
+            lambda d: SeqVector.make("bi" if kind == "bi" else "uni", d)
+        )
+        iterates = [draw(vectors) for _ in range(count)]
+        if kind == "sum":
+            iterates = [(v, draw(_COMPLEX)) for v in iterates]
+        section = tuple(draw(st.lists(st.integers(-4, 8), min_size=1, max_size=4)))
+    gammas = tuple(draw(st.lists(_COMPLEX, min_size=1, max_size=4)))
+    cloud = density.OrbitCloud(
+        iterates[0], BackwardShift(), tuple(iterates), count - 1, len(gammas), gammas
+    )
+    return cloud, section
+
+
+def _coord_bits(points):
+    return [[(z.real.hex(), z.imag.hex()) for z in p] for p in points]
+
+
+def _or_error(fn):
+    try:
+        return _coord_bits(fn())
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_projection_case())
+@example((  # g*v underflows to -0.0 + 0.0j and is dropped; project reads 0j
+    density.OrbitCloud(e(0).scale(1e-200), BackwardShift(), (e(0).scale(1e-200),), 0, 1,
+                       (-1e-200 + 0j,)),
+    (0,),
+))
+@example((  # g*v is -0.0 - 2j, and 0 + g*v turns its real part into 0.0
+    density.OrbitCloud(e(0), BackwardShift(), (SeqVector.make("uni", {0: 1j}),), 0, 1,
+                       (-2 + 0j,)),
+    (0,),
+))
+def test_section_coords_match_projected_samples(case):
+    cloud, section = case
+    want = _or_error(lambda: [density.project(p, section) for _, _, p in cloud.samples])
+    assert _or_error(lambda: cloud.section_coords(section)) == want
+
+
+def test_direct_sum_cloud_is_refused():
+    op = DirectSum(BackwardShift(), ScalarOnC(0.5))
+    cloud = generate_orbit(op, (e(2), 1.0 + 0j), ONE, 3, 1)
+    with pytest.raises(UnsupportedOperatorError):
+        cloud.section_coords((0,))
+    with pytest.raises(UnsupportedOperatorError):
+        epsilon_density(cloud, [0], [0j], 0.4, 0.3, 0.2)
 
 
 def _net_fixture():

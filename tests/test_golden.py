@@ -5,7 +5,10 @@ criterion_ratio pins (factor 1.1 against 1/1.1, an inverse that is not
 exact, at N=200 and on a sparse index list) were recorded before the
 round trips were telescoped. The density_2b_section pin (the only report
 with a witness ball and two-coordinate miss witnesses) was recorded before
-the density report was encoded through jsonio.encode. A digest may change
+the density report was encoded through jsonio.encode. The density_1d pin
+(the benchmark's 1-D scan: 5,100 samples, 1,000 miss witnesses, not
+covered) was recorded before the orbit cloud kept only its iterates and the
+nearest-distance search was unrolled per dimension. A digest may change
 only with a declared change to the report format."""
 
 import cmath
@@ -67,6 +70,10 @@ GOLDEN = {
         "heatmap.csv": "859a540bbf15baa6a76500c799f4fc19e41232722aaeabb2f973dc95d34082ba",
         "report.json": "1a3a4e2f0f2144c4e2c54f871029251184f9677a9cbcc1c161b78606bce16127",
     },
+    "density_1d": {
+        "heatmap.csv": "b7c2dcf8ed65d441cdbdb4bdef7637a8fa3f36b559ff4fd32c3704f9de837a43",
+        "report.json": "8f008ddaad987d5226be9fe204a8b75c8637a1ef2342237a130ca57591d18b60",
+    },
 }
 
 # the ratio pair: T = 1.1 B with S = F / 1.1, whose round trip is not exact
@@ -100,9 +107,29 @@ def _section_2b():
     }
 
 
+def _density_1d():
+    """The spiral orbit cloud on the 1-D section around 0: (1/2)e^{i} maps
+    the spiral point at parameter t to the one at t-1, so all 51 x 100 =
+    5,100 samples lie on the spiral: the benchmark's density_1d job."""
+    return {
+        "command": "density",
+        "operator": {"kind": "scalar_on_c", "value": [0.5 * math.cos(1.0), 0.5 * math.sin(1.0)]},
+        "base_point": [1.0, 0.0],
+        "set": {"kind": "log_spiral", "base": 2.0, "rate": {"irrational": 1.0, "tag": "one radian"}},
+        "horizon": 50,
+        "gamma_grid": 100,
+        "section": [0],
+        "ball": {"center": [[0.0, 0.0]], "radius": 1.0},
+        "epsilon": 0.04,
+        "grid_step": 0.05,
+    }
+
+
 def _config(name):
     if name == "density_2b_section":
         return _section_2b()
+    if name == "density_1d":
+        return _density_1d()
     if name == "build22_K20":
         cfg = json.loads((CONFIG_DIR / "build22.json").read_text())
         cfg["stages"] = 20

@@ -3,6 +3,7 @@ equality with the dense scans they prune."""
 
 import math
 import random
+import sys
 import time
 import types
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlab import _kernels
+from orbitlab import _kernels, density
 from orbitlab._kernels import _eval_error, nearest_distances, spiral_min_scan
 from orbitlab.constructions import build_spiral_scenario, spiral_distance_to
 from orbitlab.scalar_sets import AngleSpec
@@ -77,17 +78,25 @@ class TestPythonBackend:
             spiral_min_scan(0.5, 1.0, 0.0, 0.0, 0.0, 0.1, 0)
 
 
+# lattice queries per radius for each dim, so that a ball grid stays small
+_LATTICE_STEPS = {2: 6, 4: 2, 6: 1, 8: 1}
+
+
 @st.composite
 def _nearest_case(draw):
     """Clouds of up to 400 points whose coordinates force exact ties:
     repeated values, a cluster 2**-70 wide around 0 whose distances to a far
     query round to the same float, duplicate points, and grid points that
-    are cloud points."""
-    dim = draw(st.sampled_from([2, 4, 6]))
+    are cloud points. A few coordinates are infinite or nan. Half the grids
+    are ball grids in the lattice order density._ball_grid emits, which
+    carries the warm start from each query to its neighbour."""
+    dim = draw(st.sampled_from([1, 2, 4, 6, 8]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     def coord():
         kind = rng.random()
+        if kind < 0.01:
+            return rng.choice([math.inf, -math.inf, math.nan])
         if kind < 0.3:
             return rng.choice([0.0, 0.5, -0.5, 1.0])
         if kind < 0.5:
@@ -96,17 +105,60 @@ def _nearest_case(draw):
 
     cloud = [tuple(coord() for _ in range(dim)) for _ in range(draw(st.integers(1, 320)))]
     cloud += [rng.choice(cloud) for _ in range(len(cloud) // 4)]
-    grid = [
-        rng.choice(cloud) if rng.random() < 0.3 else tuple(coord() for _ in range(dim))
-        for _ in range(draw(st.integers(1, 30)))
-    ]
+    if dim % 2 == 0 and draw(st.booleans()):
+        center = [complex(coord(), coord()) for _ in range(dim // 2)]
+        radius = rng.uniform(0.05, 2.0)
+        steps = draw(st.integers(1, _LATTICE_STEPS[dim]))
+        grid, _ = density._ball_grid(center, radius, radius / steps)
+    else:
+        grid = [
+            rng.choice(cloud) if rng.random() < 0.3 else tuple(coord() for _ in range(dim))
+            for _ in range(draw(st.integers(1, 30)))
+        ]
     return [v for p in grid for v in p], [v for p in cloud for v in p], dim
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_nearest_case())
 def test_nearest_matches_dense_scan(case):
     assert _bits(nearest_distances(*case)) == _bits(_nearest_brute(*case))
+
+
+def _scanned(grid, cloud, dim, axis):
+    """Coordinate `axis` of every cloud point whose distance the search
+    evaluates, read from the generated search's locals by a line tracer."""
+    line = next(
+        i + 1 for i, text in enumerate(_kernels._SEARCH.splitlines()) if text.strip().startswith("s = ")
+    )
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            seen.append(frame.f_locals[f"p{axis}"])
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith("<nearest search") else None
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        nearest_distances(grid, cloud, dim)
+    finally:
+        sys.settrace(outer)
+    return seen
+
+
+@pytest.mark.parametrize("dim, axis", [(d, a) for d in (2, 4, 8) for a in range(d)])
+def test_bound_prunes_a_cluster_apart_on_any_one_axis(dim, axis):
+    # the far cluster copies the near one 100 away along one axis only, so a
+    # bound that left that axis out could not tell the two apart
+    rng = random.Random(dim * 100 + axis)
+    near = [tuple(rng.random() for _ in range(dim)) for _ in range(6 * 2**dim + 50)]
+    far = [tuple(x + 100.0 * (d == axis) for d, x in enumerate(p)) for p in near]
+    queries = [rng.random() for _ in range(20 * dim)]
+    seen = _scanned(queries, [v for p in near + far for v in p], dim, axis)
+    assert sum(x > 50.0 for x in seen) * 10 < len(seen)
 
 
 @st.composite

@@ -3,7 +3,10 @@
 import cmath
 import math
 import random
+from functools import reduce
+from operator import add
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,6 +232,38 @@ def _vectors(draw, domain):
     lo = 0 if domain == "uni" else -12
     entries = draw(st.lists(st.tuples(st.integers(lo, 12), _values), max_size=6))
     return SeqVector.make(domain, entries)
+
+
+_MAGNITUDES = st.sampled_from([0.0, 5e-324, 1e-310, 1e-200, 1e-160, 0.3, 1.0, 7.5, 1e150, 1e200, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_MAGNITUDES, _MAGNITUDES, st.floats(0.5, 2.0), st.booleans(), st.booleans()),
+        max_size=6,
+    )
+)
+def test_norm_is_the_plain_sum_unless_the_squares_leave_float_range(parts):
+    v = SeqVector.make(
+        "uni",
+        [(i, complex(a * f * (-1) ** s, b * (-1) ** t)) for i, (a, b, f, s, t) in enumerate(parts)],
+    )
+    squares = [z.real * z.real + z.imag * z.imag for _, z in v.entries]
+    plain = reduce(add, squares, 0.0)  # left to right, as Python 3.11's sum
+    assert v.norm_sq().hex() == plain.hex()
+    if 0.0 < plain < math.inf or v.is_zero:
+        assert v.norm().hex() == math.sqrt(plain).hex()
+    else:  # moved off inf or 0.0: within a few ulps of the true norm
+        mpmath.mp.dps = 50
+        true = mpmath.sqrt(sum(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2 for _, z in v.entries))
+        assert 0.0 < v.norm() < math.inf
+        # a subnormal norm is rounded to a multiple of the smallest subnormal
+        assert abs(mpmath.mpf(v.norm()) - true) <= 4 * 2.0**-52 * true + 2.0**-1074
+
+
+def test_norm_past_the_largest_float_is_inf():
+    assert SeqVector.make("uni", [(0, 1.7e308), (1, 1.7e308j)]).norm() == math.inf
 
 
 class TestPowerNormBound:
