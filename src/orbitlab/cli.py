@@ -32,7 +32,9 @@ def _field(cfg: dict, key: str, cls=object, *default):
 def _load_targets(cfg: dict, stages: int, domain: str):
     from . import constructions
 
-    spec = _field(cfg, "targets", dict, {"default_count": stages + 1})
+    # a negative stages still gets one default target, so the builder is the
+    # one to refuse it, naming the field
+    spec = _field(cfg, "targets", dict, {"default_count": max(stages, 0) + 1})
     jsonio.check_keys(spec, ("vectors", "default_count"), "targets")
     if "vectors" not in spec:
         count = jsonio.decode_key(int, spec, "default_count", "targets")

@@ -1,29 +1,32 @@
 """Inductive construction of vectors whose scaled shift orbits approximate a
 dense target family, plus the scalar-rotation spiral counterexample scenario.
 
-Two schemes are implemented:
+Both schemes run on a weighted backward shift B e_j = w(j) e_{j-1} and its
+forward inverse F e_j = e_{j+1} / w(j+1). Stage k picks a scalar gamma_k and
+a shift m_k for the target y_k; the stage-K partial sum is
+x = sum_i (1/gamma_i) F^{m_i} y_i, and its stage-k residual is
+gamma_k B^{m_k} x - y_k.
 
-* unilateral: the backward shift on one-sided sequences, fed by a scalar set
-  with unbounded moduli. Stage k picks a scalar gamma_k large enough that
-  (i) ||y_k||/|gamma_k| < 2^-k, (ii) (|gamma_i|/|gamma_k|)||y_k|| < 2^-k for
-  i < k, and a shift m_k exceeding every earlier m_i + deg(y_i), so that the
-  stage-K partial sum x = sum (1/gamma_i) F^{m_i} y_i satisfies
-  ||gamma_k B^{m_k} x - y_k|| <= 2^-k exactly (earlier cross terms vanish,
-  later ones are dominated geometrically).
+* unilateral: w = 1 on one-sided sequences, where B drops what passes below
+  index 0, fed by a scalar set with unbounded moduli. gamma_k is large enough
+  that (i) ||y_k||/|gamma_k| < 2^-k and (ii) (|gamma_i|/|gamma_k|)||y_k|| <
+  2^-k for i < k, and m_k exceeds every earlier m_i + deg(y_i). Earlier cross
+  terms vanish and later ones are dominated geometrically, so the residual
+  norm is at most 2^-k.
 
-* bilateral: the weighted backward shift with weight 2 on positive indices,
-  fed by a scalar set whose positive moduli accumulate at 0. Scalars are
-  picked small-first using the a-priori bound
-  (|gamma_k|/|gamma_i|) * 2^{m_i + deg(y_i)} * ||y_i|| for the forward cross
-  condition, then m_k large enough for the two decay conditions; the stage
-  residuals obey ||gamma_k B^{m_k} x - y_k|| <= (k+1) * 2^-k.
+* bilateral: w = 2 on the indices j >= 1 and 1 elsewhere, fed by a scalar
+  set whose positive moduli accumulate at 0. Scalars are picked small-first
+  under the a-priori bound (|gamma_k|/|gamma_i|) * 2^{m_i + deg(y_i)} *
+  ||y_i|| for the forward cross condition; m_k is then the least shift that
+  meets the two decay conditions. The residual norm is at most (k+1) 2^-k.
 
 All stage conditions and residual bounds are verified with exact
-scaled-rational arithmetic; the recorded booleans are exact statements, not
+scaled-rational arithmetic: the recorded booleans are exact statements, not
 float comparisons. A residual square is summed on a cell grid
 (_exact.cell_sum) that the bound check and the reported values read exactly
-as they read the exact sum; the exact sums are built only when read. Scalar choices follow a margin rule: the first resolver
-value achieving the strict inequality with factor 1/2 slack.
+as they read the exact sum; the exact sums are built only when read. Scalar
+choices follow a margin rule: the first resolver value achieving the strict
+inequality with factor 1/2 slack.
 """
 
 from __future__ import annotations
@@ -233,45 +236,114 @@ class ConstructionTrace:
         return "\n".join(lines) + "\n"
 
 
-def _residual_float(rsq: X2) -> float:
-    val = float(rsq)
-    return math.sqrt(val) if val > 0 else 0.0
+# ---------------------------------------------------------------------------
+# the exact shift and the stage engine of both schemes
 
 
-class _Residuals:
-    """Stage residuals, checked against their bounds and kept for the trace."""
-
-    def __init__(self):
-        self.terms: list[tuple[X2, ...]] = []
-        self.sums: list[X2] = []
-
-    def add(self, k: int, diff: dict[int, XC], bound: X2) -> None:
-        terms = tuple(diff[i].mod_sq() for i in sorted(diff))
-        rsq = cell_sum(terms, bound)
-        if not rsq <= bound:
-            raise RuntimeError(f"stage {k} residual exceeds its certified bound")
-        self.terms.append(terms)
-        self.sums.append(rsq)
-
-    def trace_fields(self) -> dict:
-        return {
-            "residuals": tuple(_residual_float(r) for r in self.sums),
-            "residual_sq_upper": tuple(r.round_up_bits(64) for r in self.sums),
-            "residual_terms": tuple(self.terms),
-        }
+def _weight_log2(domain: str, j: int, n: int) -> int:
+    """log2 of the weight entry j gains under B^n (n >= 0) or loses under
+    F^{-n} (n < 0): the count of weight-2 indices i with
+    min(j, j - n) < i <= max(j, j - n)."""
+    if domain == UNILATERAL:
+        return 0
+    if n >= 0:
+        return max(0, j - max(j - n, 0))
+    return -max(0, j - n - max(j, 0))
 
 
-def _trace(scheme, domain, scalars, shifts, x, conditions, residuals) -> ConstructionTrace:
-    """The trace of a finished build: its stage choices, the partial sum x
-    and the checked residuals."""
-    return ConstructionTrace(
-        scheme=scheme,
-        choices=tuple(StageChoice(k, g, m) for k, (g, m) in enumerate(zip(scalars, shifts))),
-        partial_sum=SeqVector.make(domain, [(j, c.to_complex()) for j, c in x.items()]),
-        conditions=tuple(conditions),
-        tail_bound=2.0 ** -(len(scalars) - 1),
-        **residuals.trace_fields(),
-    )
+def _shift(x: dict[int, XC], n: int, domain: str) -> dict[int, XC]:
+    """B^n x for n >= 0 and F^{-n} x for n < 0, exactly."""
+    out = {}
+    for j, c in x.items():
+        if j < n and domain == UNILATERAL:
+            continue
+        e = _weight_log2(domain, j, n)
+        out[j - n] = c.scale(X2.pow2(e)) if e else c
+    return out
+
+
+def _shift_norm_sq(items, n: int, domain: str) -> X2:
+    """The squared norm of _shift(y, n, domain), from the (index, |entry|^2)
+    items of y in index order."""
+    out = X2.ZERO
+    for j, msq in items:
+        if j < n and domain == UNILATERAL:
+            continue
+        # msq * X2.pow2(2e), built directly: the same canonical value
+        out = out + X2(msq.num, msq.den, msq.exp + 2 * _weight_log2(domain, j, n))
+    return out
+
+
+class _Stages:
+    """The stage engine of both schemes: the checks, the exact targets, the
+    stage choices and their scalar picks, the partial sum and the checked
+    residuals. The builders supply the precondition, the admissibility
+    test, the shift rule, the residual bound and the condition booleans;
+    `error` is the scheme's precondition error class."""
+
+    def __init__(self, scheme: str, domain: str, targets: TargetFamily, stages: int, error):
+        if stages < 0:
+            raise ValueError(f"stages: {stages} is negative; a build runs stages 0 to stages")
+        if targets.domain != domain:
+            raise ValueError(f"{scheme} scheme needs {scheme} targets")
+        if len(targets) < stages + 1:
+            raise ValueError("need at least stages+1 target vectors")
+        self.scheme, self.domain, self.error = scheme, domain, error
+        self.targets = [xvec_from_seq(targets[k]) for k in range(stages + 1)]
+        self.items = [[(j, c.mod_sq()) for j, c in sorted(t.items())] for t in self.targets]
+        self.norm_sqs = [xvec_norm_sq(t) for t in self.targets]
+        self.degrees = [targets[k].degree() for k in range(stages + 1)]
+        self.scalars: list[XC] = []
+        self.shifts: list[int] = []
+
+    def pick(self, resolve, want: float, step: float, admissible, missing: str) -> XC:
+        """Append and return the first resolve(want) whose squared modulus
+        passes admissible, moving want by step after each miss (200 tries).
+        `missing` is the refusal when the set has no scalar to offer."""
+        for _ in range(200):
+            gx = resolve(want)
+            if gx is None:
+                raise self.error(missing)
+            if gx.is_zero:
+                raise self.error("resolver produced zero, which carries no scale")
+            if admissible(gx.mod_sq()):
+                self.scalars.append(gx)
+                return gx
+            want += step
+        raise self.error("no admissible scalar found")
+
+    def trace(self, bound, conditions) -> ConstructionTrace:
+        """The trace of x = sum_i (1/gamma_i) F^{m_i} y_i. Each residual
+        gamma_k B^{m_k} x - y_k is checked against bound(k), an exact bound
+        on its square; conditions(k) gives the stage's condition booleans."""
+        x: dict[int, XC] = {}
+        for t, gx, m in zip(self.targets, self.scalars, self.shifts):
+            inv = XC(X2.ONE, X2.ZERO) / gx
+            for j, c in _shift(t, -m, self.domain).items():
+                term = c * inv
+                x[j] = x[j] + term if j in x else term
+        terms, sums, conds = [], [], []
+        for k, (gx, m) in enumerate(zip(self.scalars, self.shifts)):
+            scaled = {j: c * gx for j, c in _shift(x, m, self.domain).items()}
+            diff = xvec_sub(scaled, self.targets[k])
+            terms.append(tuple(diff[i].mod_sq() for i in sorted(diff)))
+            limit = bound(k)
+            sums.append(cell_sum(terms[k], limit))
+            if not sums[k] <= limit:
+                raise RuntimeError(f"stage {k} residual exceeds its certified bound")
+            conds.append({"stage": k, **conditions(k)})
+        return ConstructionTrace(
+            scheme=self.scheme,
+            choices=tuple(
+                StageChoice(k, g, m) for k, (g, m) in enumerate(zip(self.scalars, self.shifts))
+            ),
+            partial_sum=SeqVector.make(self.domain, [(j, c.to_complex()) for j, c in x.items()]),
+            residuals=tuple(math.sqrt(float(r)) for r in sums),
+            residual_sq_upper=tuple(r.round_up_bits(64) for r in sums),
+            conditions=tuple(conds),
+            tail_bound=2.0 ** -(len(self.scalars) - 1),
+            residual_terms=tuple(terms),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -285,125 +357,48 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
     no stage scalar can dominate as required, which is exactly the boundary
     where the scheme stops applying.
     """
-    if targets.domain != UNILATERAL:
-        raise ValueError("unilateral scheme needs unilateral targets")
-    if len(targets) < stages + 1:
-        raise ValueError("need at least stages+1 target vectors")
+    run = _Stages("unilateral", UNILATERAL, targets, stages, BoundedScalarSetError)
     if not sampler.modulus_set().unbounded:
         raise BoundedScalarSetError(
             "scalar set must have unbounded modulus: the unilateral scheme "
             "requires arbitrarily large scalars"
         )
+    scalars, shifts, norm_sqs, degrees = run.scalars, run.shifts, run.norm_sqs, run.degrees
 
-    exact_targets = [xvec_from_seq(targets[k]) for k in range(stages + 1)]
-    norm_sqs = [xvec_norm_sq(t) for t in exact_targets]
-    degrees = [targets[k].degree() for k in range(stages + 1)]
+    def dominant(k: int, msq: X2) -> dict:
+        # conditions (i) and (ii) of stage k for the squared modulus msq
+        four_k = X2.pow2(2 * k)
+        return {
+            "target_small": norm_sqs[k] * four_k < msq,
+            "dominates_previous": all(
+                scalars[i].mod_sq() * norm_sqs[k] * four_k < msq for i in range(k)
+            ),
+        }
 
-    scalars: list[XC] = []
-    shifts: list[int] = []
     for k in range(stages + 1):
         nsq = norm_sqs[k]
         # log2 of the modulus threshold: max over condition (i) and (ii) demands
         need = k + nsq.log2() / 2.0
         for g in scalars:
             need = max(need, k + nsq.log2() / 2.0 + g.mod_sq().log2() / 2.0)
-        want = need + 1.0  # factor 1/2 slack
-        four_k = X2.pow2(2 * k)
-        for _ in range(200):
-            gx = pick_modulus_at_least(sampler, want)
-            if gx is None:
-                raise BoundedScalarSetError(
-                    "scalar set must have unbounded modulus: no scalar of the "
-                    "required size is available"
-                )
-            msq = gx.mod_sq()
-            ok = nsq * four_k < msq and all(
-                g.mod_sq() * nsq * four_k < msq for g in scalars
-            )
-            if ok:
-                break
-            want += 1.0
-        else:
-            raise BoundedScalarSetError("no admissible scalar found")
-        scalars.append(gx)
+        run.pick(
+            lambda want: pick_modulus_at_least(sampler, want),
+            need + 1.0,  # factor 1/2 slack
+            1.0,
+            lambda msq: all(dominant(k, msq).values()),
+            "scalar set must have unbounded modulus: no scalar of the required size is available",
+        )
         shifts.append(0 if k == 0 else max(shifts[i] + degrees[i] for i in range(k)) + 1)
 
-    # x = sum over stages of (1/gamma_i) F^{m_i} y_i (plain forward shift)
-    x: dict[int, XC] = {}
-    for i, (t, gx, m) in enumerate(zip(exact_targets, scalars, shifts)):
-        inv = XC(X2.ONE, X2.ZERO) / gx
-        for j, c in t.items():
-            idx = j + m
-            term = c * inv
-            x[idx] = x[idx] + term if idx in x else term
+    def conditions(k: int) -> dict:
+        gap = all(shifts[k] > shifts[i] + degrees[i] for i in range(k))
+        return {**dominant(k, scalars[k].mod_sq()), "shift_gap": gap}
 
-    residuals = _Residuals()
-    conditions: list[dict] = []
-    for k in range(stages + 1):
-        m_k = shifts[k]
-        scaled = {j - m_k: c * scalars[k] for j, c in x.items() if j - m_k >= 0}
-        residuals.add(k, xvec_sub(scaled, exact_targets[k]), X2.pow2(-2 * k))
-        four_k = X2.pow2(2 * k)
-        msq = scalars[k].mod_sq()
-        conditions.append(
-            {
-                "stage": k,
-                "target_small": bool(norm_sqs[k] * four_k < msq),
-                "dominates_previous": all(
-                    scalars[i].mod_sq() * norm_sqs[k] * four_k < msq for i in range(k)
-                ),
-                "shift_gap": all(m_k > shifts[i] + degrees[i] for i in range(k)),
-            }
-        )
-
-    return _trace("unilateral", UNILATERAL, scalars, shifts, x, conditions, residuals)
+    return run.trace(lambda k: X2.pow2(-2 * k), conditions)
 
 
 # ---------------------------------------------------------------------------
 # bilateral scheme (doubling weights, scalar moduli accumulating at 0)
-
-
-def _count_pos_window(lo: int, hi: int) -> int:
-    """Number of integers i with lo <= i <= hi and i >= 1."""
-    if hi < 1 or hi < lo:
-        return 0
-    return hi - max(lo, 1) + 1
-
-
-def _fwd_apply_exact(y: dict[int, XC], m: int) -> dict[int, XC]:
-    """Forward inverse shift applied m times: entry j moves to j+m and is
-    multiplied by (1/2)^(number of indices in [j, j+m-1] that are >= 0)."""
-    out = {}
-    for j, c in y.items():
-        cnt = max(0, j + m - max(j, 0))
-        out[j + m] = c.scale(X2.pow2(-cnt))
-    return out
-
-
-def _fwd_norm_sq(y_items, m: int) -> X2:
-    out = X2.ZERO
-    for j, msq in y_items:
-        cnt = max(0, j + m - max(j, 0))
-        out = out + msq * X2.pow2(-2 * cnt)
-    return out
-
-
-def _bwd_norm_sq(y_items, n: int) -> X2:
-    """||B_w^n y||^2 for the doubling weights: entry j gains 2^min(n, j) for
-    j >= 1 and is unchanged otherwise."""
-    out = X2.ZERO
-    for j, msq in y_items:
-        cnt = _count_pos_window(j - n + 1, j)
-        out = out + msq * X2.pow2(2 * cnt)
-    return out
-
-
-def _bwd_apply_exact(x: dict[int, XC], n: int) -> dict[int, XC]:
-    out = {}
-    for j, c in x.items():
-        cnt = _count_pos_window(j - n + 1, j)
-        out[j - n] = c.scale(X2.pow2(cnt))
-    return out
 
 
 def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> ConstructionTrace:
@@ -412,69 +407,43 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
     Raises NotAccumulatingAtZeroError when the sampler's positive moduli stay
     away from 0: small-first scalar picking then has nowhere to go.
     """
-    if targets.domain != BILATERAL:
-        raise ValueError("bilateral scheme needs bilateral targets")
-    if len(targets) < stages + 1:
-        raise ValueError("need at least stages+1 target vectors")
+    run = _Stages("bilateral", BILATERAL, targets, stages, NotAccumulatingAtZeroError)
     if sampler.modulus_set().inf_positive() > 0:
         raise NotAccumulatingAtZeroError(
             "scalar set must have positive moduli accumulating at 0: the "
             "bilateral scheme requires arbitrarily small nonzero scalars"
         )
+    scalars, shifts, items, norm_sqs, degrees = (
+        run.scalars, run.shifts, run.items, run.norm_sqs, run.degrees)
 
-    exact_targets = [xvec_from_seq(targets[k]) for k in range(stages + 1)]
-    items = [
-        [(j, c.mod_sq()) for j, c in sorted(t.items())] for t in exact_targets
-    ]
-    norm_sqs = [xvec_norm_sq(t) for t in exact_targets]
-    degrees = [targets[k].degree() for k in range(stages + 1)]
-
-    scalars: list[XC] = []
-    shifts: list[int] = []
     for k in range(stages + 1):
         # a-priori forward-cross bound: |gamma_k| < 2^-k |gamma_i| / (2^{m_i+d_i} ||y_i||)
         cap = 0.0
         for i in range(k):
             gi = scalars[i].mod_sq().log2() / 2.0
             cap = min(cap, -k + gi - (shifts[i] + degrees[i]) - norm_sqs[i].log2() / 2.0)
-        want = cap - 1.0  # factor 1/2 slack
-        for _ in range(200):
-            gx = pick_modulus_at_most(sampler, want)
-            if gx is None:
-                raise NotAccumulatingAtZeroError(
-                    "scalar set must have positive moduli accumulating at 0: no "
-                    "scalar of the required smallness is available"
-                )
-            if gx.is_zero:
-                raise NotAccumulatingAtZeroError("resolver produced zero, which carries no scale")
-            msq = gx.mod_sq()
-            ok = True
-            for i in range(k):
-                lhs = msq * X2.pow2(2 * (shifts[i] + degrees[i]) + 2 * k) * norm_sqs[i]
-                if not lhs < scalars[i].mod_sq():
-                    ok = False
-                    break
-            if ok:
-                break
-            want -= 1.0
-        else:
-            raise NotAccumulatingAtZeroError("no admissible scalar found")
-        scalars.append(gx)
+        msq = run.pick(
+            lambda want: pick_modulus_at_most(sampler, want),
+            cap - 1.0,  # factor 1/2 slack
+            -1.0,
+            lambda s: all(
+                s * X2.pow2(2 * (shifts[i] + degrees[i]) + 2 * k) * norm_sqs[i] < scalars[i].mod_sq()
+                for i in range(k)
+            ),
+            "scalar set must have positive moduli accumulating at 0: no "
+            "scalar of the required smallness is available",
+        ).mod_sq()
 
-        # minimal shift meeting both decay conditions at half slack
-        msq = gx.mod_sq()
-        quarter = X2.pow2(-2)
+        # the least shift meeting both decay conditions at half slack; every
+        # probe m is at least lo, so it passes every earlier shift
+        four_k, half_sq = X2.pow2(2 * k), msq * X2.pow2(-2)
 
         def _shift_ok(m: int) -> bool:
-            if _fwd_norm_sq(items[k], m) >= X2.pow2(-2 * k) * msq * quarter:
-                return False
-            for i in range(k):
-                if m < shifts[i]:
-                    return False
-                lhs = scalars[i].mod_sq() * _fwd_norm_sq(items[k], m - shifts[i]) * X2.pow2(2 * k)
-                if not lhs < msq * quarter:
-                    return False
-            return True
+            return _shift_norm_sq(items[k], -m, BILATERAL) * four_k < half_sq and all(
+                scalars[i].mod_sq() * _shift_norm_sq(items[k], shifts[i] - m, BILATERAL) * four_k
+                < half_sq
+                for i in range(k)
+            )
 
         lo = 0 if k == 0 else max(shifts) + 1
         hi = max(lo, 1)
@@ -483,7 +452,7 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
             if hi > SHIFT_CAP:
                 raise ShiftSearchLimitError(
                     f"stages: {stages} stages need a shift beyond the search cap "
-                    f"2**40 (stage {k} has none below it)"
+                    f"2**{SHIFT_CAP.bit_length() - 1} (stage {k} has none below it)"
                 )
         while lo < hi:
             mid = (lo + hi) // 2
@@ -493,44 +462,23 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
                 lo = mid + 1
         shifts.append(lo)
 
-    x: dict[int, XC] = {}
-    for t, gx, m in zip(exact_targets, scalars, shifts):
-        inv = XC(X2.ONE, X2.ZERO) / gx
-        shifted = _fwd_apply_exact(t, m)
-        for j, c in shifted.items():
-            term = c * inv
-            x[j] = x[j] + term if j in x else term
-
-    residuals = _Residuals()
-    conditions: list[dict] = []
-    for k in range(stages + 1):
-        m_k = shifts[k]
-        image = _bwd_apply_exact(x, m_k)
-        scaled = {j: c * scalars[k] for j, c in image.items()}
-        bound = X2.from_int((k + 1) * (k + 1)) * X2.pow2(-2 * k)
-        residuals.add(k, xvec_sub(scaled, exact_targets[k]), bound)
-
-        msq = scalars[k].mod_sq()
+    def conditions(k: int) -> dict:
+        m_k, msq = shifts[k], scalars[k].mod_sq()
         four_k = X2.pow2(2 * k)
-        cond_fwd_small = _fwd_norm_sq(items[k], m_k) * four_k < msq
-        cond_cross_b = all(
-            scalars[i].mod_sq() * _fwd_norm_sq(items[k], m_k - shifts[i]) * four_k < msq
-            for i in range(k)
-        )
-        cond_cross_f = all(
-            msq * _bwd_norm_sq(items[i], m_k - shifts[i]) * four_k < scalars[i].mod_sq()
-            for i in range(k)
-        )
-        conditions.append(
-            {
-                "stage": k,
-                "forward_image_small": bool(cond_fwd_small),
-                "cross_backward_small": bool(cond_cross_b),
-                "cross_forward_small": bool(cond_cross_f),
-            }
-        )
+        gaps = [m_k - shifts[i] for i in range(k)]
+        return {
+            "forward_image_small": _shift_norm_sq(items[k], -m_k, BILATERAL) * four_k < msq,
+            "cross_backward_small": all(
+                scalars[i].mod_sq() * _shift_norm_sq(items[k], -n, BILATERAL) * four_k < msq
+                for i, n in enumerate(gaps)
+            ),
+            "cross_forward_small": all(
+                msq * _shift_norm_sq(items[i], n, BILATERAL) * four_k < scalars[i].mod_sq()
+                for i, n in enumerate(gaps)
+            ),
+        }
 
-    return _trace("bilateral", BILATERAL, scalars, shifts, x, conditions, residuals)
+    return run.trace(lambda k: X2.from_int((k + 1) * (k + 1)) * X2.pow2(-2 * k), conditions)
 
 
 # ---------------------------------------------------------------------------

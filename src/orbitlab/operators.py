@@ -95,24 +95,11 @@ class SeqVector:
         return s
 
     def norm(self) -> float:
-        """sqrt(norm_sq()), unless the squares leave float range: when the sum
-        is inf, or 0.0 for a nonzero vector, the entries are first scaled by
-        the power of two that brings the largest part into [0.5, 1)."""
+        """sqrt(norm_sq()), rescaled where the squares leave float range."""
         s = self.norm_sq()
         if 0.0 < s < math.inf or not self.entries:
             return math.sqrt(s)
-        top = max(max(abs(v.real), abs(v.imag)) for _, v in self.entries)
-        if not 0.0 < top < math.inf:  # an inf or nan entry
-            return math.sqrt(s)
-        e = math.frexp(top)[1]
-        scaled = 0.0
-        for _, v in self.entries:
-            re, im = math.ldexp(v.real, -e), math.ldexp(v.imag, -e)
-            scaled += re * re + im * im
-        try:
-            return math.ldexp(math.sqrt(scaled), e)
-        except OverflowError:  # the norm itself is past the largest float
-            return math.inf
+        return _rescaled_norm([v for _, v in self.entries], s)
 
     def add(self, other: "SeqVector") -> "SeqVector":
         if other.domain != self.domain:
@@ -156,8 +143,33 @@ def vector_norm(v: Vector) -> float:
     if isinstance(v, SeqVector):
         return v.norm()
     if isinstance(v, tuple):
-        return math.sqrt(sum(map(_square, map(vector_norm, v))))
+        # added left to right, as in norm_sq
+        norms = [vector_norm(b) for b in v]
+        s = 0.0
+        for x in norms:
+            s += _square(x)
+        return math.sqrt(s) if 0.0 < s < math.inf else _rescaled_norm(norms, s)
     return abs(v)
+
+
+def _rescaled_norm(parts, plain: float) -> float:
+    """The norm of the parts (complex or float) when `plain`, the plain sum of
+    their squared moduli, is inf, or 0.0 for nonzero parts: the parts are
+    first scaled by the power of two that brings their largest real or
+    imaginary part into [0.5, 1). All-zero parts, or an inf or nan part,
+    give sqrt(plain)."""
+    top = max((max(abs(z.real), abs(z.imag)) for z in parts), default=0.0)
+    if not 0.0 < top < math.inf:
+        return math.sqrt(plain)
+    e = math.frexp(top)[1]
+    scaled = 0.0
+    for z in parts:
+        re, im = math.ldexp(z.real, -e), math.ldexp(z.imag, -e)
+        scaled += re * re + im * im
+    try:
+        return math.ldexp(math.sqrt(scaled), e)
+    except OverflowError:  # the norm itself is past the largest float
+        return math.inf
 
 
 def _square(x: float) -> float:

@@ -397,6 +397,34 @@ def test_criterion_past_the_squares_float_range_exits_zero(part, tmp_path):
     assert traces["forward_decay"] == [part, 2 * part, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("part", [1e200, 1e-200])
+def test_direct_sum_criterion_past_the_squares_float_range_exits_zero(part, tmp_path):
+    # one block holding 2B: its decay norms are those of the plain operator
+    cfg = load(CONFIG_DIR / "criterion_rolewicz.json")
+    for key in ("operator", "right_inverse"):
+        cfg[key] = {"kind": "direct_sum", "blocks": [cfg[key]]}
+    cfg["target_vectors"] = [[v] for v in cfg["target_vectors"]]
+    cfg["decay_vectors"] = [[{"domain": "uni", "entries": [[1, 0.0, part]]}]]
+    cfg["indices"] = {"upto": 3}
+    assert _main(cfg, tmp_path) == 0
+    traces = load(tmp_path / "report.json")["result"]["criterion"]["traces"]
+    assert traces["forward_decay"] == [part, 2 * part, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("command", ["build21", "build22"])
+@pytest.mark.parametrize("targets", ["default", "vectors"])
+def test_negative_stages_exit_one_naming_stages(command, targets, tmp_path, capsys):
+    cfg = load(CONFIG_DIR / f"{command}.json")
+    cfg["stages"] = -1
+    if targets == "default":
+        del cfg["targets"]
+    else:
+        domain = "uni" if command == "build21" else "bi"
+        cfg["targets"] = {"vectors": [{"domain": domain, "entries": [[0, 1.0, 0.0]]}]}
+    assert _main(cfg, tmp_path) == 1
+    assert "precondition violated: stages: -1 is negative" in capsys.readouterr().err
+
+
 def test_density_scan_past_a_nan_sample_exits_zero(tmp_path):
     # the first sample is (2+2j) * (1e308+1e308j) = nan + inf*j; the nearest
     # distances come from the finite samples further down the orbit
@@ -410,15 +438,15 @@ def test_density_scan_past_a_nan_sample_exits_zero(tmp_path):
 
 
 def _overflowing_direct_sum():
-    # the scalar block's right inverse doubles 600 times: its residual
-    # overflows to inf, which a report cannot hold
+    # the scalar block's right inverse multiplies by 4 600 times: past
+    # 4^512 = 2^1024 its residual is inf, which a report cannot hold
     uni = {"domain": "uni", "entries": [[1, 1.0, 0.0]]}
     return {
         "command": "criterion",
         "operator": {"kind": "direct_sum", "blocks": [
-            {"kind": "scalar_on_c", "value": [0.5, 0.0]}, {"kind": "backward_shift"}]},
+            {"kind": "scalar_on_c", "value": [0.25, 0.0]}, {"kind": "backward_shift"}]},
         "right_inverse": {"kind": "direct_sum", "blocks": [
-            {"kind": "scalar_on_c", "value": [2.0, 0.0]}, {"kind": "forward_shift"}]},
+            {"kind": "scalar_on_c", "value": [4.0, 0.0]}, {"kind": "forward_shift"}]},
         "decay_vectors": [[[1.0, 0.0], uni]],
         "target_vectors": [[[1.0, 0.0], uni]],
         "indices": {"upto": 600},

@@ -4,26 +4,35 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     AngleSpec,
     Annulus,
+    BackwardShift,
     BoundedScalarSetError,
+    ForwardShift,
     Geometric,
     NotAccumulatingAtZeroError,
     ScanRangeError,
     SeqVector,
     SpiralBaseOneError,
     TargetFamily,
+    WeightedBackward,
+    WeightedForward,
     build_bilateral,
     build_spiral_scenario,
     build_unilateral,
     default_target_family,
+    doubling_weights,
     positive_ray,
+    power_apply,
     spiral_distance_to,
 )
 from orbitlab._exact import X2, xvec_from_seq, xvec_norm_sq
 from orbitlab import jsonio
+from orbitlab.constructions import _shift, _shift_norm_sq
 
 IRR = AngleSpec.irrational(1.0, "one radian")
 
@@ -110,6 +119,13 @@ class TestUnilateralBuild:
         _assert_reports_read_exact(trace)
 
 
+@pytest.mark.parametrize("build, domain", [(build_unilateral, "uni"), (build_bilateral, "bi")])
+def test_negative_stages_are_refused_naming_stages(build, domain):
+    sampler = positive_ray() if domain == "uni" else Geometric(0.5)
+    with pytest.raises(ValueError, match="^stages: -1 is negative"):
+        build(sampler, TargetFamily((unit(0, domain),)), -1)
+
+
 def _assert_reports_read_exact(trace):
     """residuals and residual_sq_upper are what the exact residual squares give."""
     exact = trace.residual_sq_exact
@@ -117,6 +133,41 @@ def _assert_reports_read_exact(trace):
         (u.num, u.den, u.exp) for u in (r.round_up_bits(64) for r in exact)
     ]
     assert trace.residuals == tuple(math.sqrt(float(r)) for r in exact)
+
+
+# the catalog operators the exact shift stands for: B^n for n >= 0, F^-n for n < 0
+_CATALOG = {
+    "uni": (BackwardShift(), ForwardShift()),
+    "bi": (WeightedBackward(doubling_weights()),
+           WeightedForward(doubling_weights().inverse_shifted())),
+}
+_DYADIC = st.builds(lambda a, p: a * 2.0 ** p, st.integers(-255, 255), st.integers(-30, 30))
+
+
+@st.composite
+def _shift_cases(draw):
+    domain = draw(st.sampled_from(["uni", "bi"]))
+    lo = 0 if domain == "uni" else -70
+    index = st.integers(lo, 70)
+    entries = draw(st.lists(st.tuples(index, st.builds(complex, _DYADIC, _DYADIC)), max_size=6))
+    return SeqVector.make(domain, entries), draw(st.integers(-60, 60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shift_cases())
+def test_exact_shift_agrees_with_the_operator_catalog(case):
+    v, n = case
+    backward, forward = _CATALOG[v.domain]
+    ref = power_apply(backward, n, v) if n >= 0 else power_apply(forward, -n, v)
+    got = _shift(xvec_from_seq(v), n, v.domain)
+    bits = lambda z: (z.real.hex(), z.imag.hex())  # noqa: E731
+    assert sorted((j, bits(c.to_complex())) for j, c in got.items()) == [
+        (j, bits(z)) for j, z in ref.entries
+    ]
+    items = [(j, c.mod_sq()) for j, c in sorted(xvec_from_seq(v).items())]
+    norm_sq = _shift_norm_sq(items, n, v.domain)
+    exact = xvec_norm_sq(got)
+    assert (norm_sq.num, norm_sq.den, norm_sq.exp) == (exact.num, exact.den, exact.exp)
 
 
 @pytest.fixture(scope="module")

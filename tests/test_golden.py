@@ -8,8 +8,12 @@ with a witness ball and two-coordinate miss witnesses) was recorded before
 the density report was encoded through jsonio.encode. The density_1d pin
 (the benchmark's 1-D scan: 5,100 samples, 1,000 miss witnesses, not
 covered) was recorded before the orbit cloud kept only its iterates and the
-nearest-distance search was unrolled per dimension. A digest may change
-only with a declared change to the report format."""
+nearest-distance search was unrolled per dimension. The last four pins
+(build21 K=40 with moduli past float range, build22 on the
+non-dyadic Geometric(0.3), build21 on the rotating log spiral, build22 with
+complex scalars) were recorded before the two construction schemes shared
+one exact shift and one stage engine. A digest may change only with a
+declared change to the report format."""
 
 import cmath
 import hashlib
@@ -74,12 +78,22 @@ GOLDEN = {
         "heatmap.csv": "b7c2dcf8ed65d441cdbdb4bdef7637a8fa3f36b559ff4fd32c3704f9de837a43",
         "report.json": "8f008ddaad987d5226be9fe204a8b75c8637a1ef2342237a130ca57591d18b60",
     },
-}
-
-# the ratio pair: T = 1.1 B with S = F / 1.1, whose round trip is not exact
-_RATIO_INDICES = {
-    "criterion_ratio_N200": {"upto": 200},
-    "criterion_ratio_sparse": [0, 1, 5, 6, 17, 64, 65, 130, 199, 200],
+    "build21_K40": {
+        "report.json": "6cddcca06e1d01c02c56525bdc8a8c1444b039e0c0587460a759d702ddc5d4bf",
+        "residuals.csv": "5f32329e2bc6ec25deb1e6f5994fb87d7d3df5c4d0d1002cdb7b4c3427fa77df",
+    },
+    "build22_geometric_0.3_K5": {
+        "report.json": "58b3ee65514616ad932ad8921ec9b2d170a25a718356cdb12e896f6d6843ffa9",
+        "residuals.csv": "ff2982538af0aa2e6834fa6227412fd11c66316d4c5f8a3bb8cfe736ab6be702",
+    },
+    "build21_log_spiral_K12": {
+        "report.json": "03c9be6060910188a55e98581465dde73ad55ac55ab494653a6e5f81b81b5ecb",
+        "residuals.csv": "5bdf80b9ea041e9cf32763020171faa8f503e5fc94dc0e4d13f32c2cdded8dbd",
+    },
+    "build22_rotated_K12": {
+        "report.json": "be88fa2a090b1091ce3e04115fcd3d3dd15fb0db2cf50f58e7a41784fba3c0d4",
+        "residuals.csv": "5ea593a0f9e7ed571392ea1df0060be0e3d65cfe8625348d90cd856e7f63ef03",
+    },
 }
 
 
@@ -125,29 +139,42 @@ def _density_1d():
     }
 
 
+# the ratio pair: T = 1.1 B with S = F / 1.1, whose round trip is not exact
+_RATIO = {
+    "operator": {"kind": "scalar_multiple", "factor": [1.1, 0.0],
+                 "inner": {"kind": "backward_shift"}},
+    "right_inverse": {"kind": "scalar_multiple", "factor": [1 / 1.1, 0.0],
+                      "inner": {"kind": "forward_shift"}},
+}
+_SPIRAL_SET = {"kind": "log_spiral", "base": 2.0, "rate": {"irrational": 1.0, "tag": "one radian"}}
+_ROTATED_SET = {"kind": "scaled", "factor": [0.6, 0.8],
+                "inner": {"kind": "geometric", "base": [0.5, 0.0]}}
+
+# every pin that is not a shipped config: the shipped config it starts from
+# (None for a config given whole) and the top-level fields it replaces
+DERIVED = {
+    "build22_K20": ("build22", {"stages": 20, "targets": {"default_count": 21}}),
+    "criterion_N160": ("criterion_rolewicz", {"indices": {"upto": 160}}),
+    "criterion_ratio_N200": ("criterion_rolewicz", {**_RATIO, "indices": {"upto": 200}}),
+    "criterion_ratio_sparse": (
+        "criterion_rolewicz", {**_RATIO, "indices": [0, 1, 5, 6, 17, 64, 65, 130, 199, 200]}),
+    "density_2b_section": (None, _section_2b()),
+    "density_1d": (None, _density_1d()),
+    "build21_K40": ("build21", {"stages": 40, "targets": {"default_count": 41}}),
+    "build22_geometric_0.3_K5": (
+        "build22", {"set": {"kind": "geometric", "base": [0.3, 0.0]}, "stages": 5,
+                    "targets": {"default_count": 6}}),
+    "build21_log_spiral_K12": (
+        "build21", {"set": _SPIRAL_SET, "stages": 12, "targets": {"default_count": 13}}),
+    "build22_rotated_K12": (
+        "build22", {"set": _ROTATED_SET, "stages": 12, "targets": {"default_count": 13}}),
+}
+
+
 def _config(name):
-    if name == "density_2b_section":
-        return _section_2b()
-    if name == "density_1d":
-        return _density_1d()
-    if name == "build22_K20":
-        cfg = json.loads((CONFIG_DIR / "build22.json").read_text())
-        cfg["stages"] = 20
-        cfg["targets"] = {"default_count": 21}
-        return cfg
-    if name == "criterion_N160":
-        cfg = json.loads((CONFIG_DIR / "criterion_rolewicz.json").read_text())
-        cfg["indices"] = {"upto": 160}
-        return cfg
-    if name in _RATIO_INDICES:
-        cfg = json.loads((CONFIG_DIR / "criterion_rolewicz.json").read_text())
-        cfg["operator"] = {"kind": "scalar_multiple", "factor": [1.1, 0.0],
-                           "inner": {"kind": "backward_shift"}}
-        cfg["right_inverse"] = {"kind": "scalar_multiple", "factor": [1 / 1.1, 0.0],
-                                "inner": {"kind": "forward_shift"}}
-        cfg["indices"] = _RATIO_INDICES[name]
-        return cfg
-    return json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    base, overrides = DERIVED.get(name, (name, {}))
+    cfg = json.loads((CONFIG_DIR / f"{base}.json").read_text()) if base else {}
+    return {**cfg, **overrides}
 
 
 def test_every_shipped_config_is_pinned():

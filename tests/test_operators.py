@@ -266,6 +266,31 @@ def test_norm_past_the_largest_float_is_inf():
     assert SeqVector.make("uni", [(0, 1.7e308), (1, 1.7e308j)]).norm() == math.inf
 
 
+@pytest.mark.parametrize("part", [1e200, 1e-200, 1.5e308, 5e-324])
+def test_direct_sum_norm_past_the_squares_float_range(part):
+    # each block's norm is right; the sum of their squares leaves float range
+    block = SeqVector.make("uni", [(3, complex(0.0, part))])
+    assert vector_norm((block,)) == vector_norm(((block,),)) == block.norm() == part
+    pair = vector_norm((block, complex(part, 0.0), SeqVector.zero()))
+    assert math.isclose(pair, math.sqrt(2) * part, rel_tol=2.0**-50)
+
+
+def test_direct_sum_norm_past_the_largest_float_is_inf():
+    block = SeqVector.make("uni", [(0, 1.7e308)])
+    assert vector_norm((block, 1.7e308j)) == math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1e-150, 0.3, 1.0, 7.5, 1e150]), min_size=1, max_size=5))
+def test_direct_sum_norm_in_float_range_is_the_plain_sum(parts):
+    # squares by float ** 2, added left to right (Python 3.11's sum; 3.12's
+    # compensates, which this loop does not follow)
+    v = tuple(SeqVector.make("uni", [(0, x)]) if i % 2 else complex(0.0, x) for i, x in enumerate(parts))
+    plain = reduce(add, [x ** 2 for x in parts], 0.0)
+    assert 0.0 < plain < math.inf or not any(parts)
+    assert vector_norm(v).hex() == math.sqrt(plain).hex()
+
+
 class TestPowerNormBound:
     def test_backward_shift_norm_one(self):
         assert power_norm_bound(B, 5) == 1.0
