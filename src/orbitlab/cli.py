@@ -38,7 +38,9 @@ def _load_targets(cfg: dict, stages: int, domain: str):
     jsonio.check_keys(spec, ("vectors", "default_count"), "targets")
     if "vectors" not in spec:
         count = jsonio.decode_key(int, spec, "default_count", "targets")
-        return constructions.default_target_family(count, domain)
+        return jsonio.construct(
+            constructions.default_target_family, "targets.default_count", count, domain
+        )
     vectors = _vectors(spec, "vectors", domain, "targets")
     if "default_count" in spec:
         count = jsonio.decode_key(int, spec, "default_count", "targets")
@@ -47,7 +49,7 @@ def _load_targets(cfg: dict, stages: int, domain: str):
                 f"targets.default_count: {count} does not match the {len(vectors)} "
                 "vectors in targets.vectors"
             )
-    return constructions.TargetFamily(vectors)
+    return jsonio.construct(constructions.TargetFamily, "targets.vectors", vectors)
 
 
 def _base_point(obj, dom, field: str = "base_point"):
@@ -188,18 +190,16 @@ def _cmd_winding(cfg: dict, out: "_Output") -> dict:
 
 
 def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
-    from . import density, operators, scalar_sets
+    from . import density, operators
 
     op = _field(cfg, "operator", operators.OperatorSpec)
     base = _base_point(_field(cfg, "base_point"), op.operator_domain())
-    cloud = density.generate_orbit(
-        op, base, scalar_sets.FinitePoints([1.0 + 0.0j]), _field(cfg, "horizon", int), 1
-    )
+    horizon = _field(cfg, "horizon", int)
     est = density.lambda_set_estimate(
         op,
         base,
         _field(cfg, "iterate", int),
-        cloud,
+        horizon,
         _field(cfg, "epsilon", float),
         _field(cfg, "phase_grid", int, 360),
     )

@@ -43,6 +43,7 @@ from .operators import (
     UNILATERAL,
     ScalarOnC,
     SeqVector,
+    power_apply,
 )
 from .scalar_sets import (
     AngleSpec,
@@ -287,7 +288,7 @@ class _Stages:
         if targets.domain != domain:
             raise ValueError(f"{scheme} scheme needs {scheme} targets")
         if len(targets) < stages + 1:
-            raise ValueError("need at least stages+1 target vectors")
+            raise ValueError(f"targets: {len(targets)} vectors; stages {stages} needs {stages + 1}")
         self.scheme, self.domain, self.error = scheme, domain, error
         self.targets = [xvec_from_seq(targets[k]) for k in range(stages + 1)]
         self.items = [[(j, c.mod_sq()) for j, c in sorted(t.items())] for t in self.targets]
@@ -496,7 +497,7 @@ class SpiralScenario:
 
     def orbit_point(self, t: float, n: int) -> complex:
         """gamma(t) * R^n applied to the base point; lies at parameter t+n."""
-        return self.scalar_set.point_at(t) * (self.operator.value ** n)
+        return self.scalar_set.point_at(t) * power_apply(self.operator, n, self.base_point)
 
 
 def build_spiral_scenario(r: float, theta: AngleSpec) -> SpiralScenario:

@@ -1,18 +1,23 @@
 """Orbit clouds and numerical density verdicts on finite-dimensional sections.
 
-Verdicts here are always relative to a declared section (a finite list of
-coordinates), a ball, and a grid; nothing claims density of the full
-infinite-dimensional orbit. Grids over scalar sets and over balls are
-deterministic functions of their parameters, so reports reproduce exactly.
+Every query here walks the plain orbit T^n x (n = 0, ..., horizon) through
+one helper, _orbit: the orbit cloud scales its iterates by a scalar grid,
+the boundedness certificates take their norms, and the multiplier estimate
+compares them with one another. Verdicts are always relative to a declared
+section (a finite list of coordinates), a ball, and a grid; nothing claims
+density of the full infinite-dimensional orbit. Grids over scalar sets and
+over balls are deterministic functions of their parameters, so reports
+reproduce exactly.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ._kernels import nearest_distances
 from .operators import (
@@ -26,7 +31,9 @@ from .operators import (
     vector_norm,
     vector_scale,
 )
-from .scalar_sets import ScalarSet
+
+if TYPE_CHECKING:
+    from .scalar_sets import ScalarSet
 
 
 class EmptyCloudError(ValueError):
@@ -37,18 +44,31 @@ class EmptyCloudError(ValueError):
 # orbit clouds
 
 
+def _orbit(op: OperatorSpec, x: Vector, horizon: int) -> tuple[Vector, ...]:
+    """T^n x for 0 <= n <= horizon. A number x becomes a point of C; a
+    sequence vector must lie on the operator's domain."""
+    dom = op.operator_domain()
+    if dom == "scalar":
+        if not isinstance(x, complex):
+            x = complex(x)
+    elif isinstance(dom, str):
+        if not isinstance(x, SeqVector) or x.domain != dom:
+            raise DomainMismatchError(f"base point must be a {dom!r} sequence vector")
+    iterates = [x]
+    for _ in range(horizon):
+        iterates.append(apply(op, iterates[-1]))
+    return tuple(iterates)
+
+
 @dataclass(frozen=True)
 class OrbitCloud:
     """The samples gamma * T^n x for n <= horizon and gamma in the scalar
     grid, kept as the iterates T^n x (n = 0, ..., horizon) and the grid; a
     sample's scaled vector is only formed when samples is read."""
 
-    base_point: Vector
     operator: OperatorSpec
     iterates: tuple[Vector, ...]
-    horizon: int
-    gamma_grid_size: int
-    gammas: tuple[complex, ...] = ()
+    gammas: tuple[complex, ...]
 
     def __len__(self):
         return len(self.iterates) * len(self.gammas)
@@ -91,27 +111,10 @@ def generate_orbit(
     """All samples gamma * T^n x for n <= horizon and gamma in the set's grid."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    dom = op.operator_domain()
-    if dom == "scalar":
-        if not isinstance(x, complex):
-            x = complex(x)
-    elif isinstance(dom, str):
-        if not isinstance(x, SeqVector) or x.domain != dom:
-            raise DomainMismatchError(f"base point must be a {dom!r} sequence vector")
+    iterates = _orbit(op, x, horizon)
     if gamma_grid < 1:
         raise ValueError("grid size must be positive")
-    gammas = tuple(s.scalar_grid(gamma_grid, radial_window))
-    iterates = [x]
-    for _ in range(horizon):
-        iterates.append(apply(op, iterates[-1]))
-    return OrbitCloud(
-        base_point=x,
-        operator=op,
-        iterates=tuple(iterates),
-        horizon=horizon,
-        gamma_grid_size=len(gammas),
-        gammas=gammas,
-    )
+    return OrbitCloud(op, iterates, tuple(s.scalar_grid(gamma_grid, radial_window)))
 
 
 def project(point: Vector, section: Sequence[int]) -> tuple[complex, ...]:
@@ -358,14 +361,8 @@ def boundedness_certificates(op: OperatorSpec, x: Vector, horizon: int) -> tuple
     """Exact (max, min) of ||T^n x|| over 0 <= n <= horizon."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    sup = inf = vector_norm(x)
-    cur = x
-    for _ in range(horizon):
-        cur = apply(op, cur)
-        nrm = vector_norm(cur)
-        sup = max(sup, nrm)
-        inf = min(inf, nrm)
-    return sup, inf
+    norms = [vector_norm(it) for it in _orbit(op, x, horizon)]
+    return max(norms), min(norms)
 
 
 # ---------------------------------------------------------------------------
@@ -394,70 +391,54 @@ def lambda_set_estimate(
     op: OperatorSpec,
     x: Vector,
     n: int,
-    cloud: OrbitCloud,
+    horizon: int,
     epsilon: float,
     phase_grid: int = 360,
 ) -> LambdaEstimate:
-    """Positive multipliers lambda with some m >= n and phase theta on the
-    grid making lambda*e^(i theta)*T^m x land within epsilon of T^n x.
+    """Positive multipliers lambda with some n <= m <= horizon and phase
+    theta on the grid making lambda*e^(i theta)*T^m x land within epsilon of
+    T^n x.
 
-    The cloud must be generated with the one-point scalar set {1}; candidate
-    multipliers are the norm ratios ||T^n x|| / ||T^m x||. The angular
-    discretization error (pi/N times the scaled sample norm) is added to the
-    acceptance threshold so a true match never fails by grid phase alone.
+    Candidate multipliers are the norm ratios ||T^n x|| / ||T^m x||. The
+    angular discretization error (pi/N times the scaled sample norm) is added
+    to the acceptance threshold so a true match never fails by grid phase
+    alone. An orbit whose norm ||T^m x|| or inner product <T^m x, T^n x> is
+    inf or NaN is refused, naming the horizon and the first such m.
     """
-    if not len(cloud):
-        raise EmptyCloudError("orbit cloud has no samples")
-    if any(g != 1 for g in cloud.gammas):
-        raise ValueError("multiplier estimation needs a cloud with scalar grid {1}")
-    if cloud.operator != op or cloud.base_point != x:
-        raise ValueError("cloud was not generated from this operator and base point")
-    if n > cloud.horizon:
-        raise ValueError("iterate index beyond the cloud horizon")
-
-    points: dict[int, Vector] = {}
-    for m, _, p in cloud.samples:
-        points.setdefault(m, p)
-    target = points[n]
-    norm_t = vector_norm(target)
-    if norm_t == 0:
-        return LambdaEstimate(iterate=n, epsilon=epsilon, phase_grid=phase_grid, detected=())
-
-    ms = [m for m in range(n, cloud.horizon + 1) if m in points]
-    norms = {m: vector_norm(points[m]) for m in ms}
-    candidates: list[float] = []
-    for m in ms:
-        if norms[m] > 0:
-            lam = norm_t / norms[m]
-            if lam not in candidates:
-                candidates.append(lam)
-
+    if horizon < 0:
+        raise ValueError(f"horizon: {horizon} is negative")
+    if not 0 <= n <= horizon:
+        raise ValueError(f"iterate: {n} is outside 0..{horizon}, the horizon")
+    if phase_grid < 1:
+        raise ValueError(f"phase_grid: {phase_grid} is not positive")
+    points = _orbit(op, x, horizon)
+    target, norm_t = points[n], vector_norm(points[n])
     sector = 2.0 * math.pi / phase_grid
+    # per nonzero T^m x: its norm, and the real part of its inner product
+    # with the target turned by the nearest grid phase (None where it is 0)
+    rows = []
+    for m in range(n, horizon + 1):
+        nu, p = vector_norm(points[m]), vector_inner(points[m], target)
+        if not (math.isfinite(nu) and cmath.isfinite(p)):
+            raise ValueError(
+                f"horizon: at m = {m}, ||T^m x|| = {nu!r} and <T^m x, T^n x> = {p!r}; "
+                "the orbit leaves float range"
+            )
+        if nu != 0 and norm_t != 0:  # a zero target has no multipliers
+            turn = round(-math.atan2(p.imag, p.real) / sector) * sector
+            re = (p * complex(math.cos(turn), math.sin(turn))).real if p != 0 else None
+            rows.append((nu, re))
+
     detected = []
-    for lam in candidates:
-        best = math.inf
-        hit = False
-        for m in ms:
-            u = points[m]
-            nu = norms[m]
-            if nu == 0:
-                continue
+    for lam in dict.fromkeys(norm_t / nu for nu, _ in rows):
+        dists, hit = [], False
+        for nu, re in rows:
             a = lam * lam * nu * nu + norm_t * norm_t
-            p = vector_inner(u, target)
-            mag = abs(p)
-            if mag == 0:
-                d2 = a
-            else:
-                k = round((-math.atan2(p.imag, p.real)) / sector)
-                theta = k * sector
-                re = (p * complex(math.cos(theta), math.sin(theta))).real
-                d2 = a - 2.0 * lam * re
-            dist = math.sqrt(d2) if d2 > 0 else 0.0
-            best = min(best, dist)
-            if dist <= epsilon + (math.pi / phase_grid) * lam * nu:
-                hit = True
+            d2 = a if re is None else a - 2.0 * lam * re
+            dists.append(math.sqrt(d2) if d2 > 0 else 0.0)
+            hit = hit or dists[-1] <= epsilon + math.pi / phase_grid * lam * nu
         if hit:
-            detected.append((lam, best))
+            detected.append((lam, min(dists)))
     detected.sort()
     return LambdaEstimate(
         iterate=n, epsilon=epsilon, phase_grid=phase_grid, detected=tuple(detected)

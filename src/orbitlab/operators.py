@@ -268,33 +268,24 @@ def doubling_weights() -> WeightSpec:
 class OperatorSpec(jsonio.Family):
     """Base class; use the concrete variants.
 
-    Every variant implements apply(v) and power_norm_bound(n) (see the module
-    functions); the methods below are defaults. The shifts carry `domain` and
-    `step` (+1 forward, -1 backward) as plain class attributes, which are no
-    dataclass fields and so stay out of the JSON form.
+    Every variant implements _power(n, v, outer), its one action: op^n v for
+    n >= 1, each step followed by the factors `outer` (inside out) of the
+    scalar multiples around op; apply(v) is one step. Every variant also
+    implements power_norm_bound(n) (see the module functions). The shifts
+    carry `domain` and `step` (+1 forward, -1 backward) as plain class
+    attributes, which are no dataclass fields and so stay out of the JSON form.
     """
 
     def operator_domain(self):
         """"uni", "bi" or "scalar", or a tuple of these for a direct sum."""
         return self.domain
 
-    def _power(self, n: int, v: Vector, outer: tuple) -> Vector:
-        """op^n v, with the factors `outer` (inside out) of the scalar
-        multiples around op applied after each step. This default makes n
-        calls of apply: a number has no entries to walk."""
-        for _ in range(n):
-            v = self.apply(v)
-            for f in outer:
-                v = vector_scale(f, v)
-        return v
+    def apply(self, v: Vector) -> Vector:
+        return self._power(1, v, ())
 
     def adjoint_point_spectrum(self) -> Optional[frozenset]:
         """Point spectrum of the adjoint; None = unknown."""
         return None
-
-
-def _shift_apply(op, v: Vector) -> SeqVector:
-    return _shift_power(op, 1, v, ())
 
 
 def _shift_power(op, n: int, v: Vector, outer: tuple) -> SeqVector:
@@ -339,7 +330,7 @@ class BackwardShift(OperatorSpec, kind="backward_shift"):
     """(x0, x1, ...) -> (x1, x2, ...) on unilateral sequences."""
 
     domain, step = UNILATERAL, -1
-    apply, _power, power_norm_bound = _shift_apply, _shift_power, _shift_norm_bound
+    _power, power_norm_bound = _shift_power, _shift_norm_bound
 
     def adjoint_point_spectrum(self):
         # a standard fact, not derived here: the adjoint is the isometric
@@ -352,7 +343,7 @@ class ForwardShift(OperatorSpec, kind="forward_shift"):
     """(x0, x1, ...) -> (0, x0, x1, ...) on unilateral sequences."""
 
     domain, step = UNILATERAL, 1
-    apply, _power, power_norm_bound = _shift_apply, _shift_power, _shift_norm_bound
+    _power, power_norm_bound = _shift_power, _shift_norm_bound
 
 
 @dataclass(frozen=True)
@@ -361,7 +352,7 @@ class WeightedBackward(OperatorSpec, kind="weighted_backward"):
 
     weights: WeightSpec
     domain, step = BILATERAL, -1
-    apply, _power, power_norm_bound = _shift_apply, _shift_power, _shift_norm_bound
+    _power, power_norm_bound = _shift_power, _shift_norm_bound
 
 
 @dataclass(frozen=True)
@@ -370,7 +361,7 @@ class WeightedForward(OperatorSpec, kind="weighted_forward"):
 
     weights: WeightSpec
     domain, step = BILATERAL, 1
-    apply, _power, power_norm_bound = _shift_apply, _shift_power, _shift_norm_bound
+    _power, power_norm_bound = _shift_power, _shift_norm_bound
 
 
 @dataclass(frozen=True)
@@ -383,10 +374,14 @@ class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
     def __init__(self, value):
         object.__setattr__(self, "value", complex(value))
 
-    def apply(self, v):
+    def _power(self, n, v, outer):
         if not isinstance(v, complex):
             raise DomainMismatchError("scalar operator acts on complex numbers")
-        return self.value * v
+        for _ in range(n):
+            v = self.value * v
+            for f in outer:
+                v = f * v
+        return v
 
     def power_norm_bound(self, n):
         return abs(self.value) ** n
@@ -403,11 +398,6 @@ class ScalarMultiple(OperatorSpec, kind="scalar_multiple"):
     def __init__(self, factor, inner):
         object.__setattr__(self, "factor", complex(factor))
         object.__setattr__(self, "inner", inner)
-
-    def apply(self, v):
-        # one walk with the factor as an outer step: the multiplications,
-        # zero drops and `0 + c` of scaling inner.apply(v), bit for bit
-        return self._power(1, v, ())
 
     def operator_domain(self):
         return self.inner.operator_domain()
@@ -444,9 +434,6 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
         if not (isinstance(v, tuple) and len(v) == len(self.blocks)):
             raise DomainMismatchError("direct sum acts on tuples matching its blocks")
         return zip(self.blocks, v)
-
-    def apply(self, v):
-        return tuple(b.apply(x) for b, x in self._pairs(v))
 
     def operator_domain(self):
         return tuple(b.operator_domain() for b in self.blocks)

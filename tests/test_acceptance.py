@@ -179,11 +179,8 @@ def test_criterion_7_multiplier_oracle():
     with criterion(7, 2.0, "multiplier estimates match the scalar closed form"):
         horizon = 30
         for c in (2.0 * cmath.exp(-1j), 0.5 + 0j):
-            cloud = ol.generate_orbit(
-                ol.ScalarOnC(c), 1.0 + 0j, ol.FinitePoints([1.0 + 0j]), horizon, 1
-            )
             for n in range(0, 6):
-                est = ol.lambda_set_estimate(ol.ScalarOnC(c), 1.0 + 0j, n, cloud, 1e-6)
+                est = ol.lambda_set_estimate(ol.ScalarOnC(c), 1.0 + 0j, n, horizon, 1e-6)
                 got = est.multipliers()
                 want = ol.scalar_lambda_oracle(c, n, horizon)
                 assert len(got) == len(want)

@@ -364,6 +364,26 @@ def _targets(vector):
          "operator.inner.weights"),
         (_edited("build22", lambda c: c.update(targets={"default_cont": 16})),
          "targets.default_cont"),
+        # a target family that is empty, or too short for the stages
+        (_edited("build21", lambda c: c.update(targets={"default_count": 0})),
+         "targets.default_count"),
+        (_edited("build21", lambda c: c.update(targets={"default_count": -3})),
+         "targets.default_count"),
+        (_edited("build21", lambda c: c.update(targets={"vectors": []})), "targets.vectors"),
+        (_edited("build21", lambda c: c.update(targets={"vectors": [
+            {"domain": "uni", "entries": [[0, 0.0, 0.0]]}]})), "targets.vectors"),
+        (_edited("build21", lambda c: c.update(stages=21, targets={"default_count": 3})),
+         "targets"),
+        # lambda-est checks the horizon, then the iterate, then the phase grid
+        (_edited("lambda_scalar", lambda c: c.update(horizon=-1, iterate=-1)), "horizon"),
+        (_edited("lambda_scalar", lambda c: c.update(iterate=-1, phase_grid=0)), "iterate"),
+        (_edited("lambda_scalar", lambda c: c.update(iterate=31)), "iterate"),
+        (_edited("lambda_scalar", lambda c: c.update(phase_grid=0)), "phase_grid"),
+        (_edited("lambda_scalar", lambda c: c.update(phase_grid=-5)), "phase_grid"),
+        # an orbit that overflows: ||T^m x||^2 passes the largest float
+        (_edited("lambda_scalar", lambda c: c.update(
+            operator={"kind": "scalar_on_c", "value": [2.0, 0.0]}, base_point=[1e300, 0.0],
+            horizon=40)), "horizon"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

@@ -31,7 +31,13 @@ from orbitlab import (
 )
 from orbitlab import density
 from orbitlab.density import COVERED, NOT_COVERED, SOMEWHERE
-from orbitlab.operators import UnsupportedOperatorError, power_apply, vector_scale
+from orbitlab.operators import (
+    UnsupportedOperatorError,
+    power_apply,
+    vector_inner,
+    vector_norm,
+    vector_scale,
+)
 
 IRR = AngleSpec.irrational(1.0, "one radian")
 ONE = FinitePoints([1.0 + 0j])
@@ -69,7 +75,7 @@ class TestGenerateOrbit:
         picks = rng.sample(range(len(cloud.samples)), 100)
         for i in picks:
             n, g, p = cloud.samples[i]
-            assert p == vector_scale(g, power_apply(cloud.operator, n, cloud.base_point))
+            assert p == vector_scale(g, power_apply(cloud.operator, n, cloud.iterates[0]))
 
     def test_domain_checks(self):
         from orbitlab import DomainMismatchError
@@ -118,9 +124,7 @@ def _projection_case(draw):
             iterates = [(v, draw(_COMPLEX)) for v in iterates]
         section = tuple(draw(st.lists(st.integers(-4, 8), min_size=1, max_size=4)))
     gammas = tuple(draw(st.lists(_COMPLEX, min_size=1, max_size=4)))
-    cloud = density.OrbitCloud(
-        iterates[0], BackwardShift(), tuple(iterates), count - 1, len(gammas), gammas
-    )
+    cloud = density.OrbitCloud(BackwardShift(), tuple(iterates), gammas)
     return cloud, section
 
 
@@ -138,13 +142,11 @@ def _or_error(fn):
 @settings(max_examples=300, deadline=None)
 @given(_projection_case())
 @example((  # g*v underflows to -0.0 + 0.0j and is dropped; project reads 0j
-    density.OrbitCloud(e(0).scale(1e-200), BackwardShift(), (e(0).scale(1e-200),), 0, 1,
-                       (-1e-200 + 0j,)),
+    density.OrbitCloud(BackwardShift(), (e(0).scale(1e-200),), (-1e-200 + 0j,)),
     (0,),
 ))
 @example((  # g*v is -0.0 - 2j, and 0 + g*v turns its real part into 0.0
-    density.OrbitCloud(e(0), BackwardShift(), (SeqVector.make("uni", {0: 1j}),), 0, 1,
-                       (-2 + 0j,)),
+    density.OrbitCloud(BackwardShift(), (SeqVector.make("uni", {0: 1j}),), (-2 + 0j,)),
     (0,),
 ))
 def test_section_coords_match_projected_samples(case):
@@ -264,7 +266,7 @@ class TestEpsilonDensity:
         cloud = generate_orbit(ScalarOnC(1.0), 1.0 + 0j, ONE, 0, 1)
         with pytest.raises(ValueError):
             epsilon_density(cloud, [0], [0j], 0.4, 0.05, 0.2)  # eps <= step/2
-        hollow = density.OrbitCloud(1.0 + 0j, ScalarOnC(1.0), (), 0, 0)
+        hollow = density.OrbitCloud(ScalarOnC(1.0), (), ())
         with pytest.raises(density.EmptyCloudError):
             epsilon_density(hollow, [0], [0j], 0.4, 0.3, 0.2)
         with pytest.raises(density.EmptyCloudError):
@@ -331,14 +333,16 @@ class TestBoundedness:
         sup, inf = boundedness_certificates(ScalarOnC(2.0), 1.0 + 0j, 4)
         assert (sup, inf) == (16.0, 1.0)
 
+    def test_number_base_point_becomes_a_point_of_c(self):
+        assert boundedness_certificates(ScalarOnC(0.5), 1.0, 3) == (1.0, 0.125)
+
 
 class TestLambdaEstimate:
     @pytest.mark.parametrize("c", [0.5 + 0j, 2.0 * cmath.exp(-1j)])
     def test_matches_scalar_oracle(self, c):
         horizon = 30
-        cloud = generate_orbit(ScalarOnC(c), 1.0 + 0j, ONE, horizon, 1)
         for n in range(0, 6):
-            est = lambda_set_estimate(ScalarOnC(c), 1.0 + 0j, n, cloud, 1e-6)
+            est = lambda_set_estimate(ScalarOnC(c), 1.0 + 0j, n, horizon, 1e-6)
             got = est.multipliers()
             want = scalar_lambda_oracle(c, n, horizon)
             assert len(got) == len(want)
@@ -346,9 +350,8 @@ class TestLambdaEstimate:
                 assert abs(g - w) <= 1e-6 * max(1.0, abs(w))
 
     def test_unit_multiplier_always_detected(self):
-        cloud = generate_orbit(ScalarOnC(0.5 + 0j), 1.0 + 0j, ONE, 10, 1)
         for n in range(0, 5):
-            est = lambda_set_estimate(ScalarOnC(0.5 + 0j), 1.0 + 0j, n, cloud, 1e-6)
+            est = lambda_set_estimate(ScalarOnC(0.5 + 0j), 1.0 + 0j, n, 10, 1e-6)
             assert any(abs(lam - 1.0) <= 1e-12 for lam in est.multipliers())
 
     def test_oracle_window_monotonicity_exact(self):
@@ -363,10 +366,8 @@ class TestLambdaEstimate:
     def test_estimator_window_monotonicity(self):
         c = 0.5 + 0j
         for n in range(0, 4):
-            cloud_a = generate_orbit(ScalarOnC(c), 1.0 + 0j, ONE, 20 + n, 1)
-            cloud_b = generate_orbit(ScalarOnC(c), 1.0 + 0j, ONE, 21 + n, 1)
-            got_a = lambda_set_estimate(ScalarOnC(c), 1.0 + 0j, n, cloud_a, 1e-6).multipliers()
-            got_b = lambda_set_estimate(ScalarOnC(c), 1.0 + 0j, n + 1, cloud_b, 1e-6).multipliers()
+            got_a = lambda_set_estimate(ScalarOnC(c), 1.0 + 0j, n, 20 + n, 1e-6).multipliers()
+            got_b = lambda_set_estimate(ScalarOnC(c), 1.0 + 0j, n + 1, 21 + n, 1e-6).multipliers()
             for lam in got_a:
                 assert any(abs(lam - mu) <= 1e-9 * max(1.0, lam) for mu in got_b)
 
@@ -382,8 +383,7 @@ class TestLambdaEstimate:
 
     def test_multiplicative_closure_report_on_dyadic_scalar(self):
         c = 0.5 + 0j
-        cloud = generate_orbit(ScalarOnC(c), 1.0 + 0j, ONE, 12, 1)
-        est = lambda_set_estimate(ScalarOnC(c), 1.0 + 0j, 2, cloud, 1e-9)
+        est = lambda_set_estimate(ScalarOnC(c), 1.0 + 0j, 2, 12, 1e-9)
         exact = [lam for lam, slack in est.detected if slack == 0.0]
         assert exact  # powers of two give exactly zero slack
         report = density.multiplicative_closure_report(est)
@@ -393,10 +393,141 @@ class TestLambdaEstimate:
         ]
         assert small_products and all(item["detected"] for item in small_products)
 
-    def test_rejects_non_unit_scalar_grid(self):
-        cloud = generate_orbit(ScalarOnC(0.5 + 0j), 1.0 + 0j, FinitePoints([2.0]), 5, 1)
-        with pytest.raises(ValueError):
-            lambda_set_estimate(ScalarOnC(0.5 + 0j), 1.0 + 0j, 1, cloud, 1e-6)
+    @pytest.mark.parametrize(
+        "n, horizon, phase_grid, field",
+        [
+            (1, -1, 360, "horizon"),
+            (-1, -1, 0, "horizon"),  # horizon is checked first
+            (-1, 5, 360, "iterate"),
+            (6, 5, 360, "iterate"),
+            (-1, 5, 0, "iterate"),  # then the iterate
+            (1, 5, 0, "phase_grid"),
+            (1, 5, -5, "phase_grid"),
+        ],
+    )
+    def test_bad_arguments_are_refused_naming_their_field(self, n, horizon, phase_grid, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            lambda_set_estimate(ScalarOnC(0.5), 1.0 + 0j, n, horizon, 1e-6, phase_grid)
+
+    def test_base_point_off_the_operator_domain_is_refused(self):
+        from orbitlab import DomainMismatchError
+
+        with pytest.raises(DomainMismatchError):
+            lambda_set_estimate(BackwardShift(), be(1), 0, 3, 0.1)
+
+    @pytest.mark.parametrize(
+        "x, n, m",
+        [
+            (1e300 + 0j, 0, 0),  # <x, x> overflows at once
+            (1e150 + 0j, 0, 28),  # ||T^28 x|| = 2^28 * 1e150 fits; <T^28 x, x> does not
+            (1.0 + 0j, 0, 1024),  # ||T^1024 x|| itself is inf
+        ],
+    )
+    def test_non_finite_orbit_is_refused_naming_horizon_and_m(self, x, n, m):
+        with pytest.raises(ValueError, match=rf"^horizon: at m = {m}, .* leaves float range$"):
+            lambda_set_estimate(ScalarOnC(2.0), x, n, 1100, 1e-6)
+
+
+def _lambda_reference(op, x, n, horizon, epsilon, phase_grid):
+    """The estimate's detections as computed from the samples of an orbit
+    cloud over the scalar grid {1}: one norm per sample, and one inner
+    product per candidate and sample."""
+    points = {m: p for m, _, p in generate_orbit(op, x, ONE, horizon, 1).samples}
+    target = points[n]
+    norm_t = vector_norm(target)
+    if norm_t == 0:
+        return ()
+    ms = range(n, horizon + 1)
+    norms = {m: vector_norm(points[m]) for m in ms}
+    candidates = []
+    for m in ms:
+        if norms[m] > 0 and norm_t / norms[m] not in candidates:
+            candidates.append(norm_t / norms[m])
+    sector = 2.0 * math.pi / phase_grid
+    detected = []
+    for lam in candidates:
+        best, hit = math.inf, False
+        for m in ms:
+            nu = norms[m]
+            if nu == 0:
+                continue
+            a = lam * lam * nu * nu + norm_t * norm_t
+            p = vector_inner(points[m], target)
+            if abs(p) == 0:
+                d2 = a
+            else:
+                theta = round((-math.atan2(p.imag, p.real)) / sector) * sector
+                d2 = a - 2.0 * lam * (p * complex(math.cos(theta), math.sin(theta))).real
+            dist = math.sqrt(d2) if d2 > 0 else 0.0
+            best = min(best, dist)
+            hit = hit or dist <= epsilon + (math.pi / phase_grid) * lam * nu
+        if hit:
+            detected.append((lam, best))
+    return tuple(sorted(detected))
+
+
+def _finite_orbit(op, x, n, horizon):
+    """Whether every ||T^m x|| and <T^m x, T^n x> for n <= m <= horizon is finite."""
+    target = power_apply(op, n, x)
+    for m in range(n, horizon + 1):
+        u = power_apply(op, m, x)
+        if not (cmath.isfinite(vector_norm(u)) and cmath.isfinite(vector_inner(u, target))):
+            return False
+    return True
+
+
+# signed zeros, dyadic and non-dyadic parts, and a few that overflow
+_ORBIT_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e150, -1e300]),
+    st.floats(-3.0, 3.0),
+)
+_ORBIT_COMPLEX = st.builds(complex, _ORBIT_PARTS, _ORBIT_PARTS)
+_UNI_POINT = st.dictionaries(st.integers(0, 8), _ORBIT_COMPLEX, max_size=6).map(
+    lambda d: SeqVector.make("uni", d)
+)
+
+
+@st.composite
+def _lambda_case(draw):
+    """An operator from the catalog, a base point on its domain, and the
+    estimate's iterate, horizon, epsilon and phase grid."""
+    c = draw(_ORBIT_COMPLEX)
+    kind = draw(st.sampled_from(["scalar", "uni", "bi", "sum"]))
+    if kind == "scalar":
+        op, x = ScalarOnC(c), draw(_ORBIT_COMPLEX)
+    elif kind == "uni":
+        op, x = ScalarMultiple(c, BackwardShift()), draw(_UNI_POINT)
+    elif kind == "bi":
+        op = WeightedBackward(doubling_weights())
+        x = SeqVector.make("bi", draw(st.dictionaries(st.integers(-4, 4), _ORBIT_COMPLEX)))
+    else:
+        op = DirectSum(ScalarOnC(c), ScalarMultiple(draw(_ORBIT_COMPLEX), BackwardShift()))
+        x = (draw(_ORBIT_COMPLEX), draw(_UNI_POINT))
+    horizon = draw(st.integers(0, 12))
+    n = draw(st.integers(0, horizon))
+    epsilon = draw(st.sampled_from([1e-9, 1e-6, 0.05, 0.5, 2.0]))
+    return op, x, n, horizon, epsilon, draw(st.sampled_from([1, 2, 7, 90, 360]))
+
+
+def _bits(detected):
+    return [(lam.hex(), slack.hex()) for lam, slack in detected]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lambda_case())
+@example((ScalarOnC(-0.5 - 0j), -1.0 - 0j, 3, 30, 1e-6, 360))  # signed-zero parts
+@example((ScalarMultiple(2.0, BackwardShift()), e(5).add(e(2).scale(-0.5j)), 1, 8, 0.05, 90))
+@example((ScalarMultiple(0.5j, BackwardShift()), e(4).scale(-0.0 - 1j), 0, 6, 0.5, 7))
+def test_estimate_matches_the_sampled_cloud_bit_for_bit(case):
+    op, x, n, horizon, epsilon, phase_grid = case
+    try:
+        got = lambda_set_estimate(op, x, n, horizon, epsilon, phase_grid)
+    except ValueError as exc:
+        assert str(exc).startswith("horizon: ")
+        assert not _finite_orbit(op, x, n, horizon)
+        return
+    want = _lambda_reference(op, x, n, horizon, epsilon, phase_grid)
+    assert _bits(got.detected) == _bits(want)
 
 
 class TestScalarGrid:

@@ -12,8 +12,11 @@ nearest-distance search was unrolled per dimension. The last four pins
 (build21 K=40 with moduli past float range, build22 on the
 non-dyadic Geometric(0.3), build21 on the rotating log spiral, build22 with
 complex scalars) were recorded before the two construction schemes shared
-one exact shift and one stage engine. A digest may change only with a
-declared change to the report format."""
+one exact shift and one stage engine. The three lambda pins beyond
+lambda_scalar (2B on a rotating uni point, a direct sum, a scalar with
+signed-zero parts) were recorded before the multiplier estimate walked its
+own orbit. A digest may change only with a declared change to the report
+format."""
 
 import cmath
 import hashlib
@@ -94,6 +97,15 @@ GOLDEN = {
         "report.json": "be88fa2a090b1091ce3e04115fcd3d3dd15fb0db2cf50f58e7a41784fba3c0d4",
         "residuals.csv": "5ea593a0f9e7ed571392ea1df0060be0e3d65cfe8625348d90cd856e7f63ef03",
     },
+    "lambda_2b_uni": {
+        "report.json": "f88d38f1f5cda87484dc58885ede7f98672d187bc70b96bad6c2efaf276ea16f",
+    },
+    "lambda_direct_sum": {
+        "report.json": "1c7203b6214ff1aecbe8293cf1f921ce04b6170688f3d26fd97d295d28147c5e",
+    },
+    "lambda_signed_zero": {
+        "report.json": "57909f19ffde69c0057fc5ddf92a09ba6d18bb3cc0302affca1841675f15e9ee",
+    },
 }
 
 
@@ -139,6 +151,26 @@ def _density_1d():
     }
 
 
+def _lambda_2b():
+    """2B on the uni point sum of 1.5^-j e^{ij} e_j (j < 12): each step
+    rotates and shrinks the tail, so seven multipliers below 1 are detected
+    with nonzero slack on a 90-phase grid."""
+    entries = []
+    for j in range(12):
+        z = cmath.rect(1.5 ** -j, j)
+        entries.append([j, z.real, z.imag])
+    return {
+        "command": "lambda-est",
+        "operator": {"kind": "scalar_multiple", "factor": [2.0, 0.0],
+                     "inner": {"kind": "backward_shift"}},
+        "base_point": {"domain": "uni", "entries": entries},
+        "iterate": 1,
+        "horizon": 10,
+        "epsilon": 0.05,
+        "phase_grid": 90,
+    }
+
+
 # the ratio pair: T = 1.1 B with S = F / 1.1, whose round trip is not exact
 _RATIO = {
     "operator": {"kind": "scalar_multiple", "factor": [1.1, 0.0],
@@ -168,6 +200,17 @@ DERIVED = {
         "build21", {"set": _SPIRAL_SET, "stages": 12, "targets": {"default_count": 13}}),
     "build22_rotated_K12": (
         "build22", {"set": _ROTATED_SET, "stages": 12, "targets": {"default_count": 13}}),
+    "lambda_2b_uni": (None, _lambda_2b()),
+    # the direct sum of tests/test_cli.py: 0.5 on C beside B on uni
+    "lambda_direct_sum": (None, {
+        "command": "lambda-est",
+        "operator": {"kind": "direct_sum", "blocks": [
+            {"kind": "scalar_on_c", "value": [0.5, 0.0]}, {"kind": "backward_shift"}]},
+        "base_point": [[1.0, 0.0], {"domain": "uni", "entries": [[1, 1.0, 0.0]]}],
+        "iterate": 1, "horizon": 4, "epsilon": 0.1}),
+    "lambda_signed_zero": (
+        "lambda_scalar", {"operator": {"kind": "scalar_on_c", "value": [-0.5, -0.0]},
+                          "base_point": [-1.0, -0.0]}),
 }
 
 

@@ -59,7 +59,7 @@ COMMAND_MODULES = {
     "build22": _CONSTRUCTIONS,
     "spiral": _CONSTRUCTIONS,
     "density": _DENSITY,
-    "lambda-est": _DENSITY,
+    "lambda-est": {"density", "_kernels", "operators"},
 }
 
 

@@ -157,6 +157,23 @@ class TestPowerApply:
         assert _bits(power_apply(op, 4, be(0))) == _bits(_power_brute(op, 4, be(0)))
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_each_variant_has_one_action():
+    # apply is written once, in the base class, as one step of _power; the
+    # base class has no _power, so every variant defines or inherits its own
+    variants = list(_subclasses(operators.OperatorSpec))
+    assert set(operators.OperatorSpec.kinds.values()) <= set(variants)
+    assert [cls for cls in variants if "apply" in vars(cls)] == []
+    base = vars(operators.OperatorSpec).get("_power")
+    for cls in operators.OperatorSpec.kinds.values():
+        assert getattr(cls, "_power", base) is not base, cls
+
+
 def _power_brute(op, n, v):
     """op^n v as n calls of apply: the reference power_apply must equal."""
     for _ in range(n):
