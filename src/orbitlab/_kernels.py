@@ -214,8 +214,8 @@ def _search(dim):
 
 
 def spiral_min_scan(log_base, angle_rate, target_re, target_im, s_start, step, count):
-    """Minimize |base^s * exp(-i*s*rate) - target| over the s grid; returns
-    (first minimal index, distance)."""
+    """Minimize |base^s * exp(-i*s*rate) - target| over the s grid, on which the
+    caller keeps exp and s*rate finite; returns (first minimal index, distance)."""
     if count <= 0:
         raise ValueError("count must be positive")
 

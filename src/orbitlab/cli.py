@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-Every subcommand reads one JSON config, runs deterministically, and emits a
-report whose only non-reproducible field is the timestamp. Exit codes:
-0 success, 1 violated operation precondition (the message names it), 2
-internal error or bad invocation. Every precondition error the package raises
-derives from ValueError, which is what maps to exit code 1.
+Every subcommand reads one JSON config, the only source of its values, runs
+deterministically, and emits a report whose only non-reproducible field is
+the timestamp. Exit codes: 0 success; 1 an unreadable config or a refused
+input, a jsonio.PreconditionError naming its field; 2 bad invocation or any
+other exception, a plain ValueError included (an internal error).
 
 Each command imports only the modules it runs, so a process pays for
 compiling and executing just those. A handler returns plain result objects
@@ -25,7 +25,7 @@ from . import __version__, jsonio
 
 def _field(cfg: dict, key: str, cls=object, *default):
     """The top-level config field key decoded as cls (object, list and dict
-    give the raw JSON value); missing or mistyped, a ValueError naming key."""
+    give the raw JSON value); missing or mistyped, a PreconditionError naming key."""
     return jsonio.decode_key(cls, cfg, key, "", *default)
 
 
@@ -45,7 +45,7 @@ def _load_targets(cfg: dict, stages: int, domain: str):
     if "default_count" in spec:
         count = jsonio.decode_key(int, spec, "default_count", "targets")
         if count != len(vectors):
-            raise ValueError(
+            raise jsonio.PreconditionError(
                 f"targets.default_count: {count} does not match the {len(vectors)} "
                 "vectors in targets.vectors"
             )
@@ -56,14 +56,14 @@ def _base_point(obj, dom, field: str = "base_point"):
     """Decode a config vector on the operator_domain() dom: an [re, im] pair
     on C, a SeqVector object on sequence spaces, and on a direct sum a list
     with one vector per block. A shape that does not fit the domain is a
-    ValueError naming the field, e.g. `target_vectors[2][0]`."""
+    PreconditionError naming the field, e.g. `target_vectors[2][0]`."""
     from . import operators
 
     if not isinstance(dom, tuple):
         return jsonio.decode(complex if dom == "scalar" else operators.SeqVector, obj, field)
     if isinstance(obj, list) and len(obj) == len(dom):
         return tuple(_base_point(x, d, f"{field}[{i}]") for i, (x, d) in enumerate(zip(obj, dom)))
-    raise ValueError(f"{field}: {obj!r} is not a vector on the {dom!r} domain")
+    raise jsonio.PreconditionError(f"{field}: {obj!r} is not a vector on the {dom!r} domain")
 
 
 def _vectors(cfg: dict, key: str, dom, path: str = "") -> tuple:
@@ -102,6 +102,9 @@ def _cmd_build(cfg: dict, out: "_Output") -> dict:
 def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
     from . import constructions, operators, scalar_sets
 
+    for key in ("s_range", "step"):
+        if key in cfg and "target" not in cfg:
+            raise jsonio.PreconditionError(f"{key}: only a scan to a target reads it")
     rate = _field(cfg, "rate", scalar_sets.AngleSpec)
     scenario = constructions.build_spiral_scenario(_field(cfg, "base", float), rate)
     spectrum = operators.adjoint_point_spectrum(scenario.operator)
@@ -250,10 +253,10 @@ class _Output:
 def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
     """Execute one config; returns (exit_code, report dict)."""
     if not isinstance(cfg, dict):
-        raise ValueError("config top level must be a JSON object")
+        raise jsonio.PreconditionError("config top level must be a JSON object")
     command = cfg.get("command")
     if command not in _HANDLERS:
-        raise ValueError(f"unknown command {command!r}")
+        raise jsonio.PreconditionError(f"unknown command {command!r}")
     output = _Output(out_dir, emit_csv)
     report = {
         "tool": "orbitlab",
@@ -266,28 +269,12 @@ def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
     try:
         jsonio.check_keys(cfg, ("command",) + fields, "")
         report["result"] = jsonio.encode(handler(cfg, output))
-    except ValueError as exc:
+        code = 0
+    except jsonio.PreconditionError as exc:
         report["error"] = str(exc)
-        output.report(jsonio.dumps(report))
-        return 1, report
+        code = 1
     output.report(jsonio.dumps(report))
-    return 0, report
-
-
-def _apply_overrides(cfg: dict, args) -> dict:
-    if getattr(args, "section", None):
-        cfg["section"] = [int(v) for v in args.section.split(",")]
-    if getattr(args, "ball", None):
-        vals = [float(v) for v in args.ball.split(",")]
-        if len(vals) % 2 == 0:
-            raise ValueError("--ball needs center coordinate pairs then a radius")
-        center = [[vals[2 * i], vals[2 * i + 1]] for i in range((len(vals) - 1) // 2)]
-        cfg["ball"] = {"center": center, "radius": vals[-1]}
-    if getattr(args, "eps", None) is not None:
-        cfg["epsilon"] = args.eps
-    if getattr(args, "grid_step", None) is not None:
-        cfg["grid_step"] = args.grid_step
-    return cfg
+    return code, report
 
 
 def main(argv=None) -> int:
@@ -302,18 +289,13 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
         p.add_argument("--emit-csv", action="store_true", help="write companion CSV files")
-        if name == "density":
-            p.add_argument("--section", default=None, help="comma-separated coordinate indices")
-            p.add_argument("--ball", default=None, help="center pairs then radius, comma-separated")
-            p.add_argument("--eps", type=float, default=None)
-            p.add_argument("--grid-step", type=float, default=None, dest="grid_step")
     args = parser.parse_args(argv)
 
     try:
         cfg = jsonio.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
-            raise ValueError("top level must be a JSON object")
-    except (OSError, ValueError) as exc:
+            raise jsonio.PreconditionError("top level must be a JSON object")
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
     if cfg.get("command") is None:
@@ -326,9 +308,8 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        cfg = _apply_overrides(cfg, args)
         code, report = run_config(cfg, args.out, args.emit_csv)
-    except ValueError as exc:
+    except jsonio.PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - report and exit 2

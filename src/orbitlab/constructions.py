@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import jsonio
+from .jsonio import PreconditionError
 from ._exact import X2, XC, cell_sum, x2_sum, xvec_from_seq, xvec_norm_sq, xvec_sub
 from ._kernels import spiral_min_scan
 from .operators import (
@@ -54,23 +55,23 @@ from .scalar_sets import (
 )
 
 
-class BoundedScalarSetError(ValueError):
+class BoundedScalarSetError(PreconditionError):
     """The unilateral builder needs a scalar set with unbounded moduli."""
 
 
-class NotAccumulatingAtZeroError(ValueError):
+class NotAccumulatingAtZeroError(PreconditionError):
     """The bilateral builder needs positive moduli accumulating at 0."""
 
 
-class SpiralBaseOneError(ValueError):
+class SpiralBaseOneError(PreconditionError):
     """The spiral scenario requires a modulus base different from 1."""
 
 
-class ScanRangeError(ValueError):
+class ScanRangeError(PreconditionError):
     """The scan range cannot certify that the tail stays farther than the grid minimum."""
 
 
-class ShiftSearchLimitError(ValueError):
+class ShiftSearchLimitError(PreconditionError):
     """A bilateral stage needs a shift beyond the search cap SHIFT_CAP."""
 
 
@@ -90,13 +91,13 @@ class TargetFamily:
 
     def __post_init__(self):
         if not self.vectors:
-            raise ValueError("target family must be non-empty")
+            raise PreconditionError("target family must be non-empty")
         domain = self.vectors[0].domain
         for v in self.vectors:
             if v.domain != domain:
-                raise ValueError("target family must live on a single domain")
+                raise PreconditionError("target family must live on a single domain")
             if v.is_zero:
-                raise ValueError("target vectors must be nonzero")
+                raise PreconditionError("target vectors must be nonzero")
 
     @property
     def domain(self) -> str:
@@ -284,11 +285,12 @@ class _Stages:
 
     def __init__(self, scheme: str, domain: str, targets: TargetFamily, stages: int, error):
         if stages < 0:
-            raise ValueError(f"stages: {stages} is negative; a build runs stages 0 to stages")
+            raise PreconditionError(f"stages: {stages} is negative; a build runs stages 0 to stages")
         if targets.domain != domain:
-            raise ValueError(f"{scheme} scheme needs {scheme} targets")
+            raise PreconditionError(f"{scheme} scheme needs {scheme} targets")
         if len(targets) < stages + 1:
-            raise ValueError(f"targets: {len(targets)} vectors; stages {stages} needs {stages + 1}")
+            n = len(targets)
+            raise PreconditionError(f"targets: {n} vectors; stages {stages} needs {stages + 1}")
         self.scheme, self.domain, self.error = scheme, domain, error
         self.targets = [xvec_from_seq(targets[k]) for k in range(stages + 1)]
         self.items = [[(j, c.mod_sq()) for j, c in sorted(t.items())] for t in self.targets]
@@ -502,7 +504,7 @@ class SpiralScenario:
 
 def build_spiral_scenario(r: float, theta: AngleSpec) -> SpiralScenario:
     if r <= 0 or not math.isfinite(r):
-        raise ValueError("spiral base must be positive and finite")
+        raise PreconditionError("spiral base must be positive and finite")
     if r == 1.0:
         raise SpiralBaseOneError("spiral base 1 degenerates to a rotation: no modulus drift")
     tv = theta.value
@@ -532,18 +534,26 @@ def spiral_distance_to(
     """
     target = complex(target)
     if target == 0:
-        raise ValueError("target must be nonzero")
+        raise PreconditionError("target: must be nonzero")
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise PreconditionError(f"step: {step!r} is not positive")
     s_lo, s_hi = s_range
     if s_hi <= s_lo:
-        raise ValueError("empty scan range")
+        raise PreconditionError(f"s_range: [{s_lo!r}, {s_hi!r}] is empty")
     r = scenario.scalar_set.base
-    rate = scenario.scalar_set.rate.value
+    lam, rate = math.log(r), scenario.scalar_set.rate.value
     count = int(math.floor((s_hi - s_lo) / step)) + 1
-    idx, dist = spiral_min_scan(math.log(r), rate, target.real, target.imag, s_lo, step, count)
+    # s*lam and s*rate are monotone in s: the grid's ends bound what the scan takes
+    try:
+        lo_mod, hi_mod = r ** s_lo, r ** s_hi
+        ends = (s_lo, s_lo + (count - 1) * step)
+        finite = all(math.exp(s * lam) < math.inf and math.isfinite(s * rate) for s in ends)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise PreconditionError(f"s_range: base**s or s*rate overflows on [{s_lo!r}, {s_hi!r}]")
+    idx, dist = spiral_min_scan(lam, rate, target.real, target.imag, s_lo, step, count)
     rho = abs(target)
-    lo_mod, hi_mod = r ** s_lo, r ** s_hi
     if r < 1:
         lo_mod, hi_mod = hi_mod, lo_mod
     tail_low = rho - lo_mod  # moduli below the range fall short of the target by this much

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ._kernels import nearest_distances
+from .jsonio import PreconditionError
 from .operators import (
     DomainMismatchError,
     OperatorSpec,
@@ -36,7 +37,7 @@ if TYPE_CHECKING:
     from .scalar_sets import ScalarSet
 
 
-class EmptyCloudError(ValueError):
+class EmptyCloudError(PreconditionError):
     """The orbit cloud holds no samples; density queries are undefined."""
 
 
@@ -110,10 +111,10 @@ def generate_orbit(
 ) -> OrbitCloud:
     """All samples gamma * T^n x for n <= horizon and gamma in the set's grid."""
     if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+        raise PreconditionError("horizon must be nonnegative")
     iterates = _orbit(op, x, horizon)
     if gamma_grid < 1:
-        raise ValueError("grid size must be positive")
+        raise PreconditionError("grid size must be positive")
     return OrbitCloud(op, iterates, tuple(s.scalar_grid(gamma_grid, radial_window)))
 
 
@@ -124,7 +125,7 @@ def project(point: Vector, section: Sequence[int]) -> tuple[complex, ...]:
         return tuple(d.get(i, 0j) for i in section)
     if isinstance(point, complex):
         if tuple(section) != (0,):
-            raise ValueError("a scalar point only has coordinate 0")
+            raise PreconditionError("a scalar point only has coordinate 0")
         return (point,)
     raise UnsupportedOperatorError("direct-sum points are not supported in density scans")
 
@@ -218,11 +219,11 @@ def epsilon_density(
     section = tuple(int(i) for i in section)
     center = tuple(complex(c) for c in center)
     if len(center) != len(section):
-        raise ValueError("center must list one coordinate per section index")
+        raise PreconditionError("center must list one coordinate per section index")
     if radius <= 0 or grid_step <= 0:
-        raise ValueError("radius and grid step must be positive")
+        raise PreconditionError("radius and grid step must be positive")
     if not epsilon > grid_step / 2.0:
-        raise ValueError("epsilon must exceed half the grid step")
+        raise PreconditionError("epsilon must exceed half the grid step")
     if not len(cloud):
         raise EmptyCloudError("orbit cloud has no samples")
 
@@ -340,7 +341,7 @@ def d_dense_check(
 ) -> DDenseResult:
     """True iff every open ball of radius d around the centers holds a sample."""
     if d <= 0:
-        raise ValueError("ball radius must be positive")
+        raise PreconditionError("ball radius must be positive")
     if not len(cloud):
         raise EmptyCloudError("orbit cloud has no samples")
     section = tuple(int(i) for i in section)
@@ -360,7 +361,7 @@ def d_dense_check(
 def boundedness_certificates(op: OperatorSpec, x: Vector, horizon: int) -> tuple[float, float]:
     """Exact (max, min) of ||T^n x|| over 0 <= n <= horizon."""
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise PreconditionError("horizon must be at least 1")
     norms = [vector_norm(it) for it in _orbit(op, x, horizon)]
     return max(norms), min(norms)
 
@@ -406,11 +407,15 @@ def lambda_set_estimate(
     inf or NaN is refused, naming the horizon and the first such m.
     """
     if horizon < 0:
-        raise ValueError(f"horizon: {horizon} is negative")
+        raise PreconditionError(f"horizon: {horizon} is negative")
     if not 0 <= n <= horizon:
-        raise ValueError(f"iterate: {n} is outside 0..{horizon}, the horizon")
+        raise PreconditionError(f"iterate: {n} is outside 0..{horizon}, the horizon")
     if phase_grid < 1:
-        raise ValueError(f"phase_grid: {phase_grid} is not positive")
+        raise PreconditionError(f"phase_grid: {phase_grid} is not positive")
+    if phase_grid > 2**53:  # the phase step divides by float(phase_grid)
+        raise PreconditionError("phase_grid: above 2**53, where a float stops holding it exactly")
+    if epsilon < 0:
+        raise PreconditionError(f"epsilon: {epsilon!r} is negative")
     points = _orbit(op, x, horizon)
     target, norm_t = points[n], vector_norm(points[n])
     sector = 2.0 * math.pi / phase_grid
@@ -420,7 +425,7 @@ def lambda_set_estimate(
     for m in range(n, horizon + 1):
         nu, p = vector_norm(points[m]), vector_inner(points[m], target)
         if not (math.isfinite(nu) and cmath.isfinite(p)):
-            raise ValueError(
+            raise PreconditionError(
                 f"horizon: at m = {m}, ||T^m x|| = {nu!r} and <T^m x, T^n x> = {p!r}; "
                 "the orbit leaves float range"
             )

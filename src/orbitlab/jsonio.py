@@ -26,9 +26,13 @@ import typing
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str, in C
 
 
+class PreconditionError(ValueError):
+    """A refused input: the root of every package error, the CLI's exit 1."""
+
+
 def format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite float {x!r} cannot appear in a report")
+        raise PreconditionError(f"non-finite float {x!r} cannot appear in a report")
     if x == int(x) and abs(x) < 1e16:
         # keep an explicit ".0" so the value reads back as a float
         return f"{x:.1f}"
@@ -85,13 +89,13 @@ def dumps(obj, indent: int = 2) -> str:
 
 
 def _reject_constant(token: str):
-    raise ValueError(f"non-finite number {token} is not allowed in JSON input")
+    raise PreconditionError(f"non-finite number {token} is not allowed in JSON input")
 
 
 def _finite_float(text: str) -> float:
     x = float(text)
     if math.isinf(x):
-        raise ValueError(f"number {text} overflows to a non-finite float")
+        raise PreconditionError(f"number {text} overflows to a non-finite float")
     return x
 
 
@@ -178,26 +182,26 @@ def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _expected(what: str, obj, path: str) -> ValueError:
-    return ValueError(f"{path}: expected {what}, got {_JSON_TYPES.get(type(obj), 'a value')}")
+def _expected(what: str, obj, path: str) -> PreconditionError:
+    return PreconditionError(f"{path}: expected {what}, got {_JSON_TYPES.get(type(obj), 'a value')}")
 
 
 def construct(make, path: str, *args):
-    """make(*args), with a ValueError it raises prefixed by path."""
+    """make(*args) on decoded input; a ValueError becomes a refusal prefixed by path."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise PreconditionError(f"{path}: {exc}") from exc
 
 
 def check_keys(obj, known, path: str) -> None:
     """Refuse a JSON object obj (at path) holding a key outside known: the
-    ValueError names the first such key, e.g. `set.outer_radus: unknown field`."""
+    PreconditionError names the first such key, e.g. `set.outer_radus: unknown field`."""
     if not isinstance(obj, dict):
         raise _expected("an object", obj, path)
     for key in obj:
         if key not in known:
-            raise ValueError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
+            raise PreconditionError(f"{path + '.' if path else ''}{key}: unknown field")
 
 
 @functools.cache
@@ -216,7 +220,7 @@ def decode_key(cls, obj, key: str, path: str, default=dataclasses.MISSING):
     if key in obj:
         return decode(cls, obj[key], sub)
     if default is dataclasses.MISSING:
-        raise ValueError(f"{sub}: missing field")
+        raise PreconditionError(f"{sub}: missing field")
     return default
 
 
@@ -228,8 +232,8 @@ def decode(cls, obj, path: str):
     dataclass does not declare is refused ("kind" is declared for a family
     member). list, dict and object stand for raw JSON values of that type,
     and Literal[...] admits only the values it lists. Numbers must be JSON
-    numbers (not booleans or strings). Every malformed value is a ValueError
-    that starts with its path, e.g. `set.members[1].radius: missing field`.
+    numbers (not booleans or strings). Every malformed value is a
+    PreconditionError that starts with its path, e.g. `set.members[1].radius: missing field`.
     """
     if cls in _SCALARS:
         types, what = _SCALARS[cls]
@@ -238,7 +242,7 @@ def decode(cls, obj, path: str):
         try:
             return cls(obj)
         except OverflowError:
-            raise ValueError(f"{path}: number too large for a float") from None
+            raise PreconditionError(f"{path}: number too large for a float") from None
     if cls in _RAW:
         if not isinstance(obj, cls):
             raise _expected(_RAW[cls], obj, path)
@@ -246,7 +250,7 @@ def decode(cls, obj, path: str):
     if typing.get_origin(cls) is typing.Literal:
         allowed = typing.get_args(cls)
         if obj not in allowed:
-            raise ValueError(f"{path}: expected one of {list(allowed)}, got {obj!r}")
+            raise PreconditionError(f"{path}: expected one of {list(allowed)}, got {obj!r}")
         return obj
     if cls is complex:
         if not (isinstance(obj, list) and len(obj) == 2):
@@ -255,7 +259,7 @@ def decode(cls, obj, path: str):
         try:
             abs(z)  # every consumer takes the modulus
         except OverflowError:
-            raise ValueError(f"{path}: modulus too large for a float") from None
+            raise PreconditionError(f"{path}: modulus too large for a float") from None
         return z
     if typing.get_origin(cls) is tuple:
         items = typing.get_args(cls)
@@ -272,7 +276,8 @@ def decode(cls, obj, path: str):
     if "kinds" in cls.__dict__:
         kind = decode_key(str, obj, "kind", path)
         if kind not in cls.kinds:
-            raise ValueError(f"{path}.kind: unknown kind {kind!r}, not one of {sorted(cls.kinds)}")
+            known = sorted(cls.kinds)
+            raise PreconditionError(f"{path}.kind: unknown kind {kind!r}, not one of {known}")
         cls = cls.kinds[kind]
     check_keys(obj, _declared_keys(cls), path)
     hints = _field_types(cls)

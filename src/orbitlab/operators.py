@@ -16,16 +16,17 @@ from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
 from . import jsonio
+from .jsonio import PreconditionError
 
 UNILATERAL = "uni"
 BILATERAL = "bi"
 
 
-class DomainMismatchError(ValueError):
+class DomainMismatchError(PreconditionError):
     """Vector domain does not match the operator's domain."""
 
 
-class UnsupportedOperatorError(ValueError):
+class UnsupportedOperatorError(PreconditionError):
     """Operator outside the closed-form catalog for this query."""
 
 
@@ -43,7 +44,7 @@ class SeqVector:
     @classmethod
     def make(cls, domain: str, entries) -> "SeqVector":
         if domain not in (UNILATERAL, BILATERAL):
-            raise ValueError(f"unknown domain {domain!r}")
+            raise PreconditionError(f"unknown domain {domain!r}")
         items = dict(entries).items() if isinstance(entries, dict) else entries
         cleaned: dict[int, complex] = {}
         for idx, val in items:
@@ -52,7 +53,7 @@ class SeqVector:
             if val == 0:
                 continue
             if domain == UNILATERAL and idx < 0:
-                raise ValueError("unilateral vectors have nonnegative indices only")
+                raise PreconditionError("unilateral vectors have nonnegative indices only")
             cleaned[idx] = cleaned.get(idx, 0) + val
         return cls(domain, tuple(sorted((i, v) for i, v in cleaned.items() if v != 0)))
 
@@ -227,11 +228,11 @@ class WeightSpec:
 
     def __post_init__(self):
         if len(self.values) != len(self.breakpoints) + 1:
-            raise ValueError("need exactly len(breakpoints)+1 values")
+            raise PreconditionError("need exactly len(breakpoints)+1 values")
         if list(self.breakpoints) != sorted(set(self.breakpoints)):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise PreconditionError("breakpoints must be strictly increasing")
         if any(v == 0 for v in self.values):
-            raise ValueError("weights must be nonzero")
+            raise PreconditionError("weights must be nonzero")
 
     def weight(self, i: int) -> complex:
         return self.values[bisect_right(self.breakpoints, i)]
@@ -426,7 +427,7 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
         if len(blocks) == 1 and isinstance(blocks[0], (list, tuple)):
             blocks = tuple(blocks[0])
         if not blocks:
-            raise ValueError("direct sum needs at least one block")
+            raise PreconditionError("direct sum needs at least one block")
         object.__setattr__(self, "blocks", tuple(blocks))
 
     def _pairs(self, v):
@@ -470,7 +471,7 @@ def power_apply(op: OperatorSpec, n: int, v: Vector) -> Vector:
     factor**n would not be: complex.__pow__ stops multiplying above n = 100.
     """
     if n < 0:
-        raise ValueError("power must be nonnegative")
+        raise PreconditionError("power must be nonnegative")
     return v if n == 0 else op._power(n, v, ())
 
 
@@ -494,7 +495,7 @@ def _walk(i: int, c: complex, n: int, step: int, weights, outer: tuple):
 def power_norm_bound(op: OperatorSpec, n: int) -> float:
     """An upper bound for the operator norm of op^n (not necessarily attained)."""
     if n < 0:
-        raise ValueError("power must be nonnegative")
+        raise PreconditionError("power must be nonnegative")
     return op.power_norm_bound(n)
 
 

@@ -21,17 +21,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import jsonio
+from .jsonio import PreconditionError
 from ._exact import X2, XC, XC_ONE
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-9
 
 
-class EmptyScalarSetError(ValueError):
+class EmptyScalarSetError(PreconditionError):
     """The scalar set denotes the empty set or {0}; classification is undefined."""
 
 
-class UndecidableDensityError(ValueError):
+class UndecidableDensityError(PreconditionError):
     """Density in the plane is not decidable for this set description."""
 
 
@@ -52,7 +53,7 @@ class AngleSpec:
     @classmethod
     def rational_pi(cls, p: int, q: int) -> "AngleSpec":
         if q == 0:
-            raise ValueError("denominator must be nonzero")
+            raise PreconditionError("denominator must be nonzero")
         if q < 0:
             p, q = -p, -q
         g = math.gcd(p, q)
@@ -64,13 +65,13 @@ class AngleSpec:
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError("angle p*pi/q is beyond float range")
+            raise PreconditionError("angle p*pi/q is beyond float range")
         return angle
 
     @classmethod
     def irrational(cls, value: float, tag: str = "") -> "AngleSpec":
         if not math.isfinite(value):
-            raise ValueError("declared angle must be finite")
+            raise PreconditionError("declared angle must be finite")
         return cls(kind="irrational", declared=float(value), tag=tag)
 
     @property
@@ -188,7 +189,7 @@ class Circle(ScalarSet, kind="circle"):
 
     def __post_init__(self):
         if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("circle radius must be positive and finite")
+            raise PreconditionError("circle radius must be positive and finite")
 
     def contains(self, z, tol=1e-9):
         return abs(abs(z) - self.radius) <= tol
@@ -218,7 +219,7 @@ class Annulus(ScalarSet, kind="annulus"):
 
     def __post_init__(self):
         if not (0 < self.inner_radius <= self.outer_radius < math.inf):
-            raise ValueError("annulus needs 0 < inner_radius <= outer_radius < inf")
+            raise PreconditionError("annulus needs 0 < inner_radius <= outer_radius < inf")
 
     def contains(self, z, tol=1e-9):
         return self.inner_radius - tol <= abs(z) <= self.outer_radius + tol
@@ -262,9 +263,9 @@ class Arc(ScalarSet, kind="arc"):
 
     def __post_init__(self):
         if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("arc radius must be positive and finite")
+            raise PreconditionError("arc radius must be positive and finite")
         if self.angle_hi < self.angle_lo:
-            raise ValueError("arc needs angle_lo <= angle_hi")
+            raise PreconditionError("arc needs angle_lo <= angle_hi")
 
     def contains(self, z, tol=1e-9):
         if abs(abs(z) - self.radius) > tol:
@@ -298,9 +299,9 @@ class Sector(ScalarSet, kind="sector"):
 
     def __post_init__(self):
         if not (0 <= self.radius_lo <= self.radius_hi):
-            raise ValueError("sector needs 0 <= radius_lo <= radius_hi")
+            raise PreconditionError("sector needs 0 <= radius_lo <= radius_hi")
         if self.angle_hi < self.angle_lo:
-            raise ValueError("sector needs angle_lo <= angle_hi")
+            raise PreconditionError("sector needs angle_lo <= angle_hi")
 
     def contains(self, z, tol=1e-9):
         r = abs(z)
@@ -356,7 +357,7 @@ class LogSpiral(ScalarSet, kind="log_spiral"):
 
     def __post_init__(self):
         if not (self.base > 0 and self.base != 1.0 and math.isfinite(self.base)):
-            raise ValueError("spiral base must be positive, finite and != 1")
+            raise PreconditionError("spiral base must be positive, finite and != 1")
 
     def point_at(self, t: float) -> complex:
         return self.base ** t * complex(math.cos(t * self.rate.value), -math.sin(t * self.rate.value))
@@ -379,6 +380,8 @@ class LogSpiral(ScalarSet, kind="log_spiral"):
         if radial_window is None:
             t_lo, t_hi = -20.0, 20.0
         else:
+            if min(radial_window) <= 0:  # maybe after a scaled set divided it
+                raise PreconditionError(f"radial_window: {radial_window} has an end <= 0 on a spiral")
             lb = math.log(self.base)
             t_lo, t_hi = sorted(math.log(w) / lb for w in radial_window)
         return [self.point_at(t) for t in _linspace(t_lo, t_hi, count)]
@@ -402,7 +405,7 @@ class Geometric(ScalarSet, kind="geometric"):
         object.__setattr__(self, "base", complex(base))
         m = abs(self.base)
         if m == 0 or m == 1.0 or not math.isfinite(m):
-            raise ValueError("geometric base must satisfy 0 < |base| != 1")
+            raise PreconditionError("geometric base must satisfy 0 < |base| != 1")
 
     def contains(self, z, tol=1e-9):
         r = abs(z)
@@ -441,7 +444,7 @@ class Union(ScalarSet, kind="union"):
         if len(members) == 1 and isinstance(members[0], (list, tuple)):
             members = tuple(members[0])
         if not members:
-            raise ValueError("union must be non-empty")
+            raise PreconditionError("union must be non-empty")
         object.__setattr__(self, "members", tuple(members))
 
     def contains(self, z, tol=1e-9):
@@ -494,7 +497,7 @@ class Scaled(ScalarSet, kind="scaled"):
     def __init__(self, factor, inner):
         factor = complex(factor)
         if factor == 0:
-            raise ValueError("scaling factor must be nonzero")
+            raise PreconditionError("scaling factor must be nonzero")
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "inner", inner)
 
@@ -894,7 +897,7 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
 
 def _geomspace(lo: float, hi: float, count: int) -> list[float]:
     if lo <= 0:
-        raise ValueError("geometric sweep needs a positive lower bound")
+        raise PreconditionError("geometric sweep needs a positive lower bound")
     if count == 1 or hi == lo:
         return [lo] * count
     ratio = (hi / lo) ** (1.0 / (count - 1))

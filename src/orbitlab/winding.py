@@ -17,17 +17,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import jsonio
+from .jsonio import PreconditionError
 
 _TWO_PI = 2.0 * math.pi
 CLOSURE_TOL = 1e-9
 CONFIDENT_MAX_TURN = math.pi / 2.0
 
 
-class CurveNotClosedError(ValueError):
+class CurveNotClosedError(PreconditionError):
     """Winding numbers are defined for closed curves only."""
 
 
-class ParamRangeError(ValueError):
+class ParamRangeError(PreconditionError):
     """Parameter outside [1, b]."""
 
 
@@ -37,7 +38,7 @@ def unit_circle_param(t: float, b: float) -> complex:
     Exact at the quarter points: u in {0, 1} gives 1, u = 1/2 gives -1.
     """
     if b <= 1:
-        raise ValueError("parametrization needs b > 1")
+        raise PreconditionError("parametrization needs b > 1")
     if not (1.0 <= t <= b):
         raise ParamRangeError(f"parameter {t} outside [1, {b}]")
     u = (t - 1.0) / (b - 1.0)
@@ -71,9 +72,9 @@ class SampledCurve(CircleCurve, kind="sampled"):
     def __init__(self, points, closed=True):
         pts = tuple(complex(p) for p in points)
         if len(pts) < 2:
-            raise ValueError("sampled curve needs at least two points")
+            raise PreconditionError("sampled curve needs at least two points")
         if any(p == 0 for p in pts):
-            raise ValueError("curve points must avoid the origin")
+            raise PreconditionError("curve points must avoid the origin")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", bool(closed))
 
@@ -101,12 +102,12 @@ class ParamSegment(CircleCurve, kind="param_segment"):
 
     def __post_init__(self):
         if self.b <= 1:
-            raise ValueError("segment needs b > 1")
+            raise PreconditionError("segment needs b > 1")
         for v in (self.start, self.end):
             if not (1.0 <= v <= self.b):
                 raise ParamRangeError(f"segment endpoint {v} outside [1, {self.b}]")
         if not math.isfinite(self.turn):
-            raise ValueError("segment turn 2*pi*(to - from)/(b - 1) is beyond float range")
+            raise PreconditionError("segment turn 2*pi*(to - from)/(b - 1) is beyond float range")
 
     @property
     def turn(self) -> float:
@@ -129,7 +130,7 @@ class ConstantCurve(CircleCurve, kind="constant"):
     def __init__(self, value):
         value = complex(value)
         if value == 0:
-            raise ValueError("constant curve must avoid the origin")
+            raise PreconditionError("constant curve must avoid the origin")
         object.__setattr__(self, "value", value)
 
     def _walk(self):
@@ -147,7 +148,7 @@ class ConcatCurve(CircleCurve, kind="concat"):
         if len(parts) == 1 and isinstance(parts[0], (list, tuple)):
             parts = tuple(parts[0])
         if not parts:
-            raise ValueError("concatenation needs at least one part")
+            raise PreconditionError("concatenation needs at least one part")
         object.__setattr__(self, "parts", tuple(parts))
 
     def _walk(self):
@@ -234,7 +235,7 @@ def contradiction_audit(n_list, segment_index: Optional[int] = None) -> AuditVer
     """
     ns = sorted(set(int(n) for n in n_list))
     if not ns or any(n < 1 for n in ns):
-        raise ValueError("need a non-empty list of positive integers")
+        raise PreconditionError("need a non-empty list of positive integers")
     if segment_index is not None:
         w = int(segment_index)
         bad = [n for n in ns if n * w != 1]

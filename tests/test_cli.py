@@ -1,6 +1,7 @@
 """CLI: demo configs run clean, reports reproduce byte-for-byte, errors map to
 exit code 1 with the violated precondition named."""
 
+import ast
 import importlib
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from orbitlab import cli, criteria, jsonio
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+PACKAGE = Path(cli.__file__).resolve().parent
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 _TS = re.compile(rb'"generated_at": "[^"]*"')
@@ -116,30 +119,6 @@ def test_main_rejects_command_mismatch(tmp_path):
     assert code == 1
 
 
-def test_density_overrides(tmp_path):
-    cfg_path = CONFIG_DIR / "spiral_density.json"
-    code = cli.main(
-        [
-            "density",
-            "--config",
-            str(cfg_path),
-            "--out",
-            str(tmp_path),
-            "--eps",
-            "0.5",
-            "--grid-step",
-            "0.1",
-            "--ball=-1,0,0.45",
-            "--section",
-            "0",
-        ]
-    )
-    assert code == 0
-    body = jsonio.loads((tmp_path / "report.json").read_text())
-    assert body["result"]["density"]["epsilon"] == 0.5
-    assert body["result"]["density"]["radius"] == 0.45
-
-
 def test_build21_past_float_range_without_csv(tmp_path):
     # stage moduli beyond 2**1024 overflow only the CSV's float column; the
     # report is exact, so it must not depend on rendering that column
@@ -195,18 +174,66 @@ def test_config_top_level_must_be_an_object(text, tmp_path, capsys):
 
 
 def test_every_package_error_maps_to_exit_one():
-    # cli maps exactly the ValueErrors to exit code 1, so a precondition
-    # error deriving from anything else would exit 2 as an internal error
+    # cli maps exactly the PreconditionErrors to exit code 1, so an error
+    # class deriving from anything else would exit 2 as an internal error
     errors = {
         obj
-        for name in ("scalar_sets", "operators", "constructions", "density", "criteria", "winding")
-        for obj in vars(importlib.import_module(f"orbitlab.{name}")).values()
+        for path in PACKAGE.glob("*.py")
+        for obj in vars(importlib.import_module(f"orbitlab.{path.stem}")).values()
         if isinstance(obj, type)
-        and issubclass(obj, Exception)
+        and issubclass(obj, BaseException)
         and obj.__module__.startswith("orbitlab")
     }
-    assert len(errors) == 14
-    assert all(issubclass(e, ValueError) for e in errors)
+    assert len(errors - {jsonio.PreconditionError}) == 13
+    assert all(issubclass(e, jsonio.PreconditionError) for e in errors)
+
+
+def _value_error_names(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "ValueError"]
+
+
+def test_only_the_internal_modules_raise_value_error():
+    # _exact and _kernels run on input their callers checked, so a
+    # ValueError there is an internal fault; elsewhere a refusal is a
+    # PreconditionError
+    for path in PACKAGE.glob("*.py"):
+        if path.name in ("_exact.py", "_kernels.py"):
+            continue
+        raised = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and node.exc and _value_error_names(node.exc)
+        ]
+        assert raised == [], f"{path.name} raises ValueError on lines {raised}"
+
+
+def test_cli_names_value_error_only_where_it_reads_the_config():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    tries = [
+        t for t in ast.walk(tree)
+        if isinstance(t, ast.Try) and any(h.type and _value_error_names(h.type) for h in t.handlers)
+    ]
+    assert len(tries) == 1
+    # json.JSONDecodeError is a ValueError: the parser refusing outside text
+    assert "read_text()" in "\n".join(map(ast.unparse, tries[0].body))
+    assert [ast.unparse(h.type) for h in tries[0].handlers] == ["(OSError, ValueError)"]
+    assert len(_value_error_names(tree)) == 1
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(ValueError, 2, "internal error: "), (jsonio.PreconditionError, 1, "precondition violated: ")],
+)
+def test_only_a_precondition_error_exits_one(error, code, prefix, tmp_path, monkeypatch, capsys):
+    from orbitlab import scalar_sets
+
+    def broken(s):
+        raise error("simulated in classify")
+
+    monkeypatch.setattr(scalar_sets, "classify", broken)
+    cfg_path = CONFIG_DIR / "classify_ring.json"
+    assert cli.main(["classify", "--config", str(cfg_path), "--out", str(tmp_path)]) == code
+    assert f"{prefix}simulated in classify" in capsys.readouterr().err
 
 
 def test_misshapen_vector_names_its_field(tmp_path, capsys):
@@ -318,6 +345,14 @@ def _targets(vector):
             "stages": 1, "targets": {"vectors": [vector]}}
 
 
+def _spiral_density(window, set_=None):
+    def edit(cfg):
+        cfg["radial_window"] = window
+        if set_ is not None:
+            cfg["set"] = set_(cfg["set"])
+    return _edited("spiral_density", edit)
+
+
 @pytest.mark.parametrize(
     "cfg, field",
     [
@@ -384,11 +419,42 @@ def _targets(vector):
         (_edited("lambda_scalar", lambda c: c.update(
             operator={"kind": "scalar_on_c", "value": [2.0, 0.0]}, base_point=[1e300, 0.0],
             horizon=40)), "horizon"),
+        # lambda-est: a negative tolerance, and a grid a float cannot hold
+        (_edited("lambda_scalar", lambda c: c.update(epsilon=-1.0)), "epsilon"),
+        (_edited("lambda_scalar", lambda c: c.update(phase_grid=10**400)), "phase_grid"),
+        (_edited("lambda_scalar", lambda c: c.update(phase_grid=2**53 + 1)), "phase_grid"),
+        # spiral: base**s past float range, over the given range or the default one
+        (_edited("spiral", lambda c: c.update(s_range=[-2000.0, 2000.0])), "s_range"),
+        ({**_edited("spiral", lambda c: c.pop("s_range")), "base": 1e308}, "s_range"),
+        (_edited("spiral", lambda c: c.update(base=0.5, s_range=[-1100.0, 0.0])), "s_range"),
+        # ... and s*rate past float range
+        (_edited("spiral", lambda c: c.update(rate={"irrational": 1e306, "tag": ""},
+                                              base=1.0000001, s_range=[-1e3, 1e3])), "s_range"),
+        # spiral without a target: nothing reads s_range or step
+        ({"command": "spiral", "base": 2.0, "rate": {"irrational": 1.0, "tag": ""},
+          "step": 123.0}, "step"),
+        ({"command": "spiral", "base": 2.0, "rate": {"irrational": 1.0, "tag": ""},
+          "s_range": [5.0, 1.0]}, "s_range"),
+        # a log spiral's radial window needs ends above 0 ...
+        (_spiral_density([-1.0, 2.0]), "radial_window"),
+        (_spiral_density([0.0, 2.0]), "radial_window"),
+        # ... also where a scaling factor divides an end down to 0
+        (_spiral_density([1e-30, 2.0], lambda s: {"kind": "scaled", "factor": [1e300, 0.0],
+                                                  "inner": s}), "radial_window"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
+    start = time.perf_counter()
     assert _main(cfg, tmp_path) == 1
+    assert time.perf_counter() - start < 1.0  # refused before any costly work
     assert f"precondition violated: {field}:" in capsys.readouterr().err
+
+
+def test_scaled_log_spiral_window_above_zero_runs(tmp_path):
+    # 1e-30 / 2 is far above 0: the same window on a milder scaling runs
+    cfg = _spiral_density([1e-30, 2.0], lambda s: {"kind": "scaled", "factor": [2.0, 0.0],
+                                                   "inner": s})
+    assert _main(cfg, tmp_path) == 0
 
 
 def _two_targets(count):

@@ -26,8 +26,7 @@ from orbitlab import (
     operators,
     power_apply,
 )
-from orbitlab.criteria import MapDomainMismatchError
-from orbitlab.operators import vector_norm, vector_sub
+from orbitlab.operators import DomainMismatchError, vector_norm, vector_sub
 
 e = lambda j: SeqVector.basis(j, "uni")  # noqa: E731
 BASIS6 = tuple(e(j) for j in range(6))
@@ -167,7 +166,7 @@ class TestValidation:
             target_vectors=BASIS6,
             indices=(0, 1, 2),
         )
-        with pytest.raises(MapDomainMismatchError):
+        with pytest.raises(DomainMismatchError):
             check_criterion(inst)
 
 
