@@ -28,7 +28,7 @@ _EXPORTS = {
     "density": "DensityReport EmptyCloudError LambdaEstimate OrbitCloud "
     "boundedness_certificates d_dense_check epsilon_density generate_orbit "
     "lambda_set_estimate scalar_lambda_oracle",
-    "criteria": "CriterionInstance CriterionReport check_criterion kitai_mode",
+    "criteria": "CriterionInstance CriterionReport check_criterion",
     "winding": "AuditVerdict CircleCurve ConcatCurve ConstantCurve CurveNotClosedError "
     "ParamSegment SampledCurve WindingResult concat_additivity_check contradiction_audit "
     "unit_circle_param winding_number",

@@ -18,7 +18,6 @@ import argparse
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Literal
 
 from . import __version__, jsonio
 
@@ -29,6 +28,12 @@ def _field(cfg: dict, key: str, cls=object, *default):
     return jsonio.decode_key(cls, cfg, key, "", *default)
 
 
+def _optional(cfg: dict, **fields) -> dict:
+    """The fields (name=cls) that cfg sets, decoded, as keyword arguments: a
+    field left out takes the default of the callee's signature, its one copy."""
+    return {key: _field(cfg, key, cls) for key, cls in fields.items() if key in cfg}
+
+
 def _load_targets(cfg: dict, stages: int, domain: str):
     from . import constructions
 
@@ -36,19 +41,14 @@ def _load_targets(cfg: dict, stages: int, domain: str):
     # one to refuse it, naming the field
     spec = _field(cfg, "targets", dict, {"default_count": max(stages, 0) + 1})
     jsonio.check_keys(spec, ("vectors", "default_count"), "targets")
+    if "vectors" in spec and "default_count" in spec:
+        raise jsonio.PreconditionError("targets: expected vectors or default_count, not both")
     if "vectors" not in spec:
         count = jsonio.decode_key(int, spec, "default_count", "targets")
         return jsonio.construct(
             constructions.default_target_family, "targets.default_count", count, domain
         )
     vectors = _vectors(spec, "vectors", domain, "targets")
-    if "default_count" in spec:
-        count = jsonio.decode_key(int, spec, "default_count", "targets")
-        if count != len(vectors):
-            raise jsonio.PreconditionError(
-                f"targets.default_count: {count} does not match the {len(vectors)} "
-                "vectors in targets.vectors"
-            )
     return jsonio.construct(constructions.TargetFamily, "targets.vectors", vectors)
 
 
@@ -117,8 +117,7 @@ def _cmd_spiral(cfg: dict, out: "_Output") -> dict:
         result["distance"] = constructions.spiral_distance_to(
             scenario,
             _field(cfg, "target", complex),
-            _field(cfg, "s_range", tuple[float, float], (-20.0, 20.0)),
-            _field(cfg, "step", float, 1e-4),
+            **_optional(cfg, s_range=tuple[float, float], step=float),
         )
     return result
 
@@ -129,14 +128,13 @@ def _cmd_density(cfg: dict, out: "_Output") -> dict:
     op = _field(cfg, "operator", operators.OperatorSpec)
     base = _base_point(_field(cfg, "base_point"), op.operator_domain())
     s = scalar_sets.from_json(_field(cfg, "set", dict), "set")
-    window = cfg.get("radial_window")
     cloud = density.generate_orbit(
         op,
         base,
         s,
         _field(cfg, "horizon", int),
         _field(cfg, "gamma_grid", int),
-        None if window is None else _field(cfg, "radial_window", tuple[float, float]),
+        _field(cfg, "radial_window", tuple[float, float], None),
     )
     ball = _field(cfg, "ball", dict)
     jsonio.check_keys(ball, ("center", "radius"), "ball")
@@ -178,11 +176,9 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
         indices=tuple(range(jsonio.decode_key(int, indices, "upto", "indices") + 1))
         if isinstance(indices, dict)
         else jsonio.decode(tuple[int, ...], indices, "indices"),
-        tolerance=_field(cfg, "tolerance", float, criteria.DEFAULT_TOLERANCE),
+        **_optional(cfg, tolerance=float),
     )
-    full = _field(cfg, "mode", Literal["full"], None) == "full"
-    report = criteria.kitai_mode(inst) if full else criteria.check_criterion(inst)
-    return {"criterion": report}
+    return {"criterion": criteria.check_criterion(inst)}
 
 
 def _cmd_winding(cfg: dict, out: "_Output") -> dict:
@@ -204,7 +200,7 @@ def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
         _field(cfg, "iterate", int),
         horizon,
         _field(cfg, "epsilon", float),
-        _field(cfg, "phase_grid", int, 360),
+        **_optional(cfg, phase_grid=int),
     )
     return {
         "lambda_estimate": est,
@@ -225,7 +221,7 @@ _HANDLERS = {
         "set", "gamma_grid", "radial_window", "section", "ball", "epsilon", "grid_step")),
     "criterion": (_cmd_criterion, (
         "operator", "right_inverse", "decay_vectors", "target_vectors", "indices",
-        "tolerance", "mode")),
+        "tolerance")),
     "winding": (_cmd_winding, ("curve",)),
     "lambda-est": (_cmd_lambda_est, _ORBIT_FIELDS + ("iterate", "epsilon", "phase_grid")),
 }

@@ -495,11 +495,10 @@ class SpiralScenario:
 
     operator: ScalarOnC
     scalar_set: LogSpiral
-    base_point: complex = 1.0 + 0.0j
 
     def orbit_point(self, t: float, n: int) -> complex:
-        """gamma(t) * R^n applied to the base point; lies at parameter t+n."""
-        return self.scalar_set.point_at(t) * power_apply(self.operator, n, self.base_point)
+        """gamma(t) * R^n applied to the base point 1; lies at parameter t+n."""
+        return self.scalar_set.point_at(t) * power_apply(self.operator, n, 1.0 + 0.0j)
 
 
 def build_spiral_scenario(r: float, theta: AngleSpec) -> SpiralScenario:
@@ -542,7 +541,10 @@ def spiral_distance_to(
         raise PreconditionError(f"s_range: [{s_lo!r}, {s_hi!r}] is empty")
     r = scenario.scalar_set.base
     lam, rate = math.log(r), scenario.scalar_set.rate.value
-    count = int(math.floor((s_hi - s_lo) / step)) + 1
+    span = (s_hi - s_lo) / step
+    if not span < 2**53:  # inf included
+        raise PreconditionError(f"step: {step!r} puts more than 2**53 grid points on s_range")
+    count = int(math.floor(span)) + 1
     # s*lam and s*rate are monotone in s: the grid's ends bound what the scan takes
     try:
         lo_mod, hi_mod = r ** s_lo, r ** s_hi

@@ -27,7 +27,7 @@ a NaN (max(0.0, nan) is 0.0), and a report cannot hold either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .jsonio import PreconditionError
@@ -42,7 +42,6 @@ from .operators import (
 )
 
 TAIL_GUARD = 5
-DEFAULT_TOLERANCE = 1e-9
 
 
 class NonFiniteResidualError(PreconditionError):
@@ -56,7 +55,7 @@ class CriterionInstance:
     decay_vectors: tuple[Vector, ...]  # the set where T^{n_k} x -> 0 is demanded
     target_vectors: tuple[Vector, ...]  # the set where S and T*S conditions act
     indices: tuple[int, ...]
-    tolerance: float = DEFAULT_TOLERANCE
+    tolerance: float = 1e-9
 
     def __post_init__(self):
         if not self.decay_vectors or not self.target_vectors:
@@ -180,12 +179,6 @@ def check_criterion(inst: CriterionInstance) -> CriterionReport:
         tail_nonincreasing=tails,  # type: ignore[arg-type]
         traces=traces,
     )
-
-
-def kitai_mode(inst: CriterionInstance) -> CriterionReport:
-    """Same check with the index sequence forced to 0, 1, ..., max(indices):
-    the full-sequence (Kitai-style) specialization."""
-    return check_criterion(replace(inst, indices=tuple(range(inst.indices[-1] + 1))))
 
 
 def _tail_nonincreasing(trace) -> bool:

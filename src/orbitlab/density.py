@@ -112,9 +112,11 @@ def generate_orbit(
     """All samples gamma * T^n x for n <= horizon and gamma in the set's grid."""
     if horizon < 0:
         raise PreconditionError("horizon must be nonnegative")
-    iterates = _orbit(op, x, horizon)
     if gamma_grid < 1:
-        raise PreconditionError("grid size must be positive")
+        raise PreconditionError(f"gamma_grid: {gamma_grid} is not positive")
+    if gamma_grid > 2**53:  # a grid's step divides by the count as a float
+        raise PreconditionError("gamma_grid: above 2**53, where a float stops holding it exactly")
+    iterates = _orbit(op, x, horizon)
     return OrbitCloud(op, iterates, tuple(s.scalar_grid(gamma_grid, radial_window)))
 
 
@@ -137,6 +139,8 @@ def project(point: Vector, section: Sequence[int]) -> tuple[complex, ...]:
 COVERED = "covered_at_eps"
 NOT_COVERED = "not_covered"
 SOMEWHERE = "somewhere_witness"
+# the most lattice points a ball grid's bounding box may hold
+BALL_BOX_CAP = 10**6
 
 
 class Ball(NamedTuple):
@@ -176,9 +180,15 @@ class DensityReport:
 def _ball_grid(
     center: tuple[complex, ...], radius: float, step: float
 ) -> tuple[list[tuple[float, ...]], list[tuple[int, ...]]]:
-    """The ball's grid points and, for each, its per-axis offset indices."""
+    """The ball's grid points and, for each, its per-axis offset indices. A
+    bounding box of more than BALL_BOX_CAP lattice points is refused first."""
     axes = _flat([center])
-    steps = int(math.floor(2.0 * radius / step + 1e-12)) + 1
+    steps = int(min(2.0 * radius / step + 1e-12, BALL_BOX_CAP)) + 1
+    if steps ** len(axes) > BALL_BOX_CAP:
+        raise PreconditionError(
+            f"grid_step: {step!r} puts more than {BALL_BOX_CAP:,} lattice points in the "
+            "bounding box of the ball"
+        )
     offsets = [-radius + i * step for i in range(steps)]
     rsq = radius * radius * (1.0 + 1e-12)
     points: list[tuple[float, ...]] = []
@@ -227,6 +237,7 @@ def epsilon_density(
     if not len(cloud):
         raise EmptyCloudError("orbit cloud has no samples")
 
+    grid, indices = _ball_grid(center, radius, grid_step)
     projected = cloud.section_coords(section)
     # bounding-box prefilter: anything farther than radius+epsilon from the
     # ball on some axis can never cover a grid point at epsilon
@@ -241,7 +252,6 @@ def epsilon_density(
     if not keep:
         keep = projected
 
-    grid, indices = _ball_grid(center, radius, grid_step)
     dists = nearest_distances([v for pt in grid for v in pt], _flat(keep), 2 * len(section))
 
     covered_flags = [d <= epsilon for d in dists]
@@ -450,15 +460,15 @@ def lambda_set_estimate(
     )
 
 
-def multiplicative_closure_report(est: LambdaEstimate, tol: float = 1e-9) -> dict:
+def multiplicative_closure_report(est: LambdaEstimate) -> dict:
     """For exact detections (slack 0), report whether pairwise products are
-    themselves detected within tol; informational, not asserted."""
+    themselves detected within a relative 1e-9; informational, not asserted."""
     exact = [lam for lam, slack in est.detected if slack == 0.0]
     all_vals = est.multipliers()
     products = []
     for a in exact:
         for b in exact:
             prod = a * b
-            inside = any(abs(prod - v) <= tol * max(1.0, abs(prod)) for v in all_vals)
+            inside = any(abs(prod - v) <= 1e-9 * max(1.0, abs(prod)) for v in all_vals)
             products.append({"factors": [a, b], "product": prod, "detected": inside})
     return {"exact_members": exact, "products": products}

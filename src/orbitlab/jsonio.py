@@ -39,9 +39,9 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _encode(obj, parts: list[str], indent: str, level: int) -> None:
-    pad = indent * level
-    inner = indent * (level + 1)
+def _encode(obj, parts: list[str], level: int) -> None:
+    pad = "  " * level
+    inner = pad + "  "
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -63,7 +63,7 @@ def _encode(obj, parts: list[str], indent: str, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             parts.append(f"{inner}{_quote(key)}: ")
-            _encode(value, parts, indent, level + 1)
+            _encode(value, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -73,17 +73,17 @@ def _encode(obj, parts: list[str], indent: str, level: int) -> None:
         parts.append("[\n")
         for i, value in enumerate(obj):
             parts.append(inner)
-            _encode(value, parts, indent, level + 1)
+            _encode(value, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize to canonical JSON text (trailing newline included)."""
+def dumps(obj) -> str:
+    """Serialize to canonical JSON text, two-space indented, with a trailing newline."""
     parts: list[str] = []
-    _encode(obj, parts, " " * indent, 0)
+    _encode(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 
@@ -230,10 +230,9 @@ def decode(cls, obj, path: str):
     The inverse of encode: a family root reads "kind" to pick its member,
     and a class with its own from_json decodes through it. A key that the
     dataclass does not declare is refused ("kind" is declared for a family
-    member). list, dict and object stand for raw JSON values of that type,
-    and Literal[...] admits only the values it lists. Numbers must be JSON
-    numbers (not booleans or strings). Every malformed value is a
-    PreconditionError that starts with its path, e.g. `set.members[1].radius: missing field`.
+    member). list, dict and object stand for raw JSON values of that type.
+    Numbers must be JSON numbers (not booleans or strings). Every malformed value
+    is a PreconditionError that starts with its path, e.g. `set.members[1].radius: missing field`.
     """
     if cls in _SCALARS:
         types, what = _SCALARS[cls]
@@ -246,11 +245,6 @@ def decode(cls, obj, path: str):
     if cls in _RAW:
         if not isinstance(obj, cls):
             raise _expected(_RAW[cls], obj, path)
-        return obj
-    if typing.get_origin(cls) is typing.Literal:
-        allowed = typing.get_args(cls)
-        if obj not in allowed:
-            raise PreconditionError(f"{path}: expected one of {list(allowed)}, got {obj!r}")
         return obj
     if cls is complex:
         if not (isinstance(obj, list) and len(obj) == 2):

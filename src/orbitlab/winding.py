@@ -67,16 +67,14 @@ class CircleCurve(jsonio.Family):
 @dataclass(frozen=True)
 class SampledCurve(CircleCurve, kind="sampled"):
     points: tuple[complex, ...]
-    closed: bool = True
 
-    def __init__(self, points, closed=True):
+    def __init__(self, points):
         pts = tuple(complex(p) for p in points)
         if len(pts) < 2:
             raise PreconditionError("sampled curve needs at least two points")
         if any(p == 0 for p in pts):
             raise PreconditionError("curve points must avoid the origin")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "closed", bool(closed))
 
     def _walk(self):
         pts = self.points
@@ -89,7 +87,7 @@ class SampledCurve(CircleCurve, kind="sampled"):
         return _Walk(total, max_step, min(abs(p) for p in pts), pts[0], pts[-1])
 
     def reverse(self):
-        return SampledCurve(tuple(reversed(self.points)), self.closed)
+        return SampledCurve(tuple(reversed(self.points)))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,31 @@ def test_reports_reproduce_modulo_timestamp(path, tmp_path):
         assert csv.read_bytes() == (tmp_path / "b" / csv.name).read_bytes()
 
 
+class _ReadRecorder(dict):
+    """A config that records the keys read through cfg[key]."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# a value for each optional top-level field that every shipped config leaves out
+_OPTIONAL_VALUES = {"radial_window": [0.5, 2.0]}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_every_declared_field_is_read(path, tmp_path):
+    cfg = load(path)
+    fields = cli._HANDLERS[cfg["command"]][1]
+    cfg = _ReadRecorder(cfg, **{key: _OPTIONAL_VALUES[key] for key in fields if key not in cfg})
+    assert cli.run_config(cfg, out_dir=tmp_path)[0] == 0
+    assert cfg.read - {"command"} == set(fields)
+
+
 def test_precondition_violation_exits_one(tmp_path):
     cfg = {
         "command": "build21",
@@ -345,6 +370,13 @@ def _targets(vector):
             "stages": 1, "targets": {"vectors": [vector]}}
 
 
+def _two_targets(count):
+    cfg = _targets({"domain": "uni", "entries": [[0, 1.0, 0.0]]})
+    cfg["targets"]["vectors"].append({"domain": "uni", "entries": [[1, 0.5, 0.0]]})
+    cfg["targets"]["default_count"] = count
+    return cfg
+
+
 def _spiral_density(window, set_=None):
     def edit(cfg):
         cfg["radial_window"] = window
@@ -441,6 +473,22 @@ def _spiral_density(window, set_=None):
         # ... also where a scaling factor divides an end down to 0
         (_spiral_density([1e-30, 2.0], lambda s: {"kind": "scaled", "factor": [1e300, 0.0],
                                                   "inner": s}), "radial_window"),
+        # one spelling per input: no dead flag, no null for an absent window,
+        # and one of the two target keys
+        ({"command": "winding", "curve": {"kind": "sampled", "points": [
+            [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]], "closed": False}},
+         "curve.closed"),
+        (_spiral_density(None), "radial_window"),
+        (_two_targets(2), "targets"),
+        # spiral: a step too fine for the range's grid count
+        (_edited("spiral", lambda c: c.update(s_range=[0.0, 1.0], step=1e-320)), "step"),
+        (_edited("spiral", lambda c: c.update(s_range=[0.0, 1.0], step=2.0**-53)), "step"),
+        # density: a scalar grid a float cannot hold, a ball lattice past its cap
+        (_edited("spiral_density", lambda c: c.update(gamma_grid=10**400)), "gamma_grid"),
+        (_edited("spiral_density", lambda c: c.update(gamma_grid=2**53 + 1)), "gamma_grid"),
+        (_edited("spiral_density", lambda c: c.update(gamma_grid=0)), "gamma_grid"),
+        (_edited("spiral_density", lambda c: c.update(grid_step=1e-300)), "grid_step"),
+        (_edited("spiral_density", lambda c: c.update(grid_step=4e-4)), "grid_step"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
@@ -457,18 +505,15 @@ def test_scaled_log_spiral_window_above_zero_runs(tmp_path):
     assert _main(cfg, tmp_path) == 0
 
 
-def _two_targets(count):
-    cfg = _targets({"domain": "uni", "entries": [[0, 1.0, 0.0]]})
-    cfg["targets"]["vectors"].append({"domain": "uni", "entries": [[1, 0.5, 0.0]]})
-    cfg["targets"]["default_count"] = count
-    return cfg
-
-
 def test_target_count_must_match_the_vectors(tmp_path, capsys):
-    assert _main(_two_targets(99), tmp_path) == 1
-    err = capsys.readouterr().err
-    assert "precondition violated: targets.default_count: 99 does not match the 2 vectors" in err
-    assert _main(_two_targets(2), tmp_path) == 0
+    # targets takes vectors or default_count, never both, whatever the count
+    for count in (1, 2, 99):
+        assert _main(_two_targets(count), tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "precondition violated: targets: expected vectors or default_count, not both" in err
+    cfg = _two_targets(2)
+    del cfg["targets"]["default_count"]
+    assert _main(cfg, tmp_path) == 0
 
 
 @pytest.mark.parametrize("part", [1e200, 1e-200])

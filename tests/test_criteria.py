@@ -22,7 +22,6 @@ from orbitlab import (
     check_criterion,
     criteria,
     jsonio,
-    kitai_mode,
     operators,
     power_apply,
 )
@@ -121,18 +120,6 @@ class TestFailures:
 
 
 class TestModes:
-    def test_kitai_mode_fills_the_sequence(self):
-        sparse = CriterionInstance(
-            operator=ScalarMultiple(2.0, BackwardShift()),
-            right_inverse=ScalarMultiple(0.5, ForwardShift()),
-            decay_vectors=BASIS6,
-            target_vectors=BASIS6,
-            indices=tuple(range(0, 41, 5)),
-        )
-        full = kitai_mode(sparse)
-        assert full.passes
-        assert len(full.traces[0]) == 41
-
     def test_pass_is_monotone_in_tolerance(self):
         tight = check_criterion(rolewicz_instance(tolerance=1e-13))
         loose = check_criterion(rolewicz_instance(tolerance=1e-9))

@@ -41,7 +41,7 @@ PUBLIC_API = {
         "boundedness_certificates", "d_dense_check", "epsilon_density", "generate_orbit",
         "lambda_set_estimate", "scalar_lambda_oracle",
     ),
-    "criteria": ("CriterionInstance", "CriterionReport", "check_criterion", "kitai_mode"),
+    "criteria": ("CriterionInstance", "CriterionReport", "check_criterion"),
     "winding": (
         "AuditVerdict", "CircleCurve", "ConcatCurve", "ConstantCurve", "CurveNotClosedError",
         "ParamSegment", "SampledCurve", "WindingResult", "concat_additivity_check",

@@ -87,9 +87,7 @@ class TestWindingNumber:
         assert winding_number(curve.reverse()).index == -winding_number(curve).index
 
     def test_open_curves_are_rejected(self):
-        arc = SampledCurve(
-            [cmath.exp(1j * a) for a in [0.0, 0.5, 1.0, 1.5]], closed=False
-        )
+        arc = SampledCurve([cmath.exp(1j * a) for a in [0.0, 0.5, 1.0, 1.5]])
         with pytest.raises(CurveNotClosedError):
             winding_number(arc)
         with pytest.raises(CurveNotClosedError):
