@@ -26,7 +26,7 @@ _EXPORTS = {
     "build_bilateral build_spiral_scenario build_unilateral default_target_family "
     "spiral_distance_to",
     "density": "DensityReport EmptyCloudError LambdaEstimate OrbitCloud "
-    "boundedness_certificates d_dense_check epsilon_density generate_orbit "
+    "boundedness_certificates epsilon_density generate_orbit "
     "lambda_set_estimate scalar_lambda_oracle",
     "criteria": "CriterionInstance CriterionReport check_criterion",
     "winding": "AuditVerdict CircleCurve ConcatCurve ConstantCurve CurveNotClosedError "

@@ -8,7 +8,7 @@ other exception, a plain ValueError included (an internal error).
 
 Each command imports only the modules it runs, so a process pays for
 compiling and executing just those. A handler returns plain result objects
-(dataclasses, NamedTuples, complex numbers, tuples, dicts); run_config
+(jsonio records, NamedTuples, complex numbers, tuples, dicts); run_config
 encodes them once through jsonio.encode.
 """
 
@@ -309,7 +309,8 @@ def main(argv=None) -> int:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - report and exit 2
-        print(f"internal error: {exc}", file=sys.stderr)
+        # an empty message (say, MemoryError()) still names what went wrong
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if code != 0:
         print(f"precondition violated: {report.get('error')}", file=sys.stderr)

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 from . import jsonio
-from .jsonio import PreconditionError
+from .jsonio import Field, PreconditionError, Record
 from ._exact import X2, XC, cell_sum, x2_sum, xvec_from_seq, xvec_norm_sq, xvec_sub
 from ._kernels import spiral_min_scan
 from .operators import (
@@ -83,8 +82,7 @@ SHIFT_CAP = 1 << 40
 # target families
 
 
-@dataclass(frozen=True)
-class TargetFamily:
+class TargetFamily(Record):
     """Finitely many nonzero finitely supported targets on one domain."""
 
     vectors: tuple[SeqVector, ...]
@@ -162,8 +160,7 @@ def default_target_family(count: int, domain: str = UNILATERAL) -> TargetFamily:
 # traces
 
 
-@dataclass(frozen=True)
-class StageChoice:
+class StageChoice(Record):
     stage: int
     scalar: XC
     shift: int
@@ -178,8 +175,7 @@ class StageChoice:
         return float(self.modulus_sq()) ** 0.5
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(Record):
     scheme: str  # "unilateral" | "bilateral"
     choices: tuple[StageChoice, ...]
     partial_sum: SeqVector
@@ -189,7 +185,7 @@ class ConstructionTrace:
     conditions: tuple[dict, ...]
     tail_bound: float
     # per stage: the squared moduli of the residual's entries, by index
-    residual_terms: tuple[tuple[X2, ...], ...] = field(repr=False)
+    residual_terms: tuple[tuple[X2, ...], ...] = Field(repr=False)
 
     @property
     def stages(self) -> int:
@@ -488,8 +484,7 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
 # spiral counterexample scenario
 
 
-@dataclass(frozen=True)
-class SpiralScenario:
+class SpiralScenario(Record):
     """Scalar rotation-dilation operator on C paired with its matching spiral
     scalar set; every scaled orbit point stays on the spiral."""
 
@@ -511,8 +506,7 @@ def build_spiral_scenario(r: float, theta: AngleSpec) -> SpiralScenario:
     return SpiralScenario(operator=op, scalar_set=LogSpiral(r, theta))
 
 
-@dataclass(frozen=True)
-class SpiralDistanceResult:
+class SpiralDistanceResult(Record):
     distance: float
     argmin_s: float
     tail_low_margin: float

@@ -27,10 +27,9 @@ a NaN (max(0.0, nan) is 0.0), and a report cannot hold either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .jsonio import PreconditionError
+from .jsonio import PreconditionError, Record
 from .operators import (
     OperatorSpec,
     SeqVector,
@@ -48,8 +47,7 @@ class NonFiniteResidualError(PreconditionError):
     """A residual norm overflowed to inf or is NaN."""
 
 
-@dataclass(frozen=True)
-class CriterionInstance:
+class CriterionInstance(Record):
     operator: OperatorSpec
     right_inverse: OperatorSpec
     decay_vectors: tuple[Vector, ...]  # the set where T^{n_k} x -> 0 is demanded
@@ -73,8 +71,7 @@ class Traces(NamedTuple):
     roundtrip: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     passes: bool
     final_residuals: tuple[float, float, float]
     tail_nonincreasing: tuple[bool, bool, bool]

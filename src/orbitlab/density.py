@@ -16,11 +16,10 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ._kernels import nearest_distances
-from .jsonio import PreconditionError
+from .jsonio import Field, PreconditionError, Record
 from .operators import (
     DomainMismatchError,
     OperatorSpec,
@@ -61,8 +60,7 @@ def _orbit(op: OperatorSpec, x: Vector, horizon: int) -> tuple[Vector, ...]:
     return tuple(iterates)
 
 
-@dataclass(frozen=True)
-class OrbitCloud:
+class OrbitCloud(Record):
     """The samples gamma * T^n x for n <= horizon and gamma in the scalar
     grid, kept as the iterates T^n x (n = 0, ..., horizon) and the grid; a
     sample's scaled vector is only formed when samples is read."""
@@ -155,8 +153,7 @@ class Miss(NamedTuple):
     distance: float
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     section: tuple[int, ...]
     center: tuple[complex, ...]
     radius: float
@@ -169,8 +166,8 @@ class DensityReport:
     witness_ball: Optional[Ball]
     miss_witnesses: tuple[Miss, ...]
     # full scan data for the heat-map export; omitted from the JSON summary
-    grid_points: tuple[tuple[complex, ...], ...] = field(default=(), metadata={"omit": True})
-    distances: tuple[float, ...] = field(default=(), metadata={"omit": True})
+    grid_points: tuple[tuple[complex, ...], ...] = Field((), omit=True)
+    distances: tuple[float, ...] = Field((), omit=True)
 
     def heatmap_rows(self):
         """(grid point coords, nearest-sample distance) for every grid point."""
@@ -334,42 +331,12 @@ def _somewhere_witness(grid, indices, covered_flags, radius, grid_step):
 
 
 # ---------------------------------------------------------------------------
-# d-density
-
-
-@dataclass(frozen=True)
-class DDenseResult:
-    ok: bool
-    witnesses: tuple[tuple[tuple[complex, ...], float], ...]  # (center, nearest distance)
-
-
-def d_dense_check(
-    cloud: OrbitCloud,
-    section: Sequence[int],
-    d: float,
-    centers: Sequence[Sequence[complex]],
-) -> DDenseResult:
-    """True iff every open ball of radius d around the centers holds a sample."""
-    if d <= 0:
-        raise PreconditionError("ball radius must be positive")
-    if not len(cloud):
-        raise EmptyCloudError("orbit cloud has no samples")
-    section = tuple(int(i) for i in section)
-    centers = [tuple(complex(c) for c in ctr) for ctr in centers]
-    cloud_coords = cloud.section_coords(section)
-    dists = nearest_distances(_flat(centers), _flat(cloud_coords), 2 * len(section))
-    witnesses = tuple(
-        (centers[i], dists[i]) for i in range(len(centers)) if not dists[i] < d
-    )
-    return DDenseResult(ok=not witnesses, witnesses=witnesses)
-
-
-# ---------------------------------------------------------------------------
 # boundedness certificates
 
 
 def boundedness_certificates(op: OperatorSpec, x: Vector, horizon: int) -> tuple[float, float]:
-    """Exact (max, min) of ||T^n x|| over 0 <= n <= horizon."""
+    """(max, min) of ||T^n x|| over 0 <= n <= horizon, as float norms: each
+    norm is a float evaluation of the exact iterate, not an exact value."""
     if horizon < 1:
         raise PreconditionError("horizon must be at least 1")
     norms = [vector_norm(it) for it in _orbit(op, x, horizon)]
@@ -380,8 +347,7 @@ def boundedness_certificates(op: OperatorSpec, x: Vector, horizon: int) -> tuple
 # positive-multiplier estimation
 
 
-@dataclass(frozen=True)
-class LambdaEstimate:
+class LambdaEstimate(Record):
     iterate: int
     epsilon: float
     phase_grid: int

@@ -5,19 +5,21 @@ policy: floats are printed with 17 significant digits (round-trip exact for
 IEEE doubles), dict keys keep insertion order, and arbitrary-precision
 integers pass through unchanged.
 
-It also owns the one codec between Python values and JSON values. encode is
-the only place where a report value becomes JSON. It tests for the JSON
-leaves (float, int, str, bool, None) first, recurses into dicts, lists and
-tuples (a NamedTuple becomes an object of its fields), writes a dataclass's
-fields in declaration order minus those whose metadata sets "omit", and
-encodes whatever a to_json method returns in turn. decode builds a
-dataclass from its field types, refusing keys it does not declare and
-naming the path of the first malformed value.
+It also owns the package's value classes and the one codec between Python
+values and JSON values. A Record reads its annotated fields once, when its
+class is made, and shares one __init__, __eq__, __hash__ and __repr__
+among all records, with no code generated per class. encode is the only
+place where a report value becomes JSON. It tests for the JSON leaves
+(float, int, str, bool, None) first, recurses into dicts, lists and tuples
+(a NamedTuple becomes an object of its fields), writes a record's fields in
+declaration order minus those declared with omit, and encodes whatever a
+to_json method returns in turn. decode builds a record from its field
+types, refusing keys it does not declare and naming the path of the first
+malformed value.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -110,10 +112,93 @@ def config_hash(cfg: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# dataclass codec
+# records and their codec
+
+MISSING = object()  # the default of a required field
 
 
-class Family:
+class Field:
+    """A field declared with more than a default: `start: float = Field(key="from")`.
+
+    The codec reads key (the field's JSON name), null (the value that JSON
+    null stands for) and omit (left out of the JSON form); repr=False leaves
+    the field out of repr(). default is MISSING for a required field.
+    """
+
+    __slots__ = ("name", "default", "key", "null", "omit", "repr")
+
+    def __init__(self, default=MISSING, *, key=None, null=None, omit=False, repr=True):
+        self.default, self.key, self.null, self.omit, self.repr = default, key, null, omit, repr
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass declares its fields as annotations, in order, each with an
+    optional default or Field. They are read once into the class's `fields`
+    table, after those of its bases. Records share one __init__ (fields by
+    position or name, then defaults, then __post_init__ where the class has
+    one), __eq__ and __hash__ over the field values of one class, and a
+    `Name(field=value, ...)` repr. Assignment is refused, so an __init__ of
+    its own sets fields with object.__setattr__.
+    """
+
+    fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        table = {f.name: f for f in cls.fields}
+        for name in cls.__dict__.get("__annotations__", {}):
+            f = cls.__dict__.get(name, MISSING)
+            if not isinstance(f, Field):
+                f = Field(f)
+            elif f.default is MISSING:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, f.default)
+            f.name, f.key = name, f.key or name
+            table[name] = f
+        cls.fields = tuple(table.values())
+
+    def __init__(self, *args, **kwargs):
+        name, fields, values = type(self).__name__, self.fields, self.__dict__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        for f, value in zip(fields, args):
+            values[f.name] = value
+        for f in fields[len(args):]:
+            value = kwargs.pop(f.name, f.default)
+            if value is MISSING:
+                raise TypeError(f"{name}() missing argument {f.name!r}")
+            values[f.name] = value
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected argument {next(iter(kwargs))!r}")
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f.name) for f in self.fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self.fields if f.repr)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Family(Record):
     """Root of a variant family, such as ScalarSet.
 
     Each member names its kind, `class Circle(ScalarSet, kind="circle")`, and
@@ -135,10 +220,10 @@ _LEAVES = frozenset({float, int, str, bool, type(None)})
 def encode(obj):
     """The JSON value of obj.
 
-    A dataclass becomes an object of its fields, led by "kind" for a family
-    member. A field's metadata may rename its key ("key"), name the value
-    that null stands for ("null") or leave the field out ("omit"). Complex
-    numbers become [re, im] pairs.
+    A record becomes an object of its fields, led by "kind" for a family
+    member. A Field may rename its key (key), name the value that null
+    stands for (null) or leave the field out (omit). Complex numbers become
+    [re, im] pairs.
     """
     if type(obj) in _LEAVES:  # most values are: test first, and inline in containers
         return obj
@@ -152,17 +237,14 @@ def encode(obj):
         return {key: x if type(x) in _LEAVES else encode(x) for key, x in zip(obj._fields, obj)}
     if hasattr(obj, "to_json"):
         return encode(obj.to_json())
-    if not dataclasses.is_dataclass(obj):
+    if not isinstance(obj, Record):
         return obj
     out = {"kind": obj.kind} if isinstance(obj, Family) else {}
-    for f in dataclasses.fields(obj):
-        if f.metadata.get("omit"):
+    for f in obj.fields:
+        if f.omit:
             continue
         value = getattr(obj, f.name)
-        null = f.metadata.get("null")
-        out[f.metadata.get("key", f.name)] = (
-            None if null is not None and value == null else encode(value)
-        )
+        out[f.key] = None if f.null is not None and value == f.null else encode(value)
     return out
 
 
@@ -206,11 +288,11 @@ def check_keys(obj, known, path: str) -> None:
 
 @functools.cache
 def _declared_keys(cls) -> frozenset:
-    keys = {f.metadata.get("key", f.name) for f in dataclasses.fields(cls)}
+    keys = {f.key for f in cls.fields}
     return frozenset(keys | {"kind"} if issubclass(cls, Family) else keys)
 
 
-def decode_key(cls, obj, key: str, path: str, default=dataclasses.MISSING):
+def decode_key(cls, obj, key: str, path: str, default=MISSING):
     """decode(cls, obj[key], f"{path}.{key}") for the JSON object obj (just
     key at the top level, where path is ""); a missing key gives default, or
     is an error when there is none."""
@@ -219,7 +301,7 @@ def decode_key(cls, obj, key: str, path: str, default=dataclasses.MISSING):
     sub = f"{path}.{key}" if path else key
     if key in obj:
         return decode(cls, obj[key], sub)
-    if default is dataclasses.MISSING:
+    if default is MISSING:
         raise PreconditionError(f"{sub}: missing field")
     return default
 
@@ -229,7 +311,7 @@ def decode(cls, obj, path: str):
 
     The inverse of encode: a family root reads "kind" to pick its member,
     and a class with its own from_json decodes through it. A key that the
-    dataclass does not declare is refused ("kind" is declared for a family
+    record does not declare is refused ("kind" is declared for a family
     member). list, dict and object stand for raw JSON values of that type.
     Numbers must be JSON numbers (not booleans or strings). Every malformed value
     is a PreconditionError that starts with its path, e.g. `set.members[1].radius: missing field`.
@@ -276,10 +358,9 @@ def decode(cls, obj, path: str):
     check_keys(obj, _declared_keys(cls), path)
     hints = _field_types(cls)
     args = []
-    for f in dataclasses.fields(cls):
-        key = f.metadata.get("key", f.name)
-        if "null" in f.metadata and key in obj and obj[key] is None:
-            args.append(f.metadata["null"])
+    for f in cls.fields:
+        if f.null is not None and obj.get(f.key, MISSING) is None:
+            args.append(f.null)
         else:
-            args.append(decode_key(hints[f.name], obj, key, path, f.default))
+            args.append(decode_key(hints[f.name], obj, f.key, path, f.default))
     return construct(cls, path, *args)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
 from . import jsonio
-from .jsonio import PreconditionError
+from .jsonio import PreconditionError, Record
 
 UNILATERAL = "uni"
 BILATERAL = "bi"
@@ -34,12 +33,16 @@ class UnsupportedOperatorError(PreconditionError):
 # vectors
 
 
-@dataclass(frozen=True)
-class SeqVector:
+class SeqVector(Record):
     """Finitely supported sequence; unilateral indices are >= 0."""
 
     domain: str
     entries: tuple[tuple[int, complex], ...]
+
+    def __init__(self, domain: str, entries: tuple[tuple[int, complex], ...]):
+        # written out, not Record's: the builders make thousands per job
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def make(cls, domain: str, entries) -> "SeqVector":
@@ -215,8 +218,7 @@ def vector_inner(a: Vector, b: Vector) -> complex:
 # weights
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Record):
     """Piecewise-constant weights over the integers.
 
     weight(i) = values[k] where k counts breakpoints <= i; values has one more
@@ -265,7 +267,6 @@ def doubling_weights() -> WeightSpec:
 # operator catalog
 
 
-@dataclass(frozen=True)
 class OperatorSpec(jsonio.Family):
     """Base class; use the concrete variants.
 
@@ -274,7 +275,7 @@ class OperatorSpec(jsonio.Family):
     scalar multiples around op; apply(v) is one step. Every variant also
     implements power_norm_bound(n) (see the module functions). The shifts
     carry `domain` and `step` (+1 forward, -1 backward) as plain class
-    attributes, which are no dataclass fields and so stay out of the JSON form.
+    attributes, which are no record fields and so stay out of the JSON form.
     """
 
     def operator_domain(self):
@@ -326,7 +327,6 @@ def _shift_norm_bound(op, n: int) -> float:
     return best
 
 
-@dataclass(frozen=True)
 class BackwardShift(OperatorSpec, kind="backward_shift"):
     """(x0, x1, ...) -> (x1, x2, ...) on unilateral sequences."""
 
@@ -339,7 +339,6 @@ class BackwardShift(OperatorSpec, kind="backward_shift"):
         return frozenset()
 
 
-@dataclass(frozen=True)
 class ForwardShift(OperatorSpec, kind="forward_shift"):
     """(x0, x1, ...) -> (0, x0, x1, ...) on unilateral sequences."""
 
@@ -347,7 +346,6 @@ class ForwardShift(OperatorSpec, kind="forward_shift"):
     _power, power_norm_bound = _shift_power, _shift_norm_bound
 
 
-@dataclass(frozen=True)
 class WeightedBackward(OperatorSpec, kind="weighted_backward"):
     """Bilateral backward shift: e_j -> weight(j) * e_{j-1}."""
 
@@ -356,7 +354,6 @@ class WeightedBackward(OperatorSpec, kind="weighted_backward"):
     _power, power_norm_bound = _shift_power, _shift_norm_bound
 
 
-@dataclass(frozen=True)
 class WeightedForward(OperatorSpec, kind="weighted_forward"):
     """Bilateral forward shift: e_j -> weight(j) * e_{j+1}."""
 
@@ -365,7 +362,6 @@ class WeightedForward(OperatorSpec, kind="weighted_forward"):
     _power, power_norm_bound = _shift_power, _shift_norm_bound
 
 
-@dataclass(frozen=True)
 class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
     """Multiplication by a fixed scalar on the one-dimensional space C."""
 
@@ -391,7 +387,6 @@ class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
         return frozenset({self.value.conjugate()})
 
 
-@dataclass(frozen=True)
 class ScalarMultiple(OperatorSpec, kind="scalar_multiple"):
     factor: complex
     inner: OperatorSpec
@@ -417,7 +412,6 @@ class ScalarMultiple(OperatorSpec, kind="scalar_multiple"):
         return frozenset({f * lam for lam in inner})
 
 
-@dataclass(frozen=True)
 class DirectSum(OperatorSpec, kind="direct_sum"):
     """Blockwise action on tuples of vectors, one block per summand."""
 

@@ -17,11 +17,10 @@ group it generates is finite exactly in the rational case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import jsonio
-from .jsonio import PreconditionError
+from .jsonio import Field, PreconditionError, Record
 from ._exact import X2, XC, XC_ONE
 
 _TWO_PI = 2.0 * math.pi
@@ -40,8 +39,7 @@ class UndecidableDensityError(PreconditionError):
 # angle specifications
 
 
-@dataclass(frozen=True)
-class AngleSpec:
+class AngleSpec(Record):
     """An angle in radians, tagged as pi-rational (p*pi/q) or declared irrational."""
 
     kind: str  # "pi_rational" | "irrational"
@@ -108,7 +106,6 @@ class AngleSpec:
 # scalar set variants
 
 
-@dataclass(frozen=True)
 class ScalarSet(jsonio.Family):
     """Base class; use the concrete variants.
 
@@ -146,7 +143,6 @@ class ScalarSet(jsonio.Family):
         )
 
 
-@dataclass(frozen=True)
 class FinitePoints(ScalarSet, kind="finite_points"):
     points: tuple[complex, ...]
 
@@ -183,7 +179,6 @@ class FinitePoints(ScalarSet, kind="finite_points"):
         pass  # nowhere dense: no coverage of the plane
 
 
-@dataclass(frozen=True)
 class Circle(ScalarSet, kind="circle"):
     radius: float
 
@@ -210,7 +205,6 @@ class Circle(ScalarSet, kind="circle"):
         out.append((None, None, self.radius * factor, self.radius * factor))
 
 
-@dataclass(frozen=True)
 class Annulus(ScalarSet, kind="annulus"):
     """All z with inner_radius <= |z| <= outer_radius (a closed ring)."""
 
@@ -255,7 +249,6 @@ def _patch(angle_lo, angle_hi, r_lo, r_hi, phase, factor):
     return (angle_lo + phase, angle_hi + phase, r_lo * factor, r_hi * factor)
 
 
-@dataclass(frozen=True)
 class Arc(ScalarSet, kind="arc"):
     radius: float
     angle_lo: float
@@ -288,12 +281,11 @@ class Arc(ScalarSet, kind="arc"):
         out.append(_patch(self.angle_lo, self.angle_hi, self.radius, self.radius, phase, factor))
 
 
-@dataclass(frozen=True)
 class Sector(ScalarSet, kind="sector"):
     """{r*exp(i*a) : radius_lo <= r <= radius_hi, angle_lo <= a <= angle_hi}."""
 
     radius_lo: float
-    radius_hi: float = field(metadata={"null": math.inf})  # math.inf allowed; null in JSON
+    radius_hi: float = Field(null=math.inf)  # math.inf allowed; null in JSON
     angle_lo: float
     angle_hi: float
 
@@ -348,7 +340,6 @@ def positive_ray() -> Sector:
     return Sector(0.0, math.inf, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
 class LogSpiral(ScalarSet, kind="log_spiral"):
     """{base^t * exp(-i*t*rate) : t real}; base > 0, base != 1."""
 
@@ -395,7 +386,6 @@ class LogSpiral(ScalarSet, kind="log_spiral"):
         pass  # nowhere dense: no coverage of the plane
 
 
-@dataclass(frozen=True)
 class Geometric(ScalarSet, kind="geometric"):
     """The point sequence {base^j : j >= 0}; |base| != 1 so moduli form a tail."""
 
@@ -436,7 +426,6 @@ class Geometric(ScalarSet, kind="geometric"):
         pass  # nowhere dense: no coverage of the plane
 
 
-@dataclass(frozen=True)
 class Union(ScalarSet, kind="union"):
     members: tuple[ScalarSet, ...]
 
@@ -489,7 +478,6 @@ class Union(ScalarSet, kind="union"):
             m._coverage_leaves(phase, factor, out)
 
 
-@dataclass(frozen=True)
 class Scaled(ScalarSet, kind="scaled"):
     factor: complex
     inner: ScalarSet
@@ -533,7 +521,6 @@ class Scaled(ScalarSet, kind="scaled"):
         self.inner._coverage_leaves(phase + math.atan2(f.imag, f.real), factor * abs(f), out)
 
 
-@dataclass(frozen=True)
 class CircleProduct(ScalarSet, kind="circle_product"):
     """Closure of {g*z : g in inner, |z| = 1}: rotation-invariant, fixed by its moduli."""
 
@@ -574,8 +561,7 @@ class CircleProduct(ScalarSet, kind="circle_product"):
 # modulus sets
 
 
-@dataclass(frozen=True)
-class ModulusSet:
+class ModulusSet(Record):
     """Closure of {|z| : z in set} as closed intervals plus geometric tails.
 
     intervals: sorted disjoint (lo, hi) with lo <= hi, hi may be inf.
@@ -663,15 +649,14 @@ def modulus_set(s: ScalarSet) -> ModulusSet:
 # classification
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(Record):
     nonempty_nonzero: bool
     bounded: bool
     bounded_away_zero: bool
     modulus_empty_interior: bool
     is_hypercyclic_scalar_set: bool
     is_somewhere_hypercyclic_scalar_set: bool
-    explanation: tuple[str, ...] = field(default_factory=tuple)
+    explanation: tuple[str, ...] = ()
 
 
 def classify(s: ScalarSet) -> ClassificationResult:

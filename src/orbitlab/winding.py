@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import jsonio
-from .jsonio import PreconditionError
+from .jsonio import Field, PreconditionError, Record
 
 _TWO_PI = 2.0 * math.pi
 CLOSURE_TOL = 1e-9
@@ -49,8 +48,7 @@ def unit_circle_param(t: float, b: float) -> complex:
     return cmath.exp(2.0j * math.pi * u)
 
 
-@dataclass(frozen=True)
-class _Walk:
+class _Walk(Record):
     total_turn: float
     max_step: float
     min_modulus: float
@@ -58,13 +56,11 @@ class _Walk:
     end: complex
 
 
-@dataclass(frozen=True)
 class CircleCurve(jsonio.Family):
     """Base class; use the concrete variants. Every variant implements
     _walk(), the _Walk of the curve, and reverse(), the curve walked backwards."""
 
 
-@dataclass(frozen=True)
 class SampledCurve(CircleCurve, kind="sampled"):
     points: tuple[complex, ...]
 
@@ -90,13 +86,12 @@ class SampledCurve(CircleCurve, kind="sampled"):
         return SampledCurve(tuple(reversed(self.points)))
 
 
-@dataclass(frozen=True)
 class ParamSegment(CircleCurve, kind="param_segment"):
     """t in [0,1] mapped to unit_circle_param(lerp(start, end, t), b)."""
 
     b: float
-    start: float = field(metadata={"key": "from"})
-    end: float = field(metadata={"key": "to"})
+    start: float = Field(key="from")
+    end: float = Field(key="to")
 
     def __post_init__(self):
         if self.b <= 1:
@@ -121,7 +116,6 @@ class ParamSegment(CircleCurve, kind="param_segment"):
         return ParamSegment(self.b, self.end, self.start)
 
 
-@dataclass(frozen=True)
 class ConstantCurve(CircleCurve, kind="constant"):
     value: complex
 
@@ -138,7 +132,6 @@ class ConstantCurve(CircleCurve, kind="constant"):
         return self
 
 
-@dataclass(frozen=True)
 class ConcatCurve(CircleCurve, kind="concat"):
     parts: tuple[CircleCurve, ...]
 
@@ -168,8 +161,7 @@ class ConcatCurve(CircleCurve, kind="concat"):
         return ConcatCurve(tuple(p.reverse() for p in reversed(self.parts)))
 
 
-@dataclass(frozen=True)
-class WindingResult:
+class WindingResult(Record):
     index: int
     min_modulus: float
     max_step_turn: float
@@ -215,8 +207,7 @@ def concat_additivity_check(parts) -> bool:
     return whole == sum(indices)
 
 
-@dataclass(frozen=True)
-class AuditVerdict:
+class AuditVerdict(Record):
     verdict: str  # "contradiction" | "consistent"
     reason: str
     segment_index: Optional[int] = None

@@ -261,6 +261,18 @@ def test_only_a_precondition_error_exits_one(error, code, prefix, tmp_path, monk
     assert f"{prefix}simulated in classify" in capsys.readouterr().err
 
 
+def test_internal_fault_without_a_message_names_its_type(tmp_path, monkeypatch, capsys):
+    from orbitlab import scalar_sets
+
+    def exhausted(s):
+        raise MemoryError()
+
+    monkeypatch.setattr(scalar_sets, "classify", exhausted)
+    cfg_path = CONFIG_DIR / "classify_ring.json"
+    assert cli.main(["classify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
 def test_misshapen_vector_names_its_field(tmp_path, capsys):
     cfg = load(CONFIG_DIR / "criterion_rolewicz.json")
     cfg["target_vectors"][2] = [1.0, 0.0]  # a scalar pair where a sequence belongs

@@ -1,4 +1,4 @@
-"""The dataclass JSON codec: every variant round-trips, and no JSON tree
+"""The record JSON codec: every variant round-trips, and no JSON tree
 placed where a config expects a variant makes the CLI exit 2."""
 
 import json
@@ -203,7 +203,7 @@ def test_decode_errors_name_their_path(root, obj, message):
 
 _KEYS = sorted(
     {"kind", "from", "to", "pi_rational", "irrational", "tag", "breakpoints", "values"}
-    | {f for root in EXAMPLES for cls in root.kinds.values() for f in cls.__dataclass_fields__}
+    | {f.name for root in EXAMPLES for cls in root.kinds.values() for f in cls.fields}
 )
 _KINDS = sorted({k for root in EXAMPLES for k in root.kinds})
 

@@ -21,7 +21,6 @@ from orbitlab import (
     boundedness_certificates,
     build_spiral_scenario,
     build_unilateral,
-    d_dense_check,
     doubling_weights,
     epsilon_density,
     generate_orbit,
@@ -203,31 +202,6 @@ class TestEpsilonDensity:
         assert rep.covered_fraction == 1.0
         assert rep.grid_count == len(lattice)
 
-    def test_net_cloud_is_d_dense(self):
-        center, radius, step, lattice, trace = _net_fixture()
-        gammas = [complex(float(c.scalar.re), float(c.scalar.im)) for c in trace.choices]
-        horizon = max(c.shift for c in trace.choices)
-        cloud = generate_orbit(
-            BackwardShift(), trace.partial_sum, FinitePoints(gammas), horizon, len(gammas)
-        )
-        rng = random.Random(11)
-        centers = []
-        for _ in range(50):
-            a = rng.uniform(0, 2 * math.pi)
-            r = rng.uniform(0, radius - 0.05)
-            centers.append((center + r * cmath.exp(1j * a),))
-        res = d_dense_check(cloud, [0], 0.25, centers)
-        assert res.ok
-        lonely = d_dense_check(cloud, [0], 0.25, [(complex(50.0, 0.0),)])
-        assert not lonely.ok and len(lonely.witnesses) == 1
-
-    def test_single_point_cloud_misses_disjoint_balls(self):
-        cloud = generate_orbit(ScalarOnC(1.0), 1.0 + 0j, ONE, 0, 1)
-        res = d_dense_check(cloud, [0], 0.5, [(5.0 + 0j,), (-5.0 + 0j,)])
-        assert not res.ok and len(res.witnesses) == 2
-        near = d_dense_check(cloud, [0], 0.5, [(1.2 + 0j,)])
-        assert near.ok
-
     def test_far_ball_is_not_covered(self):
         cloud = generate_orbit(ScalarOnC(1.0), 1.0 + 0j, ONE, 0, 1)
         rep = epsilon_density(cloud, [0], [5.0 + 0j], 0.3, 0.2, 0.1)
@@ -269,8 +243,6 @@ class TestEpsilonDensity:
         hollow = density.OrbitCloud(ScalarOnC(1.0), (), ())
         with pytest.raises(density.EmptyCloudError):
             epsilon_density(hollow, [0], [0j], 0.4, 0.3, 0.2)
-        with pytest.raises(density.EmptyCloudError):
-            d_dense_check(hollow, [0], 0.5, [(0j,)])
 
 
 def _witness_brute(grid, covered_flags, radius, grid_step):
