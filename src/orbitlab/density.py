@@ -107,13 +107,17 @@ def generate_orbit(
     gamma_grid: int,
     radial_window: Optional[tuple[float, float]] = None,
 ) -> OrbitCloud:
-    """All samples gamma * T^n x for n <= horizon and gamma in the set's grid."""
+    """All samples gamma * T^n x for n <= horizon and gamma in the set's grid.
+    A cloud of more than CLOUD_CAP samples is refused before either is built."""
     if horizon < 0:
         raise PreconditionError("horizon must be nonnegative")
     if gamma_grid < 1:
         raise PreconditionError(f"gamma_grid: {gamma_grid} is not positive")
-    if gamma_grid > 2**53:  # a grid's step divides by the count as a float
-        raise PreconditionError("gamma_grid: above 2**53, where a float stops holding it exactly")
+    if (horizon + 1) * gamma_grid > CLOUD_CAP:
+        field = "gamma_grid" if gamma_grid > CLOUD_CAP else "horizon"
+        raise PreconditionError(
+            f"{field}: (horizon + 1) * gamma_grid is more than {CLOUD_CAP:,} samples"
+        )
     iterates = _orbit(op, x, horizon)
     return OrbitCloud(op, iterates, tuple(s.scalar_grid(gamma_grid, radial_window)))
 
@@ -139,6 +143,8 @@ NOT_COVERED = "not_covered"
 SOMEWHERE = "somewhere_witness"
 # the most lattice points a ball grid's bounding box may hold
 BALL_BOX_CAP = 10**6
+# the most samples an orbit cloud may hold
+CLOUD_CAP = 10**6
 
 
 class Ball(NamedTuple):

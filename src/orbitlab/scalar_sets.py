@@ -111,10 +111,11 @@ class ScalarSet(jsonio.Family):
 
     Every variant implements contains(z, tol); modulus_set(), the closure of
     its moduli as a canonical ModulusSet; scalar_grid(count, radial_window),
-    count >= 1 deterministic sample points, with unbounded or zero-touching
-    radial ranges clipped to radial_window (default (1e-6, 1e6)); and
-    _pick(bound, at_least), a nonzero member with log2 |value| >= bound (or
-    <= bound) as an exact XC, or None. The methods below are defaults.
+    count >= 1 deterministic sample points, where a radius end at 0 or inf
+    takes radial_window's end (default (1e-6, 1e6)) and every finite
+    positive radius is the set's own; and _pick(bound, at_least), a nonzero
+    member with log2 |value| >= bound (or <= bound) as an exact XC, or None.
+    The methods below are defaults.
     """
 
     def contains(self, z: complex, tol: float = 1e-9) -> bool:
@@ -179,59 +180,59 @@ class FinitePoints(ScalarSet, kind="finite_points"):
         pass  # nowhere dense: no coverage of the plane
 
 
-class Circle(ScalarSet, kind="circle"):
-    radius: float
+class _Ring:
+    """The ring sector {r*exp(i*a) : r_lo <= r <= r_hi, a_lo <= a <= a_hi}.
 
-    def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise PreconditionError("circle radius must be positive and finite")
-
-    def contains(self, z, tol=1e-9):
-        return abs(abs(z) - self.radius) <= tol
-
-    def modulus_set(self):
-        return ModulusSet.canonical([(self.radius, self.radius)])
-
-    def scalar_grid(self, count, radial_window=None):
-        return [self.radius * _cis(_TWO_PI * k / count) for k in range(count)]
-
-    def _pick(self, bound, at_least):
-        return _radius_pick(self.radius, 0.0, bound, at_least)
-
-    def is_rotation_invariant(self):
-        return True
-
-    def _coverage_leaves(self, phase, factor, out):
-        out.append((None, None, self.radius * factor, self.radius * factor))
-
-
-class Annulus(ScalarSet, kind="annulus"):
-    """All z with inner_radius <= |z| <= outer_radius (a closed ring)."""
-
-    inner_radius: float
-    outer_radius: float
-
-    def __post_init__(self):
-        if not (0 < self.inner_radius <= self.outer_radius < math.inf):
-            raise PreconditionError("annulus needs 0 < inner_radius <= outer_radius < inf")
+    A mixin, not a ScalarSet: each variant returns (r_lo, r_hi, a_lo, a_hi)
+    from _bounds() and inherits its behaviour from here. r_hi may be inf;
+    an angle span of a full turn or more is the whole ring.
+    """
 
     def contains(self, z, tol=1e-9):
-        return self.inner_radius - tol <= abs(z) <= self.outer_radius + tol
+        r_lo, r_hi, a_lo, a_hi = self._bounds()
+        r = abs(z)
+        if not (r_lo - tol <= r <= r_hi + tol):
+            return False
+        if r <= tol:
+            return r_lo <= tol
+        return _angle_between(math.atan2(z.imag, z.real), a_lo, a_hi, tol)
 
     def modulus_set(self):
-        return ModulusSet.canonical([(self.inner_radius, self.outer_radius)])
+        return ModulusSet.canonical([self._bounds()[:2]])
 
     def scalar_grid(self, count, radial_window=None):
-        return _radial_angular(self.inner_radius, self.outer_radius, 0.0, _TWO_PI, count, True)
+        r_lo, r_hi, a_lo, a_hi = self._bounds()
+        w_lo, w_hi = radial_window or DEFAULT_RADIAL_WINDOW
+        lo = r_lo if r_lo > 0 else max(r_lo, w_lo)  # no negative radius
+        hi = max(lo, r_hi if r_hi < math.inf else w_hi)
+        nr = 1 if hi == lo else max(1, math.isqrt(count))
+        radii = _geomspace(lo, hi, nr) if lo > 0 else _linspace(lo, hi, nr)
+        na = -(-count // nr)
+        if self.is_rotation_invariant():
+            angles = [a_lo + _TWO_PI * k / na for k in range(na)]
+        else:
+            angles = _linspace(a_lo, a_hi, na)
+        return [r * _cis(a) for r in radii for a in angles][:count]
 
     def _pick(self, bound, at_least):
-        return _interval_pick(self.inner_radius, self.outer_radius, 0.0, bound, at_least)
+        r_lo, r_hi, a_lo, _ = self._bounds()
+        if r_lo < r_hi:
+            return _interval_pick(r_lo, r_hi, a_lo, bound, at_least)
+        if r_hi > 0 and _fits(r_hi, bound, at_least):
+            return XC.from_complex(r_hi * _cis(a_lo))
+        return None
+
+    def strip_zero(self):
+        return None if self._bounds()[1] == 0 else self  # the degenerate sector {0}
 
     def is_rotation_invariant(self):
-        return True
+        _, _, a_lo, a_hi = self._bounds()
+        return a_hi - a_lo >= _TWO_PI
 
     def _coverage_leaves(self, phase, factor, out):
-        out.append((None, None, self.inner_radius * factor, self.outer_radius * factor))
+        r_lo, r_hi, a_lo, a_hi = self._bounds()
+        turn = (None, None) if self.is_rotation_invariant() else (a_lo + phase, a_hi + phase)
+        out.append((*turn, r_lo * factor, r_hi * factor))
 
 
 def _angle_between(theta: float, lo: float, hi: float, tol: float) -> bool:
@@ -242,14 +243,32 @@ def _angle_between(theta: float, lo: float, hi: float, tol: float) -> bool:
     return t <= span + tol or t >= _TWO_PI - tol
 
 
-def _patch(angle_lo, angle_hi, r_lo, r_hi, phase, factor):
-    """The coverage patch of a sector: a full turn drops its angles."""
-    if angle_hi - angle_lo >= _TWO_PI:
-        return (None, None, r_lo * factor, r_hi * factor)
-    return (angle_lo + phase, angle_hi + phase, r_lo * factor, r_hi * factor)
+class Circle(_Ring, ScalarSet, kind="circle"):
+    radius: float
+
+    def __post_init__(self):
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise PreconditionError("circle radius must be positive and finite")
+
+    def _bounds(self):
+        return (self.radius, self.radius, 0.0, _TWO_PI)
 
 
-class Arc(ScalarSet, kind="arc"):
+class Annulus(_Ring, ScalarSet, kind="annulus"):
+    """All z with inner_radius <= |z| <= outer_radius (a closed ring)."""
+
+    inner_radius: float
+    outer_radius: float
+
+    def __post_init__(self):
+        if not (0 < self.inner_radius <= self.outer_radius < math.inf):
+            raise PreconditionError("annulus needs 0 < inner_radius <= outer_radius < inf")
+
+    def _bounds(self):
+        return (self.inner_radius, self.outer_radius, 0.0, _TWO_PI)
+
+
+class Arc(_Ring, ScalarSet, kind="arc"):
     radius: float
     angle_lo: float
     angle_hi: float
@@ -260,28 +279,16 @@ class Arc(ScalarSet, kind="arc"):
         if self.angle_hi < self.angle_lo:
             raise PreconditionError("arc needs angle_lo <= angle_hi")
 
-    def contains(self, z, tol=1e-9):
-        if abs(abs(z) - self.radius) > tol:
-            return False
-        return _angle_between(math.atan2(z.imag, z.real), self.angle_lo, self.angle_hi, tol)
-
-    def modulus_set(self):
-        return ModulusSet.canonical([(self.radius, self.radius)])
-
-    def scalar_grid(self, count, radial_window=None):
-        return [self.radius * _cis(a) for a in _linspace(self.angle_lo, self.angle_hi, count)]
-
-    def _pick(self, bound, at_least):
-        return _radius_pick(self.radius, self.angle_lo, bound, at_least)
+    def _bounds(self):
+        return (self.radius, self.radius, self.angle_lo, self.angle_hi)
 
     def rotate(self, phase):
+        if self.is_rotation_invariant():
+            return self
         return Arc(self.radius, self.angle_lo + phase, self.angle_hi + phase)
 
-    def _coverage_leaves(self, phase, factor, out):
-        out.append(_patch(self.angle_lo, self.angle_hi, self.radius, self.radius, phase, factor))
 
-
-class Sector(ScalarSet, kind="sector"):
+class Sector(_Ring, ScalarSet, kind="sector"):
     """{r*exp(i*a) : radius_lo <= r <= radius_hi, angle_lo <= a <= angle_hi}."""
 
     radius_lo: float
@@ -295,44 +302,13 @@ class Sector(ScalarSet, kind="sector"):
         if self.angle_hi < self.angle_lo:
             raise PreconditionError("sector needs angle_lo <= angle_hi")
 
-    def contains(self, z, tol=1e-9):
-        r = abs(z)
-        if not (self.radius_lo - tol <= r <= self.radius_hi + tol):
-            return False
-        if r <= tol:
-            return self.radius_lo <= tol
-        return _angle_between(math.atan2(z.imag, z.real), self.angle_lo, self.angle_hi, tol)
-
-    def modulus_set(self):
-        if self.radius_hi == self.radius_lo == 0:
-            return ModulusSet.canonical([(0.0, 0.0)])
-        return ModulusSet.canonical([(self.radius_lo, self.radius_hi)])
-
-    def scalar_grid(self, count, radial_window=None):
-        lo, hi = radial_window or DEFAULT_RADIAL_WINDOW
-        rlo = max(self.radius_lo, lo)
-        rhi = max(rlo, min(self.radius_hi, hi))
-        full = self.angle_hi - self.angle_lo >= _TWO_PI
-        return _radial_angular(rlo, rhi, self.angle_lo, self.angle_hi, count, full)
-
-    def _pick(self, bound, at_least):
-        return _interval_pick(self.radius_lo, self.radius_hi, self.angle_lo, bound, at_least)
-
-    def strip_zero(self):
-        return None if self.radius_hi == 0 else self  # the degenerate sector {0}
-
-    def is_rotation_invariant(self):
-        return self.angle_hi - self.angle_lo >= _TWO_PI
+    def _bounds(self):
+        return (self.radius_lo, self.radius_hi, self.angle_lo, self.angle_hi)
 
     def rotate(self, phase):
         if self.is_rotation_invariant():
             return self
         return Sector(self.radius_lo, self.radius_hi, self.angle_lo + phase, self.angle_hi + phase)
-
-    def _coverage_leaves(self, phase, factor, out):
-        out.append(
-            _patch(self.angle_lo, self.angle_hi, self.radius_lo, self.radius_hi, phase, factor)
-        )
 
 
 def positive_ray() -> Sector:
@@ -410,7 +386,15 @@ class Geometric(ScalarSet, kind="geometric"):
         return ModulusSet.canonical([], [(1.0, abs(self.base))])
 
     def scalar_grid(self, count, radial_window=None):
-        return [self.base ** j for j in range(count)]
+        out = []
+        for j in range(count):
+            try:
+                out.append(self.base ** j)
+            except OverflowError:
+                raise PreconditionError(
+                    f"gamma_grid: {count} reaches base**{j}, past float range"
+                ) from None
+        return out
 
     def _pick(self, bound, at_least):
         lb = _log2_abs(self.base)
@@ -811,17 +795,8 @@ def pick_modulus_at_most(s: ScalarSet, max_log2: float) -> Optional[XC]:
     return s._pick(max_log2, False)
 
 
-def _radius_pick(radius, angle, bound, at_least):
-    """The circle point at the angle, if its radius fits the bound."""
-    if not _fits(complex(radius), bound, at_least):
-        return None
-    return XC.from_complex(radius * _cis(angle))
-
-
 def _interval_pick(lo, hi, angle, bound, at_least):
-    """A radius in [lo, hi] that fits the bound, turned by the angle exactly."""
-    if hi == 0:
-        return None
+    """A radius in [lo, hi], lo < hi, that fits the bound, turned by the angle exactly."""
     if at_least:
         if hi != math.inf and _log2_abs(complex(hi)) < bound:
             return None
@@ -881,32 +856,10 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
 
 
 def _geomspace(lo: float, hi: float, count: int) -> list[float]:
-    if lo <= 0:
-        raise PreconditionError("geometric sweep needs a positive lower bound")
     if count == 1 or hi == lo:
         return [lo] * count
     ratio = (hi / lo) ** (1.0 / (count - 1))
     return [lo * ratio ** i for i in range(count)]
-
-
-def _radial_angular(rlo, rhi, alo, ahi, count, full_turn):
-    if rhi == rlo:
-        radii = [rlo]
-    else:
-        nr = max(1, math.isqrt(count))
-        radii = _geomspace(rlo, rhi, nr) if rlo > 0 else _linspace(rlo, rhi, nr)
-    na = -(-count // len(radii))
-    if full_turn:
-        angles = [alo + _TWO_PI * k / na for k in range(na)]
-    else:
-        angles = _linspace(alo, ahi, na)
-    out = []
-    for r in radii:
-        for a in angles:
-            out.append(r * _cis(a))
-            if len(out) == count:
-                return out
-    return out
 
 
 # ---------------------------------------------------------------------------

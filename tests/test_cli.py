@@ -501,6 +501,11 @@ def _spiral_density(window, set_=None):
         (_edited("spiral_density", lambda c: c.update(gamma_grid=0)), "gamma_grid"),
         (_edited("spiral_density", lambda c: c.update(grid_step=1e-300)), "grid_step"),
         (_edited("spiral_density", lambda c: c.update(grid_step=4e-4)), "grid_step"),
+        # density: a cloud past its cap, and a geometric grid past float range
+        (_edited("spiral_density", lambda c: c.update(gamma_grid=10**9)), "gamma_grid"),
+        (_edited("spiral_density", lambda c: c.update(horizon=10**400)), "horizon"),
+        (_edited("spiral_density", lambda c: c.update(
+            set={"kind": "geometric", "base": [2.0, 0.0]}, gamma_grid=2000)), "gamma_grid"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

@@ -443,6 +443,83 @@ class TestPicksMatchFractionReference:
         assert _canonical(pick.re) == (1, 1, int(t)) and pick.im == X2.ZERO
 
 
+_RING_METHODS = (
+    "contains", "modulus_set", "scalar_grid", "_pick", "strip_zero", "is_rotation_invariant",
+    "_coverage_leaves",
+)
+_LOG_RADII = st.floats(min_value=-9.0, max_value=9.0).map(lambda e: 10.0 ** e)
+
+
+def _ring_answers(s, z, tol, window, t, phase, factor):
+    """Everything a ring sector answers, as plain comparable values."""
+    picks = [s._pick(t, at_least) for at_least in (True, False)]
+    leaves: list = []
+    s._coverage_leaves(phase, factor, leaves)
+    r_lo, r_hi, _, _ = s._bounds()
+    complement = Union(s, Sector(0.0, r_lo, 0.0, 2 * math.pi),
+                       Sector(r_hi, math.inf, 0.0, 2 * math.pi))
+    return (
+        [s.contains(p, tol) for p in (z, 0j, complex(tol), *s.scalar_grid(7))],
+        s.modulus_set(),
+        s.scalar_grid(9),
+        s.scalar_grid(9, window),
+        [None if p is None else (p.re, p.im) for p in picks],
+        leaves,
+        s.strip_zero() is s,
+        s.is_rotation_invariant(),
+        s.rotate(phase)._bounds(),
+        is_dense_in_plane(s),
+        is_dense_in_plane(complement),
+    )
+
+
+class TestRingSectors:
+    """Circle, Annulus and Arc are ring sectors: each answers as its Sector twin."""
+
+    def test_ring_variants_keep_only_their_bounds_and_rotation(self):
+        for cls in (Circle, Annulus, Arc, Sector):
+            assert not set(_RING_METHODS) & set(vars(cls)), cls.__name__
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_LOG_RADII, min_size=2, max_size=2).map(sorted),
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=0.0, max_value=8.0),
+        st.complex_numbers(max_magnitude=1e9, allow_nan=False, allow_infinity=False),
+        st.sampled_from([1e-9, 1e-3]),
+        st.one_of(st.none(), st.lists(_LOG_RADII, min_size=2, max_size=2).map(sorted)),
+        st.floats(min_value=-40.0, max_value=40.0),
+        st.floats(min_value=-4.0, max_value=4.0),
+        _LOG_RADII,
+    )
+    def test_ring_variants_match_their_sector_twins(
+        self, radii, angle, span, z, tol, window, t, phase, factor
+    ):
+        (lo, hi), full = radii, 2 * math.pi
+        pairs = [
+            (Circle(lo), Sector(lo, lo, 0.0, full)),
+            (Annulus(lo, hi), Sector(lo, hi, 0.0, full)),
+            (Arc(lo, angle, angle + span), Sector(lo, lo, angle, angle + span)),
+        ]
+        for ring, twin in pairs:
+            got = _ring_answers(ring, z, tol, window, t, phase, factor)
+            assert got == _ring_answers(twin, z, tol, window, t, phase, factor), ring
+
+    def test_sector_grid_keeps_its_finite_positive_radii(self):
+        # only an end at 0 or inf takes the radial window's end
+        grid = Sector(1e-7, 1.0, 0.0, 1.0).scalar_grid(16)
+        assert grid[0] == 1e-7 and min(map(abs, grid)) == pytest.approx(1e-7)
+        assert max(map(abs, Sector(1.0, 1e7, 0.0, 1.0).scalar_grid(16))) == pytest.approx(1e7)
+        assert min(map(abs, positive_ray().scalar_grid(16))) == 1e-6
+
+    def test_full_turn_arc_is_rotation_invariant(self):
+        arc = Arc(2.0, 0.5, 0.5 + 2 * math.pi)
+        assert arc.is_rotation_invariant() and arc.rotate(1.0) is arc
+        # the full-turn grid, which does not repeat its end point
+        turn = [0.5 + 2 * math.pi * k / 8 for k in range(8)]
+        assert arc.scalar_grid(8) == [2.0 * complex(math.cos(a), math.sin(a)) for a in turn]
+
+
 class TestJson:
     @pytest.mark.parametrize(
         "s",
