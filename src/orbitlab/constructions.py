@@ -272,6 +272,51 @@ def _shift_norm_sq(items, n: int, domain: str) -> X2:
     return out
 
 
+class _ShiftNorms:
+    """The squared norms |B^n y|^2 (|F^{-n} y|^2 for n < 0) of one bilateral
+    target y, from its (index, |entry|^2) items in index order, in closed
+    form outside y's support.
+
+    Below the support, n <= low = min(0, min j): for every index j,
+    j - n - max(j, 0) = min(j, 0) - n >= 0, so _weight_log2 gives the
+    exponent -(min(j, 0) - n) = n - min(j, 0) (for n < 0; at n = 0 <= min j
+    every exponent is 0 = n - min(j, 0)). The norm is far * 4^n with
+    far = sum |y_j|^2 4^-min(j, 0), the same for every such n.
+
+    Above the support, n >= high = max(0, max j): j - n <= 0, so
+    _weight_log2 gives max(0, j - max(j - n, 0)) = max(j, 0), which does not
+    depend on n. The norm is near = sum |y_j|^2 4^max(j, 0).
+
+    far and near are summed once, by _shift_norm_sq at the support's ends;
+    inside the support `at` falls back to the _shift_norm_sq loop."""
+
+    def __init__(self, items):
+        self.items = items
+        self.low, self.high = min(0, items[0][0]), max(0, items[-1][0])
+        at_low = _shift_norm_sq(items, self.low, BILATERAL)
+        self.far = X2(at_low.num, at_low.den, at_low.exp - 2 * self.low)
+        self.near = _shift_norm_sq(items, self.high, BILATERAL)
+
+    def at(self, n: int) -> X2:
+        if n <= self.low:
+            return X2(self.far.num, self.far.den, self.far.exp + 2 * n)
+        if n >= self.high:
+            return self.near
+        return _shift_norm_sq(self.items, n, BILATERAL)
+
+    def scaled(self, c: X2):
+        """n -> c * at(n), with c * far multiplied once: below the support
+        each value is then one X2 built from c * far's mantissas."""
+        c_far = c * self.far
+
+        def at(n: int) -> X2:
+            if n <= self.low:
+                return X2(c_far.num, c_far.den, c_far.exp + 2 * n)
+            return c * self.at(n)
+
+        return at
+
+
 class _Stages:
     """The stage engine of both schemes: the checks, the exact targets, the
     stage choices and their scalar picks, the partial sum and the checked
@@ -293,21 +338,26 @@ class _Stages:
         self.norm_sqs = [xvec_norm_sq(t) for t in self.targets]
         self.degrees = [targets[k].degree() for k in range(stages + 1)]
         self.scalars: list[XC] = []
+        # msqs[k] = scalars[k].mod_sq(), computed once by pick
+        self.msqs: list[X2] = []
         self.shifts: list[int] = []
 
-    def pick(self, resolve, want: float, step: float, admissible, missing: str) -> XC:
-        """Append and return the first resolve(want) whose squared modulus
-        passes admissible, moving want by step after each miss (200 tries).
-        `missing` is the refusal when the set has no scalar to offer."""
+    def pick(self, resolve, want: float, step: float, admissible, missing: str) -> X2:
+        """Append the first resolve(want) whose squared modulus passes
+        admissible, moving want by step after each miss (200 tries), and
+        return its squared modulus. `missing` is the refusal when the set
+        has no scalar to offer."""
         for _ in range(200):
             gx = resolve(want)
             if gx is None:
                 raise self.error(missing)
             if gx.is_zero:
                 raise self.error("resolver produced zero, which carries no scale")
-            if admissible(gx.mod_sq()):
+            msq = gx.mod_sq()
+            if admissible(msq):
                 self.scalars.append(gx)
-                return gx
+                self.msqs.append(msq)
+                return msq
             want += step
         raise self.error("no admissible scalar found")
 
@@ -362,7 +412,7 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
             "scalar set must have unbounded modulus: the unilateral scheme "
             "requires arbitrarily large scalars"
         )
-    scalars, shifts, norm_sqs, degrees = run.scalars, run.shifts, run.norm_sqs, run.degrees
+    msqs, shifts, norm_sqs, degrees = run.msqs, run.shifts, run.norm_sqs, run.degrees
 
     def dominant(k: int, msq: X2) -> dict:
         # conditions (i) and (ii) of stage k for the squared modulus msq
@@ -370,7 +420,7 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
         return {
             "target_small": norm_sqs[k] * four_k < msq,
             "dominates_previous": all(
-                scalars[i].mod_sq() * norm_sqs[k] * four_k < msq for i in range(k)
+                msqs[i] * norm_sqs[k] * four_k < msq for i in range(k)
             ),
         }
 
@@ -378,8 +428,8 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
         nsq = norm_sqs[k]
         # log2 of the modulus threshold: max over condition (i) and (ii) demands
         need = k + nsq.log2() / 2.0
-        for g in scalars:
-            need = max(need, k + nsq.log2() / 2.0 + g.mod_sq().log2() / 2.0)
+        for g in msqs:
+            need = max(need, k + nsq.log2() / 2.0 + g.log2() / 2.0)
         run.pick(
             lambda want: pick_modulus_at_least(sampler, want),
             need + 1.0,  # factor 1/2 slack
@@ -391,7 +441,7 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
 
     def conditions(k: int) -> dict:
         gap = all(shifts[k] > shifts[i] + degrees[i] for i in range(k))
-        return {**dominant(k, scalars[k].mod_sq()), "shift_gap": gap}
+        return {**dominant(k, msqs[k]), "shift_gap": gap}
 
     return run.trace(lambda k: X2.pow2(-2 * k), conditions)
 
@@ -412,37 +462,36 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
             "scalar set must have positive moduli accumulating at 0: the "
             "bilateral scheme requires arbitrarily small nonzero scalars"
         )
-    scalars, shifts, items, norm_sqs, degrees = (
-        run.scalars, run.shifts, run.items, run.norm_sqs, run.degrees)
+    msqs, shifts, norm_sqs, degrees = run.msqs, run.shifts, run.norm_sqs, run.degrees
+    norms = [_ShiftNorms(items) for items in run.items]
 
     for k in range(stages + 1):
         # a-priori forward-cross bound: |gamma_k| < 2^-k |gamma_i| / (2^{m_i+d_i} ||y_i||)
         cap = 0.0
         for i in range(k):
-            gi = scalars[i].mod_sq().log2() / 2.0
+            gi = msqs[i].log2() / 2.0
             cap = min(cap, -k + gi - (shifts[i] + degrees[i]) - norm_sqs[i].log2() / 2.0)
         msq = run.pick(
             lambda want: pick_modulus_at_most(sampler, want),
             cap - 1.0,  # factor 1/2 slack
             -1.0,
             lambda s: all(
-                s * X2.pow2(2 * (shifts[i] + degrees[i]) + 2 * k) * norm_sqs[i] < scalars[i].mod_sq()
+                s * X2.pow2(2 * (shifts[i] + degrees[i]) + 2 * k) * norm_sqs[i] < msqs[i]
                 for i in range(k)
             ),
             "scalar set must have positive moduli accumulating at 0: no "
             "scalar of the required smallness is available",
-        ).mod_sq()
+        )
 
-        # the least shift meeting both decay conditions at half slack; every
-        # probe m is at least lo, so it passes every earlier shift
-        four_k, half_sq = X2.pow2(2 * k), msq * X2.pow2(-2)
+        # the least shift m meeting both decay conditions at half slack:
+        # c 4^k |B^{s - m} y_k|^2 < |gamma_k|^2 / 4 for each (s, c) in terms;
+        # every probe m is at least lo, so it passes every earlier shift
+        y_k, four_k, half_sq = norms[k], X2.pow2(2 * k), msq * X2.pow2(-2)
+        terms = [(0, X2.ONE)] + [(shifts[i], msqs[i]) for i in range(k)]
+        decay = [(s, y_k.scaled(c * four_k)) for s, c in terms]
 
         def _shift_ok(m: int) -> bool:
-            return _shift_norm_sq(items[k], -m, BILATERAL) * four_k < half_sq and all(
-                scalars[i].mod_sq() * _shift_norm_sq(items[k], shifts[i] - m, BILATERAL) * four_k
-                < half_sq
-                for i in range(k)
-            )
+            return all(term(s - m) < half_sq for s, term in decay)
 
         lo = 0 if k == 0 else max(shifts) + 1
         hi = max(lo, 1)
@@ -453,6 +502,18 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
                     f"stages: {stages} stages need a shift beyond the search cap "
                     f"2**{SHIFT_CAP.bit_length() - 1} (stage {k} has none below it)"
                 )
+        # each term's closed form below the support, solved in float logs,
+        # guesses the least shift; probing the guess and the shift before it
+        # narrows [lo, hi] for any guess, so the bisection stays exact
+        base = 2 * k + y_k.far.log2() - half_sq.log2()
+        guess = max(s + math.floor((base + c.log2()) / 2) + 1 for s, c in terms)
+        if lo < guess <= hi:
+            if not _shift_ok(guess):
+                lo = guess + 1
+            elif _shift_ok(guess - 1):
+                hi = guess - 1
+            else:
+                lo = hi = guess
         while lo < hi:
             mid = (lo + hi) // 2
             if _shift_ok(mid):
@@ -462,18 +523,16 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
         shifts.append(lo)
 
     def conditions(k: int) -> dict:
-        m_k, msq = shifts[k], scalars[k].mod_sq()
+        m_k, msq, y_k = shifts[k], msqs[k], norms[k]
         four_k = X2.pow2(2 * k)
         gaps = [m_k - shifts[i] for i in range(k)]
         return {
-            "forward_image_small": _shift_norm_sq(items[k], -m_k, BILATERAL) * four_k < msq,
+            "forward_image_small": y_k.at(-m_k) * four_k < msq,
             "cross_backward_small": all(
-                scalars[i].mod_sq() * _shift_norm_sq(items[k], -n, BILATERAL) * four_k < msq
-                for i, n in enumerate(gaps)
+                msqs[i] * y_k.at(-n) * four_k < msq for i, n in enumerate(gaps)
             ),
             "cross_forward_small": all(
-                msq * _shift_norm_sq(items[i], n, BILATERAL) * four_k < scalars[i].mod_sq()
-                for i, n in enumerate(gaps)
+                msq * norms[i].at(n) * four_k < msqs[i] for i, n in enumerate(gaps)
             ),
         }
 

@@ -108,7 +108,8 @@ def generate_orbit(
     radial_window: Optional[tuple[float, float]] = None,
 ) -> OrbitCloud:
     """All samples gamma * T^n x for n <= horizon and gamma in the set's grid.
-    A cloud of more than CLOUD_CAP samples is refused before either is built."""
+    A cloud of more than CLOUD_CAP samples is refused before either is built,
+    and a grid point past float range before the orbit walk."""
     if horizon < 0:
         raise PreconditionError("horizon must be nonnegative")
     if gamma_grid < 1:
@@ -118,8 +119,11 @@ def generate_orbit(
         raise PreconditionError(
             f"{field}: (horizon + 1) * gamma_grid is more than {CLOUD_CAP:,} samples"
         )
-    iterates = _orbit(op, x, horizon)
-    return OrbitCloud(op, iterates, tuple(s.scalar_grid(gamma_grid, radial_window)))
+    grid = tuple(s.scalar_grid(gamma_grid, radial_window))
+    for g in grid:
+        if not cmath.isfinite(g):
+            raise PreconditionError(f"set: scalar grid point {g!r} is not finite")
+    return OrbitCloud(op, _orbit(op, x, horizon), grid)
 
 
 def project(point: Vector, section: Sequence[int]) -> tuple[complex, ...]:

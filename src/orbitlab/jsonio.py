@@ -41,43 +41,61 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _encode(obj, parts: list[str], level: int) -> None:
-    pad = "  " * level
-    inner = pad + "  "
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
+# the text of each JSON leaf type, by exact type; containers write these
+# inline, and subclasses take _encode's isinstance tests
+_LEAF_TEXT = {
+    float: format_float,
+    int: str,
+    str: _quote,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, parts: list[str], pad: str) -> None:
+    """Append obj's text to parts; pad is the indent of the line it starts on."""
+    leaf = _LEAF_TEXT.get(type(obj))
+    if leaf is not None:
+        parts.append(leaf(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        parts.append("{\n" + inner)
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            parts.append(_quote(key) + ": ")
+            leaf = _LEAF_TEXT.get(type(value))
+            if leaf is None:
+                _encode(value, parts, inner)
+            else:
+                parts.append(leaf(value))
+            parts.append(sep)
+        parts[-1] = "\n" + pad + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        parts.append("[\n" + inner)
+        for value in obj:
+            leaf = _LEAF_TEXT.get(type(value))
+            if leaf is None:
+                _encode(value, parts, inner)
+            else:
+                parts.append(leaf(value))
+            parts.append(sep)
+        parts[-1] = "\n" + pad + "]"
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):
         parts.append(format_float(obj))
     elif isinstance(obj, str):
         parts.append(_quote(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(f"{inner}{_quote(key)}: ")
-            _encode(value, parts, level + 1)
-            parts.append(",\n" if i + 1 < len(obj) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, value in enumerate(obj):
-            parts.append(inner)
-            _encode(value, parts, level + 1)
-            parts.append(",\n" if i + 1 < len(obj) else "\n")
-        parts.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
@@ -85,7 +103,7 @@ def _encode(obj, parts: list[str], level: int) -> None:
 def dumps(obj) -> str:
     """Serialize to canonical JSON text, two-space indented, with a trailing newline."""
     parts: list[str] = []
-    _encode(obj, parts, 0)
+    _encode(obj, parts, "")
     parts.append("\n")
     return "".join(parts)
 

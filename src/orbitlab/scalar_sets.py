@@ -191,7 +191,9 @@ class _Ring:
     def contains(self, z, tol=1e-9):
         r_lo, r_hi, a_lo, a_hi = self._bounds()
         r = abs(z)
-        if not (r_lo - tol <= r <= r_hi + tol):
+        # r - r_hi and r_lo - r are exact near the ends (Sterbenz), where
+        # r_hi + tol and r_lo - tol would round; r <= r_hi keeps r = r_hi = inf
+        if not ((r <= r_hi or r - r_hi <= tol) and r_lo - r <= tol):
             return False
         if r <= tol:
             return r_lo <= tol

@@ -506,6 +506,10 @@ def _spiral_density(window, set_=None):
         (_edited("spiral_density", lambda c: c.update(horizon=10**400)), "horizon"),
         (_edited("spiral_density", lambda c: c.update(
             set={"kind": "geometric", "base": [2.0, 0.0]}, gamma_grid=2000)), "gamma_grid"),
+        # density: a scaled grid point past float range, refused before the scan
+        (_edited("spiral_density", lambda c: c.update(set={
+            "kind": "scaled", "factor": [1e300, 0.0],
+            "inner": {"kind": "geometric", "base": [2.0, 0.0]}})), "set"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

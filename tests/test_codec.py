@@ -337,3 +337,102 @@ def test_every_shipped_field_is_decoded(capsys):
 
 def test_empty_classify_config_names_set(capsys):
     assert _run_main({}, capsys) == (1, "precondition violated: set: missing field\n")
+
+
+# ---------------------------------------------------------------------------
+# the report encoder against its plain recursive form
+
+
+def _reference_encode(obj, parts, level):
+    """One recursive call per value, with the indent re-derived each time."""
+    pad = "  " * level
+    inner = pad + "  "
+    if obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, float):
+        parts.append(jsonio.format_float(obj))
+    elif isinstance(obj, str):
+        parts.append(json.encoder.encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        parts.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            parts.append(f"{inner}{json.encoder.encode_basestring_ascii(key)}: ")
+            _reference_encode(value, parts, level + 1)
+            parts.append(",\n" if i + 1 < len(obj) else "\n")
+        parts.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        parts.append("[\n")
+        for i, value in enumerate(obj):
+            parts.append(inner)
+            _reference_encode(value, parts, level + 1)
+            parts.append(",\n" if i + 1 < len(obj) else "\n")
+        parts.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
+
+
+def _reference_dumps(obj):
+    parts = []
+    _reference_encode(obj, parts, 0)
+    parts.append("\n")
+    return "".join(parts)
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.builds(lambda e, s: s * 10**e, st.integers(0, 4400), st.sampled_from([1, -1])),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e16 - 2, 1e16 + 2, 9999999999999998.0]),
+    st.text(),
+    st.builds(_Float, st.floats(allow_nan=False)),
+    st.builds(_Str, st.text(max_size=4)),
+    st.sampled_from([1j, b"x", frozenset()]),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(0, 3)), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _outcome(dumps, obj):
+    try:
+        return dumps(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_dumps_matches_the_plain_recursive_encoder(obj):
+    # the same text, or the same first error: a non-finite float, an int
+    # past str()'s digit limit, a non-string key or a value of no JSON type
+    assert _outcome(jsonio.dumps, obj) == _outcome(_reference_dumps, obj)

@@ -4,7 +4,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitlab import (
@@ -32,7 +32,8 @@ from orbitlab import (
 )
 from orbitlab._exact import X2, xvec_from_seq, xvec_norm_sq
 from orbitlab import jsonio
-from orbitlab.constructions import _shift, _shift_norm_sq
+from orbitlab.constructions import _shift, _shift_norm_sq, _ShiftNorms, _Stages
+from orbitlab.scalar_sets import pick_modulus_at_least, pick_modulus_at_most
 
 IRR = AngleSpec.irrational(1.0, "one radian")
 
@@ -168,6 +169,152 @@ def test_exact_shift_agrees_with_the_operator_catalog(case):
     norm_sq = _shift_norm_sq(items, n, v.domain)
     exact = xvec_norm_sq(got)
     assert (norm_sq.num, norm_sq.den, norm_sq.exp) == (exact.num, exact.den, exact.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shift_cases(), st.integers(0, 60))
+def test_shift_norm_closed_forms_equal_the_sum(case, d):
+    # the same draws on the bilateral domain, at d past each end of the
+    # support and at every shift from 3 below it to 3 above it
+    v, n = case
+    v = SeqVector.make("bi", v.entries)
+    assume(not v.is_zero)
+    items = [(j, c.mod_sq()) for j, c in sorted(xvec_from_seq(v).items())]
+    norms, c = _ShiftNorms(items), X2(3, 5, n)
+    scaled = norms.scaled(c)
+    for m in [norms.low - d, norms.high + d, *range(norms.low - 3, norms.high + 4)]:
+        exact = _shift_norm_sq(items, m, "bi")
+        assert norms.at(m)._cmp(exact) == 0
+        assert scaled(m)._cmp(c * exact) == 0
+
+
+def _reference_bilateral(sampler, targets, stages):
+    """The bilateral stage loop with a plain galloping and bisecting shift
+    search, each probe summing the shifted norms and squaring the earlier
+    moduli anew; returns the scalars, shifts and condition dicts."""
+    run = _Stages("bilateral", "bi", targets, stages, NotAccumulatingAtZeroError)
+    scalars, shifts, items, norm_sqs, degrees = (
+        run.scalars, run.shifts, run.items, run.norm_sqs, run.degrees)
+    for k in range(stages + 1):
+        cap = 0.0
+        for i in range(k):
+            gi = scalars[i].mod_sq().log2() / 2.0
+            cap = min(cap, -k + gi - (shifts[i] + degrees[i]) - norm_sqs[i].log2() / 2.0)
+        run.pick(
+            lambda want: pick_modulus_at_most(sampler, want), cap - 1.0, -1.0,
+            lambda s: all(
+                s * X2.pow2(2 * (shifts[i] + degrees[i]) + 2 * k) * norm_sqs[i] < scalars[i].mod_sq()
+                for i in range(k)
+            ),
+            "no scalar",
+        )
+        msq = scalars[k].mod_sq()
+        four_k, half_sq = X2.pow2(2 * k), msq * X2.pow2(-2)
+
+        def _shift_ok(m):
+            return _shift_norm_sq(items[k], -m, "bi") * four_k < half_sq and all(
+                scalars[i].mod_sq() * _shift_norm_sq(items[k], shifts[i] - m, "bi") * four_k
+                < half_sq
+                for i in range(k)
+            )
+
+        lo = 0 if k == 0 else max(shifts) + 1
+        hi = max(lo, 1)
+        while not _shift_ok(hi):
+            hi *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _shift_ok(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        shifts.append(lo)
+    conditions = []
+    for k in range(stages + 1):
+        m_k, msq, four_k = shifts[k], scalars[k].mod_sq(), X2.pow2(2 * k)
+        gaps = [m_k - shifts[i] for i in range(k)]
+        conditions.append({
+            "stage": k,
+            "forward_image_small": _shift_norm_sq(items[k], -m_k, "bi") * four_k < msq,
+            "cross_backward_small": all(
+                scalars[i].mod_sq() * _shift_norm_sq(items[k], -n, "bi") * four_k < msq
+                for i, n in enumerate(gaps)
+            ),
+            "cross_forward_small": all(
+                msq * _shift_norm_sq(items[i], n, "bi") * four_k < scalars[i].mod_sq()
+                for i, n in enumerate(gaps)
+            ),
+        })
+    return scalars, shifts, conditions
+
+
+def _reference_unilateral(sampler, targets, stages):
+    """The unilateral stage loop squaring every earlier modulus anew; returns
+    the scalars, shifts and condition dicts."""
+    run = _Stages("unilateral", "uni", targets, stages, BoundedScalarSetError)
+    scalars, shifts, norm_sqs, degrees = run.scalars, run.shifts, run.norm_sqs, run.degrees
+
+    def dominant(k, msq):
+        four_k = X2.pow2(2 * k)
+        return {
+            "target_small": norm_sqs[k] * four_k < msq,
+            "dominates_previous": all(
+                scalars[i].mod_sq() * norm_sqs[k] * four_k < msq for i in range(k)
+            ),
+        }
+
+    for k in range(stages + 1):
+        nsq = norm_sqs[k]
+        need = k + nsq.log2() / 2.0
+        for g in scalars:
+            need = max(need, k + nsq.log2() / 2.0 + g.mod_sq().log2() / 2.0)
+        run.pick(
+            lambda want: pick_modulus_at_least(sampler, want), need + 1.0, 1.0,
+            lambda msq: all(dominant(k, msq).values()), "no scalar",
+        )
+        shifts.append(0 if k == 0 else max(shifts[i] + degrees[i] for i in range(k)) + 1)
+    conditions = [
+        {"stage": k, **dominant(k, scalars[k].mod_sq()),
+         "shift_gap": all(shifts[k] > shifts[i] + degrees[i] for i in range(k))}
+        for k in range(stages + 1)
+    ]
+    return scalars, shifts, conditions
+
+
+def _bits(z):
+    return [(x.num, x.den, x.exp) for x in (z.re, z.im)]
+
+
+# wide supports with small far entries: at some stages the closed form's
+# guess lies inside the search bracket but past the least shift
+_WIDE = TargetFamily(tuple(SeqVector.make("bi", entries) for entries in (
+    [(-8, 0.75), (-30, 2.0**-19)],
+    [(-2, -1.0), (-11, -(2.0**-17))],
+    [(-37, 3 * 2.0**-29)],
+    [(-26, 2.0**-12)],
+)))
+
+
+@pytest.mark.parametrize(
+    "build, reference, sampler, targets",
+    [
+        (build_bilateral, _reference_bilateral, Geometric(0.5), default_target_family(23, "bi")),
+        (build_bilateral, _reference_bilateral, Geometric(0.25j), default_target_family(13, "bi")),
+        (build_bilateral, _reference_bilateral, Geometric(0.3), default_target_family(6, "bi")),
+        (build_bilateral, _reference_bilateral, Geometric(0.5), _WIDE),
+        (build_bilateral, _reference_bilateral, Geometric(0.3), _WIDE),
+        (build_unilateral, _reference_unilateral, positive_ray(), default_target_family(21, "uni")),
+        (build_unilateral, _reference_unilateral, Geometric(2.0), default_target_family(21, "uni")),
+        (build_unilateral, _reference_unilateral, Geometric(1 / 0.3), default_target_family(6, "uni")),
+    ],
+)
+def test_builds_match_the_per_probe_reference(build, reference, sampler, targets):
+    stages = len(targets) - 1
+    trace = build(sampler, targets, stages)
+    scalars, shifts, conditions = reference(sampler, targets, stages)
+    assert [c.shift for c in trace.choices] == shifts
+    assert [_bits(c.scalar) for c in trace.choices] == [_bits(g) for g in scalars]
+    assert list(trace.conditions) == conditions
 
 
 @pytest.fixture(scope="module")

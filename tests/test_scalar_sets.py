@@ -519,6 +519,20 @@ class TestRingSectors:
         turn = [0.5 + 2 * math.pi * k / 8 for k in range(8)]
         assert arc.scalar_grid(8) == [2.0 * complex(math.cos(a), math.sin(a)) for a in turn]
 
+    @pytest.mark.parametrize("r", [1.0e7, 14684608.488427665])
+    def test_contains_does_not_round_the_ends(self, r):
+        # one float step at r is 2**-29 (1.9e-9), more than tol = 1e-9, so
+        # r - tol and r + tol round to the neighbouring floats
+        below, above = math.nextafter(r, 0.0), math.nextafter(r, math.inf)
+        for ring in (Circle(r), Arc(r, 0.0, 0.0)):
+            assert ring.contains(complex(r, 0.0))
+            assert not ring.contains(complex(below, 0.0))
+            assert not ring.contains(complex(above, 0.0))
+        assert not Annulus(r, 2 * r).contains(complex(below, 0.0))
+        assert not Sector(r / 2, r, 0.0, 1.0).contains(complex(above, 0.0))
+        # an unbounded ring still takes a modulus that overflows to inf
+        assert Scaled(1e-300, positive_ray()).contains(1e10 + 0j)
+
 
 class TestJson:
     @pytest.mark.parametrize(
