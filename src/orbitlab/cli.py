@@ -9,7 +9,7 @@ other exception, a plain ValueError included (an internal error).
 Each command imports only the modules it runs, so a process pays for
 compiling and executing just those. A handler returns plain result objects
 (jsonio records, NamedTuples, complex numbers, tuples, dicts); run_config
-encodes them once through jsonio.encode.
+writes them in one walk through jsonio.dumps.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ class _Output:
 
 
 def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
-    """Execute one config; returns (exit_code, report dict)."""
+    """Execute one config; returns (exit_code, report dict of the result objects)."""
     if not isinstance(cfg, dict):
         raise jsonio.PreconditionError("config top level must be a JSON object")
     command = cfg.get("command")
@@ -264,12 +264,15 @@ def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
     handler, fields = _HANDLERS[command]
     try:
         jsonio.check_keys(cfg, ("command",) + fields, "")
-        report["result"] = jsonio.encode(handler(cfg, output))
+        report["result"] = handler(cfg, output)
+        text = jsonio.dumps(report)  # a value refused while written is an error too
         code = 0
     except jsonio.PreconditionError as exc:
+        report.pop("result", None)
         report["error"] = str(exc)
+        text = jsonio.dumps(report)
         code = 1
-    output.report(jsonio.dumps(report))
+    output.report(text)
     return code, report
 
 

@@ -198,7 +198,7 @@ class ConstructionTrace(Record):
         return tuple(x2_sum(terms) for terms in self.residual_terms)
 
     def to_json(self) -> dict:
-        # the report's values, for jsonio.encode; exact residual squares can carry
+        # the report's values, for jsonio.dumps; exact residual squares can carry
         # huge mantissas, so reports ship a compact certified upper bound instead
         return {
             "scheme": self.scheme,

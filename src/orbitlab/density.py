@@ -12,6 +12,7 @@ reproduce exactly.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -390,7 +391,8 @@ def lambda_set_estimate(
     angular discretization error (pi/N times the scaled sample norm) is added
     to the acceptance threshold so a true match never fails by grid phase
     alone. An orbit whose norm ||T^m x|| or inner product <T^m x, T^n x> is
-    inf or NaN is refused, naming the horizon and the first such m.
+    inf or NaN, or whose multiplier overflows, is refused, naming the horizon
+    and the first such m.
     """
     if horizon < 0:
         raise PreconditionError(f"horizon: {horizon} is negative")
@@ -416,6 +418,11 @@ def lambda_set_estimate(
                 "the orbit leaves float range"
             )
         if nu != 0 and norm_t != 0:  # a zero target has no multipliers
+            if not math.isfinite(norm_t / nu):
+                raise PreconditionError(
+                    f"horizon: at m = {m}, the multiplier ||T^n x|| / ||T^m x|| = "
+                    f"{norm_t!r} / {nu!r} passes float range"
+                )
             turn = round(-math.atan2(p.imag, p.real) / sector) * sector
             re = (p * complex(math.cos(turn), math.sin(turn))).real if p != 0 else None
             rows.append((nu, re))
@@ -440,11 +447,14 @@ def multiplicative_closure_report(est: LambdaEstimate) -> dict:
     """For exact detections (slack 0), report whether pairwise products are
     themselves detected within a relative 1e-9; informational, not asserted."""
     exact = [lam for lam, slack in est.detected if slack == 0.0]
-    all_vals = est.multipliers()
+    all_vals = est.multipliers()  # sorted ascending
     products = []
     for a in exact:
         for b in exact:
             prod = a * b
-            inside = any(abs(prod - v) <= 1e-9 * max(1.0, abs(prod)) for v in all_vals)
+            # fl(prod - v) is monotone in v: the nearest multiplier is beside prod's place
+            i = bisect.bisect_left(all_vals, prod)
+            near = all_vals[max(i - 1, 0):i + 1]
+            inside = any(abs(prod - v) <= 1e-9 * max(1.0, abs(prod)) for v in near)
             products.append({"factors": [a, b], "product": prod, "detected": inside})
     return {"exact_members": exact, "products": products}

@@ -1,4 +1,4 @@
-"""Canonical JSON encoding shared by all report writers.
+"""Canonical JSON writing and reading, shared by all reports and configs.
 
 Reports must be byte-reproducible, so this module owns one serialization
 policy: floats are printed with 17 significant digits (round-trip exact for
@@ -8,14 +8,11 @@ integers pass through unchanged.
 It also owns the package's value classes and the one codec between Python
 values and JSON values. A Record reads its annotated fields once, when its
 class is made, and shares one __init__, __eq__, __hash__ and __repr__
-among all records, with no code generated per class. encode is the only
-place where a report value becomes JSON. It tests for the JSON leaves
-(float, int, str, bool, None) first, recurses into dicts, lists and tuples
-(a NamedTuple becomes an object of its fields), writes a record's fields in
-declaration order minus those declared with omit, and encodes whatever a
-to_json method returns in turn. decode builds a record from its field
-types, refusing keys it does not declare and naming the path of the first
-malformed value.
+among all records, with no code generated per class. dumps is the one
+writer: one walk writes the JSON leaves and containers it meets, and any
+other value through its one-level JSON form (_json_value). decode is the one
+reader: it builds a record from its field types, refusing keys it does not
+declare and naming the path of the first malformed value.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ def _encode(obj, parts: list[str], pad: str) -> None:
                 parts.append(leaf(value))
             parts.append(sep)
         parts[-1] = "\n" + pad + "}"
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) in (list, tuple):  # a NamedTuple is an object, below
         if not obj:
             parts.append("[]")
             return
@@ -97,7 +94,7 @@ def _encode(obj, parts: list[str], pad: str) -> None:
     elif isinstance(obj, str):
         parts.append(_quote(obj))
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
+        _encode(_json_value(obj), parts, pad)
 
 
 def dumps(obj) -> str:
@@ -232,37 +229,24 @@ class Family(Record):
             cls.kinds[kind] = cls
 
 
-_LEAVES = frozenset({float, int, str, bool, type(None)})
-
-
-def encode(obj):
-    """The JSON value of obj.
-
-    A record becomes an object of its fields, led by "kind" for a family
-    member. A Field may rename its key (key), name the value that null
-    stands for (null) or leave the field out (omit). Complex numbers become
-    [re, im] pairs.
-    """
-    if type(obj) in _LEAVES:  # most values are: test first, and inline in containers
-        return obj
-    if type(obj) in (list, tuple):
-        return [x if type(x) in _LEAVES else encode(x) for x in obj]
+def _json_value(obj):
+    """The JSON form, one level deep, of a value of no JSON type: [re, im]
+    for a complex number, an object of fields for a NamedTuple or a record
+    (led by "kind" in a family), or what a to_json method returns."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {key: x if type(x) in _LEAVES else encode(x) for key, x in obj.items()}
-    if isinstance(obj, tuple):  # a NamedTuple
-        return {key: x if type(x) in _LEAVES else encode(x) for key, x in zip(obj._fields, obj)}
+    if isinstance(obj, tuple):
+        return dict(zip(obj._fields, obj))
     if hasattr(obj, "to_json"):
-        return encode(obj.to_json())
+        return obj.to_json()
     if not isinstance(obj, Record):
-        return obj
+        raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
     out = {"kind": obj.kind} if isinstance(obj, Family) else {}
     for f in obj.fields:
         if f.omit:
             continue
         value = getattr(obj, f.name)
-        out[f.key] = None if f.null is not None and value == f.null else encode(value)
+        out[f.key] = None if f.null is not None and value == f.null else value
     return out
 
 
@@ -327,7 +311,7 @@ def decode_key(cls, obj, key: str, path: str, default=MISSING):
 def decode(cls, obj, path: str):
     """Build a value of type cls from the JSON value obj.
 
-    The inverse of encode: a family root reads "kind" to pick its member,
+    The inverse of dumps: a family root reads "kind" to pick its member,
     and a class with its own from_json decodes through it. A key that the
     record does not declare is refused ("kind" is declared for a family
     member). list, dict and object stand for raw JSON values of that type.

@@ -152,7 +152,7 @@ def test_build21_past_float_range_without_csv(tmp_path):
     cfg["targets"] = {"default_count": 41}
     code, report = cli.run_config(cfg, out_dir=tmp_path)
     assert code == 0, report.get("error")
-    residuals = report["result"]["trace"]["residuals"]
+    residuals = report["result"]["trace"].residuals
     assert len(residuals) == 41
     assert all(r <= 2.0**-k for k, r in enumerate(residuals))
     assert not list(tmp_path.glob("*.csv"))
@@ -337,7 +337,7 @@ def test_direct_sum_lambda_estimate_runs(tmp_path):
            "horizon": 4, "iterate": 1, "epsilon": 0.1}
     code, report = cli.run_config(cfg, out_dir=tmp_path)
     assert code == 0, report.get("error")
-    assert [lam for lam, _ in report["result"]["lambda_estimate"]["detected"]] == [1.0]
+    assert report["result"]["lambda_estimate"].multipliers() == (1.0,)
 
 
 def test_direct_sum_density_scan_is_refused_with_exit_one(tmp_path):
@@ -510,6 +510,9 @@ def _spiral_density(window, set_=None):
         (_edited("spiral_density", lambda c: c.update(set={
             "kind": "scaled", "factor": [1e300, 0.0],
             "inner": {"kind": "geometric", "base": [2.0, 0.0]}})), "set"),
+        # lambda-est: a decaying orbit whose multiplier ||T^3 x|| / ||T^m x||
+        # passes float range from m = 1027 on, refused before the O(H^2) scan
+        (_edited("lambda_scalar", lambda c: c.update(horizon=1100)), "horizon"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

@@ -374,7 +374,7 @@ class TestBilateralBuild:
         tracemalloc.start()
         try:
             trace = build_bilateral(Geometric(0.5), fam, 35)
-            jsonio.dumps(jsonio.encode(trace))
+            jsonio.dumps(trace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -388,7 +388,7 @@ class TestBilateralBuild:
             build_bilateral(Annulus(1, 2), fam, 2)
 
     def test_trace_serializes_compactly(self, trace):
-        text = jsonio.dumps(jsonio.encode(trace))
+        text = jsonio.dumps(trace)
         assert len(text) < 200_000
         assert '"residual_sq_upper"' in text
         csv = trace.to_csv()

@@ -365,6 +365,29 @@ class TestLambdaEstimate:
         ]
         assert small_products and all(item["detected"] for item in small_products)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_closure_checks_the_two_neighbours_as_a_full_scan_would(self, data):
+        exact = data.draw(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=5))
+        vals = set(exact) | set(data.draw(st.lists(st.floats(1e-12, 1e12), max_size=10)))
+        for a in exact:
+            for b in exact:
+                # a multiplier just inside or just outside the relative tolerance
+                rel = data.draw(st.sampled_from([None, 0.0, 0.999e-9, 1e-9, 1.001e-9, 3e-9]))
+                if rel is not None:
+                    sign = data.draw(st.sampled_from([1.0, -1.0]))
+                    vals.add(a * b + sign * rel * max(1.0, a * b))
+        vals = {v for v in vals if v > 0}
+        detected = tuple(sorted((v, 0.0 if v in exact else 0.5) for v in vals))
+        est = density.LambdaEstimate(iterate=0, epsilon=0.0, phase_grid=1, detected=detected)
+        scan = [
+            any(abs(a * b - v) <= 1e-9 * max(1.0, abs(a * b)) for v in est.multipliers())
+            for a in sorted(set(exact))
+            for b in sorted(set(exact))
+        ]
+        report = density.multiplicative_closure_report(est)
+        assert [item["detected"] for item in report["products"]] == scan
+
     @pytest.mark.parametrize(
         "n, horizon, phase_grid, field",
         [

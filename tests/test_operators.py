@@ -1,6 +1,7 @@
 """Exact shift actions, norm bounds, and the adjoint point-spectrum catalog."""
 
 import cmath
+import json
 import math
 import random
 from functools import reduce
@@ -412,7 +413,7 @@ class TestSerialization:
         ],
     )
     def test_operator_round_trip(self, op):
-        assert jsonio.decode(operators.OperatorSpec, jsonio.encode(op), "operator") == op
+        assert jsonio.decode(operators.OperatorSpec, json.loads(jsonio.dumps(op)), "operator") == op
 
     def test_images_drop_negative_zero_parts_like_make(self):
         # stored as given, bypassing make(): the parts keep their -0.0 signs

@@ -1,6 +1,7 @@
 """Scalar set classification, modulus sets, rotation products, plane density."""
 
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -552,4 +553,4 @@ class TestJson:
         ],
     )
     def test_round_trip(self, s):
-        assert jsonio.decode(ScalarSet, jsonio.encode(s), "set") == s
+        assert jsonio.decode(ScalarSet, json.loads(jsonio.dumps(s)), "set") == s
