@@ -52,25 +52,13 @@ def _load_targets(cfg: dict, stages: int, domain: str):
     return jsonio.construct(constructions.TargetFamily, "targets.vectors", vectors)
 
 
-def _base_point(obj, dom, field: str = "base_point"):
-    """Decode a config vector on the operator_domain() dom: an [re, im] pair
-    on C, a SeqVector object on sequence spaces, and on a direct sum a list
-    with one vector per block. A shape that does not fit the domain is a
-    PreconditionError naming the field, e.g. `target_vectors[2][0]`."""
-    from . import operators
-
-    if not isinstance(dom, tuple):
-        return jsonio.decode(complex if dom == "scalar" else operators.SeqVector, obj, field)
-    if isinstance(obj, list) and len(obj) == len(dom):
-        return tuple(_base_point(x, d, f"{field}[{i}]") for i, (x, d) in enumerate(zip(obj, dom)))
-    raise jsonio.PreconditionError(f"{field}: {obj!r} is not a vector on the {dom!r} domain")
-
-
 def _vectors(cfg: dict, key: str, dom, path: str = "") -> tuple:
     """The list field key of config vectors on the domain dom."""
+    from . import operators
+
     vecs = jsonio.decode_key(list, cfg, key, path)
     field = f"{path}.{key}" if path else key
-    return tuple(_base_point(v, dom, f"{field}[{i}]") for i, v in enumerate(vecs))
+    return tuple(operators.decode_vector(v, dom, f"{field}[{i}]") for i, v in enumerate(vecs))
 
 
 def _cmd_classify(cfg: dict, out: "_Output") -> dict:
@@ -126,7 +114,7 @@ def _cmd_density(cfg: dict, out: "_Output") -> dict:
     from . import density, operators, scalar_sets
 
     op = _field(cfg, "operator", operators.OperatorSpec)
-    base = _base_point(_field(cfg, "base_point"), op.operator_domain())
+    base = operators.decode_vector(_field(cfg, "base_point"), op.operator_domain(), "base_point")
     s = scalar_sets.from_json(_field(cfg, "set", dict), "set")
     cloud = density.generate_orbit(
         op,
@@ -192,7 +180,7 @@ def _cmd_lambda_est(cfg: dict, out: "_Output") -> dict:
     from . import density, operators
 
     op = _field(cfg, "operator", operators.OperatorSpec)
-    base = _base_point(_field(cfg, "base_point"), op.operator_domain())
+    base = operators.decode_vector(_field(cfg, "base_point"), op.operator_domain(), "base_point")
     horizon = _field(cfg, "horizon", int)
     est = density.lambda_set_estimate(
         op,

@@ -32,11 +32,11 @@ from typing import NamedTuple
 from .jsonio import PreconditionError, Record
 from .operators import (
     OperatorSpec,
-    SeqVector,
     Vector,
     apply,
     power_apply,
     vector_norm,
+    vector_same,
     vector_sub,
 )
 
@@ -89,31 +89,6 @@ def _iterates(op: OperatorSpec, vecs, indices):
         yield vecs
 
 
-def _same(a: Vector, b: Vector) -> bool:
-    """Whether a and b hold the same bits. Unlike ==, signed zeros differ
-    (scalar-domain values are not normalised by `0 + c`), and NaN, which
-    never equals itself, never matches."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is tuple:
-        return len(a) == len(b) and all(map(_same, a, b))
-    if type(a) is SeqVector:
-        return (
-            a.domain == b.domain
-            and len(a.entries) == len(b.entries)
-            and all(i == j and _same_number(c, d) for (i, c), (j, d) in zip(a.entries, b.entries))
-        )
-    return _same_number(a, b)
-
-
-def _same_number(c: complex, d: complex) -> bool:
-    return (
-        c == d
-        and math.copysign(1.0, c.real) == math.copysign(1.0, d.real)
-        and math.copysign(1.0, c.imag) == math.copysign(1.0, d.imag)
-    )
-
-
 def _round_trips(op: OperatorSpec, s_rows, targets, indices):
     """For each index n, its row S^n y of s_rows and the pairs (T^n S^n y - y,
     its norm) for the targets y, telescoped as the module docstring says."""
@@ -126,7 +101,7 @@ def _round_trips(op: OperatorSpec, s_rows, targets, indices):
             else:
                 p, p_row, p_trips = prev
                 b = power_apply(op, n - p, sy)
-                if _same(b, p_row[j]):
+                if vector_same(b, p_row[j]):
                     trips.append(p_trips[j])
                     continue
                 image = power_apply(op, p, b)

@@ -28,6 +28,7 @@ from .operators import (
     UnsupportedOperatorError,
     Vector,
     apply,
+    on_domain,
     vector_inner,
     vector_norm,
     vector_scale,
@@ -46,15 +47,13 @@ class EmptyCloudError(PreconditionError):
 
 
 def _orbit(op: OperatorSpec, x: Vector, horizon: int) -> tuple[Vector, ...]:
-    """T^n x for 0 <= n <= horizon. A number x becomes a point of C; a
-    sequence vector must lie on the operator's domain."""
+    """T^n x for 0 <= n <= horizon. A number x becomes a point of C; any
+    other x must lie on the operator's domain."""
     dom = op.operator_domain()
-    if dom == "scalar":
-        if not isinstance(x, complex):
-            x = complex(x)
-    elif isinstance(dom, str):
-        if not isinstance(x, SeqVector) or x.domain != dom:
-            raise DomainMismatchError(f"base point must be a {dom!r} sequence vector")
+    if dom == "scalar" and not isinstance(x, complex):
+        x = complex(x)
+    if not on_domain(x, dom):
+        raise DomainMismatchError(f"base point is not a vector on the {dom!r} domain")
     iterates = [x]
     for _ in range(horizon):
         iterates.append(apply(op, iterates[-1]))
@@ -150,6 +149,8 @@ SOMEWHERE = "somewhere_witness"
 BALL_BOX_CAP = 10**6
 # the most samples an orbit cloud may hold
 CLOUD_CAP = 10**6
+# the most (iterate, candidate multiplier) pairs a multiplier estimate may compare
+SCAN_CAP = 10**6
 
 
 class Ball(NamedTuple):
@@ -330,7 +331,9 @@ def _somewhere_witness(grid, indices, covered_flags, radius, grid_step):
             j = position.get(tuple(map(operator.add, here, d)))
             if j is None:
                 continue
-            s = sum((a - b) ** 2 for a, b in zip(pt, grid[j]))
+            s = 0  # added left to right, as sum() did before Python 3.12
+            for a, b in zip(pt, grid[j]):
+                s += (a - b) ** 2
             if s <= sub_rsq:
                 count += 1
                 if not covered_flags[j]:
@@ -392,7 +395,9 @@ def lambda_set_estimate(
     to the acceptance threshold so a true match never fails by grid phase
     alone. An orbit whose norm ||T^m x|| or inner product <T^m x, T^n x> is
     inf or NaN, or whose multiplier overflows, is refused, naming the horizon
-    and the first such m.
+    and the first such m. So is a horizon whose walk would hold more than
+    CLOUD_CAP iterates, or whose scan would compare more than SCAN_CAP
+    (iterate, candidate) pairs: the scan costs O(horizon**2).
     """
     if horizon < 0:
         raise PreconditionError(f"horizon: {horizon} is negative")
@@ -404,6 +409,8 @@ def lambda_set_estimate(
         raise PreconditionError("phase_grid: above 2**53, where a float stops holding it exactly")
     if epsilon < 0:
         raise PreconditionError(f"epsilon: {epsilon!r} is negative")
+    if horizon + 1 > CLOUD_CAP:  # the walk holds every iterate, as a cloud does
+        raise PreconditionError(f"horizon: horizon + 1 is more than {CLOUD_CAP:,} iterates")
     points = _orbit(op, x, horizon)
     target, norm_t = points[n], vector_norm(points[n])
     sector = 2.0 * math.pi / phase_grid
@@ -427,8 +434,14 @@ def lambda_set_estimate(
             re = (p * complex(math.cos(turn), math.sin(turn))).real if p != 0 else None
             rows.append((nu, re))
 
+    candidates = dict.fromkeys(norm_t / nu for nu, _ in rows)
+    if len(candidates) * len(rows) > SCAN_CAP:
+        raise PreconditionError(
+            f"horizon: {len(candidates):,} candidate multipliers against {len(rows):,} "
+            f"iterates is more than {SCAN_CAP:,} comparisons"
+        )
     detected = []
-    for lam in dict.fromkeys(norm_t / nu for nu, _ in rows):
+    for lam in candidates:
         dists, hit = [], False
         for nu, re in rows:
             a = lam * lam * nu * nu + norm_t * norm_t

@@ -123,7 +123,12 @@ class SeqVector(Record):
         if other.domain != self.domain:
             raise DomainMismatchError("cannot pair vectors on different domains")
         rhs = other.as_dict()
-        return sum(v * rhs[i].conjugate() for i, v in self.entries if i in rhs)
+        # added left to right from the int 0, as sum() did before 3.12
+        s = 0
+        for i, v in self.entries:
+            if i in rhs:
+                s += v * rhs[i].conjugate()
+        return s
 
     def to_json(self) -> dict:
         return {
@@ -211,7 +216,62 @@ def vector_inner(a: Vector, b: Vector) -> complex:
     kind = _same_shape(a, b)
     if kind is SeqVector:
         return a.inner(b)
-    return sum(map(vector_inner, a, b)) if kind is tuple else a * b.conjugate()
+    if kind is not tuple:
+        return a * b.conjugate()
+    s = 0  # added left to right, as in SeqVector.inner
+    for x, y in zip(a, b):
+        s += vector_inner(x, y)
+    return s
+
+
+def vector_same(a: Vector, b: Vector) -> bool:
+    """Whether a and b hold the same bits. Unlike ==, signed zeros differ
+    (scalar-domain values are not normalised by `0 + c`), and NaN, which
+    never equals itself, never matches."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(vector_same, a, b))
+    if type(a) is SeqVector:
+        return (
+            a.domain == b.domain
+            and len(a.entries) == len(b.entries)
+            and all(i == j and _same_number(c, d) for (i, c), (j, d) in zip(a.entries, b.entries))
+        )
+    return _same_number(a, b)
+
+
+def _same_number(c: complex, d: complex) -> bool:
+    return (
+        c == d
+        and math.copysign(1.0, c.real) == math.copysign(1.0, d.real)
+        and math.copysign(1.0, c.imag) == math.copysign(1.0, d.imag)
+    )
+
+
+def on_domain(v, dom) -> bool:
+    """Whether v is a vector on the operator_domain() dom: a complex on
+    "scalar", a SeqVector of that domain on "uni" or "bi", and on a direct
+    sum a tuple with one vector per block."""
+    if isinstance(v, SeqVector):  # first: the shifts check one per step
+        return v.domain == dom
+    if type(dom) is tuple:
+        return isinstance(v, tuple) and len(v) == len(dom) and all(map(on_domain, v, dom))
+    return dom == "scalar" and isinstance(v, complex)
+
+
+def decode_vector(obj, dom, path: str) -> Vector:
+    """The config vector obj on the operator_domain() dom: an [re, im] pair
+    on C, a SeqVector object on sequence spaces, and on a direct sum a list
+    with one vector per block. A value that is no vector on dom is a
+    PreconditionError naming its path, e.g. `target_vectors[2][0]`."""
+    if type(dom) is not tuple:
+        v = jsonio.decode(complex if dom == "scalar" else SeqVector, obj, path)
+        if on_domain(v, dom):
+            return v
+    elif type(obj) is list and len(obj) == len(dom):
+        return tuple(decode_vector(x, d, f"{path}[{i}]") for i, (x, d) in enumerate(zip(obj, dom)))
+    raise PreconditionError(f"{path}: {obj!r} is not a vector on the {dom!r} domain")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +352,7 @@ class OperatorSpec(jsonio.Family):
 
 def _shift_power(op, n: int, v: Vector, outer: tuple) -> SeqVector:
     """The shifts' _power: each entry follows its own path (see power_apply)."""
-    if not isinstance(v, SeqVector) or v.domain != op.domain:
+    if not on_domain(v, op.domain):
         raise DomainMismatchError(f"operator expects a {op.domain!r} sequence vector")
     weights = getattr(op, "weights", None)
     out = []
@@ -372,7 +432,7 @@ class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
         object.__setattr__(self, "value", complex(value))
 
     def _power(self, n, v, outer):
-        if not isinstance(v, complex):
+        if not on_domain(v, self.domain):
             raise DomainMismatchError("scalar operator acts on complex numbers")
         for _ in range(n):
             v = self.value * v
@@ -424,12 +484,6 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
             raise PreconditionError("direct sum needs at least one block")
         object.__setattr__(self, "blocks", tuple(blocks))
 
-    def _pairs(self, v):
-        """(block, vector) pairs of v, a tuple with one vector per block."""
-        if not (isinstance(v, tuple) and len(v) == len(self.blocks)):
-            raise DomainMismatchError("direct sum acts on tuples matching its blocks")
-        return zip(self.blocks, v)
-
     def operator_domain(self):
         return tuple(b.operator_domain() for b in self.blocks)
 
@@ -437,7 +491,9 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
         return max(b.power_norm_bound(n) for b in self.blocks)
 
     def _power(self, n, v, outer):
-        return tuple(b._power(n, x, outer) for b, x in self._pairs(v))
+        if not on_domain(v, self.operator_domain()):
+            raise DomainMismatchError("direct sum acts on tuples of vectors, one per block")
+        return tuple(b._power(n, x, outer) for b, x in zip(self.blocks, v))
 
     def adjoint_point_spectrum(self):
         out = set()

@@ -282,6 +282,9 @@ def test_misshapen_vector_names_its_field(tmp_path, capsys):
     assert "target_vectors[2]" in capsys.readouterr().err
 
 
+_BI = {"domain": "bi", "entries": [[0, 1.0, 0.0]]}
+
+
 def _direct_sum_criterion():
     uni = lambda j: {"domain": "uni", "entries": [[j, 1.0, 0.0]]}  # noqa: E731
     return {
@@ -315,6 +318,7 @@ def test_direct_sum_criterion_decodes_each_block(tmp_path):
     [
         ("decay_vectors[1]", [[0.0, 1.0]]),  # one block of two
         ("target_vectors[0][1]", [[1.0, 0.0], [1.0, 0.0]]),  # a pair where a sequence belongs
+        ("target_vectors[0][1]", [[1.0, 0.0], _BI]),  # a bilateral block on a unilateral one
     ],
 )
 def test_direct_sum_vector_of_wrong_shape_names_its_field(field, value, tmp_path, capsys):
@@ -513,6 +517,17 @@ def _spiral_density(window, set_=None):
         # lambda-est: a decaying orbit whose multiplier ||T^3 x|| / ||T^m x||
         # passes float range from m = 1027 on, refused before the O(H^2) scan
         (_edited("lambda_scalar", lambda c: c.update(horizon=1100)), "horizon"),
+        # a sequence vector on the other sequence domain
+        (_edited("criterion_rolewicz", lambda c: c["decay_vectors"].__setitem__(2, _BI)),
+         "decay_vectors[2]"),
+        (_edited("lambda_scalar", lambda c: c.update(
+            operator={"kind": "backward_shift"}, base_point=_BI)), "base_point"),
+        (_targets(_BI), "targets.vectors[0]"),
+        # lambda-est: a walk past the cloud cap, and a scan past its cap
+        (_edited("lambda_scalar", lambda c: c.update(horizon=10**400)), "horizon"),
+        (_edited("lambda_scalar", lambda c: c.update(
+            operator={"kind": "scalar_on_c", "value": [0.9999, 0.0]}, iterate=0,
+            horizon=1000)), "horizon"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

@@ -117,6 +117,49 @@ def _vector(dom):
     return tuple(map(_vector, dom)) if isinstance(dom, tuple) else _VECTORS[dom]
 
 
+_PART = st.floats(-4.0, 4.0)
+_ON = {
+    "scalar": st.builds(complex, _PART, _PART),
+    "uni": st.dictionaries(st.integers(0, 6), st.builds(complex, _PART, _PART), max_size=3).map(
+        lambda d: SeqVector.make("uni", d)),
+    "bi": st.dictionaries(st.integers(-6, 6), st.builds(complex, _PART, _PART), max_size=3).map(
+        lambda d: SeqVector.make("bi", d)),
+}
+# every shape: numbers, sequence vectors of both domains, and tuples of them
+_ANY_SHAPE = st.recursive(
+    st.one_of(*_ON.values(), _PART, st.none()),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=5,
+)
+
+
+def _on(dom):
+    """Vectors on the operator_domain() dom."""
+    return st.tuples(*map(_on, dom)) if isinstance(dom, tuple) else _ON[dom]
+
+
+def _fits(v, dom):
+    """The domain rule spelled out, as the reference for operators.on_domain."""
+    if isinstance(dom, tuple):
+        return type(v) is tuple and len(v) == len(dom) and all(map(_fits, v, dom))
+    if dom == "scalar":
+        return type(v) is complex
+    return type(v) is SeqVector and v.domain == dom
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EXAMPLES[OperatorSpec]), st.data())
+def test_on_domain_holds_for_exactly_the_vectors_apply_takes(op, data):
+    dom = op.operator_domain()
+    v = data.draw(st.one_of(_on(dom), _ANY_SHAPE))
+    try:
+        op.apply(v)
+        taken = True
+    except operators.DomainMismatchError:
+        taken = False
+    assert operators.on_domain(v, dom) == taken == _fits(v, dom)
+
+
 def _xc(x):
     return None if x is None else (x.re, x.im)
 

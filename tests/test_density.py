@@ -461,12 +461,17 @@ def _lambda_reference(op, x, n, horizon, epsilon, phase_grid):
     return tuple(sorted(detected))
 
 
-def _finite_orbit(op, x, n, horizon):
-    """Whether every ||T^m x|| and <T^m x, T^n x> for n <= m <= horizon is finite."""
+def _reportable_orbit(op, x, n, horizon):
+    """Whether every ||T^m x|| and <T^m x, T^n x> for n <= m <= horizon is
+    finite, and so is every multiplier ||T^n x|| / ||T^m x|| of nonzero norms."""
     target = power_apply(op, n, x)
+    norm_t = vector_norm(target)
     for m in range(n, horizon + 1):
         u = power_apply(op, m, x)
-        if not (cmath.isfinite(vector_norm(u)) and cmath.isfinite(vector_inner(u, target))):
+        nu = vector_norm(u)
+        if not (cmath.isfinite(nu) and cmath.isfinite(vector_inner(u, target))):
+            return False
+        if nu != 0 and norm_t != 0 and not math.isfinite(norm_t / nu):
             return False
     return True
 
@@ -513,13 +518,16 @@ def _bits(detected):
 @example((ScalarOnC(-0.5 - 0j), -1.0 - 0j, 3, 30, 1e-6, 360))  # signed-zero parts
 @example((ScalarMultiple(2.0, BackwardShift()), e(5).add(e(2).scale(-0.5j)), 1, 8, 0.05, 90))
 @example((ScalarMultiple(0.5j, BackwardShift()), e(4).scale(-0.0 - 1j), 0, 6, 0.5, 7))
+# a multiplier 1e150 / 6.7e-183 past float range, though every norm is finite
+@example((DirectSum(ScalarOnC(0j), ScalarMultiple(1.8826148143035846e-111j, BackwardShift())),
+          (0j, SeqVector("uni", ((3, 1e150j),))), 0, 3, 1e-9, 1))
 def test_estimate_matches_the_sampled_cloud_bit_for_bit(case):
     op, x, n, horizon, epsilon, phase_grid = case
     try:
         got = lambda_set_estimate(op, x, n, horizon, epsilon, phase_grid)
     except ValueError as exc:
         assert str(exc).startswith("horizon: ")
-        assert not _finite_orbit(op, x, n, horizon)
+        assert not _reportable_orbit(op, x, n, horizon)
         return
     want = _lambda_reference(op, x, n, horizon, epsilon, phase_grid)
     assert _bits(got.detected) == _bits(want)

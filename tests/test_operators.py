@@ -309,6 +309,29 @@ def test_direct_sum_norm_in_float_range_is_the_plain_sum(parts):
     assert vector_norm(v).hex() == math.sqrt(plain).hex()
 
 
+_FOLD_PARTS = st.sampled_from([0.0, -0.0, 0.1, 1.0, 3.0, -1e16, 1e16])
+_FOLD_VECTOR = st.dictionaries(
+    st.integers(0, 4), st.builds(complex, _FOLD_PARTS, _FOLD_PARTS), max_size=4
+).map(lambda d: SeqVector.make("uni", d))
+
+
+def _sum_bits(z):
+    return type(z), complex(z).real.hex(), complex(z).imag.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FOLD_VECTOR, _FOLD_VECTOR, st.builds(complex, _FOLD_PARTS, _FOLD_PARTS))
+def test_inner_products_add_left_to_right_from_int_zero(a, b, c):
+    # Python 3.11's sum, which 3.12's compensated sum does not follow; an
+    # empty pairing is the int 0
+    rhs = b.as_dict()
+    plain = reduce(add, [v * rhs[i].conjugate() for i, v in a.entries if i in rhs], 0)
+    assert _sum_bits(a.inner(b)) == _sum_bits(plain)
+    pair = reduce(add, [plain, c * c.conjugate()], 0)
+    assert _sum_bits(operators.vector_inner((a, c), (b, c))) == _sum_bits(pair)
+    assert _sum_bits(operators.vector_inner((), ())) == _sum_bits(0)
+
+
 class TestPowerNormBound:
     def test_backward_shift_norm_one(self):
         assert power_norm_bound(B, 5) == 1.0
