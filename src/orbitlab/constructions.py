@@ -71,7 +71,7 @@ class ScanRangeError(PreconditionError):
 
 
 class ShiftSearchLimitError(PreconditionError):
-    """A bilateral stage needs a shift beyond the search cap SHIFT_CAP."""
+    """A bilateral stage's least shift passes the cap SHIFT_CAP."""
 
 
 # the exact fallback of a residual sum would hold integers of about this many bits
@@ -288,7 +288,11 @@ class _ShiftNorms:
     depend on n. The norm is near = sum |y_j|^2 4^max(j, 0).
 
     far and near are summed once, by _shift_norm_sq at the support's ends;
-    inside the support `at` falls back to the _shift_norm_sq loop."""
+    inside the support `at` falls back to the _shift_norm_sq loop.
+
+    The norm is nondecreasing in n, as B multiplies entries by weights >= 1
+    and F divides by them: {n : c * at(n) < bound} is a down-set, and
+    last_below gives its largest member exactly."""
 
     def __init__(self, items):
         self.items = items
@@ -304,17 +308,23 @@ class _ShiftNorms:
             return self.near
         return _shift_norm_sq(self.items, n, BILATERAL)
 
-    def scaled(self, c: X2):
-        """n -> c * at(n), with c * far multiplied once: below the support
-        each value is then one X2 built from c * far's mantissas."""
-        c_far = c * self.far
-
-        def at(n: int) -> X2:
-            if n <= self.low:
-                return X2(c_far.num, c_far.den, c_far.exp + 2 * n)
-            return c * self.at(n)
-
-        return at
+    def last_below(self, c: X2, bound: X2) -> int | None:
+        """The largest n with c * at(n) < bound (c, bound > 0), or None when
+        every n passes, that is when c * near < bound."""
+        if c * self.near < bound:
+            return None
+        # below the support 4^n < r = bound / (c far); log2 r lies within 1
+        # of f, its exponent plus its mantissas' bit length difference, so
+        # n = f // 2 passes there unless 4^n >= r
+        r = bound / (c * self.far)
+        n = (r.exp + r.num.bit_length() - r.den.bit_length()) // 2
+        if not X2.pow2(2 * n) < r:
+            n -= 1
+        # from low on, walk up the support: at(high) = near does not pass
+        n = min(n, self.low)
+        while n >= self.low and c * self.at(n + 1) < bound:
+            n += 1
+        return n
 
 
 class _Stages:
@@ -483,44 +493,18 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
             "scalar of the required smallness is available",
         )
 
-        # the least shift m meeting both decay conditions at half slack:
-        # c 4^k |B^{s - m} y_k|^2 < |gamma_k|^2 / 4 for each (s, c) in terms;
-        # every probe m is at least lo, so it passes every earlier shift
-        y_k, four_k, half_sq = norms[k], X2.pow2(2 * k), msq * X2.pow2(-2)
-        terms = [(0, X2.ONE)] + [(shifts[i], msqs[i]) for i in range(k)]
-        decay = [(s, y_k.scaled(c * four_k)) for s, c in terms]
-
-        def _shift_ok(m: int) -> bool:
-            return all(term(s - m) < half_sq for s, term in decay)
-
-        lo = 0 if k == 0 else max(shifts) + 1
-        hi = max(lo, 1)
-        while not _shift_ok(hi):
-            hi *= 2
-            if hi > SHIFT_CAP:
-                raise ShiftSearchLimitError(
-                    f"stages: {stages} stages need a shift beyond the search cap "
-                    f"2**{SHIFT_CAP.bit_length() - 1} (stage {k} has none below it)"
-                )
-        # each term's closed form below the support, solved in float logs,
-        # guesses the least shift; probing the guess and the shift before it
-        # narrows [lo, hi] for any guess, so the bisection stays exact
-        base = 2 * k + y_k.far.log2() - half_sq.log2()
-        guess = max(s + math.floor((base + c.log2()) / 2) + 1 for s, c in terms)
-        if lo < guess <= hi:
-            if not _shift_ok(guess):
-                lo = guess + 1
-            elif _shift_ok(guess - 1):
-                hi = guess - 1
-            else:
-                lo = hi = guess
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _shift_ok(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        shifts.append(lo)
+        # the least shift m past every earlier one with c 4^k |B^{s - m} y_k|^2
+        # < |gamma_k|^2 / 4 for each decay term (s, c): a term holds exactly
+        # for s - m <= last_below
+        y_k, bound = norms[k], msq * X2.pow2(-2 - 2 * k)
+        lasts = [(s, y_k.last_below(c, bound)) for s, c in [(0, X2.ONE), *zip(shifts, msqs)]]
+        m_k = max([shifts[-1] + 1 if k else 0] + [s - n for s, n in lasts if n is not None])
+        if m_k > SHIFT_CAP:
+            raise ShiftSearchLimitError(
+                f"stages: {stages} stages need a shift beyond the cap "
+                f"2**{SHIFT_CAP.bit_length() - 1} (stage {k} needs {m_k})"
+            )
+        shifts.append(m_k)
 
     def conditions(k: int) -> dict:
         m_k, msq, y_k = shifts[k], msqs[k], norms[k]

@@ -397,7 +397,9 @@ def lambda_set_estimate(
     inf or NaN, or whose multiplier overflows, is refused, naming the horizon
     and the first such m. So is a horizon whose walk would hold more than
     CLOUD_CAP iterates, or whose scan would compare more than SCAN_CAP
-    (iterate, candidate) pairs: the scan costs O(horizon**2).
+    (iterate, candidate) pairs: the scan costs O(horizon**2). A multiplier
+    whose square leaves the normal float range squares lambda * ||T^m x||
+    instead; a distance whose square still passes float range reads inf.
     """
     if horizon < 0:
         raise PreconditionError(f"horizon: {horizon} is negative")
@@ -443,8 +445,9 @@ def lambda_set_estimate(
     detected = []
     for lam in candidates:
         dists, hit = [], False
+        off_range = not 2.0**-1022 <= lam * lam < math.inf
         for nu, re in rows:
-            a = lam * lam * nu * nu + norm_t * norm_t
+            a = ((lam * nu) * (lam * nu) if off_range else lam * lam * nu * nu) + norm_t * norm_t
             d2 = a if re is None else a - 2.0 * lam * re
             dists.append(math.sqrt(d2) if d2 > 0 else 0.0)
             hit = hit or dists[-1] <= epsilon + math.pi / phase_grid * lam * nu

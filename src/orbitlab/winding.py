@@ -5,7 +5,8 @@ Curves come in four representations: sampled point lists, analytic segments
 of the unit-circle parametrization over [1, b] (phi(t) = exp(2*pi*i*(t-1)/(b-1))),
 constant paths, and concatenations. Sampled curves accumulate principal-branch
 angle increments; a result is flagged confident when every step turns less
-than pi/2, leaving no branch ambiguity. Analytic segments and constants are
+than pi/2, leaving no branch ambiguity. A sampled step through the origin, which
+leaves the index undefined, is refused. Analytic segments and constants are
 evaluated in closed form, exactly.
 """
 
@@ -48,6 +49,14 @@ def unit_circle_param(t: float, b: float) -> complex:
     return cmath.exp(2.0j * math.pi * u)
 
 
+def _through_origin(a: complex, b: complex) -> bool:
+    """Whether the segment from a to b (finite, nonzero) passes through 0:
+    cross product 0 and dot product < 0, each exact times q s u w > 0."""
+    (p, q), (r, s) = a.real.as_integer_ratio(), a.imag.as_integer_ratio()
+    (t, u), (v, w) = b.real.as_integer_ratio(), b.imag.as_integer_ratio()
+    return p * v * s * u == r * t * q * w and p * t * s * w + r * v * q * u < 0
+
+
 class _Walk(Record):
     total_turn: float
     max_step: float
@@ -68,8 +77,11 @@ class SampledCurve(CircleCurve, kind="sampled"):
         pts = tuple(complex(p) for p in points)
         if len(pts) < 2:
             raise PreconditionError("sampled curve needs at least two points")
-        if any(p == 0 for p in pts):
-            raise PreconditionError("curve points must avoid the origin")
+        if any(p == 0 or not cmath.isfinite(p) for p in pts):
+            raise PreconditionError("curve points must be finite and avoid the origin")
+        for i, (a, b) in enumerate(zip(pts, pts[1:])):
+            if _through_origin(a, b):
+                raise PreconditionError(f"the step from point {i} to {i + 1} passes through 0")
         object.__setattr__(self, "points", pts)
 
     def _walk(self):

@@ -425,7 +425,7 @@ def _spiral_density(window, set_=None):
         ({"command": "winding", "curve": {"kind": "param_segment", "b": 1e308, "from": 1.0,
                                           "to": 1e308}}, "curve"),
         ({"command": "build22", "set": {"kind": "geometric", "base": [0.5, 0.0]},
-          "stages": 36}, "stages"),
+          "stages": 37}, "stages"),
         # a misspelt or unknown key is refused, not silently ignored
         ({**load(CONFIG_DIR / "criterion_rolewicz.json"), "tolerence": 0.5}, "tolerence"),
         ({**load(CONFIG_DIR / "criterion_rolewicz.json"), "mode": "Full"}, "mode"),
@@ -528,6 +528,9 @@ def _spiral_density(window, set_=None):
         (_edited("lambda_scalar", lambda c: c.update(
             operator={"kind": "scalar_on_c", "value": [0.9999, 0.0]}, iterate=0,
             horizon=1000)), "horizon"),
+        # a sampled step through the origin leaves the winding number undefined
+        ({"command": "winding", "curve": {"kind": "sampled", "points": [
+            [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}}, "curve"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
@@ -579,6 +582,22 @@ def test_direct_sum_criterion_past_the_squares_float_range_exits_zero(part, tmp_
     assert _main(cfg, tmp_path) == 0
     traces = load(tmp_path / "report.json")["result"]["criterion"]["traces"]
     assert traces["forward_decay"] == [part, 2 * part, 0.0, 0.0]
+
+
+def test_build22_runs_every_stage_whose_least_shift_is_below_the_cap(tmp_path, capsys):
+    # stage 36's least shift, 690,664,235,695, is below SHIFT_CAP = 2**40,
+    # and stage 37's is not
+    cfg = {**load(CONFIG_DIR / "build22.json"), "stages": 36, "targets": {"default_count": 37}}
+    start = time.perf_counter()
+    assert _main(cfg, tmp_path) == 0
+    assert time.perf_counter() - start < 1.0
+    assert load(tmp_path / "report.json")["result"]["trace"]["choices"][-1]["shift"] == (
+        690_664_235_695)
+    cfg = {**cfg, "stages": 37, "targets": {"default_count": 38}}
+    assert _main(cfg, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "precondition violated: stages: 37 stages need a shift beyond the cap 2**40" in err
+    assert "(stage 37 needs" in err
 
 
 @pytest.mark.parametrize("command", ["build21", "build22"])

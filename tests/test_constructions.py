@@ -172,20 +172,28 @@ def test_exact_shift_agrees_with_the_operator_catalog(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_shift_cases(), st.integers(0, 60))
-def test_shift_norm_closed_forms_equal_the_sum(case, d):
+@given(_shift_cases(), st.integers(0, 60), st.integers(1, 16))
+def test_shift_norm_closed_forms_equal_the_sum(case, d, q):
     # the same draws on the bilateral domain, at d past each end of the
-    # support and at every shift from 3 below it to 3 above it
+    # support and at every shift from 3 below it to 3 above it; last_below
+    # against the largest passing n of a window that holds it, for bounds
+    # q/8 times a value near or inside the support
     v, n = case
     v = SeqVector.make("bi", v.entries)
     assume(not v.is_zero)
     items = [(j, c.mod_sq()) for j, c in sorted(xvec_from_seq(v).items())]
     norms, c = _ShiftNorms(items), X2(3, 5, n)
-    scaled = norms.scaled(c)
-    for m in [norms.low - d, norms.high + d, *range(norms.low - 3, norms.high + 4)]:
-        exact = _shift_norm_sq(items, m, "bi")
-        assert norms.at(m)._cmp(exact) == 0
-        assert scaled(m)._cmp(c * exact) == 0
+    low, high = norms.low, norms.high
+    window = range(low - d - 8, high + d + 4)
+    exact = {m: _shift_norm_sq(items, m, "bi") for m in window}
+    for m in [low - d, high + d, *range(low - 3, high + 4)]:
+        assert norms.at(m)._cmp(exact[m]) == 0
+    for t in (low - d, low - 1, low, (low + high) // 2, high - 1, high, high + d):
+        bound = c * exact[t] * X2(q, 8)
+        passes = [m for m in window if c * exact[m] < bound]
+        assert passes == list(window[: len(passes)])  # a down-set holding the window's start
+        want = None if passes[-1] == window[-1] else passes[-1]  # flat from high on
+        assert norms.last_below(c, bound) == want
 
 
 def _reference_bilateral(sampler, targets, stages):

@@ -309,6 +309,19 @@ class TestBoundedness:
         assert boundedness_certificates(ScalarOnC(0.5), 1.0, 3) == (1.0, 0.125)
 
 
+@st.composite
+def _scalar_windows(draw):
+    """(c, iterate n, horizon) for criterion 7's comparison at horizons up to
+    998: |c|^(horizon + n) = 2^(+-e) with 1 <= e <= 1000, so every norm,
+    inner product and multiplier of the orbit stays in float range, and |c|
+    stays clear of the moduli within a few ulps of 1, where neighbouring
+    multipliers merge."""
+    horizon = draw(st.integers(1, 998))
+    n = draw(st.integers(0, min(5, horizon)))
+    e = draw(st.floats(1.0, 1000.0)) * draw(st.sampled_from([1, -1]))
+    return cmath.rect(2.0 ** (e / (horizon + n)), draw(st.floats(-3.2, 3.2))), n, horizon
+
+
 class TestLambdaEstimate:
     @pytest.mark.parametrize("c", [0.5 + 0j, 2.0 * cmath.exp(-1j)])
     def test_matches_scalar_oracle(self, c):
@@ -320,6 +333,18 @@ class TestLambdaEstimate:
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-6 * max(1.0, abs(w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scalar_windows())
+    @example((0.5 + 0j, 3, 600)).via("lam * lam overflows")
+    @example((1.5 + 0j, 0, 998)).via("lam * lam underflows")
+    def test_matches_scalar_oracle_to_the_float_range(self, case):
+        c, n, horizon = case
+        got = lambda_set_estimate(ScalarOnC(c), 1.0 + 0j, n, horizon, 1e-6).multipliers()
+        want = scalar_lambda_oracle(c, n, horizon)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-6 * max(1.0, abs(w))
 
     def test_unit_multiplier_always_detected(self):
         for n in range(0, 5):
@@ -446,7 +471,10 @@ def _lambda_reference(op, x, n, horizon, epsilon, phase_grid):
             nu = norms[m]
             if nu == 0:
                 continue
-            a = lam * lam * nu * nu + norm_t * norm_t
+            if 2.0**-1022 <= lam * lam < math.inf:
+                a = lam * lam * nu * nu + norm_t * norm_t
+            else:  # the scan's fallback for a square out of the normal range
+                a = (lam * nu) * (lam * nu) + norm_t * norm_t
             p = vector_inner(points[m], target)
             if abs(p) == 0:
                 d2 = a

@@ -4,9 +4,10 @@ import cmath
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitlab import (
@@ -21,7 +22,11 @@ from orbitlab import (
     winding_number,
 )
 from orbitlab import jsonio
+from orbitlab.jsonio import PreconditionError
 from orbitlab.winding import CircleCurve, ParamRangeError
+
+# finite floats of every size, subnormals included; scaled by up to 4 they stay finite
+_FINITE = st.floats(-1e307, 1e307, allow_subnormal=True)
 
 
 def circle_points(count=720, turns=1, radius=1.0, phase=0.0):
@@ -72,6 +77,28 @@ class TestWindingNumber:
         res = winding_number(square)
         assert res.index == 1
         assert not res.confident  # quarter-turn steps leave no margin
+
+    @pytest.mark.parametrize("points", [[1, -1, 1], [1j, 0.5, -1j, -2j, 1j], [1e-300, -1e300]])
+    def test_step_through_the_origin_is_refused(self, points):
+        with pytest.raises(PreconditionError, match="passes through 0"):
+            SampledCurve(points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FINITE, _FINITE, _FINITE, _FINITE, st.sampled_from([-4.0, -1.0, -0.5, 0.5, 2.0, None]))
+    def test_step_refusal_matches_the_exact_segment(self, ar, ai, br, bi, scale):
+        # b on the line through a and 0 (exactly, by a power of two) or drawn freely
+        a = complex(ar, ai)
+        b = complex(br, bi) if scale is None else a * scale
+        assume(a != 0 and b != 0)
+        fa, fb = [(Fraction(z.real), Fraction(z.imag)) for z in (a, b)]
+        cross = fa[0] * fb[1] - fa[1] * fb[0]
+        dot = fa[0] * fb[0] + fa[1] * fb[1]
+        through = cross == 0 and dot < 0
+        if through:
+            with pytest.raises(PreconditionError, match="step from point 0 to 1"):
+                SampledCurve([a, b])
+        else:
+            SampledCurve([a, b])
 
     def test_double_loop(self):
         res = winding_number(SampledCurve(circle_points(720, turns=2)))
