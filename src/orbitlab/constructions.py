@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 from . import jsonio
 from .jsonio import Field, PreconditionError, Record
@@ -260,71 +262,60 @@ def _shift(x: dict[int, XC], n: int, domain: str) -> dict[int, XC]:
     return out
 
 
-def _shift_norm_sq(items, n: int, domain: str) -> X2:
-    """The squared norm of _shift(y, n, domain), from the (index, |entry|^2)
-    items of y in index order."""
-    out = X2.ZERO
-    for j, msq in items:
-        if j < n and domain == UNILATERAL:
-            continue
-        # msq * X2.pow2(2e), built directly: the same canonical value
-        out = out + X2(msq.num, msq.den, msq.exp + 2 * _weight_log2(domain, j, n))
-    return out
+def _times_4_pow(x: X2, n: int) -> X2:
+    """x 4^n, built from x's mantissas without multiplying them."""
+    return X2(x.num, x.den, x.exp + 2 * n)
 
 
 class _ShiftNorms:
     """The squared norms |B^n y|^2 (|F^{-n} y|^2 for n < 0) of one bilateral
-    target y, from its (index, |entry|^2) items in index order, in closed
-    form outside y's support.
+    target y, in closed form, from its (index, |entry|^2) items in index
+    order.
 
-    Below the support, n <= low = min(0, min j): for every index j,
-    j - n - max(j, 0) = min(j, 0) - n >= 0, so _weight_log2 gives the
-    exponent -(min(j, 0) - n) = n - min(j, 0) (for n < 0; at n = 0 <= min j
-    every exponent is 0 = n - min(j, 0)). The norm is far * 4^n with
-    far = sum |y_j|^2 4^-min(j, 0), the same for every such n.
-
-    Above the support, n >= high = max(0, max j): j - n <= 0, so
-    _weight_log2 gives max(0, j - max(j - n, 0)) = max(j, 0), which does not
-    depend on n. The norm is near = sum |y_j|^2 4^max(j, 0).
-
-    far and near are summed once, by _shift_norm_sq at the support's ends;
-    inside the support `at` falls back to the _shift_norm_sq loop.
+    _weight_log2 gives entry j the exponent max(j, 0) when j <= n and
+    n - min(j, 0) when j >= n (the two agree at j = n). So wherever the
+    first i indices are the ones <= n, |B^n y|^2 = p[i] + q[i] 4^n, with
+    p[i] = sum |y_j|^2 4^max(j, 0) over the first i items and
+    q[i] = sum |y_j|^2 4^-min(j, 0) over the rest; the form for i also holds
+    at indices[i], the next index up. Below the support the norm is
+    q[0] 4^n, and from the last index on it is p[-1].
 
     The norm is nondecreasing in n, as B multiplies entries by weights >= 1
     and F divides by them: {n : c * at(n) < bound} is a down-set, and
     last_below gives its largest member exactly."""
 
     def __init__(self, items):
-        self.items = items
-        self.low, self.high = min(0, items[0][0]), max(0, items[-1][0])
-        at_low = _shift_norm_sq(items, self.low, BILATERAL)
-        self.far = X2(at_low.num, at_low.den, at_low.exp - 2 * self.low)
-        self.near = _shift_norm_sq(items, self.high, BILATERAL)
+        self.indices = [j for j, _ in items]
+        near = (_times_4_pow(m, max(j, 0)) for j, m in items)
+        far = (_times_4_pow(m, -min(j, 0)) for j, m in reversed(items))
+        self.p = list(accumulate(near, initial=X2.ZERO))
+        self.q = list(accumulate(far, initial=X2.ZERO))[::-1]
 
     def at(self, n: int) -> X2:
-        if n <= self.low:
-            return X2(self.far.num, self.far.den, self.far.exp + 2 * n)
-        if n >= self.high:
-            return self.near
-        return _shift_norm_sq(self.items, n, BILATERAL)
+        i = bisect_right(self.indices, n)
+        return self.p[i] + _times_4_pow(self.q[i], n)
 
     def last_below(self, c: X2, bound: X2) -> int | None:
         """The largest n with c * at(n) < bound (c, bound > 0), or None when
-        every n passes, that is when c * near < bound."""
-        if c * self.near < bound:
+        every n passes, that is when c * p[-1] < bound."""
+        cap = bound / c
+        if self.p[-1] < cap:
             return None
-        # below the support 4^n < r = bound / (c far); log2 r lies within 1
-        # of f, its exponent plus its mantissas' bit length difference, so
-        # n = f // 2 passes there unless 4^n >= r
-        r = bound / (c * self.far)
-        n = (r.exp + r.num.bit_length() - r.den.bit_length()) // 2
-        if not X2.pow2(2 * n) < r:
-            n -= 1
-        # from low on, walk up the support: at(high) = near does not pass
-        n = min(n, self.low)
-        while n >= self.low and c * self.at(n + 1) < bound:
-            n += 1
-        return n
+        # where the first i indices are <= n, c * at(n) < bound reads
+        # q[i] 4^n < cap - p[i]. Go up the indices while at(j) passes, read
+        # so: across a wide support p[i] + q[i] 4^j would be a sum of huge
+        # integers. At the last index at(j) = p[-1] fails.
+        for i, j in enumerate(self.indices):
+            if self.p[i + 1] < cap and _times_4_pow(self.q[i + 1], j) < cap - self.p[i + 1]:
+                continue
+            # at(j) fails, so the answer n is below j and solves 4^n < r; log2 r
+            # lies within 1 of f, its exponent plus its mantissas' bit length
+            # difference, so n = f // 2 passes unless 4^n >= r
+            r = (cap - self.p[i]) / self.q[i]
+            n = (r.exp + r.num.bit_length() - r.den.bit_length()) // 2
+            if not X2.pow2(2 * n) < r:
+                n -= 1
+            return n
 
 
 class _Stages:

@@ -1,6 +1,7 @@
 """Certified construction traces and the spiral counterexample scenario."""
 
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -32,7 +33,7 @@ from orbitlab import (
 )
 from orbitlab._exact import X2, xvec_from_seq, xvec_norm_sq
 from orbitlab import jsonio
-from orbitlab.constructions import _shift, _shift_norm_sq, _ShiftNorms, _Stages
+from orbitlab.constructions import _shift, _ShiftNorms, _Stages, _weight_log2
 from orbitlab.scalar_sets import pick_modulus_at_least, pick_modulus_at_most
 
 IRR = AngleSpec.irrational(1.0, "one radian")
@@ -145,6 +146,17 @@ _CATALOG = {
 _DYADIC = st.builds(lambda a, p: a * 2.0 ** p, st.integers(-255, 255), st.integers(-30, 30))
 
 
+def _shift_norm_sq(items, n, domain):
+    """The squared norm of _shift(y, n, domain), summed from the
+    (index, |entry|^2) items of y in index order."""
+    out = X2.ZERO
+    for j, msq in items:
+        if j < n and domain == "uni":
+            continue
+        out = out + X2(msq.num, msq.den, msq.exp + 2 * _weight_log2(domain, j, n))
+    return out
+
+
 @st.composite
 def _shift_cases(draw):
     domain = draw(st.sampled_from(["uni", "bi"]))
@@ -177,23 +189,46 @@ def test_shift_norm_closed_forms_equal_the_sum(case, d, q):
     # the same draws on the bilateral domain, at d past each end of the
     # support and at every shift from 3 below it to 3 above it; last_below
     # against the largest passing n of a window that holds it, for bounds
-    # q/8 times a value near or inside the support
+    # q/8 times a value near or inside the support or at one of its indices
     v, n = case
     v = SeqVector.make("bi", v.entries)
     assume(not v.is_zero)
     items = [(j, c.mod_sq()) for j, c in sorted(xvec_from_seq(v).items())]
     norms, c = _ShiftNorms(items), X2(3, 5, n)
-    low, high = norms.low, norms.high
+    low, high = min(0, items[0][0]), max(0, items[-1][0])
     window = range(low - d - 8, high + d + 4)
     exact = {m: _shift_norm_sq(items, m, "bi") for m in window}
     for m in [low - d, high + d, *range(low - 3, high + 4)]:
         assert norms.at(m)._cmp(exact[m]) == 0
-    for t in (low - d, low - 1, low, (low + high) // 2, high - 1, high, high + d):
+    ends = (low - d, low - 1, low, (low + high) // 2, high - 1, high, high + d)
+    for t in [*ends, *(j for j, _ in items)]:
         bound = c * exact[t] * X2(q, 8)
         passes = [m for m in window if c * exact[m] < bound]
         assert passes == list(window[: len(passes)])  # a down-set holding the window's start
         want = None if passes[-1] == window[-1] else passes[-1]  # flat from high on
         assert norms.last_below(c, bound) == want
+
+
+def test_last_below_solves_a_wide_support_without_walking_it():
+    # |B^n y|^2 = 1e-6 + 4^n for -10**8 <= n <= 0: last_below solves each
+    # index's segment in closed form, where a walk or a search would visit
+    # up to 10**8 shifts or sum integers of 2 * 10**8 bits at each probe
+    items = [(-10**8, X2.from_float(1e-6)), (0, X2.ONE)]
+    start = time.perf_counter()
+    norms = _ShiftNorms(items)
+    for n in (-3, -2, -10**8 + 1):
+        assert norms.at(n)._cmp(_shift_norm_sq(items, n, "bi")) == 0
+    bound = X2.from_float(1e-6) + X2.pow2(-4)  # at(-2) exactly
+    assert norms.last_below(X2.ONE, bound) == -3
+    assert norms.last_below(X2(1, 1, 60), bound * X2.pow2(60)) == -3
+    assert norms.last_below(X2.ONE, bound + X2.pow2(-200)) == -2
+    assert norms.last_below(X2.ONE, X2(3)) is None
+    # below the support, where at(n) = (1e-6 4^(10**8) + 1) 4^n
+    far = X2.pow2(-2 * 10**8 - 100)
+    n = norms.last_below(X2.ONE, far)
+    assert n == -2 * 10**8 - 41
+    assert _shift_norm_sq(items, n, "bi") < far <= _shift_norm_sq(items, n + 1, "bi")
+    assert time.perf_counter() - start < 1.0
 
 
 def _reference_bilateral(sampler, targets, stages):
