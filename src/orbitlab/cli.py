@@ -172,7 +172,8 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
 def _cmd_winding(cfg: dict, out: "_Output") -> dict:
     from . import winding
 
-    result = winding.winding_number(_field(cfg, "curve", winding.CircleCurve))
+    curve = _field(cfg, "curve", winding.CircleCurve)
+    result = jsonio.construct(winding.winding_number, "curve", curve)
     return {"winding": result, "index": result.index}
 
 

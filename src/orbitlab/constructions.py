@@ -532,9 +532,9 @@ class SpiralScenario(Record):
 
 def build_spiral_scenario(r: float, theta: AngleSpec) -> SpiralScenario:
     if r <= 0 or not math.isfinite(r):
-        raise PreconditionError("spiral base must be positive and finite")
+        raise PreconditionError("base: spiral base must be positive and finite")
     if r == 1.0:
-        raise SpiralBaseOneError("spiral base 1 degenerates to a rotation: no modulus drift")
+        raise SpiralBaseOneError("base: spiral base 1 degenerates to a rotation: no modulus drift")
     tv = theta.value
     op = ScalarOnC(complex(r * math.cos(tv), -r * math.sin(tv)))
     return SpiralScenario(operator=op, scalar_set=LogSpiral(r, theta))

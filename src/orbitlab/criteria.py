@@ -16,12 +16,12 @@ Reuse applies wherever S is an exact right inverse of T along the orbit of
 y (dyadic weights and factors, such as 2B with F/2, and many states of
 inexact pairs); there a round trip costs n - p steps instead of n, and a
 full index sequence up to N costs O(N) steps per target instead of O(N^2).
-The iterates are streamed: only the rows at the current and the previous
-index are held, so memory does not grow with N.
+All three traces come from one walk: only the rows at the current and the
+previous index are held, so memory does not grow with N.
 
 A residual norm that is not finite (an overflow to inf, or NaN) is refused
-with NonFiniteResidualError naming its vector and index: max() would hide
-a NaN (max(0.0, nan) is 0.0), and a report cannot hold either.
+at its index with NonFiniteResidualError naming its vector: max() would
+hide a NaN (max(0.0, nan) is 0.0), and a report cannot hold either.
 """
 
 from __future__ import annotations
@@ -56,11 +56,12 @@ class CriterionInstance(Record):
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not self.decay_vectors or not self.target_vectors:
-            raise PreconditionError("both test families must be non-empty")
+        for field in ("decay_vectors", "target_vectors"):
+            if not getattr(self, field):
+                raise PreconditionError(f"{field}: the test family is empty")
         idx = list(self.indices)
         if idx != sorted(set(idx)) or any(i < 0 for i in idx) or not idx:
-            raise PreconditionError("indices must be strictly increasing and nonnegative")
+            raise PreconditionError("indices: must be strictly increasing and nonnegative")
 
 
 class Traces(NamedTuple):
@@ -123,25 +124,19 @@ def _peak(norms, field: str, trace: str, n: int) -> float:
 
 
 def check_criterion(inst: CriterionInstance) -> CriterionReport:
-    """Evaluate the three residual traces along the instance's index sequence."""
+    """Evaluate the three residual traces along the instance's index sequence,
+    taking each index's peaks as the walk reaches it."""
     op, indices, targets = inst.operator, inst.indices, inst.target_vectors
-    forward, inverse, roundtrip = [], [], []
-    for row in _iterates(op, inst.decay_vectors, indices):
-        forward.append(list(map(vector_norm, row)))
-    s_rows = _iterates(inst.right_inverse, targets, indices)
-    for row, trips in _round_trips(op, s_rows, targets, indices):
-        inverse.append(list(map(vector_norm, row)))
-        roundtrip.append([norm for _, norm in trips])
-
-    r1_trace = []
-    r2_trace = []
-    r3_trace = []
-    for k, n in enumerate(indices):
-        r1_trace.append(_peak(forward[k], "decay_vectors", "forward_decay", n))
-        r2_trace.append(_peak(inverse[k], "target_vectors", "inverse_decay", n))
-        r3_trace.append(_peak(roundtrip[k], "target_vectors", "roundtrip", n))
-
-    traces = Traces(tuple(r1_trace), tuple(r2_trace), tuple(r3_trace))
+    decay_rows = _iterates(op, inst.decay_vectors, indices)
+    trips = _round_trips(op, _iterates(inst.right_inverse, targets, indices), targets, indices)
+    traces = Traces([], [], [])
+    for n, decay, (s_row, trip) in zip(indices, decay_rows, trips):
+        traces.forward_decay.append(
+            _peak(list(map(vector_norm, decay)), "decay_vectors", "forward_decay", n))
+        traces.inverse_decay.append(
+            _peak(list(map(vector_norm, s_row)), "target_vectors", "inverse_decay", n))
+        traces.roundtrip.append(_peak([r for _, r in trip], "target_vectors", "roundtrip", n))
+    traces = Traces(*map(tuple, traces))
     finals = tuple(t[-1] for t in traces)
     tails = tuple(_tail_nonincreasing(t) for t in traces)
     passes = all(f <= inst.tolerance for f in finals) and all(tails)

@@ -111,7 +111,7 @@ def generate_orbit(
     A cloud of more than CLOUD_CAP samples is refused before either is built,
     and a grid point past float range before the orbit walk."""
     if horizon < 0:
-        raise PreconditionError("horizon must be nonnegative")
+        raise PreconditionError(f"horizon: {horizon} is negative")
     if gamma_grid < 1:
         raise PreconditionError(f"gamma_grid: {gamma_grid} is not positive")
     if (horizon + 1) * gamma_grid > CLOUD_CAP:
@@ -133,7 +133,7 @@ def project(point: Vector, section: Sequence[int]) -> tuple[complex, ...]:
         return tuple(d.get(i, 0j) for i in section)
     if isinstance(point, complex):
         if tuple(section) != (0,):
-            raise PreconditionError("a scalar point only has coordinate 0")
+            raise PreconditionError("section: a scalar point only has coordinate 0")
         return (point,)
     raise UnsupportedOperatorError("direct-sum points are not supported in density scans")
 
@@ -238,11 +238,12 @@ def epsilon_density(
     section = tuple(int(i) for i in section)
     center = tuple(complex(c) for c in center)
     if len(center) != len(section):
-        raise PreconditionError("center must list one coordinate per section index")
-    if radius <= 0 or grid_step <= 0:
-        raise PreconditionError("radius and grid step must be positive")
+        raise PreconditionError("ball.center: must list one coordinate per section index")
+    for field, x in (("ball.radius", radius), ("grid_step", grid_step)):
+        if x <= 0:
+            raise PreconditionError(f"{field}: {x!r} is not positive")
     if not epsilon > grid_step / 2.0:
-        raise PreconditionError("epsilon must exceed half the grid step")
+        raise PreconditionError(f"epsilon: {epsilon!r} does not exceed half the grid step")
     if not len(cloud):
         raise EmptyCloudError("orbit cloud has no samples")
 

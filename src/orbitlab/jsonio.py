@@ -3,7 +3,7 @@
 Reports must be byte-reproducible, so this module owns one serialization
 policy: floats are printed with 17 significant digits (round-trip exact for
 IEEE doubles), dict keys keep insertion order, and arbitrary-precision
-integers pass through unchanged.
+integers pass through unchanged up to Python's int-to-str digit limit.
 
 It also owns the package's value classes and the one codec between Python
 values and JSON values. A Record reads its annotated fields once, when its
@@ -38,11 +38,20 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def format_int(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise PreconditionError(
+            f"integer of {n.bit_length()} bits has too many digits to appear in a report"
+        ) from None
+
+
 # the text of each JSON leaf type, by exact type; containers write these
 # inline, and subclasses take _encode's isinstance tests
 _LEAF_TEXT = {
     float: format_float,
-    int: str,
+    int: format_int,
     str: _quote,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
@@ -88,7 +97,7 @@ def _encode(obj, parts: list[str], pad: str) -> None:
             parts.append(sep)
         parts[-1] = "\n" + pad + "]"
     elif isinstance(obj, int):
-        parts.append(str(obj))
+        parts.append(format_int(obj))
     elif isinstance(obj, float):
         parts.append(format_float(obj))
     elif isinstance(obj, str):

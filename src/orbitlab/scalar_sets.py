@@ -112,9 +112,10 @@ class ScalarSet(jsonio.Family):
     Every variant implements contains(z, tol); modulus_set(), the closure of
     its moduli as a canonical ModulusSet; scalar_grid(count, radial_window),
     count >= 1 deterministic sample points, where a radius end at 0 or inf
-    takes radial_window's end (default (1e-6, 1e6)) and every finite
-    positive radius is the set's own; and _pick(bound, at_least), a nonzero
-    member with log2 |value| >= bound (or <= bound) as an exact XC, or None.
+    takes radial_window's end (default (1e-6, 1e6); a log_spiral without a
+    window samples t in [-20, 20] instead) and every finite positive radius
+    is the set's own; and _pick(bound, at_least), a nonzero member with
+    log2 |value| >= bound (or <= bound) as an exact XC, or None.
     The methods below are defaults.
     """
 
@@ -710,13 +711,10 @@ def rotation_group_product(s: ScalarSet, angle: AngleSpec) -> ScalarSet:
 
 def _radial_union_covers(intervals: list[tuple[float, float]]) -> bool:
     """True iff the closed intervals union to all of [0, inf)."""
-    ivs = sorted(intervals)
     reach = 0.0
-    started = False
-    for lo, hi in ivs:
-        if lo > reach or (not started and lo > 0.0):
+    for lo, hi in sorted(intervals):
+        if lo > reach:
             return False
-        started = True
         reach = max(reach, hi)
         if reach == math.inf:
             return True
@@ -728,42 +726,23 @@ def is_dense_in_plane(s: ScalarSet) -> bool:
 
     The set is decomposed into angular patches with radial intervals. The
     plane is covered iff in every angular cell (delimited by patch endpoint
-    angles) the active radial intervals union to [0, inf). Nowhere-dense
-    variants never contribute. Raises UndecidableDensityError only for
-    unrecognized variants, never guesses.
+    angles, or one cut at 0 if there are none) the active radial intervals
+    union to [0, inf); one loop probes each cell at its start and midpoint.
+    Nowhere-dense variants never contribute. Raises UndecidableDensityError
+    only for unrecognized variants, never guesses.
     """
     patches: list = []
     s._coverage_leaves(0.0, 1.0, patches)
-    if not patches:
-        return False
-
     full = [(rlo, rhi) for alo, ahi, rlo, rhi in patches if alo is None]
-    arcs = [
-        (alo % _TWO_PI, (alo % _TWO_PI) + (ahi - alo), rlo, rhi)
-        for alo, ahi, rlo, rhi in patches
-        if alo is not None
-    ]
-    if not arcs:
-        return _radial_union_covers(full)
-
-    cuts = set()
-    for alo, ahi, _, _ in arcs:
-        cuts.add(alo % _TWO_PI)
-        cuts.add(ahi % _TWO_PI)
-    angles = sorted(cuts)
-    # midpoints of consecutive cells around the circle
-    probes = []
-    for i, a in enumerate(angles):
-        b = angles[(i + 1) % len(angles)] if i + 1 < len(angles) else angles[0] + _TWO_PI
-        probes.append((a + b) / 2.0)
-        probes.append(a)
-    for theta in probes:
-        radial = list(full)
-        for alo, ahi, rlo, rhi in arcs:
-            if _angle_between(theta, alo, ahi, _ANGLE_TOL):
-                radial.append((rlo, rhi))
-        if not _radial_union_covers(radial):
-            return False
+    arcs = [(alo % _TWO_PI, alo % _TWO_PI + (ahi - alo), rlo, rhi)
+            for alo, ahi, rlo, rhi in patches if alo is not None]
+    angles = sorted({a % _TWO_PI for arc in arcs for a in arc[:2]}) or [0.0]
+    for a, b in zip(angles, angles[1:] + [angles[0] + _TWO_PI]):
+        for theta in ((a + b) / 2.0, a):
+            radial = full + [(rlo, rhi) for alo, ahi, rlo, rhi in arcs
+                             if _angle_between(theta, alo, ahi, _ANGLE_TOL)]
+            if not _radial_union_covers(radial):
+                return False
     return True
 
 

@@ -3,18 +3,18 @@ bookkeeping behind the orbit-parametrization obstruction.
 
 Curves come in four representations: sampled point lists, analytic segments
 of the unit-circle parametrization over [1, b] (phi(t) = exp(2*pi*i*(t-1)/(b-1))),
-constant paths, and concatenations. Sampled curves accumulate principal-branch
-angle increments; a result is flagged confident when every step turns less
-than pi/2, leaving no branch ambiguity. A sampled step through the origin, which
-leaves the index undefined, is refused. Analytic segments and constants are
-evaluated in closed form, exactly.
+constant paths, and concatenations. _join chains walks by principal-branch
+turns: a sampled curve joins its points, a concatenation its parts, and the
+closing step is one more join. A result is flagged confident when every step
+turns less than pi/2, and a step through the origin, which leaves the index
+undefined, is refused. Analytic segments and constants are exact.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import jsonio
 from .jsonio import Field, PreconditionError, Record
@@ -52,17 +52,37 @@ def unit_circle_param(t: float, b: float) -> complex:
 def _through_origin(a: complex, b: complex) -> bool:
     """Whether the segment from a to b (finite, nonzero) passes through 0:
     cross product 0 and dot product < 0, each exact times q s u w > 0."""
+    if a.real * b.real > 0 or a.imag * b.imag > 0:  # a rounded product keeps its sign,
+        return False  # so b is no negative multiple of a
     (p, q), (r, s) = a.real.as_integer_ratio(), a.imag.as_integer_ratio()
     (t, u), (v, w) = b.real.as_integer_ratio(), b.imag.as_integer_ratio()
     return p * v * s * u == r * t * q * w and p * t * s * w + r * v * q * u < 0
 
 
-class _Walk(Record):
+class _Walk(NamedTuple):
     total_turn: float
     max_step: float
     min_modulus: float
     start: complex
     end: complex
+
+
+def _join(walks, step: str) -> _Walk:
+    """The walks chained end to start by principal turns; a junction through
+    0 is refused, named step.format(i, i + 1) from walks[i] to walks[i + 1]."""
+    total, max_step, min_mod = 0.0, 0.0, math.inf
+    for i, (turn, max_turn, modulus, start, stop) in enumerate(walks):
+        if i:
+            if _through_origin(end, start):
+                raise PreconditionError(f"{step.format(i - 1, i)} passes through 0")
+            junction = cmath.phase(start / end)
+            total += junction
+            max_step = max(max_step, abs(junction))
+        total += turn
+        max_step = max(max_step, max_turn)
+        min_mod = min(min_mod, modulus)
+        end = stop
+    return _Walk(total, max_step, min_mod, walks[0].start, end)
 
 
 class CircleCurve(jsonio.Family):
@@ -85,14 +105,7 @@ class SampledCurve(CircleCurve, kind="sampled"):
         object.__setattr__(self, "points", pts)
 
     def _walk(self):
-        pts = self.points
-        total = 0.0
-        max_step = 0.0
-        for a, b in zip(pts, pts[1:]):
-            inc = cmath.phase(b / a)
-            total += inc
-            max_step = max(max_step, abs(inc))
-        return _Walk(total, max_step, min(abs(p) for p in pts), pts[0], pts[-1])
+        return _join([_Walk(0.0, 0.0, abs(p), p, p) for p in self.points], "the step from point {} to {}")
 
     def reverse(self):
         return SampledCurve(tuple(reversed(self.points)))
@@ -133,8 +146,8 @@ class ConstantCurve(CircleCurve, kind="constant"):
 
     def __init__(self, value):
         value = complex(value)
-        if value == 0:
-            raise PreconditionError("constant curve must avoid the origin")
+        if value == 0 or not cmath.isfinite(value):
+            raise PreconditionError("constant curve must be finite and avoid the origin")
         object.__setattr__(self, "value", value)
 
     def _walk(self):
@@ -155,19 +168,7 @@ class ConcatCurve(CircleCurve, kind="concat"):
         object.__setattr__(self, "parts", tuple(parts))
 
     def _walk(self):
-        walks = [p._walk() for p in self.parts]
-        total = 0.0
-        max_step = 0.0
-        min_mod = math.inf
-        for i, w in enumerate(walks):
-            total += w.total_turn
-            max_step = max(max_step, w.max_step)
-            min_mod = min(min_mod, w.min_modulus)
-            if i + 1 < len(walks):
-                junction = cmath.phase(walks[i + 1].start / w.end)
-                total += junction
-                max_step = max(max_step, abs(junction))
-        return _Walk(total, max_step, min_mod, walks[0].start, walks[-1].end)
+        return _join([p._walk() for p in self.parts], "the junction from part {} to {}")
 
     def reverse(self):
         return ConcatCurve(tuple(p.reverse() for p in reversed(self.parts)))
@@ -183,26 +184,22 @@ class WindingResult(Record):
 def winding_number(curve: CircleCurve) -> WindingResult:
     """Winding index around the origin of a closed curve.
 
-    Sampled curves must return to their start within 1e-9; the small closing
-    step is included in the accumulated turn. The result is confident when no
-    step (including junctions) turns by pi/2 or more.
+    Curves must return to their start within 1e-9 (relative beyond modulus
+    1); a nonzero closing step is joined like any other, so it adds its turn
+    and is refused through the origin. The result is confident when no step
+    (including junctions) turns by pi/2 or more.
     """
     w = curve._walk()
     gap = abs(w.start - w.end)
     if gap > CLOSURE_TOL * max(1.0, abs(w.start)):
-        raise CurveNotClosedError(f"curve endpoints differ by {gap:.3e}")
-    total = w.total_turn
-    max_step = w.max_step
-    if gap > 0.0:
-        closing = cmath.phase(w.start / w.end)
-        total += closing
-        max_step = max(max_step, abs(closing))
-    index = round(total / _TWO_PI)
+        raise CurveNotClosedError(f"endpoints differ by {gap:.3e}")
+    if gap > 0.0:  # z / z is not always 1: (49+1j) / (49+1j) turns by 2.3e-18
+        w = _join((w, _Walk(0.0, 0.0, math.inf, w.start, w.start)), "the closing step")
     return WindingResult(
-        index=index,
+        index=round(w.total_turn / _TWO_PI),
         min_modulus=w.min_modulus,
-        max_step_turn=max_step,
-        confident=max_step < CONFIDENT_MAX_TURN,
+        max_step_turn=w.max_step,
+        confident=w.max_step < CONFIDENT_MAX_TURN,
     )
 
 

@@ -531,6 +531,33 @@ def _spiral_density(window, set_=None):
         # a sampled step through the origin leaves the winding number undefined
         ({"command": "winding", "curve": {"kind": "sampled", "points": [
             [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}}, "curve"),
+        # density: a ball, lattice or tolerance out of range, a section a
+        # scalar point lacks, a negative horizon
+        (_edited("spiral_density", lambda c: c["ball"].update(radius=0.0)), "ball.radius"),
+        (_edited("spiral_density", lambda c: c.update(grid_step=0.0)), "grid_step"),
+        (_edited("spiral_density", lambda c: c.update(epsilon=0.01)), "epsilon"),
+        (_edited("spiral_density", lambda c: c["ball"].update(center=[[0.0, 0.0]] * 2)),
+         "ball.center"),
+        (_edited("spiral_density", lambda c: c.update(
+            section=[0, 0], ball={"center": [[-1.0, 0.0]] * 2, "radius": 0.4},
+            grid_step=0.4, epsilon=0.5)), "section"),
+        (_edited("spiral_density", lambda c: c.update(horizon=-1)), "horizon"),
+        # criterion: an empty test family, an index list out of order
+        (_edited("criterion_rolewicz", lambda c: c.update(decay_vectors=[])), "decay_vectors"),
+        (_edited("criterion_rolewicz", lambda c: c.update(target_vectors=[])), "target_vectors"),
+        (_edited("criterion_rolewicz", lambda c: c.update(indices=[3, 1])), "indices"),
+        # spiral: a base that is not positive and finite, and the rotation base 1
+        (_edited("spiral", lambda c: c.update(base=-2.0)), "base"),
+        (_edited("spiral", lambda c: c.update(base=1.0)), "base"),
+        # winding: a junction, and a closing step, through the origin
+        ({"command": "winding", "curve": {"kind": "concat", "parts": [
+            {"kind": "sampled", "points": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]},
+            {"kind": "sampled", "points": [[1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]}]}}, "curve"),
+        ({"command": "winding", "curve": {"kind": "sampled", "points": [
+            [1e-12, 0.0], [1.0, 0.0], [0.0, 1.0], [-1e-12, 0.0]]}}, "curve"),
+        # ... and endpoints that do not meet
+        ({"command": "winding", "curve": {"kind": "sampled", "points": [
+            [1.0, 0.0], [0.0, 1.0]]}}, "curve"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
@@ -674,3 +701,13 @@ def _nan_decay_criterion():
 def test_non_finite_residual_exits_one_naming_its_vector(cfg, message, tmp_path, capsys):
     assert _main(cfg, tmp_path) == 1
     assert f"precondition violated: {message}" in capsys.readouterr().err
+
+
+def test_report_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    # Geometric(0.3)'s exact picks pass Python's int-to-str digit limit by
+    # stage 6: the run is refused with a report that carries the error
+    cfg = {"command": "build22", "set": {"kind": "geometric", "base": [0.3, 0.0]}, "stages": 6}
+    assert _main(cfg, tmp_path) == 1
+    error = load(tmp_path / "report.json")["error"]
+    assert error.endswith("has too many digits to appear in a report")
+    assert f"precondition violated: {error}" in capsys.readouterr().err

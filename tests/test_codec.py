@@ -397,7 +397,7 @@ def _reference_encode(obj, parts, level):
     elif obj is False:
         parts.append("false")
     elif isinstance(obj, int):
-        parts.append(str(obj))
+        parts.append(jsonio.format_int(obj))
     elif isinstance(obj, float):
         parts.append(jsonio.format_float(obj))
     elif isinstance(obj, str):

@@ -307,3 +307,28 @@ def test_exact_round_trips_walk_linearly_many_steps(monkeypatch):
     inst = rolewicz_instance(upto=2000)
     check_criterion(inst)
     assert 0 < steps <= 4 * 2000 * len(inst.target_vectors)
+
+
+def test_non_finite_residual_is_refused_before_any_later_row(monkeypatch):
+    """2B against 2F: T^n S^n e_j = 4^n e_j leaves float range at n = 512.
+    The one walk refuses there and forms no decay or S row past index 512."""
+    calls = 0
+    apply = criteria.apply
+
+    def counting(op, v):
+        nonlocal calls
+        calls += 1
+        return apply(op, v)
+
+    monkeypatch.setattr(criteria, "apply", counting)
+    inst = CriterionInstance(
+        operator=ScalarMultiple(2.0, BackwardShift()),
+        right_inverse=ScalarMultiple(2.0, ForwardShift()),
+        decay_vectors=BASIS6,
+        target_vectors=BASIS6,
+        indices=tuple(range(4001)),
+    )
+    with pytest.raises(criteria.NonFiniteResidualError,
+                       match=r"^target_vectors\[0\]: non-finite roundtrip residual inf at index 512$"):
+        check_criterion(inst)
+    assert calls == 512 * (len(inst.decay_vectors) + len(inst.target_vectors))

@@ -83,6 +83,24 @@ class TestWindingNumber:
         with pytest.raises(PreconditionError, match="passes through 0"):
             SampledCurve(points)
 
+    def test_junction_through_the_origin_is_refused(self):
+        # each part avoids 0, but the junction from -1 to 1 passes through it
+        curve = ConcatCurve(SampledCurve([1, 1j, -1]), SampledCurve([1, -1j, 1]))
+        with pytest.raises(PreconditionError, match="^the junction from part 0 to 1 passes through 0$"):
+            winding_number(curve)
+
+    def test_closing_step_through_the_origin_is_refused(self):
+        # closed within 1e-9, but the closing step from -1e-12 to 1e-12 meets 0
+        curve = SampledCurve([1e-12, 1, 1j, -1e-12])
+        with pytest.raises(PreconditionError, match="^the closing step passes through 0$"):
+            winding_number(curve)
+
+    def test_exactly_closed_curve_takes_no_closing_step(self):
+        # (49+1j) / (49+1j) has a phase of about 2.3e-18, not 0.0: a curve
+        # that ends where it starts must not pick that turn up
+        assert cmath.phase((49 + 1j) / (49 + 1j)) != 0.0
+        assert winding_number(ConstantCurve(49 + 1j)).max_step_turn == 0.0
+
     @settings(max_examples=300, deadline=None)
     @given(_FINITE, _FINITE, _FINITE, _FINITE, st.sampled_from([-4.0, -1.0, -0.5, 0.5, 2.0, None]))
     def test_step_refusal_matches_the_exact_segment(self, ar, ai, br, bi, scale):
