@@ -25,7 +25,8 @@ def _two_val(n: int) -> int:
 
 
 class X2:
-    """Exact num/den * 2^exp with den > 0 and both mantissas odd."""
+    """Exact num/den * 2^exp with den > 0 and both mantissas odd (zero is
+    0/1 * 2^0). No value is changed once built, so results may share X2.ZERO."""
 
     __slots__ = ("num", "den", "exp")
 
@@ -71,7 +72,13 @@ class X2:
     # -- arithmetic -------------------------------------------------------
 
     def __mul__(self, other: "X2") -> "X2":
-        return X2(self.num * other.num, self.den * other.den, self.exp + other.exp)
+        # a product of canonical values is canonical: odd times odd is odd
+        if not (self.num and other.num):
+            return X2.ZERO
+        out = X2.__new__(X2)
+        out.num, out.den = self.num * other.num, self.den * other.den
+        out.exp = self.exp + other.exp
+        return out
 
     def __truediv__(self, other: "X2") -> "X2":
         if other.num == 0:
@@ -89,6 +96,8 @@ class X2:
         return X2(a + b, self.den * other.den, e0)
 
     def __sub__(self, other: "X2") -> "X2":
+        if other.num == 0:
+            return self
         return self + (-other)
 
     def __neg__(self) -> "X2":
@@ -100,13 +109,11 @@ class X2:
     def is_zero(self) -> bool:
         return self.num == 0
 
-    def sign(self) -> int:
-        return (self.num > 0) - (self.num < 0)
-
     # -- comparison -------------------------------------------------------
 
     def _cmp(self, other: "X2") -> int:
-        sa, sb = self.sign(), other.sign()
+        a, b = self.num, other.num
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
         if sa != sb:
             return -1 if sa < sb else 1
         if sa == 0:

@@ -114,6 +114,10 @@ def _cmd_density(cfg: dict, out: "_Output") -> dict:
     from . import density, operators, scalar_sets
 
     op = _field(cfg, "operator", operators.OperatorSpec)
+    if type(op.operator_domain()) is tuple:  # refused before the orbit walk
+        raise operators.UnsupportedOperatorError(
+            "operator: direct-sum points are not supported in density scans"
+        )
     base = operators.decode_vector(_field(cfg, "base_point"), op.operator_domain(), "base_point")
     s = scalar_sets.from_json(_field(cfg, "set", dict), "set")
     cloud = density.generate_orbit(

@@ -414,23 +414,23 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
             "requires arbitrarily large scalars"
         )
     msqs, shifts, norm_sqs, degrees = run.msqs, run.shifts, run.norm_sqs, run.degrees
+    # tops[k] is the largest of msqs[:k] (0 when k = 0), and top_log the
+    # largest of their log2(). Every msq is positive and X2 compares exactly,
+    # so condition (ii) holds against each earlier stage iff it holds against
+    # tops[k]; and k + a/2 + x/2 is monotone in x, so top_log gives the
+    # largest of the stage's demands.
+    tops = [X2.ZERO]
+    top_log = -math.inf
 
     def dominant(k: int, msq: X2) -> dict:
         # conditions (i) and (ii) of stage k for the squared modulus msq
-        four_k = X2.pow2(2 * k)
-        return {
-            "target_small": norm_sqs[k] * four_k < msq,
-            "dominates_previous": all(
-                msqs[i] * norm_sqs[k] * four_k < msq for i in range(k)
-            ),
-        }
+        scaled = norm_sqs[k] * X2.pow2(2 * k)
+        return {"target_small": scaled < msq, "dominates_previous": tops[k] * scaled < msq}
 
     for k in range(stages + 1):
-        nsq = norm_sqs[k]
         # log2 of the modulus threshold: max over condition (i) and (ii) demands
-        need = k + nsq.log2() / 2.0
-        for g in msqs:
-            need = max(need, k + nsq.log2() / 2.0 + g.log2() / 2.0)
+        need = k + norm_sqs[k].log2() / 2.0
+        need = max(need, need + top_log / 2.0)
         run.pick(
             lambda want: pick_modulus_at_least(sampler, want),
             need + 1.0,  # factor 1/2 slack
@@ -439,6 +439,8 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
             "scalar set must have unbounded modulus: no scalar of the required size is available",
         )
         shifts.append(0 if k == 0 else max(shifts[i] + degrees[i] for i in range(k)) + 1)
+        tops.append(max(tops[k], msqs[k]))
+        top_log = max(top_log, msqs[k].log2())
 
     def conditions(k: int) -> dict:
         gap = all(shifts[k] > shifts[i] + degrees[i] for i in range(k))

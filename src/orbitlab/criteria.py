@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 from .jsonio import PreconditionError, Record
 from .operators import (
+    DomainMismatchError,
     OperatorSpec,
     Vector,
     apply,
@@ -59,6 +60,11 @@ class CriterionInstance(Record):
         for field in ("decay_vectors", "target_vectors"):
             if not getattr(self, field):
                 raise PreconditionError(f"{field}: the test family is empty")
+        acts_on, dom = self.right_inverse.operator_domain(), self.operator.operator_domain()
+        if acts_on != dom:
+            raise DomainMismatchError(
+                f"right_inverse: acts on {acts_on!r}, but operator acts on {dom!r}"
+            )
         idx = list(self.indices)
         if idx != sorted(set(idx)) or any(i < 0 for i in idx) or not idx:
             raise PreconditionError("indices: must be strictly increasing and nonnegative")

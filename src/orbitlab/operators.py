@@ -351,7 +351,9 @@ class OperatorSpec(jsonio.Family):
 
 
 def _shift_power(op, n: int, v: Vector, outer: tuple) -> SeqVector:
-    """The shifts' _power: each entry follows its own path (see power_apply)."""
+    """The shifts' _power: each entry follows its own path (see power_apply).
+    _walk drops zeros and applies `0 + c` itself, and the indices move in
+    order, so the entries are already those _from_sorted would keep."""
     if not on_domain(v, op.domain):
         raise DomainMismatchError(f"operator expects a {op.domain!r} sequence vector")
     weights = getattr(op, "weights", None)
@@ -363,7 +365,7 @@ def _shift_power(op, n: int, v: Vector, outer: tuple) -> SeqVector:
         moved = _walk(i, c, n, op.step, weights, outer)
         if moved is not None:
             out.append(moved)
-    return SeqVector._from_sorted(op.domain, out)
+    return SeqVector(op.domain, tuple(out))
 
 
 def _shift_norm_bound(op, n: int) -> float:
@@ -507,7 +509,7 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
 
 def apply(op: OperatorSpec, v: Vector) -> Vector:
     """Exact image of v under op; raises DomainMismatchError on shape errors."""
-    return op.apply(v)
+    return op._power(1, v, ())
 
 
 def power_apply(op: OperatorSpec, n: int, v: Vector) -> Vector:

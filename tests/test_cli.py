@@ -558,6 +558,12 @@ def _spiral_density(window, set_=None):
         # ... and endpoints that do not meet
         ({"command": "winding", "curve": {"kind": "sampled", "points": [
             [1.0, 0.0], [0.0, 1.0]]}}, "curve"),
+        # criterion: a right inverse on another domain, refused before the walk
+        (_edited("criterion_rolewicz", lambda c: c.update(
+            right_inverse={"kind": "scalar_on_c", "value": [0.5, 0.0]})), "right_inverse"),
+        # density: a direct sum, refused before the orbit walk
+        (_edited("spiral_density", lambda c: c.update(
+            operator=_DIRECT_SUM, base_point=_DIRECT_SUM_POINT)), "operator"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

@@ -360,6 +360,39 @@ def test_builds_match_the_per_probe_reference(build, reference, sampler, targets
     assert list(trace.conditions) == conditions
 
 
+_UNI_PARTS = st.sampled_from([0.0, 0.3, -1.0, 1.0, 2.0**-40, 7.5, -(2.0**30)])
+
+
+@st.composite
+def _unilateral_cases(draw):
+    """An unbounded sampler and one to seven nonzero unilateral targets."""
+    sampler = draw(st.sampled_from(
+        [positive_ray(), Geometric(2.0), Geometric(3.0), Geometric(-2.5), Geometric(1.5 + 1.25j)]))
+    vectors = []
+    for _ in range(draw(st.integers(1, 7))):
+        entries = draw(st.dictionaries(
+            st.integers(0, 6), st.builds(complex, _UNI_PARTS, _UNI_PARTS), min_size=1, max_size=3))
+        v = SeqVector.make("uni", list(entries.items()))
+        assume(not v.is_zero)
+        vectors.append(v)
+    return sampler, TargetFamily(tuple(vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unilateral_cases())
+def test_unilateral_conditions_match_the_pairwise_checks(case):
+    # each stage's modulus against every earlier one, from the reported choices
+    sampler, targets = case
+    stages = len(targets) - 1
+    trace = build_unilateral(sampler, targets, stages)
+    msqs = [c.modulus_sq() for c in trace.choices]
+    for k, cond in enumerate(trace.conditions):
+        scaled = xvec_norm_sq(xvec_from_seq(targets[k])) * X2.pow2(2 * k)
+        assert cond["target_small"] == (scaled < msqs[k])
+        assert cond["dominates_previous"] == all(
+            msqs[i] * scaled < msqs[k] for i in range(k))
+
+
 @pytest.fixture(scope="module")
 def trace():
     fam = default_target_family(16, "bi")

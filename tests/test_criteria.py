@@ -147,15 +147,16 @@ class TestValidation:
             )
 
     def test_domain_mismatch_is_reported(self):
-        inst = CriterionInstance(
-            operator=BackwardShift(),
-            right_inverse=ScalarOnC(0.5),
-            decay_vectors=BASIS6,
-            target_vectors=BASIS6,
-            indices=(0, 1, 2),
-        )
-        with pytest.raises(DomainMismatchError):
-            check_criterion(inst)
+        # refused when the instance is built, before any walk
+        with pytest.raises(DomainMismatchError, match="^right_inverse: acts on 'scalar', but "
+                           "operator acts on 'uni'$"):
+            CriterionInstance(
+                operator=BackwardShift(),
+                right_inverse=ScalarOnC(0.5),
+                decay_vectors=BASIS6,
+                target_vectors=BASIS6,
+                indices=(0, 1, 2),
+            )
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

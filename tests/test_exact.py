@@ -5,7 +5,14 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitlab import _exact
+from orbitlab import (
+    Geometric,
+    _exact,
+    build_bilateral,
+    build_unilateral,
+    default_target_family,
+    positive_ray,
+)
 from orbitlab._exact import X2, _two_val, cell_sum, x2_sum
 
 
@@ -43,6 +50,60 @@ _mantissas = st.one_of(_small, _odd, _even, _kilobit)
 @settings(max_examples=400, deadline=None)
 def test_x2_init_matches_two_adic_canonical_form(num, den, exp):
     assert _parts(X2(num, den, exp)) == _canonical(num, den, exp)
+
+
+# ---------------------------------------------------------------------------
+# products, differences and order of canonical values
+
+
+def _values(exps):
+    """Canonical values built by __init__: zero, negatives, odd denominators."""
+    return st.builds(X2, _mantissas, _mantissas.filter(bool), exps)
+
+
+_wide = st.integers(-(1 << 40), 1 << 40)
+
+
+@given(a=_values(_wide), b=_values(_wide))
+@example(a=X2(0), b=X2(-3, 5, 7))
+@example(a=X2(-3, 5, 7), b=X2(0))
+@settings(max_examples=400, deadline=None)
+def test_products_keep_the_canonical_triple(a, b):
+    assert _parts(a * b) == _parts(X2(a.num * b.num, a.den * b.den, a.exp + b.exp))
+    assert _parts(X2.ZERO) == (0, 1, 0)
+
+
+# a sum aligns the exponents, so their gap stays small here
+@given(a=_values(st.integers(-2000, 2000)), b=_values(st.integers(-2000, 2000)))
+@example(a=X2(0), b=X2(-3, 5, 7))
+@example(a=X2(-3, 5, 7), b=X2(0))
+@example(a=X2(0), b=X2(0))
+@settings(max_examples=400, deadline=None)
+def test_differences_are_sums_of_the_negation(a, b):
+    assert _parts(a - b) == _parts(a + (-b))
+
+
+# exponents close together, so that the magnitude brackets often overlap
+# and the mantissas decide
+_near = st.builds(X2, _small, _small.filter(bool), st.integers(-80, 80))
+
+
+@given(a=_near, b=_near)
+@example(a=X2(3, 5, 0), b=X2(6, 10, 0))
+@example(a=X2(-1, 3, 0), b=X2(-1, 3, 1))
+@settings(max_examples=400, deadline=None)
+def test_order_agrees_with_fractions(a, b):
+    fa, fb = a.to_fraction(), b.to_fraction()
+    assert a._cmp(b) == (fa > fb) - (fa < fb)
+    assert (a < b, a <= b, a == b, a >= b, a > b) == (
+        fa < fb, fa <= fb, fa == fb, fa >= fb, fa > fb)
+
+
+def test_shared_zero_is_unchanged_by_builds():
+    build_bilateral(Geometric(0.5), default_target_family(11, "bi"), 10)
+    build_unilateral(positive_ray(), default_target_family(11, "uni"), 10)
+    assert _parts(X2.ZERO) == (0, 1, 0)
+    assert _parts(X2(0) * X2(5, 3, 9)) == (0, 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -449,3 +449,36 @@ class TestSerialization:
     def test_unilateral_rejects_negative_indices(self):
         with pytest.raises(ValueError):
             SeqVector.make("uni", [(-1, 1.0)])
+
+
+# parts that underflow to zero under a weight or factor, and -0.0 parts
+_SHIFT_PARTS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.3, -1.0, 7.5, 1e300])
+
+
+@st.composite
+def _shift_actions(draw):
+    """A catalog shift, bare or inside one or two scalar multiples, and a
+    vector on its domain stored as given (bypassing make()), so that its
+    parts may be -0.0."""
+    op = draw(st.sampled_from([B, F, WeightedBackward, WeightedForward]))
+    if op not in (B, F):
+        op = op(draw(_weights()))
+    for factor in draw(st.lists(st.sampled_from(_ODD_SCALARS), max_size=2)):
+        op = ScalarMultiple(factor, op)
+    domain = op.operator_domain()
+    indices = sorted(draw(st.sets(st.integers(0 if domain == "uni" else -12, 12), max_size=6)))
+    values = [complex(draw(_SHIFT_PARTS), draw(_SHIFT_PARTS)) for _ in indices]
+    return op, SeqVector(domain, tuple((i, c) for i, c in zip(indices, values) if c != 0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shift_actions(), st.integers(1, 3))
+def test_shift_images_are_canonical_entries_in_index_order(case, n):
+    # the form make() gives: nonzero entries, no -0.0 part, indices ascending
+    op, v = case
+    for image in (apply(op, v), power_apply(op, n, v)):
+        indices = [i for i, _ in image.entries]
+        assert indices == sorted(set(indices))
+        for _, c in image.entries:
+            assert c != 0
+            assert all(p != 0 or math.copysign(1.0, p) > 0 for p in (c.real, c.imag))
