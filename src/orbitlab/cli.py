@@ -144,11 +144,10 @@ def _cmd_density(cfg: dict, out: "_Output") -> dict:
 
 def _heatmap_csv(report) -> str:
     lines = ["grid_point,distance"]
-    for coords, dist in report.heatmap_rows():
-        flat = ";".join(
-            f"{jsonio.format_float(z.real)},{jsonio.format_float(z.imag)}" for z in coords
-        )
-        lines.append(f"{flat},{jsonio.format_float(dist)}")
+    for point, dist in report.heatmap_rows():
+        parts = [jsonio.format_float(x) for x in (*point, dist)]
+        # re,im of each coordinate, ";" between coordinates, then the distance
+        lines.append(";".join(map(",".join, zip(*[iter(parts)] * 2))) + "," + parts[-1])
     return "\n".join(lines) + "\n"
 
 

@@ -421,6 +421,9 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
     # largest of the stage's demands.
     tops = [X2.ZERO]
     top_log = -math.inf
+    # reaches[k] is the largest shifts[i] + degrees[i] over i < k (-1 when
+    # k = 0): stage k's shift is one past it
+    reaches = [-1]
 
     def dominant(k: int, msq: X2) -> dict:
         # conditions (i) and (ii) of stage k for the squared modulus msq
@@ -438,13 +441,13 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
             lambda msq: all(dominant(k, msq).values()),
             "scalar set must have unbounded modulus: no scalar of the required size is available",
         )
-        shifts.append(0 if k == 0 else max(shifts[i] + degrees[i] for i in range(k)) + 1)
+        shifts.append(reaches[k] + 1)
+        reaches.append(max(reaches[k], shifts[k] + degrees[k]))
         tops.append(max(tops[k], msqs[k]))
         top_log = max(top_log, msqs[k].log2())
 
     def conditions(k: int) -> dict:
-        gap = all(shifts[k] > shifts[i] + degrees[i] for i in range(k))
-        return {**dominant(k, msqs[k]), "shift_gap": gap}
+        return {**dominant(k, msqs[k]), "shift_gap": shifts[k] > reaches[k]}
 
     return run.trace(lambda k: X2.pow2(-2 * k), conditions)
 
@@ -467,13 +470,14 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
         )
     msqs, shifts, norm_sqs, degrees = run.msqs, run.shifts, run.norm_sqs, run.degrees
     norms = [_ShiftNorms(items) for items in run.items]
+    # per fixed stage i: log2 |gamma_i|, m_i + d_i and log2 ||y_i||
+    logs: list[tuple[float, int, float]] = []
 
     for k in range(stages + 1):
         # a-priori forward-cross bound: |gamma_k| < 2^-k |gamma_i| / (2^{m_i+d_i} ||y_i||)
         cap = 0.0
-        for i in range(k):
-            gi = msqs[i].log2() / 2.0
-            cap = min(cap, -k + gi - (shifts[i] + degrees[i]) - norm_sqs[i].log2() / 2.0)
+        for g_i, reach_i, n_i in logs:
+            cap = min(cap, -k + g_i - reach_i - n_i)
         msq = run.pick(
             lambda want: pick_modulus_at_most(sampler, want),
             cap - 1.0,  # factor 1/2 slack
@@ -498,6 +502,7 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
                 f"2**{SHIFT_CAP.bit_length() - 1} (stage {k} needs {m_k})"
             )
         shifts.append(m_k)
+        logs.append((msq.log2() / 2.0, m_k + degrees[k], norm_sqs[k].log2() / 2.0))
 
     def conditions(k: int) -> dict:
         m_k, msq, y_k = shifts[k], msqs[k], norms[k]

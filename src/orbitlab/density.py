@@ -79,23 +79,29 @@ class OrbitCloud(Record):
             (n, g, vector_scale(g, it)) for n, it in enumerate(self.iterates) for g in self.gammas
         )
 
-    def section_coords(self, section: tuple[int, ...]) -> list[tuple[complex, ...]]:
-        """[project(p, section) for _, _, p in self.samples], bit for bit,
-        with only the section's coordinates scaled: vector_scale keeps
-        0 + g*v where g*v != 0 and drops the entry otherwise, which project
-        reads as 0j; a number is scaled to g*v as it is."""
+    def section_coords(self, section: tuple[int, ...]) -> list[float]:
+        """The real and imaginary parts of project(p, section) for every p in
+        self.samples, in order and bit for bit, with only the section's
+        coordinates scaled: vector_scale keeps 0 + g*v where g*v != 0 and
+        drops the entry otherwise, which project reads as 0j; a number is
+        scaled to g*v as it is."""
         out = []
         for it in self.iterates:
             if isinstance(it, SeqVector):
                 d = it.as_dict()
                 coords = [d.get(i) for i in section]
                 for g in self.gammas:
-                    out.append(
-                        tuple(0j if v is None or (w := g * v) == 0 else 0 + w for v in coords)
-                    )
+                    for v in coords:
+                        if v is None or (w := g * v) == 0:
+                            out += (0.0, 0.0)
+                        else:
+                            w = 0 + w
+                            out += (w.real, w.imag)
             else:
                 (z,) = project(it, section)  # a number; a direct sum is refused
-                out.extend((g * z,) for g in self.gammas)
+                for g in self.gammas:
+                    w = g * z
+                    out += (w.real, w.imag)
         return out
 
 
@@ -178,11 +184,12 @@ class DensityReport(Record):
     witness_ball: Optional[Ball]
     miss_witnesses: tuple[Miss, ...]
     # full scan data for the heat-map export; omitted from the JSON summary
-    grid_points: tuple[tuple[complex, ...], ...] = Field((), omit=True)
+    grid_points: tuple[tuple[float, ...], ...] = Field((), omit=True)
     distances: tuple[float, ...] = Field((), omit=True)
 
     def heatmap_rows(self):
-        """(grid point coords, nearest-sample distance) for every grid point."""
+        """(grid point, nearest-sample distance) for every grid point, the
+        point as the real and imaginary parts of its coordinates."""
         return tuple(zip(self.grid_points, self.distances))
 
 
@@ -248,21 +255,18 @@ def epsilon_density(
         raise EmptyCloudError("orbit cloud has no samples")
 
     grid, indices = _ball_grid(center, radius, grid_step)
-    projected = cloud.section_coords(section)
+    axes = _flat([center])
+    dim = len(axes)
+    flat = cloud.section_coords(section)
     # bounding-box prefilter: anything farther than radius+epsilon from the
     # ball on some axis can never cover a grid point at epsilon
-    keep: list[tuple[complex, ...]] = []
     reach = radius + epsilon
-    for coords in projected:
-        if all(
-            abs(z.real - c.real) <= reach and abs(z.imag - c.imag) <= reach
-            for z, c in zip(coords, center)
-        ):
-            keep.append(coords)
-    if not keep:
-        keep = projected
-
-    dists = nearest_distances([v for pt in grid for v in pt], _flat(keep), 2 * len(section))
+    near = [abs(x - c) <= reach for x, c in zip(flat, itertools.cycle(axes))]
+    # a sample is kept when all dim of its floats are near
+    keep = list(itertools.chain.from_iterable(
+        itertools.compress(zip(*[iter(flat)] * dim), map(all, zip(*[iter(near)] * dim)))
+    ))
+    dists = nearest_distances(list(itertools.chain.from_iterable(grid)), keep or flat, dim)
 
     covered_flags = [d <= epsilon for d in dists]
     covered = sum(covered_flags)
@@ -286,7 +290,7 @@ def epsilon_density(
         verdict=verdict,
         witness_ball=witness,
         miss_witnesses=tuple(Miss(_floats_to_coords(grid[i]), dists[i]) for i in misses),
-        grid_points=tuple(_floats_to_coords(pt) for pt in grid),
+        grid_points=tuple(grid),
         distances=tuple(dists),
     )
 
@@ -297,7 +301,7 @@ def _flat(points) -> list[float]:
 
 
 def _floats_to_coords(pt: tuple[float, ...]) -> tuple[complex, ...]:
-    return tuple(complex(pt[2 * i], pt[2 * i + 1]) for i in range(len(pt) // 2))
+    return tuple(map(complex, pt[::2], pt[1::2]))
 
 
 def _somewhere_witness(grid, indices, covered_flags, radius, grid_step):

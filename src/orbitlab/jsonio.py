@@ -9,10 +9,11 @@ It also owns the package's value classes and the one codec between Python
 values and JSON values. A Record reads its annotated fields once, when its
 class is made, and shares one __init__, __eq__, __hash__ and __repr__
 among all records, with no code generated per class. dumps is the one
-writer: one walk writes the JSON leaves and containers it meets, and any
-other value through its one-level JSON form (_json_value). decode is the one
-reader: it builds a record from its field types, refusing keys it does not
-declare and naming the path of the first malformed value.
+writer: one walk writes the JSON leaves and containers, complex numbers and
+NamedTuples it meets, and any other value through its one-level JSON form
+(_json_value). decode is the one reader: it builds a record from its field
+types, refusing keys it does not declare and naming the path of the first
+malformed value.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ class PreconditionError(ValueError):
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise PreconditionError(f"non-finite float {x!r} cannot appear in a report")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         # keep an explicit ".0" so the value reads back as a float
         return f"{x:.1f}"
     return format(x, ".17g")
@@ -63,25 +64,7 @@ def _encode(obj, parts: list[str], pad: str) -> None:
     leaf = _LEAF_TEXT.get(type(obj))
     if leaf is not None:
         parts.append(leaf(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = pad + "  "
-        sep = ",\n" + inner
-        parts.append("{\n" + inner)
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(_quote(key) + ": ")
-            leaf = _LEAF_TEXT.get(type(value))
-            if leaf is None:
-                _encode(value, parts, inner)
-            else:
-                parts.append(leaf(value))
-            parts.append(sep)
-        parts[-1] = "\n" + pad + "}"
-    elif type(obj) in (list, tuple):  # a NamedTuple is an object, below
+    elif type(obj) in (list, tuple):
         if not obj:
             parts.append("[]")
             return
@@ -96,6 +79,28 @@ def _encode(obj, parts: list[str], pad: str) -> None:
                 parts.append(leaf(value))
             parts.append(sep)
         parts[-1] = "\n" + pad + "]"
+    elif isinstance(obj, complex):
+        inner = pad + "  "
+        re, im = format_float(obj.real), format_float(obj.imag)
+        parts.append(f"[\n{inner}{re},\n{inner}{im}\n{pad}]")
+    elif isinstance(obj, (dict, tuple)):  # a tuple here is a NamedTuple: an object of its fields
+        if not obj:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        parts.append("{\n" + inner)
+        for key, value in zip(obj._fields, obj) if isinstance(obj, tuple) else obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            parts.append(_quote(key) + ": ")
+            leaf = _LEAF_TEXT.get(type(value))
+            if leaf is None:
+                _encode(value, parts, inner)
+            else:
+                parts.append(leaf(value))
+            parts.append(sep)
+        parts[-1] = "\n" + pad + "}"
     elif isinstance(obj, int):
         parts.append(format_int(obj))
     elif isinstance(obj, float):
@@ -239,13 +244,9 @@ class Family(Record):
 
 
 def _json_value(obj):
-    """The JSON form, one level deep, of a value of no JSON type: [re, im]
-    for a complex number, an object of fields for a NamedTuple or a record
-    (led by "kind" in a family), or what a to_json method returns."""
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, tuple):
-        return dict(zip(obj._fields, obj))
+    """The JSON form, one level deep, of a value that _encode does not write
+    itself: what a to_json method returns, or an object of a record's fields
+    (led by "kind" in a family)."""
     if hasattr(obj, "to_json"):
         return obj.to_json()
     if not isinstance(obj, Record):

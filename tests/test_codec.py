@@ -509,6 +509,40 @@ def test_dumps_matches_the_plain_recursive_encoder(obj):
     assert _outcome(jsonio.dumps, obj) == _outcome(_reference_dumps, obj)
 
 
+def _plain_format_float(x):
+    """The report's float text, as first written: ".1f" for an integral
+    value below 1e16 in size, keeping the ".0" that reads back as a float,
+    else 17 significant digits."""
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, math.nextafter(2.0**-1022, 0.0), -1e-310,
+    *(x for c in (1e16, -1e16) for x in (c, math.nextafter(c, 0.0), math.nextafter(c, 2 * c))),
+    *(float(s * (2**53 + d)) for s in (1, -1) for d in (-1, 0, 1, 2)),
+    math.nextafter(2.0**53, 0.0), 0.5, -2.5, 1e308, -1.7976931348623157e308,
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS)),
+    st.sampled_from([float, _Float]),
+)
+def test_format_float_matches_the_plain_formula(x, kind):
+    x = kind(x)
+    assert jsonio.format_float(x) == _plain_format_float(x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, _Float("nan"), _Float("-inf")])
+def test_format_float_refuses_a_non_finite_float(x):
+    with pytest.raises(jsonio.PreconditionError) as info:
+        jsonio.format_float(x)
+    assert str(info.value) == f"non-finite float {x!r} cannot appear in a report"
+
+
 def _assert_rewrites_itself(obj):
     # what dumps writes reads back as plain JSON values that dumps writes
     # to the same text

@@ -386,11 +386,14 @@ def test_unilateral_conditions_match_the_pairwise_checks(case):
     stages = len(targets) - 1
     trace = build_unilateral(sampler, targets, stages)
     msqs = [c.modulus_sq() for c in trace.choices]
+    shifts = [c.shift for c in trace.choices]
     for k, cond in enumerate(trace.conditions):
         scaled = xvec_norm_sq(xvec_from_seq(targets[k])) * X2.pow2(2 * k)
         assert cond["target_small"] == (scaled < msqs[k])
         assert cond["dominates_previous"] == all(
             msqs[i] * scaled < msqs[k] for i in range(k))
+        assert cond["shift_gap"] == all(
+            shifts[k] > shifts[i] + targets[i].degree() for i in range(k))
 
 
 @pytest.fixture(scope="module")

@@ -88,7 +88,7 @@ class TestGenerateOrbit:
         assert len(cloud) == 15
         coords = cloud.section_coords((2,))
         monkeypatch.undo()
-        assert coords == [density.project(p, (2,)) for _, _, p in cloud.samples]
+        assert _hex(coords) == _flat_bits([density.project(p, (2,)) for _, _, p in cloud.samples])
 
 
 # parts whose products underflow to (signed) zeros, land among the
@@ -127,13 +127,18 @@ def _projection_case(draw):
     return cloud, section
 
 
-def _coord_bits(points):
-    return [[(z.real.hex(), z.imag.hex()) for z in p] for p in points]
+def _hex(floats):
+    return [x.hex() for x in floats]
+
+
+def _flat_bits(points):
+    """The bits of the real and imaginary parts of every coordinate, in order."""
+    return _hex(x for p in points for z in p for x in (z.real, z.imag))
 
 
 def _or_error(fn):
     try:
-        return _coord_bits(fn())
+        return fn()
     except ValueError as exc:
         return type(exc)
 
@@ -150,8 +155,8 @@ def _or_error(fn):
 ))
 def test_section_coords_match_projected_samples(case):
     cloud, section = case
-    want = _or_error(lambda: [density.project(p, section) for _, _, p in cloud.samples])
-    assert _or_error(lambda: cloud.section_coords(section)) == want
+    want = _or_error(lambda: _flat_bits(density.project(p, section) for _, _, p in cloud.samples))
+    assert _or_error(lambda: _hex(cloud.section_coords(section))) == want
 
 
 def test_direct_sum_cloud_is_refused():
@@ -211,7 +216,12 @@ class TestEpsilonDensity:
         # covered fraction agrees with the witness count
         assert rep.grid_count - rep.covered_count == len(rep.miss_witnesses)
         assert rep.covered_fraction == rep.covered_count / rep.grid_count
-        assert len(rep.heatmap_rows()) == rep.grid_count
+        # each row is a grid point's floats and its kernel distance, bit for bit
+        grid, _ = density._ball_grid((5.0 + 0j,), 0.3, 0.1)
+        rows = rep.heatmap_rows()
+        assert [_hex(pt) for pt, _ in rows] == [_hex(pt) for pt in grid]
+        flat_grid = [x for pt in grid for x in pt]
+        assert _hex(d for _, d in rows) == _hex(density.nearest_distances(flat_grid, [1.0, 0.0], 2))
 
     def test_half_covered_ball_yields_witness(self):
         pts = [
