@@ -245,6 +245,15 @@ class XC:
     def is_zero(self) -> bool:
         return self.re.is_zero and self.im.is_zero
 
+    @property
+    def on_dyadic_axis(self) -> bool:
+        """Both dens 1 and a part zero. Then (c.scale(X2.pow2(e)) * self).mod_sq()
+        has the triple of X2(m.num, m.den, m.exp + 2e), m = c.mod_sq() * self.mod_sq(),
+        as the product scales c's parts by self's one odd mantissa g (a zero factor or
+        summand passes the other through) and mod_sq's sum strips powers of two only,
+        none of them from g^2. Other values mix the parts' denominators: it differs."""
+        return self.re.den == self.im.den == 1 and not (self.re.num and self.im.num)
+
     def __add__(self, other: "XC") -> "XC":
         return XC(self.re + other.re, self.im + other.im)
 

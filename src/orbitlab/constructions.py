@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from . import jsonio
@@ -372,11 +372,21 @@ class _Stages:
             for j, c in _shift(t, -m, self.domain).items():
                 term = c * inv
                 x[j] = x[j] + term if j in x else term
+        # (j, |x_j|^2) for XC.on_dyadic_axis picks; a zero x_j adds no term (0 * g - c is -c)
+        sqs = [(j, x[j].mod_sq()) for j in sorted(x) if not x[j].is_zero]
         terms, sums, conds = [], [], []
-        for k, (gx, m) in enumerate(zip(self.scalars, self.shifts)):
-            scaled = {j: c * gx for j, c in _shift(x, m, self.domain).items()}
-            diff = xvec_sub(scaled, self.targets[k])
-            terms.append(tuple(diff[i].mod_sq() for i in sorted(diff)))
+        for k, (g, m, msq, t) in enumerate(zip(self.scalars, self.shifts, self.msqs, self.targets)):
+            # B^m drops the unilateral entries below m
+            lo = bisect_left(sqs, m, key=lambda p: p[0]) if self.domain == UNILATERAL else 0
+            axis, row, near = g.on_dyadic_axis, {}, {}
+            for j, xm in sqs[lo:]:
+                if axis and j - m not in t:
+                    row[j - m] = _times_4_pow(xm * msq, _weight_log2(self.domain, j, m))
+                else:
+                    near[j] = x[j]
+            diff = xvec_sub({j: c * g for j, c in _shift(near, m, self.domain).items()}, t)
+            row.update((i, c.mod_sq()) for i, c in diff.items())
+            terms.append(tuple(row[i] for i in sorted(row)))
             limit = bound(k)
             sums.append(cell_sum(terms[k], limit))
             if not sums[k] <= limit:
@@ -482,10 +492,7 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
             lambda want: pick_modulus_at_most(sampler, want),
             cap - 1.0,  # factor 1/2 slack
             -1.0,
-            lambda s: all(
-                s * X2.pow2(2 * (shifts[i] + degrees[i]) + 2 * k) * norm_sqs[i] < msqs[i]
-                for i in range(k)
-            ),
+            lambda s: not k or s * X2.pow2(2 * k) < room,
             "scalar set must have positive moduli accumulating at 0: no "
             "scalar of the required smallness is available",
         )
@@ -502,6 +509,9 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
                 f"2**{SHIFT_CAP.bit_length() - 1} (stage {k} needs {m_k})"
             )
         shifts.append(m_k)
+        # s 4^k < room, the least |gamma_i|^2 / (4^{m_i+d_i} ||y_i||^2), is each forward-cross test
+        gap = msq / _times_4_pow(norm_sqs[k], m_k + degrees[k])
+        room = min(room, gap) if k else gap
         logs.append((msq.log2() / 2.0, m_k + degrees[k], norm_sqs[k].log2() / 2.0))
 
     def conditions(k: int) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -304,6 +305,15 @@ def _floats_to_coords(pt: tuple[float, ...]) -> tuple[complex, ...]:
     return tuple(map(complex, pt[::2], pt[1::2]))
 
 
+@functools.lru_cache(maxsize=16)
+def _stencil(reach: float, dim: int) -> tuple[tuple[int, ...], ...]:
+    """Offsets of length <= reach, nearest first: an uncovered one ends a scan early."""
+    w, top, out = int(reach), reach * reach, [((), 0)]
+    for _ in range(dim):  # in product order, as ties stay; no prefix past reach grows
+        out = [(d + (k,), n + k * k) for d, n in out for k in range(-w, w + 1) if n + k * k <= top]
+    return tuple(d for d, _ in sorted(out, key=operator.itemgetter(1)))
+
+
 def _somewhere_witness(grid, indices, covered_flags, radius, grid_step):
     """First grid point whose surrounding sub-ball of grid points is fully
     covered (at least 3 of them), if any.
@@ -318,13 +328,7 @@ def _somewhere_witness(grid, indices, covered_flags, radius, grid_step):
     sub_r = max(2.0 * grid_step, radius / 4.0)
     sub_rsq = sub_r * sub_r * (1.0 + 1e-12)
     reach = sub_r / grid_step + 1.0
-    w = int(reach)
-    # nearest offsets first: an uncovered neighbour ends a point's scan early
-    stencil = sorted(
-        (d for d in itertools.product(range(-w, w + 1), repeat=len(indices[0]))
-         if sum(k * k for k in d) <= reach * reach),
-        key=lambda d: sum(k * k for k in d),
-    )
+    stencil = _stencil(reach, len(indices[0]))
     position = {idx: j for j, idx in enumerate(indices)}
     for i, pt in enumerate(grid):
         if not covered_flags[i]:

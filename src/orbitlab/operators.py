@@ -356,6 +356,8 @@ def _shift_power(op, n: int, v: Vector, outer: tuple) -> SeqVector:
     order, so the entries are already those _from_sorted would keep."""
     if not on_domain(v, op.domain):
         raise DomainMismatchError(f"operator expects a {op.domain!r} sequence vector")
+    if not v.entries:
+        return v
     weights = getattr(op, "weights", None)
     out = []
     for i, c in v.entries:

@@ -31,7 +31,7 @@ from orbitlab import (
     power_apply,
     spiral_distance_to,
 )
-from orbitlab._exact import X2, xvec_from_seq, xvec_norm_sq
+from orbitlab._exact import X2, XC, xvec_from_seq, xvec_norm_sq, xvec_sub
 from orbitlab import jsonio
 from orbitlab.constructions import _shift, _ShiftNorms, _Stages, _weight_log2
 from orbitlab.scalar_sets import pick_modulus_at_least, pick_modulus_at_most
@@ -344,11 +344,13 @@ _WIDE = TargetFamily(tuple(SeqVector.make("bi", entries) for entries in (
         (build_bilateral, _reference_bilateral, Geometric(0.5), default_target_family(23, "bi")),
         (build_bilateral, _reference_bilateral, Geometric(0.25j), default_target_family(13, "bi")),
         (build_bilateral, _reference_bilateral, Geometric(0.3), default_target_family(6, "bi")),
+        (build_bilateral, _reference_bilateral, Geometric(0.3 + 0.4j), default_target_family(6, "bi")),
         (build_bilateral, _reference_bilateral, Geometric(0.5), _WIDE),
         (build_bilateral, _reference_bilateral, Geometric(0.3), _WIDE),
         (build_unilateral, _reference_unilateral, positive_ray(), default_target_family(21, "uni")),
         (build_unilateral, _reference_unilateral, Geometric(2.0), default_target_family(21, "uni")),
         (build_unilateral, _reference_unilateral, Geometric(1 / 0.3), default_target_family(6, "uni")),
+        (build_unilateral, _reference_unilateral, Geometric(1.5 + 1.25j), default_target_family(6, "uni")),
     ],
 )
 def test_builds_match_the_per_probe_reference(build, reference, sampler, targets):
@@ -358,6 +360,25 @@ def test_builds_match_the_per_probe_reference(build, reference, sampler, targets
     assert [c.shift for c in trace.choices] == shifts
     assert [_bits(c.scalar) for c in trace.choices] == [_bits(g) for g in scalars]
     assert list(trace.conditions) == conditions
+    # every residual term's (num, den, exp), not only its value
+    got = [[(t.num, t.den, t.exp) for t in terms] for terms in trace.residual_terms]
+    assert got == _reference_terms(targets, scalars, shifts)
+
+
+def _reference_terms(targets, scalars, shifts):
+    """Each stage's residual terms multiplied out: B^m x entry by entry times
+    gamma_k, minus y_k, each entry's mod_sq() by sorted index."""
+    domain, ys = targets.domain, [xvec_from_seq(v) for v in targets.vectors]
+    x = {}
+    for y, g, m in zip(ys, scalars, shifts):
+        inv = XC(X2.ONE, X2.ZERO) / g
+        for j, c in _shift(y, -m, domain).items():
+            x[j] = x[j] + c * inv if j in x else c * inv
+    out = []
+    for y, g, m in zip(ys, scalars, shifts):
+        diff = xvec_sub({j: c * g for j, c in _shift(x, m, domain).items()}, y)
+        out.append([(t.num, t.den, t.exp) for t in (diff[i].mod_sq() for i in sorted(diff))])
+    return out
 
 
 _UNI_PARTS = st.sampled_from([0.0, 0.3, -1.0, 1.0, 2.0**-40, 7.5, -(2.0**30)])
