@@ -7,17 +7,47 @@ five indices. The trend guard blocks false positives from residuals that dip
 momentarily while diverging. Right inverses are given symbolically as an
 operator S with S_{n} = S^n (for example S = F/2 against 2B).
 
-The round trips are telescoped along the index sequence. For consecutive
-indices p < n, b = T^(n-p) S^n y is computed first. Where b holds the same
-bits as S^p y, T^n S^n y = T^p b is bit for bit T^p S^p y, so the miss at p
-is reused; otherwise T^p b finishes the n steps. power_apply equals n calls
-of apply bit for bit, so both ways give the bits of the direct T^n S^n y.
-Reuse applies wherever S is an exact right inverse of T along the orbit of
-y (dyadic weights and factors, such as 2B with F/2, and many states of
-inexact pairs); there a round trip costs n - p steps instead of n, and a
+Closed form for dyadic pairs. T and S are dyadic chains
+(operators.DyadicChain) when every weight value, ScalarMultiple factor and
+ScalarOnC value is +-2^k or +-2^k i. Multiplying by such a number swaps and
+negates the parts of a complex value and scales them by 2^k: exact while a
+part is normal before and after, and a zero part stays zero, up to a sign
+that no norm sees. So while every nonzero part stays normal, the walk takes
+an entry (i, c) in n steps to (i + n*step, i^q 2^E c), with E and q summed
+along its path (DyadicChain.path), and the S rows and round trips are
+formed per entry from that rule. The inverse-decay trace norms the moved
+values with the walk's norms (operators.entries_norm, vector_norm on C and
+on direct sums). Where every entry returns to its index with the factor exactly 1
+(2B against F/2), T^n S^n y - y is empty and its norm 0.0; otherwise the
+moved image goes through vector_sub and vector_norm as in the walk.
+
+The range condition: along S^n and then T^n, after each weight and each
+factor inside a step, every nonzero part of every target entry must stay
+normal (binary exponent in [-1021, 1024]). The log2 of the partial products
+is linear along each run of equal weights, so DyadicChain.path finds its
+extremes at the run ends, widened by the factors' partial sums. On
+unweighted chains that drop no entry every entry moves alike, so one pair
+of paths per index serves all targets. Every listed index is formed in
+closed form before any trace is taken. One path out of range (2B against
+F/2 from index 1023 on, as 2^-1022 is the least normal float), a pair that
+is not dyadic, or a target off the domain sends the whole instance to the
+walk below, which gives the same report.
+
+The forward-decay trace always walks: _iterates makes one criteria.apply
+per index and vector. Under shifts such as 2B those vectors vanish within a
+few steps, so a closed form would save little there.
+
+The walk's round trips are telescoped along the index sequence. For
+consecutive indices p < n, b = T^(n-p) S^n y is computed first. Where b
+holds the same bits as S^p y, T^n S^n y = T^p b is bit for bit T^p S^p y,
+so the miss at p is reused; otherwise T^p b finishes the n steps.
+power_apply equals n calls of apply bit for bit, so both ways give the bits
+of the direct T^n S^n y. Reuse applies wherever S is an exact right inverse
+of T along the orbit of y (a dyadic pair past float range, and many states
+of inexact pairs); there a round trip costs n - p steps instead of n, and a
 full index sequence up to N costs O(N) steps per target instead of O(N^2).
-All three traces come from one walk: only the rows at the current and the
-previous index are held, so memory does not grow with N.
+The walk holds only the rows at the current and the previous index; the
+closed form holds two peaks per index.
 
 A residual norm that is not finite (an overflow to inf, or NaN) is refused
 at its index with NonFiniteResidualError naming its vector: max() would
@@ -26,15 +56,20 @@ hide a NaN (max(0.0, nan) is 0.0), and a report cannot hold either.
 
 from __future__ import annotations
 
+import cmath
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from .jsonio import PreconditionError, Record
 from .operators import (
     DomainMismatchError,
     OperatorSpec,
+    SeqVector,
     Vector,
     apply,
+    entries_norm,
+    on_domain,
     power_apply,
     vector_norm,
     vector_same,
@@ -68,6 +103,8 @@ class CriterionInstance(Record):
         idx = list(self.indices)
         if idx != sorted(set(idx)) or any(i < 0 for i in idx) or not idx:
             raise PreconditionError("indices: must be strictly increasing and nonnegative")
+        if not self.tolerance >= 0.0:  # NaN too: no residual is ever within it
+            raise PreconditionError(f"tolerance: must be nonnegative, got {self.tolerance!r}")
 
 
 class Traces(NamedTuple):
@@ -129,19 +166,118 @@ def _peak(norms, field: str, trace: str, n: int) -> float:
     return max(norms)
 
 
+def _closed_rows(inst: CriterionInstance):
+    """Per index, the norms of S^n y and of T^n S^n y - y in closed form (see
+    the module docstring), or None where the instance must walk. An index
+    whose norms are all finite yields only its two peaks; the rows end at
+    the first index with a non-finite norm, which yields its norms for _peak
+    to name."""
+    S, T = inst.right_inverse.dyadic_chain(), inst.operator.dyadic_chain()
+    dom, targets = inst.operator.operator_domain(), inst.target_vectors
+    if S is None or T is None or not all(on_domain(y, dom) for y in targets):
+        return None
+    s_peaks, trip_peaks, last, rooms = [], [], [], {}
+    # unweighted chains that drop no entry move every entry alike, so one
+    # pair of paths per index serves every target, against their least room
+    alike = (type(S) is not tuple and S.weights is T.weights is None and not S.drops
+             and (S.step > 0 or not T.drops) and all(type(y) is SeqVector for y in targets))
+    spans = [_room(c) for y in targets for _, c in y.entries] if alike else []
+    room = (max((f for f, _ in spans), default=-math.inf),
+            min((c for _, c in spans), default=math.inf))
+    for n in inst.indices:
+        rows = _alike(S, T, targets, n, room, rooms) if alike else [
+            _moved(S, T, y, n, rooms) for y in targets]
+        if rows is None or None in rows:
+            return None
+        s_norms, trip_norms = zip(*rows)
+        s_peak, trip_peak = max(s_norms), max(trip_norms)
+        if max(s_peak, trip_peak) == math.inf:  # in range, no norm is NaN
+            last.append((s_norms, trip_norms))
+            break
+        s_peaks.append(s_peak)
+        trip_peaks.append(trip_peak)
+    return chain((([s], [t]) for s, t in zip(s_peaks, trip_peaks)), last)
+
+
+def _moved(S, T, y: Vector, n: int, rooms: dict):
+    """(norm of S^n y, norm of T^n S^n y - y) for the chains S and T, or
+    None where a path leaves the normal range; rooms keeps _room of each
+    entry value."""
+    if type(y) is tuple:
+        blocks = [_moved(s, t, b, n, rooms) for s, t, b in zip(S, T, y)]
+        # vector_norm of a tuple of block norms is the direct-sum norm
+        return None if None in blocks else tuple(map(vector_norm, zip(*blocks)))
+    seq = type(y) is SeqVector
+    values, same = [], True
+    for i, c in y.entries if seq else ((0, y),):
+        p = S.path(i, n)
+        if p is None:
+            same = False
+            continue
+        r = T.path(i + p[0], n)
+        if c not in rooms:
+            rooms[c] = _room(c)
+        e, (floor, ceil) = p[1], rooms[c]
+        if p[3] < floor or p[4] > ceil or r and (e + r[3] < floor or e + r[4] > ceil):
+            return None
+        values.append((i, complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))))
+        same = same and r is not None and not (p[0] + r[0] or e + r[1] or (p[2] + r[2]) % 4)
+    if same:
+        return (entries_norm(values) if seq else vector_norm(values[0][1])), 0.0
+    image = []  # T^n S^n y: built only where it is not y
+    for i, c in y.entries if seq else ((0, y),):
+        p = S.path(i, n)
+        r = p and T.path(i + p[0], n)
+        if r:
+            image.append((i + p[0] + r[0], _times(c, p[1] + r[1], p[2] + r[2])))
+    image = SeqVector(y.domain, tuple(image)) if seq else image[0][1]
+    s_norm = entries_norm(values) if seq else vector_norm(values[0][1])
+    return s_norm, vector_norm(vector_sub(image, y))
+
+
+def _alike(S, T, targets, n: int, room: tuple, rooms: dict):
+    """_moved for every target, where S and T move every entry alike (see
+    _closed_rows) and room is the least _room of their entries."""
+    p = S.path(0, n)
+    r, (floor, ceil), e = T.path(p[0], n), room, p[1]
+    if min(p[3], e + r[3]) < floor or max(p[4], e + r[4]) > ceil:
+        return None
+    same = not (p[0] + r[0] or e + r[1] or (p[2] + r[2]) % 4)
+    return [(entries_norm([(i, complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)))
+                           for i, c in y.entries]),
+             0.0 if same else _moved(S, T, y, n, rooms)[1]) for y in targets]
+
+
+def _room(c: complex) -> tuple:
+    """(floor, ceil): every nonzero part of c times 2**e is a normal float
+    for floor <= e <= ceil; an empty range where a part is not finite."""
+    if not cmath.isfinite(c):
+        return math.inf, -math.inf
+    exps = [math.frexp(x)[1] for x in (c.real, c.imag) if x]
+    return (-1021 - min(exps), 1024 - max(exps)) if exps else (-math.inf, math.inf)
+
+
+def _times(c: complex, e: int, q: int) -> complex:
+    """i^q 2^e c, exactly where its parts stay normal."""
+    a, b = ((c.real, c.imag), (-c.imag, c.real), (-c.real, -c.imag), (c.imag, -c.real))[q % 4]
+    return complex(math.ldexp(a, e), math.ldexp(b, e))
+
+
 def check_criterion(inst: CriterionInstance) -> CriterionReport:
     """Evaluate the three residual traces along the instance's index sequence,
-    taking each index's peaks as the walk reaches it."""
+    taking each index's peaks as the decay walk reaches it."""
     op, indices, targets = inst.operator, inst.indices, inst.target_vectors
     decay_rows = _iterates(op, inst.decay_vectors, indices)
-    trips = _round_trips(op, _iterates(inst.right_inverse, targets, indices), targets, indices)
+    rows = _closed_rows(inst)
+    if rows is None:  # the walk
+        trips = _round_trips(op, _iterates(inst.right_inverse, targets, indices), targets, indices)
+        rows = ((list(map(vector_norm, s_row)), [r for _, r in trip]) for s_row, trip in trips)
     traces = Traces([], [], [])
-    for n, decay, (s_row, trip) in zip(indices, decay_rows, trips):
+    for n, decay, (s_norms, trip_norms) in zip(indices, decay_rows, rows):
         traces.forward_decay.append(
             _peak(list(map(vector_norm, decay)), "decay_vectors", "forward_decay", n))
-        traces.inverse_decay.append(
-            _peak(list(map(vector_norm, s_row)), "target_vectors", "inverse_decay", n))
-        traces.roundtrip.append(_peak([r for _, r in trip], "target_vectors", "roundtrip", n))
+        traces.inverse_decay.append(_peak(s_norms, "target_vectors", "inverse_decay", n))
+        traces.roundtrip.append(_peak(trip_norms, "target_vectors", "roundtrip", n))
     traces = Traces(*map(tuple, traces))
     finals = tuple(t[-1] for t in traces)
     tails = tuple(_tail_nonincreasing(t) for t in traces)

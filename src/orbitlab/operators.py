@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Optional, Union as TUnion
 
 from . import jsonio
@@ -99,11 +100,7 @@ class SeqVector(Record):
         return s
 
     def norm(self) -> float:
-        """sqrt(norm_sq()), rescaled where the squares leave float range."""
-        s = self.norm_sq()
-        if 0.0 < s < math.inf or not self.entries:
-            return math.sqrt(s)
-        return _rescaled_norm([v for _, v in self.entries], s)
+        return entries_norm(self.entries)
 
     def add(self, other: "SeqVector") -> "SeqVector":
         if other.domain != self.domain:
@@ -158,7 +155,22 @@ def vector_norm(v: Vector) -> float:
         for x in norms:
             s += _square(x)
         return math.sqrt(s) if 0.0 < s < math.inf else _rescaled_norm(norms, s)
-    return abs(v)
+    try:
+        return abs(v)
+    except OverflowError:  # finite parts whose modulus passes the largest float
+        return math.inf
+
+
+def entries_norm(entries) -> float:
+    """SeqVector.norm of these (index, value) entries: the root of their
+    squared moduli, added as in norm_sq, rescaled where those leave float
+    range."""
+    s = 0.0
+    for _, v in entries:
+        s += v.real * v.real + v.imag * v.imag
+    if 0.0 < s < math.inf or not entries:
+        return math.sqrt(s)
+    return _rescaled_norm([v for _, v in entries], s)
 
 
 def _rescaled_norm(parts, plain: float) -> float:
@@ -299,15 +311,24 @@ class WeightSpec(Record):
     def weight(self, i: int) -> complex:
         return self.values[bisect_right(self.breakpoints, i)]
 
+    def runs(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """(k, count) for each run of count equal weights values[k] in
+        lo..hi, in index order (none for an empty window)."""
+        if hi < lo:
+            return []
+        edges = [lo] + [b for b in self.breakpoints if lo < b <= hi] + [hi + 1]
+        return [(bisect_right(self.breakpoints, a), b - a) for a, b in zip(edges, edges[1:])]
+
     def window_product(self, lo: int, hi: int) -> complex:
         """Product of weight(i) for lo <= i <= hi (1 for an empty window)."""
-        if hi < lo:
-            return 1.0 + 0.0j
         prod = 1.0 + 0.0j
-        edges = [lo] + [b for b in self.breakpoints if lo < b <= hi] + [hi + 1]
-        for a, b in zip(edges, edges[1:]):
-            prod *= self.weight(a) ** (b - a)
+        for k, count in self.runs(lo, hi):
+            prod *= self.values[k] ** count
         return prod
+
+    def window_log2(self, lo: int, hi: int) -> float:
+        """log2 |window_product(lo, hi)|, summed run by run: it cannot overflow."""
+        return sum(count * math.log2(abs(self.values[k])) for k, count in self.runs(lo, hi))
 
     def inverse_shifted(self) -> "WeightSpec":
         """Weights nu with nu_i = 1/weight(i+1): the forward inverse of the
@@ -333,7 +354,10 @@ class OperatorSpec(jsonio.Family):
     Every variant implements _power(n, v, outer), its one action: op^n v for
     n >= 1, each step followed by the factors `outer` (inside out) of the
     scalar multiples around op; apply(v) is one step. Every variant also
-    implements power_norm_bound(n) (see the module functions). The shifts
+    implements power_norm_bound(n) and its log2 form log2_norm_bound(n) (see
+    the module function power_norm_bound), and dyadic_chain(outer), its
+    steps in closed form where every multiplier is a power of two times a
+    unit (see DyadicChain). The shifts
     carry `domain` and `step` (+1 forward, -1 backward) as plain class
     attributes, which are no record fields and so stay out of the JSON form.
     """
@@ -377,18 +401,36 @@ def _shift_norm_bound(op, n: int) -> float:
     if w is None or n == 0:
         return 1.0
     best = max(abs(w.values[0]) ** n, abs(w.values[-1]) ** n)
-    if not w.breakpoints:
-        return best
-    lo_bp, hi_bp = w.breakpoints[0], w.breakpoints[-1]
-    if op.step < 0:
-        candidates = range(lo_bp - 1, hi_bp + n)
-        windows = ((j - n + 1, j) for j in candidates)
-    else:
-        candidates = range(lo_bp - n, hi_bp + 1)
-        windows = ((j, j + n - 1) for j in candidates)
-    for a, b in windows:
+    for a, b in _windows(op.step, w, n):
         best = max(best, abs(w.window_product(a, b)))
     return best
+
+
+def _shift_log2_bound(op, n: int) -> float:
+    w = getattr(op, "weights", None)
+    if w is None or n == 0:
+        return 0.0
+    best = n * math.log2(abs(w.values[0]))
+    for a, b in _windows(op.step, w, n):
+        best = max(best, w.window_log2(a, b))
+    return best
+
+
+def _windows(step: int, w: WeightSpec, n: int):
+    """The windows (lo, hi) of n consecutive weights that meet a breakpoint,
+    one inside each constant tail among them: with the tails, every window
+    product."""
+    if not w.breakpoints:
+        return ()
+    lo_bp, hi_bp = w.breakpoints[0], w.breakpoints[-1]
+    if step < 0:
+        return ((j - n + 1, j) for j in range(lo_bp - 1, hi_bp + n))
+    return ((j, j + n - 1) for j in range(lo_bp - n, hi_bp + 1))
+
+
+def _shift_chain(op, outer: tuple = ()) -> Optional["DyadicChain"]:
+    w = getattr(op, "weights", None)
+    return DyadicChain.of(op.step, w is None and op.step < 0, w, outer)
 
 
 class BackwardShift(OperatorSpec, kind="backward_shift"):
@@ -396,6 +438,7 @@ class BackwardShift(OperatorSpec, kind="backward_shift"):
 
     domain, step = UNILATERAL, -1
     _power, power_norm_bound = _shift_power, _shift_norm_bound
+    log2_norm_bound, dyadic_chain = _shift_log2_bound, _shift_chain
 
     def adjoint_point_spectrum(self):
         # a standard fact, not derived here: the adjoint is the isometric
@@ -408,6 +451,7 @@ class ForwardShift(OperatorSpec, kind="forward_shift"):
 
     domain, step = UNILATERAL, 1
     _power, power_norm_bound = _shift_power, _shift_norm_bound
+    log2_norm_bound, dyadic_chain = _shift_log2_bound, _shift_chain
 
 
 class WeightedBackward(OperatorSpec, kind="weighted_backward"):
@@ -416,6 +460,7 @@ class WeightedBackward(OperatorSpec, kind="weighted_backward"):
     weights: WeightSpec
     domain, step = BILATERAL, -1
     _power, power_norm_bound = _shift_power, _shift_norm_bound
+    log2_norm_bound, dyadic_chain = _shift_log2_bound, _shift_chain
 
 
 class WeightedForward(OperatorSpec, kind="weighted_forward"):
@@ -424,6 +469,7 @@ class WeightedForward(OperatorSpec, kind="weighted_forward"):
     weights: WeightSpec
     domain, step = BILATERAL, 1
     _power, power_norm_bound = _shift_power, _shift_norm_bound
+    log2_norm_bound, dyadic_chain = _shift_log2_bound, _shift_chain
 
 
 class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
@@ -447,6 +493,12 @@ class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
     def power_norm_bound(self, n):
         return abs(self.value) ** n
 
+    def log2_norm_bound(self, n):
+        return _log2_power(abs(self.value), n)
+
+    def dyadic_chain(self, outer=()):
+        return DyadicChain.of(0, False, None, (self.value,) + outer)
+
     def adjoint_point_spectrum(self):
         return frozenset({self.value.conjugate()})
 
@@ -464,6 +516,12 @@ class ScalarMultiple(OperatorSpec, kind="scalar_multiple"):
 
     def power_norm_bound(self, n):
         return abs(self.factor) ** n * self.inner.power_norm_bound(n)
+
+    def log2_norm_bound(self, n):
+        return _log2_power(abs(self.factor), n) + self.inner.log2_norm_bound(n)
+
+    def dyadic_chain(self, outer=()):
+        return self.inner.dyadic_chain((self.factor,) + outer)
 
     def _power(self, n, v, outer):
         return self.inner._power(n, v, (self.factor,) + outer)
@@ -493,6 +551,13 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
 
     def power_norm_bound(self, n):
         return max(b.power_norm_bound(n) for b in self.blocks)
+
+    def log2_norm_bound(self, n):
+        return max(b.log2_norm_bound(n) for b in self.blocks)
+
+    def dyadic_chain(self, outer=()):
+        chains = tuple(b.dyadic_chain(outer) for b in self.blocks)
+        return None if any(c is None for c in chains) else chains
 
     def _power(self, n, v, outer):
         if not on_domain(v, self.operator_domain()):
@@ -546,11 +611,85 @@ def _walk(i: int, c: complex, n: int, step: int, weights, outer: tuple):
     return i, c
 
 
+class DyadicChain:
+    """A shift, or ScalarOnC, with the ScalarMultiple factors around it,
+    whose every multiplier (weight value, factor, the scalar's value) is
+    i**q * 2**k. pieces holds (k, q) of each weight value; k and q are those
+    of the factors' product, lo and hi the least and greatest k of their
+    partial products, 1 included. ScalarOnC is a chain of step 0 whose
+    value is its first factor."""
+
+    __slots__ = ("step", "drops", "weights", "pieces", "k", "q", "lo", "hi")
+
+    @classmethod
+    def of(cls, step, drops, weights, factors) -> Optional["DyadicChain"]:
+        pieces = tuple(map(_dyadic, weights.values)) if weights is not None else ()
+        units = list(map(_dyadic, factors))
+        if None in pieces or None in units:
+            return None
+        chain, sums = object.__new__(cls), list(accumulate((k for k, _ in units), initial=0))
+        chain.step, chain.drops, chain.weights, chain.pieces = step, drops, weights, pieces
+        chain.k, chain.q = sums[-1], sum(q for _, q in units)
+        chain.lo, chain.hi = min(sums), max(sums)
+        return chain
+
+    def path(self, i: int, n: int):
+        """(shift, e, q, lo, hi) for an entry at index i after n steps, or
+        None once it is dropped: it moves to i + shift, its value is
+        multiplied by i**q * 2**e, and by a power of two from 2**lo to 2**hi
+        after each weight and factor on the way. Their log2 is linear along a
+        run of equal weights, so its extremes lie at the run ends, widened by
+        the factors' lo and hi; an unweighted chain is one run."""
+        step, k, q, lo, hi = self.step, self.k, self.q, self.lo, self.hi
+        if self.drops and n > i:
+            return None
+        if not n:
+            return 0, 0, 0, 0, 0
+        if self.weights is None:
+            top = (n - 1) * k
+            return n * step, n * k, n * q, min(0, top) + lo, max(0, top) + hi
+        runs = self.weights.runs(*((i, i + n - 1) if step > 0 else (i - n + 1, i)))
+        e = turns = least = most = 0
+        for v, count in runs if step > 0 else reversed(runs):
+            (kw, qw), d = self.pieces[v], self.pieces[v][0] + k
+            ends = (e + kw, e + kw + (count - 1) * d)
+            least, most = min(least, min(ends) + lo), max(most, max(ends) + hi)
+            e, turns = e + count * d, turns + count * (qw + q)
+        return n * step, e, turns, least, most
+
+
+def _dyadic(z: complex) -> Optional[tuple[int, int]]:
+    """(k, q) with z == i**q * 2**k, or None when z is no such number."""
+    for q, x in enumerate((z.real, z.imag, -z.real, -z.imag)):
+        if math.frexp(x)[0] == 0.5 and not (z.imag if q % 2 == 0 else z.real):
+            return math.frexp(x)[1] - 1, q
+    return None
+
+
 def power_norm_bound(op: OperatorSpec, n: int) -> float:
-    """An upper bound for the operator norm of op^n (not necessarily attained)."""
+    """An upper bound for the operator norm of op^n (not necessarily
+    attained); inf where it passes the largest float, never NaN.
+
+    op.power_norm_bound(n) multiplies float powers, one of which can leave
+    float range before the bound does (an OverflowError, inf, or 0.0 * inf).
+    Its value stands where it is within 1e-9 of 2 ** op.log2_norm_bound(n),
+    which sums logarithms; elsewhere that power of two is the bound."""
     if n < 0:
         raise PreconditionError("power must be nonnegative")
-    return op.power_norm_bound(n)
+    try:
+        plain = op.power_norm_bound(n)
+    except OverflowError:
+        plain = math.nan
+    try:
+        bound = 2.0 ** op.log2_norm_bound(n)
+    except OverflowError:
+        return math.inf
+    return plain if math.isclose(plain, bound, rel_tol=1e-9) else bound
+
+
+def _log2_power(x: float, n: int) -> float:
+    """log2(x ** n) for x >= 0 and n >= 0."""
+    return n * math.log2(x) if x else -math.inf if n else 0.0
 
 
 def adjoint_point_spectrum(op: OperatorSpec) -> Optional[frozenset]:

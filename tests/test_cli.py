@@ -564,6 +564,14 @@ def _spiral_density(window, set_=None):
         # density: a direct sum, refused before the orbit walk
         (_edited("spiral_density", lambda c: c.update(
             operator=_DIRECT_SUM, base_point=_DIRECT_SUM_POINT)), "operator"),
+        # criterion: a round trip 2^1024 (0.6+0.8i)^1024 with finite parts
+        # whose modulus passes the largest float (abs() raises there)
+        ({"command": "criterion", "operator": {"kind": "scalar_on_c", "value": [2.0, 0.0]},
+          "right_inverse": {"kind": "scalar_on_c", "value": [0.6, 0.8]},
+          "decay_vectors": [[0.0, 0.0]], "target_vectors": [[1.0, 0.0]], "indices": [0, 1024]},
+         "target_vectors[0]"),
+        # criterion: a tolerance no residual can meet
+        (_edited("criterion_rolewicz", lambda c: c.update(tolerance=-1.0)), "tolerance"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
@@ -571,6 +579,13 @@ def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsy
     assert _main(cfg, tmp_path) == 1
     assert time.perf_counter() - start < 1.0  # refused before any costly work
     assert f"precondition violated: {field}:" in capsys.readouterr().err
+
+
+def test_criterion_tolerance_zero_is_valid(tmp_path):
+    # Rolewicz's round trips are exactly 0.0, but its inverse decay 2^-40 is not
+    assert _main(_edited("criterion_rolewicz", lambda c: c.update(tolerance=0.0)), tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["result"]["criterion"]
+    assert report["final_residuals"] == [0.0, 2.0 ** -40, 0.0] and not report["passes"]
 
 
 def test_scaled_log_spiral_window_above_zero_runs(tmp_path):

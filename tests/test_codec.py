@@ -185,6 +185,9 @@ def _check_operator(op):
     assert op.apply(v) == operators.apply(op, v)
     assert op._power(3, v, ()) == operators.power_apply(op, 3, v)
     assert op.power_norm_bound(2) == operators.power_norm_bound(op, 2)
+    assert math.isclose(2.0 ** op.log2_norm_bound(2), op.power_norm_bound(2), rel_tol=1e-9)
+    chain = op.dyadic_chain()
+    assert chain is None or isinstance(chain, (operators.DyadicChain, tuple))
     assert op.adjoint_point_spectrum() == operators.adjoint_point_spectrum(op)
 
 

@@ -1,7 +1,9 @@
 """Hypercyclicity criterion checker: pass/fail instances and the trend guard."""
 
+import hashlib
 import json
 import math
+import re
 import struct
 import sys
 
@@ -209,7 +211,10 @@ def _trace_bits(trace):
     return struct.pack(f"{len(trace)}d", *trace)
 
 
-_FACTORS = [2.0, 0.5, 3.0, 1 / 3, 1.1, 1 / 1.1, 1j, -1j, 0.6 + 0.8j, 0.6 - 0.8j]
+# the powers of two past 2**±300 take dyadic chains out of float range
+# within a few steps, so both sides of the closed form's range check run
+_FACTORS = [2.0, 0.5, 3.0, 1 / 3, 1.1, 1 / 1.1, 1j, -1j, 0.6 + 0.8j, 0.6 - 0.8j,
+            2.0 ** 300, 2.0 ** -300, 2.0 ** 600, 2.0 ** -600]
 # scalar-domain values keep signed zeros, which == cannot tell apart
 _SCALARS = _FACTORS + [complex(-2.0, 0.0), complex(-0.5, 0.0), complex(2.0, -0.0),
                        complex(-0.0, 1.0), complex(1.0, -0.0)]
@@ -251,6 +256,8 @@ def _instances(draw):
         inv = DirectSum(*(b[1] for b in blocks))
         vectors = st.tuples(*(b[2] for b in blocks))
     indices = draw(st.sets(st.integers(0, 40), min_size=1, max_size=12))
+    # an index near 1022, where 2^-n passes the least normal float
+    indices |= draw(st.sets(st.integers(1015, 1030), max_size=1))
     return CriterionInstance(
         operator=op,
         right_inverse=inv,
@@ -270,12 +277,38 @@ _SIGNED_ZERO = CriterionInstance(
 )
 
 
+# each S step multiplies by 2^-600 before 2^600: for the 2^-500 entry that
+# partial product underflows, so the walk drops it after one step
+_IN_STEP = CriterionInstance(
+    operator=ScalarMultiple(2.0 ** -600, ScalarMultiple(2.0 ** 600, BackwardShift())),
+    right_inverse=ScalarMultiple(2.0 ** 600, ScalarMultiple(2.0 ** -600, ForwardShift())),
+    decay_vectors=(e(0),),
+    target_vectors=(e(0), SeqVector.make("uni", [(2, 2.0 ** -500)])),
+    indices=(0, 1, 3),
+)
+
+
+def _refusal(traces, inst):
+    """The NonFiniteResidualError message check_criterion gives for these
+    per-index norm lists, or None where every norm is finite."""
+    fields = ("decay_vectors", "target_vectors", "target_vectors")
+    for n, rows in zip(inst.indices, zip(*traces)):
+        for field, name, norms in zip(fields, criteria.Traces._fields, rows):
+            for i, x in enumerate(norms):
+                if not math.isfinite(x):
+                    return f"{field}[{i}]: non-finite {name} residual {x!r} at index {n}"
+    return None
+
+
 @settings(max_examples=400, deadline=None)
 @given(_instances())
 @example(_SIGNED_ZERO)
+@example(_IN_STEP)
 def test_telescoped_round_trips_match_the_direct_formula_bit_for_bit(inst):
     """check_criterion against the direct per-index formula: each miss
-    T^n S^n y - y bit for bit, and all three traces."""
+    T^n S^n y - y bit for bit, and all three traces, or the same refusal
+    where a residual is not finite. Dyadic pairs in float range take the
+    closed form, every other instance the walk."""
     T, S, indices, targets = inst.operator, inst.right_inverse, inst.indices, inst.target_vectors
     s_rows = [[power_apply(S, n, y) for y in targets] for n in indices]
     direct = [[vector_sub(power_apply(T, n, sy), y) for sy, y in zip(row, targets)]
@@ -283,12 +316,18 @@ def test_telescoped_round_trips_match_the_direct_formula_bit_for_bit(inst):
     trips = criteria._round_trips(T, s_rows, targets, indices)
     assert [[_bits(m) for m, _ in row] for _, row in trips] == [list(map(_bits, row)) for row in direct]
 
-    peak = lambda vecs: max(map(vector_norm, vecs))  # noqa: E731
-    expected = (
-        [peak(power_apply(T, n, x) for x in inst.decay_vectors) for n in indices],
-        list(map(peak, s_rows)),
-        list(map(peak, direct)),
+    norms = lambda vecs: list(map(vector_norm, vecs))  # noqa: E731
+    rows = (
+        [norms(power_apply(T, n, x) for x in inst.decay_vectors) for n in indices],
+        list(map(norms, s_rows)),
+        list(map(norms, direct)),
     )
+    refusal = _refusal(rows, inst)
+    if refusal is not None:
+        with pytest.raises(criteria.NonFiniteResidualError, match=f"^{re.escape(refusal)}$"):
+            check_criterion(inst)
+        return
+    expected = [list(map(max, trace)) for trace in rows]
     report = check_criterion(inst)
     assert list(map(_trace_bits, report.traces)) == list(map(_trace_bits, expected))
 
@@ -333,3 +372,68 @@ def test_non_finite_residual_is_refused_before_any_later_row(monkeypatch):
                        match=r"^target_vectors\[0\]: non-finite roundtrip residual inf at index 512$"):
         check_criterion(inst)
     assert calls == 512 * (len(inst.decay_vectors) + len(inst.target_vectors))
+
+
+# ---------------------------------------------------------------------------
+# closed form for dyadic pairs: which instances walk
+
+
+def _walked_steps(monkeypatch, step):
+    """A counter of the _walk steps taken in the given direction."""
+    steps = {"n": 0}
+    walk = operators._walk
+
+    def counting(i, c, n, direction, *rest):
+        if direction == step:
+            steps["n"] += n
+        return walk(i, c, n, direction, *rest)
+
+    monkeypatch.setattr(operators, "_walk", counting)
+    return steps
+
+
+def _digest(report):
+    return hashlib.sha256(jsonio.dumps(report).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("indices, digest", [
+    (tuple(range(321)), "c4c7d52f67dd8ffad37be0345b048c9b7a2f569bd874c7ce08e1bd941eb9f410"),
+    ((0, 500, 1000), "907a5d59ef738476566a172c5300ae05b822c055f56f253b6200ca2a7b8f4ed8"),
+])
+def test_rolewicz_in_float_range_never_walks_s(indices, digest, monkeypatch):
+    """2^-1000 is still normal, so F/2 is never walked; the reports keep the
+    digests the walk wrote before the closed form."""
+    steps = _walked_steps(monkeypatch, +1)  # S = F/2 moves forward
+    inst = CriterionInstance(**{**rolewicz_instance().__dict__, "indices": indices})
+    assert _digest(check_criterion(inst)) == digest
+    assert steps["n"] == 0
+
+
+def test_rolewicz_past_float_range_walks(monkeypatch):
+    """2^-2000 underflows: the instance walks, and its report is unchanged."""
+    steps = _walked_steps(monkeypatch, +1)
+    report = check_criterion(rolewicz_instance(upto=2000))
+    assert steps["n"] > 0
+    assert _digest(report) == "a29991ff4b211a4d2392ad3cf7e8d085fd0ab2aed030d87cb1f25bbd439e6689"
+
+
+def test_closed_form_refuses_a_non_finite_norm_as_the_walk_does(monkeypatch):
+    """Two entries near the largest float under B against F: each stays
+    normal, but their norm passes float range at the first index."""
+    big = SeqVector.make("uni", [(0, 1.5e308), (1, 1.5e308)])
+    inst = CriterionInstance(
+        operator=BackwardShift(),
+        right_inverse=ForwardShift(),
+        decay_vectors=BASIS6,
+        target_vectors=(e(0), big),
+        indices=(3, 4, 9),
+    )
+    message = r"^target_vectors\[1\]: non-finite inverse_decay residual inf at index 3$"
+    steps = _walked_steps(monkeypatch, +1)
+    with pytest.raises(criteria.NonFiniteResidualError, match=message):
+        check_criterion(inst)
+    assert steps["n"] == 0
+    monkeypatch.setattr(criteria, "_closed_rows", lambda inst: None)
+    with pytest.raises(criteria.NonFiniteResidualError, match=message):
+        check_criterion(inst)
+    assert steps["n"] > 0

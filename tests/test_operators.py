@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -363,6 +364,16 @@ class TestPowerNormBound:
                     v = random_vector(rng, domain)
                     assert power_apply(op, n, v).norm() <= bound * v.norm() * (1 + 1e-9)
 
+    def test_bound_past_float_range_is_inf(self):
+        # each used to raise OverflowError; mapping that to inf alone
+        # would make the second 0.5**2000 * inf, a NaN
+        assert power_norm_bound(ScalarOnC(2.0), 2000) == math.inf
+        halved_4b = ScalarMultiple(0.5, WeightedBackward(WeightSpec((), (4.0,))))
+        assert power_norm_bound(halved_4b, 2000) == math.inf
+        assert power_norm_bound(halved_4b, 1000) == 2.0 ** 1000  # 4**1000 overflows alone
+        # 2**-1200 underflows to 0.0 before it meets 2**1000
+        assert power_norm_bound(ScalarMultiple(2.0 ** -600, ScalarOnC(2.0 ** 500)), 2) == 2.0 ** -200
+
     def test_backward_orbit_nonincreasing(self):
         rng = random.Random(10)
         for _ in range(10):
@@ -482,3 +493,78 @@ def test_shift_images_are_canonical_entries_in_index_order(case, n):
         for _, c in image.entries:
             assert c != 0
             assert all(p != 0 or math.copysign(1.0, p) > 0 for p in (c.real, c.imag))
+
+
+# ---------------------------------------------------------------------------
+# power_norm_bound against an exact-logarithm reference
+
+
+_BOUND_VALUES = [2.0, 0.5, 4.0, 0.25, 2.0 ** 300, 2.0 ** -300, 1.1, 3.0, 0.9, -2.0, 1j,
+                 0.6 + 0.8j, 0.0]
+
+
+def _log2_exact(x: float) -> float:
+    """log2 of the float x > 0 from its exact ratio of integers."""
+    r = Fraction(x)
+    return math.log2(r.numerator) - math.log2(r.denominator)
+
+
+def _reference_log2(op, n):
+    """log2 of the exact bound sup |window product| * |factors|**n, by brute
+    force over every window of n consecutive weights near the breakpoints."""
+    if isinstance(op, DirectSum):
+        return max(_reference_log2(b, n) for b in op.blocks)
+    if isinstance(op, (ScalarOnC, ScalarMultiple)):
+        x = abs(op.value if isinstance(op, ScalarOnC) else op.factor)
+        inner = 0.0 if isinstance(op, ScalarOnC) else _reference_log2(op.inner, n)
+        return inner + (0.0 if n == 0 else n * _log2_exact(x) if x else -math.inf)
+    w = getattr(op, "weights", None)
+    if w is None or n == 0:
+        return 0.0
+    bps = list(w.breakpoints)
+    ends = [-math.inf] + bps + [math.inf]  # piece k covers ends[k] <= i < ends[k + 1]
+    logs = [_log2_exact(abs(v)) for v in w.values]
+    best = -math.inf
+    for j in range((bps[0] if bps else 0) - n - 1, (bps[-1] if bps else 0) + 2):
+        counts = [max(0, min(j + n, b) - max(j, a)) for a, b in zip(ends, ends[1:])]
+        best = max(best, sum(c * lg for c, lg in zip(counts, logs) if c))
+    return best
+
+
+@st.composite
+def _bound_ops(draw, depth=2):
+    kinds = ["scalar", "shift", "multiple", "sum"] if depth else ["scalar", "shift"]
+    kind = draw(st.sampled_from(kinds))
+    value = st.sampled_from(_BOUND_VALUES)
+    if kind == "scalar":
+        return ScalarOnC(draw(value))
+    if kind == "multiple":
+        return ScalarMultiple(draw(value), draw(_bound_ops(depth - 1)))
+    if kind == "sum":
+        return DirectSum(draw(_bound_ops(depth - 1)), draw(_bound_ops(depth - 1)))
+    bps = tuple(sorted(draw(st.sets(st.integers(-5, 5), max_size=2))))
+    values = tuple(draw(value.filter(bool)) for _ in range(len(bps) + 1))
+    shift = draw(st.sampled_from([WeightedBackward, WeightedForward, None]))
+    return shift(WeightSpec(bps, values)) if shift else draw(st.sampled_from([B, F]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bound_ops(), st.integers(0, 5000))
+def test_power_norm_bound_matches_an_exact_log2_reference(op, n):
+    """inf where the exact bound passes float range, within 1e-8 of it where
+    it is a normal float, never NaN; today's float product is kept wherever
+    it is within 1e-10 of the reference."""
+    got, ref = power_norm_bound(op, n), _reference_log2(op, n)
+    assert not math.isnan(got)
+    if ref > 1024 + 1e-6:
+        assert got == math.inf
+    elif -1021 < ref < 1024 - 1e-6:
+        assert math.isclose(got, 2.0 ** ref, rel_tol=1e-8)
+        try:
+            plain = op.power_norm_bound(n)
+        except OverflowError:
+            return
+        if math.isclose(plain, 2.0 ** ref, rel_tol=1e-10):
+            assert got == plain
+    elif ref < -1080:
+        assert got == 0.0
