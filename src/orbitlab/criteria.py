@@ -10,28 +10,28 @@ operator S with S_{n} = S^n (for example S = F/2 against 2B).
 Closed form for dyadic pairs. T and S are dyadic chains
 (operators.DyadicChain) when every weight value, ScalarMultiple factor and
 ScalarOnC value is +-2^k or +-2^k i. Multiplying by such a number swaps and
-negates the parts of a complex value and scales them by 2^k: exact while a
-part is normal before and after, and a zero part stays zero, up to a sign
-that no norm sees. So while every nonzero part stays normal, the walk takes
-an entry (i, c) in n steps to (i + n*step, i^q 2^E c), with E and q summed
-along its path (DyadicChain.path), and the S rows and round trips are
-formed per entry from that rule. The inverse-decay trace norms the moved
-values with the walk's norms (operators.entries_norm, vector_norm on C and
-on direct sums). Where every entry returns to its index with the factor exactly 1
-(2B against F/2), T^n S^n y - y is empty and its norm 0.0; otherwise the
-moved image goes through vector_sub and vector_norm as in the walk.
+negates the parts of a complex value and scales them by 2^k, exactly while
+every nonzero part stays normal (a zero part stays zero, up to a sign that
+no norm sees). So the walk takes an entry (i, c) in n steps to
+(i + n*step, i^q 2^E c), with E and q summed along its path
+(DyadicChain.path). The S rows are formed from that rule and normed as the
+walk norms them (operators.entries_norm; vector_norm on C and direct sums).
+A round trip that brings every entry back to its index with the factor 1
+(2B against F/2) misses by 0.0; any other goes through vector_sub and
+vector_norm.
 
-The range condition: along S^n and then T^n, after each weight and each
-factor inside a step, every nonzero part of every target entry must stay
-normal (binary exponent in [-1021, 1024]). The log2 of the partial products
-is linear along each run of equal weights, so DyadicChain.path finds its
-extremes at the run ends, widened by the factors' partial sums. On
-unweighted chains that drop no entry every entry moves alike, so one pair
-of paths per index serves all targets. Every listed index is formed in
-closed form before any trace is taken. One path out of range (2B against
-F/2 from index 1023 on, as 2^-1022 is the least normal float), a pair that
-is not dyadic, or a target off the domain sends the whole instance to the
-walk below, which gives the same report.
+The range check runs once, before any row: at every listed index, along
+S^n and then T^n, after each weight and each factor inside a step, every
+nonzero part of every target entry must stay normal. The log2 of the
+partial products is linear along each run of equal weights, so
+DyadicChain.path takes its extremes at the run ends, widened by the
+factors' partial sums. Unweighted chains that drop no entry move every
+entry alike: one pair of paths per index then serves all targets, against
+the least room of their entries. An instance out of range (2B against F/2
+from index 1023 on: 2^-1022 is the least normal float), a pair that is not
+dyadic or a target off the domain walks as below, to the same report. The
+rows are formed as the decay walk reaches their index, so a refusal comes
+before any later row.
 
 The forward-decay trace always walks: _iterates makes one criteria.apply
 per index and vector. Under shifts such as 2B those vectors vanish within a
@@ -47,7 +47,7 @@ of T along the orbit of y (a dyadic pair past float range, and many states
 of inexact pairs); there a round trip costs n - p steps instead of n, and a
 full index sequence up to N costs O(N) steps per target instead of O(N^2).
 The walk holds only the rows at the current and the previous index; the
-closed form holds two peaks per index.
+closed form, where every entry moves alike, one pair of paths per index.
 
 A residual norm that is not finite (an overflow to inf, or NaN) is refused
 at its index with NonFiniteResidualError naming its vector: max() would
@@ -56,9 +56,8 @@ hide a NaN (max(0.0, nan) is 0.0), and a report cannot hold either.
 
 from __future__ import annotations
 
-import cmath
 import math
-from itertools import chain
+from itertools import repeat
 from typing import NamedTuple
 
 from .jsonio import PreconditionError, Record
@@ -158,6 +157,8 @@ def _round_trips(op: OperatorSpec, s_rows, targets, indices):
 def _peak(norms, field: str, trace: str, n: int) -> float:
     """The largest of norms, one per vector of the field; a non-finite norm
     raises NonFiniteResidualError naming its vector."""
+    if math.isfinite(sum(norms)):  # inf or NaN in any norm carries into the sum
+        return max(norms)
     for i, x in enumerate(norms):
         if not math.isfinite(x):
             raise NonFiniteResidualError(
@@ -167,93 +168,87 @@ def _peak(norms, field: str, trace: str, n: int) -> float:
 
 
 def _closed_rows(inst: CriterionInstance):
-    """Per index, the norms of S^n y and of T^n S^n y - y in closed form (see
-    the module docstring), or None where the instance must walk. An index
-    whose norms are all finite yields only its two peaks; the rows end at
-    the first index with a non-finite norm, which yields its norms for _peak
-    to name."""
+    """Per index, the norms of S^n y and of T^n S^n y - y over the targets,
+    in closed form (see the module docstring), each row formed when it is
+    asked for; None where the instance must walk."""
     S, T = inst.right_inverse.dyadic_chain(), inst.operator.dyadic_chain()
-    dom, targets = inst.operator.operator_domain(), inst.target_vectors
+    dom, targets, indices = inst.operator.operator_domain(), inst.target_vectors, inst.indices
     if S is None or T is None or not all(on_domain(y, dom) for y in targets):
         return None
-    s_peaks, trip_peaks, last, rooms = [], [], [], {}
-    # unweighted chains that drop no entry move every entry alike, so one
-    # pair of paths per index serves every target, against their least room
-    alike = (type(S) is not tuple and S.weights is T.weights is None and not S.drops
-             and (S.step > 0 or not T.drops) and all(type(y) is SeqVector for y in targets))
-    spans = [_room(c) for y in targets for _, c in y.entries] if alike else []
-    room = (max((f for f, _ in spans), default=-math.inf),
-            min((c for _, c in spans), default=math.inf))
-    for n in inst.indices:
-        rows = _alike(S, T, targets, n, room, rooms) if alike else [
-            _moved(S, T, y, n, rooms) for y in targets]
-        if rows is None or None in rows:
+    if type(S) is not tuple and S.weights is T.weights is None and not S.drops and all(
+            type(y) is SeqVector for y in targets):
+        # every entry moves alike: one pair of paths per index serves them all
+        room = _room(c for y in targets for _, c in y.entries)
+        paths = [(S.path(0, n), T.path(n * S.step, n)) for n in indices]
+        if not all(_fits(p, r, room) for p, r in paths):
             return None
-        s_norms, trip_norms = zip(*rows)
-        s_peak, trip_peak = max(s_norms), max(trip_norms)
-        if max(s_peak, trip_peak) == math.inf:  # in range, no norm is NaN
-            last.append((s_norms, trip_norms))
-            break
-        s_peaks.append(s_peak)
-        trip_peaks.append(trip_peak)
-    return chain((([s], [t]) for s, t in zip(s_peaks, trip_peaks)), last)
+        rows = ([(y.entries, shared, home) for y in targets]
+                for shared, home in ((repeat(pr), _home(*pr)) for pr in paths))
+    elif any(_moves(S, T, y, n) is None for n in indices for y in targets):
+        return None
+    else:
+        rows = ([_moves(S, T, y, n) for y in targets] for n in indices)
+    return (tuple(zip(*map(_norms, targets, row))) for row in rows)
 
 
-def _moved(S, T, y: Vector, n: int, rooms: dict):
-    """(norm of S^n y, norm of T^n S^n y - y) for the chains S and T, or
-    None where a path leaves the normal range; rooms keeps _room of each
-    entry value."""
+def _moves(S, T, y: Vector, n: int):
+    """(entries, paths, home) for y, one per block of a direct sum: each
+    entry's pair (S.path(i, n), the path of T^n from its end), None once
+    dropped, and whether every entry comes back home (_home). None where a
+    part leaves the normal range."""
     if type(y) is tuple:
-        blocks = [_moved(s, t, b, n, rooms) for s, t, b in zip(S, T, y)]
-        # vector_norm of a tuple of block norms is the direct-sum norm
-        return None if None in blocks else tuple(map(vector_norm, zip(*blocks)))
-    seq = type(y) is SeqVector
-    values, same = [], True
-    for i, c in y.entries if seq else ((0, y),):
-        p = S.path(i, n)
-        if p is None:
-            same = False
-            continue
-        r = T.path(i + p[0], n)
-        if c not in rooms:
-            rooms[c] = _room(c)
-        e, (floor, ceil) = p[1], rooms[c]
-        if p[3] < floor or p[4] > ceil or r and (e + r[3] < floor or e + r[4] > ceil):
-            return None
-        values.append((i, complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))))
-        same = same and r is not None and not (p[0] + r[0] or e + r[1] or (p[2] + r[2]) % 4)
-    if same:
-        return (entries_norm(values) if seq else vector_norm(values[0][1])), 0.0
-    image = []  # T^n S^n y: built only where it is not y
-    for i, c in y.entries if seq else ((0, y),):
+        blocks = [_moves(s, t, b, n) for s, t, b in zip(S, T, y)]
+        return None if None in blocks else blocks
+    entries, paths, home = y.entries if type(y) is SeqVector else ((0, y),), [], True
+    for i, c in entries:
         p = S.path(i, n)
         r = p and T.path(i + p[0], n)
-        if r:
-            image.append((i + p[0] + r[0], _times(c, p[1] + r[1], p[2] + r[2])))
+        if p and not _fits(p, r, _room((c,))):
+            return None
+        paths.append((p, r))
+        home = home and _home(p, r)
+    return entries, paths, home
+
+
+def _fits(p, r, room) -> bool:
+    """Whether the S path p, then the T path r, keep every partial product
+    within room (see _room)."""
+    floor, ceil = room
+    return floor <= p[3] and p[4] <= ceil and (
+        not r or floor <= p[1] + r[3] and p[1] + r[4] <= ceil)
+
+
+def _home(p, r) -> bool:
+    """Whether the paths p, then r, bring an entry back to its index with
+    the factor 1."""
+    return bool(r) and not (p[0] + r[0] or p[1] + r[1] or (p[2] + r[2]) % 4)
+
+
+def _norms(y: Vector, moves) -> tuple:
+    """(norm of S^n y, norm of T^n S^n y - y) from the _moves of y."""
+    if type(y) is tuple:
+        # vector_norm of a tuple of block norms is the direct-sum norm
+        return tuple(map(vector_norm, zip(*map(_norms, y, moves))))
+    (entries, paths, home), ldexp, seq = moves, math.ldexp, type(y) is SeqVector
+    moved = [(i, complex(ldexp(c.real, p[1]), ldexp(c.imag, p[1])))
+             for (i, c), (p, _) in zip(entries, paths) if p]  # i^q does not move a norm
+    s_norm = entries_norm(moved) if seq else vector_norm(moved[0][1])
+    if home:  # T^n S^n y - y is empty
+        return s_norm, 0.0
+    image = [(i + p[0] + r[0], _times(c, p[1] + r[1], p[2] + r[2]))
+             for (i, c), (p, r) in zip(entries, paths) if r]
     image = SeqVector(y.domain, tuple(image)) if seq else image[0][1]
-    s_norm = entries_norm(values) if seq else vector_norm(values[0][1])
     return s_norm, vector_norm(vector_sub(image, y))
 
 
-def _alike(S, T, targets, n: int, room: tuple, rooms: dict):
-    """_moved for every target, where S and T move every entry alike (see
-    _closed_rows) and room is the least _room of their entries."""
-    p = S.path(0, n)
-    r, (floor, ceil), e = T.path(p[0], n), room, p[1]
-    if min(p[3], e + r[3]) < floor or max(p[4], e + r[4]) > ceil:
-        return None
-    same = not (p[0] + r[0] or e + r[1] or (p[2] + r[2]) % 4)
-    return [(entries_norm([(i, complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)))
-                           for i, c in y.entries]),
-             0.0 if same else _moved(S, T, y, n, rooms)[1]) for y in targets]
-
-
-def _room(c: complex) -> tuple:
-    """(floor, ceil): every nonzero part of c times 2**e is a normal float
-    for floor <= e <= ceil; an empty range where a part is not finite."""
-    if not cmath.isfinite(c):
+def _room(values) -> tuple:
+    """(floor, ceil): every nonzero part of these values times 2**e is a
+    normal float for floor <= e <= ceil; an empty range where a part is not
+    finite."""
+    parts = [x for c in values for x in (c.real, c.imag) if x]
+    if not all(map(math.isfinite, parts)):
         return math.inf, -math.inf
-    exps = [math.frexp(x)[1] for x in (c.real, c.imag) if x]
+    exps = [math.frexp(x)[1] for x in parts]
     return (-1021 - min(exps), 1024 - max(exps)) if exps else (-math.inf, math.inf)
 
 

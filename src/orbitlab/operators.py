@@ -11,6 +11,7 @@ finite direct sums.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from itertools import accumulate
 from typing import Optional, Union as TUnion
@@ -92,12 +93,7 @@ class SeqVector(Record):
         return max(top) if top else 0
 
     def norm_sq(self) -> float:
-        # added left to right: sum() of floats is compensated from Python
-        # 3.12 on, which would move the last bits of reported norms
-        s = 0.0
-        for _, v in self.entries:
-            s += v.real * v.real + v.imag * v.imag
-        return s
+        return _norm_sq(self.entries)
 
     def norm(self) -> float:
         return entries_norm(self.entries)
@@ -161,13 +157,19 @@ def vector_norm(v: Vector) -> float:
         return math.inf
 
 
-def entries_norm(entries) -> float:
-    """SeqVector.norm of these (index, value) entries: the root of their
-    squared moduli, added as in norm_sq, rescaled where those leave float
-    range."""
+def _norm_sq(entries) -> float:
+    # added left to right: sum() of floats is compensated from Python
+    # 3.12 on, which would move the last bits of reported norms
     s = 0.0
     for _, v in entries:
         s += v.real * v.real + v.imag * v.imag
+    return s
+
+
+def entries_norm(entries) -> float:
+    """SeqVector.norm of these (index, value) entries: the root of their
+    _norm_sq, rescaled where the squares leave float range."""
+    s = _norm_sq(entries)
     if 0.0 < s < math.inf or not entries:
         return math.sqrt(s)
     return _rescaled_norm([v for _, v in entries], s)
@@ -354,12 +356,10 @@ class OperatorSpec(jsonio.Family):
     Every variant implements _power(n, v, outer), its one action: op^n v for
     n >= 1, each step followed by the factors `outer` (inside out) of the
     scalar multiples around op; apply(v) is one step. Every variant also
-    implements power_norm_bound(n) and its log2 form log2_norm_bound(n) (see
-    the module function power_norm_bound), and dyadic_chain(outer), its
-    steps in closed form where every multiplier is a power of two times a
-    unit (see DyadicChain). The shifts
-    carry `domain` and `step` (+1 forward, -1 backward) as plain class
-    attributes, which are no record fields and so stay out of the JSON form.
+    implements power_norm_bound(n), its log2 form log2_norm_bound(n), and
+    dyadic_chain(outer) (see DyadicChain). The shifts carry `domain` and
+    `step` (+1 forward, -1 backward) as plain class attributes, which are no
+    record fields and so stay out of the JSON form.
     """
 
     def operator_domain(self):
@@ -557,7 +557,7 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
 
     def dyadic_chain(self, outer=()):
         chains = tuple(b.dyadic_chain(outer) for b in self.blocks)
-        return None if any(c is None for c in chains) else chains
+        return None if None in chains else chains
 
     def _power(self, n, v, outer):
         if not on_domain(v, self.operator_domain()):
@@ -612,12 +612,11 @@ def _walk(i: int, c: complex, n: int, step: int, weights, outer: tuple):
 
 
 class DyadicChain:
-    """A shift, or ScalarOnC, with the ScalarMultiple factors around it,
-    whose every multiplier (weight value, factor, the scalar's value) is
-    i**q * 2**k. pieces holds (k, q) of each weight value; k and q are those
-    of the factors' product, lo and hi the least and greatest k of their
-    partial products, 1 included. ScalarOnC is a chain of step 0 whose
-    value is its first factor."""
+    """A shift, or ScalarOnC (step 0, its value the first factor), with the
+    ScalarMultiple factors around it, whose every multiplier is i**q * 2**k.
+    pieces holds (k, q) of each weight value; k and q are those of the
+    factors' product, lo and hi the least and greatest k of their partial
+    products, 1 included."""
 
     __slots__ = ("step", "drops", "weights", "pieces", "k", "q", "lo", "hi")
 
@@ -668,23 +667,23 @@ def _dyadic(z: complex) -> Optional[tuple[int, int]]:
 
 def power_norm_bound(op: OperatorSpec, n: int) -> float:
     """An upper bound for the operator norm of op^n (not necessarily
-    attained); inf where it passes the largest float, never NaN.
-
-    op.power_norm_bound(n) multiplies float powers, one of which can leave
-    float range before the bound does (an OverflowError, inf, or 0.0 * inf).
-    Its value stands where it is within 1e-9 of 2 ** op.log2_norm_bound(n),
-    which sums logarithms; elsewhere that power of two is the bound."""
+    attained): op.power_norm_bound(n), a product of float powers, where it
+    is a positive normal float. Elsewhere a power may have left float range
+    on the way (an OverflowError, 0.0 * inf), so the bound is taken as
+    2 ** op.log2_norm_bound(n), which sums logarithms: inf past the largest
+    float, never NaN."""
     if n < 0:
         raise PreconditionError("power must be nonnegative")
     try:
         plain = op.power_norm_bound(n)
+        if sys.float_info.min <= plain < math.inf:
+            return plain
     except OverflowError:
-        plain = math.nan
+        pass
     try:
-        bound = 2.0 ** op.log2_norm_bound(n)
+        return 2.0 ** op.log2_norm_bound(n)
     except OverflowError:
         return math.inf
-    return plain if math.isclose(plain, bound, rel_tol=1e-9) else bound
 
 
 def _log2_power(x: float, n: int) -> float:

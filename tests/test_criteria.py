@@ -437,3 +437,28 @@ def test_closed_form_refuses_a_non_finite_norm_as_the_walk_does(monkeypatch):
     with pytest.raises(criteria.NonFiniteResidualError, match=message):
         check_criterion(inst)
     assert steps["n"] > 0
+
+
+def test_closed_form_forms_no_row_past_a_refused_index(monkeypatch):
+    """B against F takes the closed form; a decay vector whose norm passes
+    float range is refused at index 0, and only that index's row is formed."""
+    calls = 0
+    norms = criteria._norms
+
+    def counting(y, moves):
+        nonlocal calls
+        calls += 1
+        return norms(y, moves)
+
+    monkeypatch.setattr(criteria, "_norms", counting)
+    inst = CriterionInstance(
+        operator=BackwardShift(),
+        right_inverse=ForwardShift(),
+        decay_vectors=(SeqVector.make("uni", [(0, 1.5e308), (1, 1.5e308)]),),
+        target_vectors=BASIS6,
+        indices=tuple(range(20001)),
+    )
+    with pytest.raises(criteria.NonFiniteResidualError,
+                       match=r"^decay_vectors\[0\]: non-finite forward_decay residual inf at index 0$"):
+        check_criterion(inst)
+    assert calls == len(inst.target_vectors)
