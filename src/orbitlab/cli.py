@@ -159,12 +159,17 @@ def _cmd_criterion(cfg: dict, out: "_Output") -> dict:
     indices = _field(cfg, "indices")
     if isinstance(indices, dict):
         jsonio.check_keys(indices, ("upto",), "indices")
+        count = jsonio.decode_key(int, indices, "upto", "indices") + 1
+    else:
+        count = len(indices) if isinstance(indices, list) else 0
+    if count > criteria.INDEX_CAP:  # before a range or tuple that long is built
+        raise jsonio.PreconditionError(f"indices: more than {criteria.INDEX_CAP:,} indices")
     inst = criteria.CriterionInstance(
         operator=op,
         right_inverse=_field(cfg, "right_inverse", operators.OperatorSpec),
         decay_vectors=_vectors(cfg, "decay_vectors", dom),
         target_vectors=_vectors(cfg, "target_vectors", dom),
-        indices=tuple(range(jsonio.decode_key(int, indices, "upto", "indices") + 1))
+        indices=tuple(range(count))
         if isinstance(indices, dict)
         else jsonio.decode(tuple[int, ...], indices, "indices"),
         **_optional(cfg, tolerance=float),

@@ -33,9 +33,22 @@ dyadic or a target off the domain walks as below, to the same report. The
 rows are formed as the decay walk reaches their index, so a refusal comes
 before any later row.
 
-The forward-decay trace always walks: _iterates makes one criteria.apply
-per index and vector. Under shifts such as 2B those vectors vanish within a
-few steps, so a closed form would save little there.
+Shared paths by exact scaling. Where every entry moves alike, S^n y is
+i^q 2^E y, shifted. _norm_sq squares each part, adds an entry's two squares
+and adds that to a running sum; scaling the parts by 2^E scales each exact
+result by 4^E, and rounding commutes with that while the rounded value and
+its scaled twin are both normal and finite (one that rounds up to 2^-1022
+once scaled does so in the subnormal grid too). So where E lies in
+_square_room, bounded by the targets' least nonzero square and largest sum,
+and the trip comes home, a row is ldexp(||y||, E) per target and a round
+trip of 0.0; any other row goes through _norms (2B against F/2 from index
+512 on).
+
+The forward-decay walk makes one criteria.apply per index and vector, but
+a sequence vector that apply returned empty stays as it is (T 0 = 0); once
+the whole row is zero, _iterates yields it again and check_criterion keeps
+its peak, so 2B is applied to e_j only j + 1 times. The first step applies
+T to every vector, so one off the domain is refused even if it is zero.
 
 The walk's round trips are telescoped along the index sequence. For
 consecutive indices p < n, b = T^(n-p) S^n y is computed first. Where b
@@ -57,6 +70,7 @@ hide a NaN (max(0.0, nan) is 0.0), and a report cannot hold either.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import repeat
 from typing import NamedTuple
 
@@ -66,6 +80,7 @@ from .operators import (
     OperatorSpec,
     SeqVector,
     Vector,
+    _norm_sq,
     apply,
     entries_norm,
     on_domain,
@@ -76,6 +91,8 @@ from .operators import (
 )
 
 TAIL_GUARD = 5
+# the most indices a config may list; the CLI refuses more before building them
+INDEX_CAP = 10**6
 
 
 class NonFiniteResidualError(PreconditionError):
@@ -123,13 +140,19 @@ class CriterionReport(Record):
 
 def _iterates(op: OperatorSpec, vecs, indices):
     """vecs under op^n for each n in indices, computed incrementally; only
-    the latest row is held, so memory does not grow with the largest index."""
-    done = 0
+    the latest row is held, so memory does not grow with the largest index.
+    A zero sequence vector that apply returned stays as it is (T 0 = 0);
+    once the whole row is zero, that same row object comes back."""
+    done, zero = 0, False
     for n in indices:
-        for _ in range(n - done):
-            vecs = [apply(op, v) for v in vecs]
-        done = n
+        while done < n and not zero:
+            vecs = [v if done and _empty(v) else apply(op, v) for v in vecs]
+            done, zero = done + 1, all(map(_empty, vecs))
         yield vecs
+
+
+def _empty(v) -> bool:
+    return type(v) is SeqVector and not v.entries
 
 
 def _round_trips(op: OperatorSpec, s_rows, targets, indices):
@@ -180,15 +203,24 @@ def _closed_rows(inst: CriterionInstance):
         # every entry moves alike: one pair of paths per index serves them all
         room = _room(c for y in targets for _, c in y.entries)
         paths = [(S.path(0, n), T.path(n * S.step, n)) for n in indices]
-        if not all(_fits(p, r, room) for p, r in paths):
-            return None
-        rows = ([(y.entries, shared, home) for y in targets]
-                for shared, home in ((repeat(pr), _home(*pr)) for pr in paths))
-    elif any(_moves(S, T, y, n) is None for n in indices for y in targets):
+        return _shared_rows(targets, paths) if all(_fits(p, r, room) for p, r in paths) else None
+    if any(_moves(S, T, y, n) is None for n in indices for y in targets):
         return None
-    else:
-        rows = ([_moves(S, T, y, n) for y in targets] for n in indices)
-    return (tuple(zip(*map(_norms, targets, row))) for row in rows)
+    return (tuple(zip(*(_norms(y, _moves(S, T, y, n)) for y in targets))) for n in indices)
+
+
+def _shared_rows(targets, paths):
+    """The _norms rows for shared paths (p, r), one pair per index: the
+    target norms times 2**p[1] and a round trip of 0.0 where the trip comes
+    home and p[1] lies in _square_room, else _norms itself."""
+    norms, (floor, ceil) = [entries_norm(y.entries) for y in targets], _square_room(targets)
+    zeros = [0.0] * len(targets)
+    for p, r in paths:
+        home = _home(p, r)
+        if home and floor <= p[1] <= ceil:
+            yield [math.ldexp(x, p[1]) for x in norms], zeros
+        else:
+            yield tuple(zip(*(_norms(y, (y.entries, repeat((p, r)), home)) for y in targets)))
 
 
 def _moves(S, T, y: Vector, n: int):
@@ -252,6 +284,19 @@ def _room(values) -> tuple:
     return (-1021 - min(exps), 1024 - max(exps)) if exps else (-math.inf, math.inf)
 
 
+def _square_room(targets) -> tuple:
+    """(floor, ceil): for floor <= e <= ceil, every nonzero square, pairwise
+    sum and partial sum of _norm_sq over these sequence vectors is a normal
+    float both as it is and times 4**e; an empty range where one is not."""
+    squares = [x * x for y in targets for _, c in y.entries for x in (c.real, c.imag) if x]
+    if not squares:
+        return -math.inf, math.inf
+    least, most = min(squares), max(_norm_sq(y.entries) for y in targets)
+    if not (sys.float_info.min <= least and most < math.inf):
+        return math.inf, -math.inf
+    return -((1021 + math.frexp(least)[1]) // 2), (1024 - math.frexp(most)[1]) // 2
+
+
 def _times(c: complex, e: int, q: int) -> complex:
     """i^q 2^e c, exactly where its parts stay normal."""
     a, b = ((c.real, c.imag), (-c.imag, c.real), (-c.real, -c.imag), (c.imag, -c.real))[q % 4]
@@ -267,10 +312,12 @@ def check_criterion(inst: CriterionInstance) -> CriterionReport:
     if rows is None:  # the walk
         trips = _round_trips(op, _iterates(inst.right_inverse, targets, indices), targets, indices)
         rows = ((list(map(vector_norm, s_row)), [r for _, r in trip]) for s_row, trip in trips)
-    traces = Traces([], [], [])
+    traces, last = Traces([], [], []), None
     for n, decay, (s_norms, trip_norms) in zip(indices, decay_rows, rows):
-        traces.forward_decay.append(
-            _peak(list(map(vector_norm, decay)), "decay_vectors", "forward_decay", n))
+        if decay is not last:  # a zero row comes back as the same object
+            last, peak = decay, _peak(
+                list(map(vector_norm, decay)), "decay_vectors", "forward_decay", n)
+        traces.forward_decay.append(peak)
         traces.inverse_decay.append(_peak(s_norms, "target_vectors", "inverse_decay", n))
         traces.roundtrip.append(_peak(trip_norms, "target_vectors", "roundtrip", n))
     traces = Traces(*map(tuple, traces))

@@ -401,7 +401,7 @@ def _shift_norm_bound(op, n: int) -> float:
     if w is None or n == 0:
         return 1.0
     best = max(abs(w.values[0]) ** n, abs(w.values[-1]) ** n)
-    for a, b in _windows(op.step, w, n):
+    for a, b in _windows(w, n):
         best = max(best, abs(w.window_product(a, b)))
     return best
 
@@ -411,21 +411,19 @@ def _shift_log2_bound(op, n: int) -> float:
     if w is None or n == 0:
         return 0.0
     best = n * math.log2(abs(w.values[0]))
-    for a, b in _windows(op.step, w, n):
+    for a, b in _windows(w, n):
         best = max(best, w.window_log2(a, b))
     return best
 
 
-def _windows(step: int, w: WeightSpec, n: int):
-    """The windows (lo, hi) of n consecutive weights that meet a breakpoint,
-    one inside each constant tail among them: with the tails, every window
-    product."""
-    if not w.breakpoints:
-        return ()
-    lo_bp, hi_bp = w.breakpoints[0], w.breakpoints[-1]
-    if step < 0:
-        return ((j - n + 1, j) for j in range(lo_bp - 1, hi_bp + n))
-    return ((j, j + n - 1) for j in range(lo_bp - n, hi_bp + 1))
+def _windows(w: WeightSpec, n: int):
+    """The windows (lo, hi) of n consecutive weights, the same set for both
+    directions, whose lo or hi + 1 is a breakpoint. Moving a window by one
+    adds log |weight(hi + 1)| and takes log |weight(lo)|, a difference that
+    changes only where lo or hi + 1 passes a breakpoint: the log of the
+    window product is piecewise linear in lo with its kinks at these
+    windows, which hold its sup, the two constant tails included."""
+    return {(a, a + n - 1) for b in w.breakpoints for a in (b, b - n)}
 
 
 def _shift_chain(op, outer: tuple = ()) -> Optional["DyadicChain"]:

@@ -572,6 +572,9 @@ def _spiral_density(window, set_=None):
          "target_vectors[0]"),
         # criterion: a tolerance no residual can meet
         (_edited("criterion_rolewicz", lambda c: c.update(tolerance=-1.0)), "tolerance"),
+        # criterion: more indices than INDEX_CAP = 10**6, refused before a
+        # range of them is built
+        (_edited("criterion_rolewicz", lambda c: c.update(indices={"upto": 10**9})), "indices"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
@@ -579,6 +582,17 @@ def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsy
     assert _main(cfg, tmp_path) == 1
     assert time.perf_counter() - start < 1.0  # refused before any costly work
     assert f"precondition violated: {field}:" in capsys.readouterr().err
+
+
+def test_criterion_index_cap_holds_for_both_forms(monkeypatch, tmp_path, capsys):
+    # at a cap of 5, five indices run and six are refused, listed or upto
+    monkeypatch.setattr(criteria, "INDEX_CAP", 5)
+    for indices, code in (({"upto": 4}, 0), ([0, 1, 2, 3, 4], 0),
+                          ({"upto": 5}, 1), ([0, 1, 2, 3, 4, 5], 1)):
+        cfg = _edited("criterion_rolewicz", lambda c: c.update(indices=indices))
+        assert _main(cfg, tmp_path) == code
+        if code:
+            assert "precondition violated: indices: more than 5 indices" in capsys.readouterr().err
 
 
 def test_criterion_tolerance_zero_is_valid(tmp_path):

@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import sys
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -349,18 +350,24 @@ def test_exact_round_trips_walk_linearly_many_steps(monkeypatch):
     assert 0 < steps <= 4 * 2000 * len(inst.target_vectors)
 
 
-def test_non_finite_residual_is_refused_before_any_later_row(monkeypatch):
-    """2B against 2F: T^n S^n e_j = 4^n e_j leaves float range at n = 512.
-    The one walk refuses there and forms no decay or S row past index 512."""
-    calls = 0
+def _apply_calls(monkeypatch):
+    """A counter of the criteria.apply calls."""
+    calls = {"n": 0}
     apply = criteria.apply
 
     def counting(op, v):
-        nonlocal calls
-        calls += 1
+        calls["n"] += 1
         return apply(op, v)
 
     monkeypatch.setattr(criteria, "apply", counting)
+    return calls
+
+
+def test_non_finite_residual_is_refused_before_any_later_row(monkeypatch):
+    """2B against 2F: T^n S^n e_j = 4^n e_j leaves float range at n = 512.
+    The one walk refuses there and forms no S row past index 512; the decay
+    walk stops applying 2B to e_j once it is zero, after j + 1 steps."""
+    calls = _apply_calls(monkeypatch)
     inst = CriterionInstance(
         operator=ScalarMultiple(2.0, BackwardShift()),
         right_inverse=ScalarMultiple(2.0, ForwardShift()),
@@ -371,7 +378,7 @@ def test_non_finite_residual_is_refused_before_any_later_row(monkeypatch):
     with pytest.raises(criteria.NonFiniteResidualError,
                        match=r"^target_vectors\[0\]: non-finite roundtrip residual inf at index 512$"):
         check_criterion(inst)
-    assert calls == 512 * (len(inst.decay_vectors) + len(inst.target_vectors))
+    assert calls["n"] == 1 + 2 + 3 + 4 + 5 + 6 + 512 * len(inst.target_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +447,19 @@ def test_closed_form_refuses_a_non_finite_norm_as_the_walk_does(monkeypatch):
 
 
 def test_closed_form_forms_no_row_past_a_refused_index(monkeypatch):
-    """B against F takes the closed form; a decay vector whose norm passes
-    float range is refused at index 0, and only that index's row is formed."""
+    """B against F takes the closed form's shared paths; a decay vector whose
+    norm passes float range is refused at index 0, and only that index's row
+    is formed."""
     calls = 0
-    norms = criteria._norms
+    shared_rows = criteria._shared_rows
 
-    def counting(y, moves):
+    def counting(targets, paths):
         nonlocal calls
-        calls += 1
-        return norms(y, moves)
+        for row in shared_rows(targets, paths):
+            calls += 1
+            yield row
 
-    monkeypatch.setattr(criteria, "_norms", counting)
+    monkeypatch.setattr(criteria, "_shared_rows", counting)
     inst = CriterionInstance(
         operator=BackwardShift(),
         right_inverse=ForwardShift(),
@@ -461,4 +470,89 @@ def test_closed_form_forms_no_row_past_a_refused_index(monkeypatch):
     with pytest.raises(criteria.NonFiniteResidualError,
                        match=r"^decay_vectors\[0\]: non-finite forward_decay residual inf at index 0$"):
         check_criterion(inst)
-    assert calls == len(inst.target_vectors)
+    assert calls == 1
+
+
+# ---------------------------------------------------------------------------
+# shared paths by exact scaling, and a decay walk that stops at zero
+
+
+def _near(exponents):
+    """Parts m * 2**e with m a full-mantissa float in [1, 2), or zero."""
+    return st.one_of(
+        st.just(0.0),
+        st.builds(lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from([1.0, -1.0]),
+                  st.floats(1.0, 2.0, exclude_max=True), st.sampled_from(exponents)))
+
+
+_NEAR_EDGES = list(range(-503, -496)) + list(range(-2, 3)) + list(range(497, 504))
+_SCALED_TARGETS = st.lists(
+    st.lists(st.tuples(st.integers(0, 6), st.builds(complex, _near(_NEAR_EDGES), _near(_NEAR_EDGES))),
+             max_size=3).map(lambda entries: SeqVector.make("uni", entries)),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCALED_TARGETS, st.sampled_from([2.0, 0.5, 2j, -0.5j, -2.0]), st.booleans())
+@example([e(0), e(3)], 0.5, True)
+def test_shared_rows_scale_the_norms_bit_for_bit(targets, factor, home):
+    """Every row of _shared_rows equals _norms over the same paths, bit for
+    bit: the scaled norms where the square range holds, _norms past it.
+    Parts near 2**-500, 1 and 2**500 put its edges at |e| of about 11 and
+    511 (505-515 for targets of 1.0), and the indices cross both where the
+    parts themselves stay normal; a trip that turns by i is not home."""
+    S = ScalarMultiple(factor, ForwardShift()).dyadic_chain()
+    T = ScalarMultiple((1 if home else 1j) / factor, BackwardShift()).dyadic_chain()
+    room = criteria._room(c for y in targets for _, c in y.entries)
+    paths = [(S.path(0, n), T.path(n, n)) for n in [*range(32), *range(500, 524)]]
+    paths = [(p, r) for p, r in paths if criteria._fits(p, r, room)]  # as _closed_rows asks
+    got = criteria._shared_rows(targets, paths)
+    for (p, r), (s_norms, trip_norms) in zip(paths, got):
+        moves = [(y.entries, repeat((p, r)), criteria._home(p, r)) for y in targets]
+        want = list(zip(*map(criteria._norms, targets, moves)))
+        assert [list(map(float.hex, s_norms)), list(map(float.hex, trip_norms))] == [
+            list(map(float.hex, w)) for w in want]
+
+
+def _decay_instance(decay, indices=(0, 1, 2, 3, 7, 8, 20)):
+    return CriterionInstance(**{**rolewicz_instance().__dict__, "decay_vectors": decay,
+                                "indices": indices})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances())
+@example(_decay_instance((SeqVector.zero(), e(2), SeqVector.make("uni", [(0, 2.0 ** 1000)]))))
+@example(_decay_instance((SeqVector.zero(),), indices=(1, 2, 5)))
+def test_decay_walk_that_skips_zeros_matches_the_full_walk(inst):
+    """_iterates leaves a zero sequence vector alone once apply returned it,
+    and yields the same row object once the whole row is zero: every row
+    holds the bits of T^n x, and the forward-decay trace is that of a full
+    walk. Bilateral, scalar and direct-sum vectors never count as zero; a
+    vector may be zero from the start."""
+    T, decay, indices = inst.operator, inst.decay_vectors, inst.indices
+    full = [[power_apply(T, n, x) for x in decay] for n in indices]
+    rows = list(criteria._iterates(T, decay, indices))
+    assert [list(map(_bits, row)) for row in rows] == [list(map(_bits, row)) for row in full]
+    for before, row in zip(rows, rows[1:]):
+        zero = all(type(v) is SeqVector and not v.entries for v in before)
+        assert (row is before) == (zero and before is not decay)
+    try:
+        report = check_criterion(inst)
+    except criteria.NonFiniteResidualError:
+        return  # test_telescoped_round_trips_... checks the refusals
+    peaks = [max(map(vector_norm, row)) for row in full]
+    assert _trace_bits(report.traces.forward_decay) == _trace_bits(peaks)
+
+
+def test_rolewicz_decay_walk_applies_2b_21_times(monkeypatch):
+    """At N=320, 2B is applied to e_j only until it is zero, j + 1 times."""
+    calls = _apply_calls(monkeypatch)
+    check_criterion(rolewicz_instance(upto=320))
+    assert calls["n"] == 6 + 5 + 4 + 3 + 2 + 1
+
+
+def test_a_zero_decay_vector_off_the_domain_is_refused():
+    """The first step applies T to every decay vector, zero or not."""
+    inst = _decay_instance((e(0), SeqVector.zero("bi")))
+    with pytest.raises(DomainMismatchError):
+        check_criterion(inst)

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -568,3 +569,46 @@ def test_power_norm_bound_matches_an_exact_log2_reference(op, n):
             assert got == plain
     elif ref < -1080:
         assert got == 0.0
+
+
+def _full_window_walk(w, n, product):
+    """The sup of product over every window of n consecutive weights from
+    the left tail to the right one, the tails' own powers included."""
+    tails = [product(w.breakpoints[0] - n, w.breakpoints[0] - 1),
+             product(w.breakpoints[-1], w.breakpoints[-1] + n - 1)]
+    return max(tails + [product(a, a + n - 1)
+                        for a in range(w.breakpoints[0] - n, w.breakpoints[-1] + 1)])
+
+
+@st.composite
+def _weighted_shifts(draw):
+    bps = tuple(sorted(draw(st.sets(st.integers(-5, 5), min_size=1, max_size=3))))
+    values = tuple(draw(st.sampled_from(_BOUND_VALUES[:-1])) for _ in range(len(bps) + 1))
+    return draw(st.sampled_from([WeightedBackward, WeightedForward]))(WeightSpec(bps, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_shifts(), st.integers(1, 300))
+def test_shift_bounds_take_the_full_window_walks_sup(op, n):
+    """The windows that start or end at a breakpoint hold the sup of all: the
+    log2 bound is the full walk's within 1e-12, and the float bound within a
+    relative 1e-12 where the walk's is a positive finite float (different
+    windows' products round differently, so along a stretch of equal exact
+    products the float sup may differ in its last bits)."""
+    w = op.weights
+    assert math.isclose(op.log2_norm_bound(n), _full_window_walk(w, n, w.window_log2),
+                        rel_tol=1e-12, abs_tol=1e-12)
+    try:
+        plain = _full_window_walk(w, n, lambda a, b: abs(w.window_product(a, b)))
+    except OverflowError:
+        return
+    if 0.0 < plain < math.inf:
+        assert math.isclose(op.power_norm_bound(n), plain, rel_tol=1e-12)
+
+
+def test_weighted_power_norm_bound_is_fast_at_a_million():
+    """The doubling weights at n = 10**6: 2**(10**6) passes float range,
+    found from a handful of windows instead of a million."""
+    start = time.perf_counter()
+    assert power_norm_bound(WeightedBackward(doubling_weights()), 10**6) == math.inf
+    assert time.perf_counter() - start < 0.01
