@@ -8,41 +8,35 @@ momentarily while diverging. Right inverses are given symbolically as an
 operator S with S_{n} = S^n (for example S = F/2 against 2B).
 
 Closed form for dyadic pairs. T and S are dyadic chains
-(operators.DyadicChain) when every weight value, ScalarMultiple factor and
-ScalarOnC value is +-2^k or +-2^k i. Multiplying by such a number swaps and
-negates the parts of a complex value and scales them by 2^k, exactly while
-every nonzero part stays normal (a zero part stays zero, up to a sign that
-no norm sees). So the walk takes an entry (i, c) in n steps to
-(i + n*step, i^q 2^E c), with E and q summed along its path
-(DyadicChain.path). The S rows are formed from that rule and normed as the
-walk norms them (operators.entries_norm; vector_norm on C and direct sums).
-A round trip that brings every entry back to its index with the factor 1
-(2B against F/2) misses by 0.0; any other goes through vector_sub and
-vector_norm.
+(operators.DyadicChain) when each is an unweighted unilateral shift whose
+ScalarMultiple factors are all +-2^k or +-2^k i. Multiplying by such a
+number swaps and negates the parts of a complex value and scales them by
+2^k, exactly while every nonzero part stays normal (a zero part stays zero,
+up to a sign that no norm sees). Where S moves forward it drops no entry,
+so every entry moves alike: n steps of S, then n of T, take (i, c) to
+(i + shift, i^q 2^E c), with shift, E and q summed along the pair of paths
+of that index (DyadicChain.path), and one pair serves all targets. An index
+fits (_fits) where, along both paths, after each factor inside a step,
+every nonzero part of every target entry stays normal (_room). Its row is
+then formed in closed form; at the first index that does not fit (2B
+against F/2 at index 1023: 2^-1022 is the least normal float) the
+telescoped walk takes the remaining indices, to the same report. Any other
+pair, or a target off the domain, walks from the start. Each row is formed
+as the decay walk reaches its index, so a refusal comes before any later
+row.
 
-The range check runs once, before any row: at every listed index, along
-S^n and then T^n, after each weight and each factor inside a step, every
-nonzero part of every target entry must stay normal. The log2 of the
-partial products is linear along each run of equal weights, so
-DyadicChain.path takes its extremes at the run ends, widened by the
-factors' partial sums. Unweighted chains that drop no entry move every
-entry alike: one pair of paths per index then serves all targets, against
-the least room of their entries. An instance out of range (2B against F/2
-from index 1023 on: 2^-1022 is the least normal float), a pair that is not
-dyadic or a target off the domain walks as below, to the same report. The
-rows are formed as the decay walk reaches their index, so a refusal comes
-before any later row.
-
-Shared paths by exact scaling. Where every entry moves alike, S^n y is
-i^q 2^E y, shifted. _norm_sq squares each part, adds an entry's two squares
-and adds that to a running sum; scaling the parts by 2^E scales each exact
-result by 4^E, and rounding commutes with that while the rounded value and
-its scaled twin are both normal and finite (one that rounds up to 2^-1022
-once scaled does so in the subnormal grid too). So where E lies in
-_square_room, bounded by the targets' least nonzero square and largest sum,
-and the trip comes home, a row is ldexp(||y||, E) per target and a round
-trip of 0.0; any other row goes through _norms (2B against F/2 from index
-512 on).
+The closed rows by exact scaling. S^n y is i^q 2^E y, shifted. _norm_sq
+squares each part, adds an entry's two squares and adds that to a running
+sum; scaling the parts by 2^E scales each exact result by 4^E, and
+rounding commutes with that while the rounded value and its scaled twin
+are both normal and finite (one that rounds up to 2^-1022 once scaled does
+so in the subnormal grid too). So where E lies in _square_room, bounded by
+the targets' least nonzero square and largest sum, the S norms are
+ldexp(||y||, E), and elsewhere (2B against F/2 from index 512 on) the
+entries_norm of the entries scaled by 2^E. A round trip that brings every
+entry back to its index with the factor 1 (_home, as for 2B against F/2)
+misses by 0.0; any other goes through vector_sub and vector_norm of its
+image, formed by _times.
 
 The forward-decay walk makes one criteria.apply per index and vector, but
 a sequence vector that apply returned empty stays as it is (T 0 = 0); once
@@ -60,7 +54,7 @@ of T along the orbit of y (a dyadic pair past float range, and many states
 of inexact pairs); there a round trip costs n - p steps instead of n, and a
 full index sequence up to N costs O(N) steps per target instead of O(N^2).
 The walk holds only the rows at the current and the previous index; the
-closed form, where every entry moves alike, one pair of paths per index.
+closed form one pair of paths per index.
 
 A residual norm that is not finite (an overflow to inf, or NaN) is refused
 at its index with NonFiniteResidualError naming its vector: max() would
@@ -71,7 +65,6 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import repeat
 from typing import NamedTuple
 
 from .jsonio import PreconditionError, Record
@@ -190,87 +183,50 @@ def _peak(norms, field: str, trace: str, n: int) -> float:
     return max(norms)
 
 
-def _closed_rows(inst: CriterionInstance):
+def _target_rows(inst: CriterionInstance):
     """Per index, the norms of S^n y and of T^n S^n y - y over the targets,
-    in closed form (see the module docstring), each row formed when it is
-    asked for; None where the instance must walk."""
-    S, T = inst.right_inverse.dyadic_chain(), inst.operator.dyadic_chain()
-    dom, targets, indices = inst.operator.operator_domain(), inst.target_vectors, inst.indices
-    if S is None or T is None or not all(on_domain(y, dom) for y in targets):
-        return None
-    if type(S) is not tuple and S.weights is T.weights is None and not S.drops and all(
-            type(y) is SeqVector for y in targets):
-        # every entry moves alike: one pair of paths per index serves them all
-        room = _room(c for y in targets for _, c in y.entries)
-        paths = [(S.path(0, n), T.path(n * S.step, n)) for n in indices]
-        return _shared_rows(targets, paths) if all(_fits(p, r, room) for p, r in paths) else None
-    if any(_moves(S, T, y, n) is None for n in indices for y in targets):
-        return None
-    return (tuple(zip(*(_norms(y, _moves(S, T, y, n)) for y in targets))) for n in indices)
+    each row formed when it is asked for: in closed form while the index
+    fits (see the module docstring), then from the telescoped walk."""
+    T, S, targets, indices = inst.operator, inst.right_inverse, inst.target_vectors, inst.indices
+    s, t, done = S.dyadic_chain(), T.dyadic_chain(), 0
+    if s and t and s.step > 0 and all(on_domain(y, S.operator_domain()) for y in targets):
+        room, (floor, ceil) = _room(c for y in targets for _, c in y.entries), _square_room(targets)
+        norms, zeros = [entries_norm(y.entries) for y in targets], [0.0] * len(targets)
+        for n in indices:
+            p, r = s.path(n), t.path(n)
+            if not _fits(p, r, room):
+                break
+            e = p[1]
+            if floor <= e <= ceil:
+                s_norms = [math.ldexp(x, e) for x in norms]
+            else:  # i^q does not move a norm
+                s_norms = [entries_norm([(i, _times(c, e, 0)) for i, c in y.entries])
+                           for y in targets]
+            yield s_norms, zeros if _home(p, r) else [_miss_norm(y, p, r) for y in targets]
+            done += 1
+    rest = indices[done:]
+    for s_row, trips in _round_trips(T, _iterates(S, targets, rest), targets, rest):
+        yield list(map(vector_norm, s_row)), [r for _, r in trips]
 
 
-def _shared_rows(targets, paths):
-    """The _norms rows for shared paths (p, r), one pair per index: the
-    target norms times 2**p[1] and a round trip of 0.0 where the trip comes
-    home and p[1] lies in _square_room, else _norms itself."""
-    norms, (floor, ceil) = [entries_norm(y.entries) for y in targets], _square_room(targets)
-    zeros = [0.0] * len(targets)
-    for p, r in paths:
-        home = _home(p, r)
-        if home and floor <= p[1] <= ceil:
-            yield [math.ldexp(x, p[1]) for x in norms], zeros
-        else:
-            yield tuple(zip(*(_norms(y, (y.entries, repeat((p, r)), home)) for y in targets)))
-
-
-def _moves(S, T, y: Vector, n: int):
-    """(entries, paths, home) for y, one per block of a direct sum: each
-    entry's pair (S.path(i, n), the path of T^n from its end), None once
-    dropped, and whether every entry comes back home (_home). None where a
-    part leaves the normal range."""
-    if type(y) is tuple:
-        blocks = [_moves(s, t, b, n) for s, t, b in zip(S, T, y)]
-        return None if None in blocks else blocks
-    entries, paths, home = y.entries if type(y) is SeqVector else ((0, y),), [], True
-    for i, c in entries:
-        p = S.path(i, n)
-        r = p and T.path(i + p[0], n)
-        if p and not _fits(p, r, _room((c,))):
-            return None
-        paths.append((p, r))
-        home = home and _home(p, r)
-    return entries, paths, home
+def _miss_norm(y: SeqVector, p, r) -> float:
+    """The norm of T^n S^n y - y, with every entry of y moved along p, then r."""
+    shift, e, q = p[0] + r[0], p[1] + r[1], p[2] + r[2]
+    image = SeqVector(y.domain, tuple((i + shift, _times(c, e, q)) for i, c in y.entries))
+    return vector_norm(vector_sub(image, y))
 
 
 def _fits(p, r, room) -> bool:
     """Whether the S path p, then the T path r, keep every partial product
     within room (see _room)."""
     floor, ceil = room
-    return floor <= p[3] and p[4] <= ceil and (
-        not r or floor <= p[1] + r[3] and p[1] + r[4] <= ceil)
+    return floor <= p[3] and p[4] <= ceil and floor <= p[1] + r[3] and p[1] + r[4] <= ceil
 
 
 def _home(p, r) -> bool:
     """Whether the paths p, then r, bring an entry back to its index with
     the factor 1."""
-    return bool(r) and not (p[0] + r[0] or p[1] + r[1] or (p[2] + r[2]) % 4)
-
-
-def _norms(y: Vector, moves) -> tuple:
-    """(norm of S^n y, norm of T^n S^n y - y) from the _moves of y."""
-    if type(y) is tuple:
-        # vector_norm of a tuple of block norms is the direct-sum norm
-        return tuple(map(vector_norm, zip(*map(_norms, y, moves))))
-    (entries, paths, home), ldexp, seq = moves, math.ldexp, type(y) is SeqVector
-    moved = [(i, complex(ldexp(c.real, p[1]), ldexp(c.imag, p[1])))
-             for (i, c), (p, _) in zip(entries, paths) if p]  # i^q does not move a norm
-    s_norm = entries_norm(moved) if seq else vector_norm(moved[0][1])
-    if home:  # T^n S^n y - y is empty
-        return s_norm, 0.0
-    image = [(i + p[0] + r[0], _times(c, p[1] + r[1], p[2] + r[2]))
-             for (i, c), (p, r) in zip(entries, paths) if r]
-    image = SeqVector(y.domain, tuple(image)) if seq else image[0][1]
-    return s_norm, vector_norm(vector_sub(image, y))
+    return not (p[0] + r[0] or p[1] + r[1] or (p[2] + r[2]) % 4)
 
 
 def _room(values) -> tuple:
@@ -306,12 +262,9 @@ def _times(c: complex, e: int, q: int) -> complex:
 def check_criterion(inst: CriterionInstance) -> CriterionReport:
     """Evaluate the three residual traces along the instance's index sequence,
     taking each index's peaks as the decay walk reaches it."""
-    op, indices, targets = inst.operator, inst.indices, inst.target_vectors
-    decay_rows = _iterates(op, inst.decay_vectors, indices)
-    rows = _closed_rows(inst)
-    if rows is None:  # the walk
-        trips = _round_trips(op, _iterates(inst.right_inverse, targets, indices), targets, indices)
-        rows = ((list(map(vector_norm, s_row)), [r for _, r in trip]) for s_row, trip in trips)
+    indices = inst.indices
+    decay_rows = _iterates(inst.operator, inst.decay_vectors, indices)
+    rows = _target_rows(inst)
     traces, last = Traces([], [], []), None
     for n, decay, (s_norms, trip_norms) in zip(indices, decay_rows, rows):
         if decay is not last:  # a zero row comes back as the same object

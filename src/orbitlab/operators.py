@@ -356,8 +356,9 @@ class OperatorSpec(jsonio.Family):
     Every variant implements _power(n, v, outer), its one action: op^n v for
     n >= 1, each step followed by the factors `outer` (inside out) of the
     scalar multiples around op; apply(v) is one step. Every variant also
-    implements power_norm_bound(n), its log2 form log2_norm_bound(n), and
-    dyadic_chain(outer) (see DyadicChain). The shifts carry `domain` and
+    implements power_norm_bound(n) and its log2 form log2_norm_bound(n).
+    dyadic_chain(outer) is None but on the unweighted shifts and the scalar
+    multiples around them (see DyadicChain). The shifts carry `domain` and
     `step` (+1 forward, -1 backward) as plain class attributes, which are no
     record fields and so stay out of the JSON form.
     """
@@ -371,6 +372,9 @@ class OperatorSpec(jsonio.Family):
 
     def adjoint_point_spectrum(self) -> Optional[frozenset]:
         """Point spectrum of the adjoint; None = unknown."""
+        return None
+
+    def dyadic_chain(self, outer: tuple = ()) -> Optional["DyadicChain"]:
         return None
 
 
@@ -427,8 +431,7 @@ def _windows(w: WeightSpec, n: int):
 
 
 def _shift_chain(op, outer: tuple = ()) -> Optional["DyadicChain"]:
-    w = getattr(op, "weights", None)
-    return DyadicChain.of(op.step, w is None and op.step < 0, w, outer)
+    return DyadicChain.of(op.step, outer)
 
 
 class BackwardShift(OperatorSpec, kind="backward_shift"):
@@ -458,7 +461,7 @@ class WeightedBackward(OperatorSpec, kind="weighted_backward"):
     weights: WeightSpec
     domain, step = BILATERAL, -1
     _power, power_norm_bound = _shift_power, _shift_norm_bound
-    log2_norm_bound, dyadic_chain = _shift_log2_bound, _shift_chain
+    log2_norm_bound = _shift_log2_bound
 
 
 class WeightedForward(OperatorSpec, kind="weighted_forward"):
@@ -467,7 +470,7 @@ class WeightedForward(OperatorSpec, kind="weighted_forward"):
     weights: WeightSpec
     domain, step = BILATERAL, 1
     _power, power_norm_bound = _shift_power, _shift_norm_bound
-    log2_norm_bound, dyadic_chain = _shift_log2_bound, _shift_chain
+    log2_norm_bound = _shift_log2_bound
 
 
 class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
@@ -493,9 +496,6 @@ class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
 
     def log2_norm_bound(self, n):
         return _log2_power(abs(self.value), n)
-
-    def dyadic_chain(self, outer=()):
-        return DyadicChain.of(0, False, None, (self.value,) + outer)
 
     def adjoint_point_spectrum(self):
         return frozenset({self.value.conjugate()})
@@ -553,10 +553,6 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
     def log2_norm_bound(self, n):
         return max(b.log2_norm_bound(n) for b in self.blocks)
 
-    def dyadic_chain(self, outer=()):
-        chains = tuple(b.dyadic_chain(outer) for b in self.blocks)
-        return None if None in chains else chains
-
     def _power(self, n, v, outer):
         if not on_domain(v, self.operator_domain()):
             raise DomainMismatchError("direct sum acts on tuples of vectors, one per block")
@@ -610,49 +606,31 @@ def _walk(i: int, c: complex, n: int, step: int, weights, outer: tuple):
 
 
 class DyadicChain:
-    """A shift, or ScalarOnC (step 0, its value the first factor), with the
-    ScalarMultiple factors around it, whose every multiplier is i**q * 2**k.
-    pieces holds (k, q) of each weight value; k and q are those of the
-    factors' product, lo and hi the least and greatest k of their partial
-    products, 1 included."""
+    """An unweighted unilateral shift with the ScalarMultiple factors around
+    it, every factor i**q * 2**k: k and q are those of their product, lo and
+    hi the least and greatest k of their partial products, 1 included."""
 
-    __slots__ = ("step", "drops", "weights", "pieces", "k", "q", "lo", "hi")
+    __slots__ = ("step", "k", "q", "lo", "hi")
 
     @classmethod
-    def of(cls, step, drops, weights, factors) -> Optional["DyadicChain"]:
-        pieces = tuple(map(_dyadic, weights.values)) if weights is not None else ()
+    def of(cls, step, factors) -> Optional["DyadicChain"]:
         units = list(map(_dyadic, factors))
-        if None in pieces or None in units:
+        if None in units:
             return None
         chain, sums = object.__new__(cls), list(accumulate((k for k, _ in units), initial=0))
-        chain.step, chain.drops, chain.weights, chain.pieces = step, drops, weights, pieces
-        chain.k, chain.q = sums[-1], sum(q for _, q in units)
+        chain.step, chain.k, chain.q = step, sums[-1], sum(q for _, q in units)
         chain.lo, chain.hi = min(sums), max(sums)
         return chain
 
-    def path(self, i: int, n: int):
-        """(shift, e, q, lo, hi) for an entry at index i after n steps, or
-        None once it is dropped: it moves to i + shift, its value is
-        multiplied by i**q * 2**e, and by a power of two from 2**lo to 2**hi
-        after each weight and factor on the way. Their log2 is linear along a
-        run of equal weights, so its extremes lie at the run ends, widened by
-        the factors' lo and hi; an unweighted chain is one run."""
-        step, k, q, lo, hi = self.step, self.k, self.q, self.lo, self.hi
-        if self.drops and n > i:
-            return None
+    def path(self, n: int):
+        """(shift, e, q, lo, hi) for any entry that n steps keep at an index
+        >= 0: it moves to its index + shift, its value is multiplied by
+        i**q * 2**e, and by a power of two from 2**lo to 2**hi after each
+        factor on the way."""
         if not n:
             return 0, 0, 0, 0, 0
-        if self.weights is None:
-            top = (n - 1) * k
-            return n * step, n * k, n * q, min(0, top) + lo, max(0, top) + hi
-        runs = self.weights.runs(*((i, i + n - 1) if step > 0 else (i - n + 1, i)))
-        e = turns = least = most = 0
-        for v, count in runs if step > 0 else reversed(runs):
-            (kw, qw), d = self.pieces[v], self.pieces[v][0] + k
-            ends = (e + kw, e + kw + (count - 1) * d)
-            least, most = min(least, min(ends) + lo), max(most, max(ends) + hi)
-            e, turns = e + count * d, turns + count * (qw + q)
-        return n * step, e, turns, least, most
+        k, top = self.k, (n - 1) * self.k
+        return n * self.step, n * k, n * self.q, min(0, top) + self.lo, max(0, top) + self.hi
 
 
 def _dyadic(z: complex) -> Optional[tuple[int, int]]:

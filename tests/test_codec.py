@@ -186,8 +186,11 @@ def _check_operator(op):
     assert op._power(3, v, ()) == operators.power_apply(op, 3, v)
     assert op.power_norm_bound(2) == operators.power_norm_bound(op, 2)
     assert math.isclose(2.0 ** op.log2_norm_bound(2), op.power_norm_bound(2), rel_tol=1e-9)
-    chain = op.dyadic_chain()
-    assert chain is None or isinstance(chain, (operators.DyadicChain, tuple))
+    chain, inner = op.dyadic_chain(), op
+    while type(inner) is ScalarMultiple:
+        inner = inner.inner
+    assert type(chain) is (operators.DyadicChain if type(inner) in (BackwardShift, ForwardShift)
+                           else type(None))
     assert op.adjoint_point_spectrum() == operators.adjoint_point_spectrum(op)
 
 

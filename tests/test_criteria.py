@@ -6,7 +6,6 @@ import math
 import re
 import struct
 import sys
-from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -289,6 +288,39 @@ _IN_STEP = CriterionInstance(
 )
 
 
+# 2^-600 F leaves the normal range at index 2 and its 2^-1200 underflows;
+# the closed form takes 0 and 1, the walk the rest
+_FACTOR_600 = CriterionInstance(
+    operator=ScalarMultiple(2.0 ** 600, BackwardShift()),
+    right_inverse=ScalarMultiple(2.0 ** -600, ForwardShift()),
+    decay_vectors=(e(0),),
+    target_vectors=(e(0), e(2)),
+    indices=(0, 1, 2, 5),
+)
+
+
+# T's in-step 2^-600 underflows the 2^-500 entry at index 1 (4 * 2^-500 *
+# 2^-600) but not at index 40 (4^40 * 2^-500 * 2^-600): the closed form
+# stops at index 1, although later indices fit again
+_LATE_FIT = CriterionInstance(
+    operator=ScalarMultiple(2.0 ** 600, ScalarMultiple(2.0 ** -600, BackwardShift())),
+    right_inverse=ScalarMultiple(4.0, ForwardShift()),
+    decay_vectors=(e(0),),
+    target_vectors=(SeqVector.make("uni", [(2, 2.0 ** -500)]),),
+    indices=(0, 1, 40, 41),
+)
+
+
+# a backward S drops entries, so it walks
+_BACKWARD_S = CriterionInstance(
+    operator=ForwardShift(),
+    right_inverse=BackwardShift(),
+    decay_vectors=(e(0),),
+    target_vectors=(e(0), e(3)),
+    indices=(0, 1, 2, 5),
+)
+
+
 def _refusal(traces, inst):
     """The NonFiniteResidualError message check_criterion gives for these
     per-index norm lists, or None where every norm is finite."""
@@ -305,11 +337,17 @@ def _refusal(traces, inst):
 @given(_instances())
 @example(_SIGNED_ZERO)
 @example(_IN_STEP)
+@example(_FACTOR_600)
+@example(_BACKWARD_S)
+@example(_LATE_FIT)
+@example(CriterionInstance(**{**rolewicz_instance().__dict__,
+                              "indices": (0, 3, 1020, 1022, 1023, 1025)}))
 def test_telescoped_round_trips_match_the_direct_formula_bit_for_bit(inst):
     """check_criterion against the direct per-index formula: each miss
     T^n S^n y - y bit for bit, and all three traces, or the same refusal
     where a residual is not finite. Dyadic pairs in float range take the
-    closed form, every other instance the walk."""
+    closed form up to the first index out of range, and the walk after it;
+    every other instance walks."""
     T, S, indices, targets = inst.operator, inst.right_inverse, inst.indices, inst.target_vectors
     s_rows = [[power_apply(S, n, y) for y in targets] for n in indices]
     direct = [[vector_sub(power_apply(T, n, sy), y) for sy, y in zip(row, targets)]
@@ -416,6 +454,21 @@ def test_rolewicz_in_float_range_never_walks_s(indices, digest, monkeypatch):
     assert steps["n"] == 0
 
 
+def test_closed_form_hands_the_walk_the_indices_past_float_range(monkeypatch):
+    """Rolewicz at N=2000: the closed form holds up to index 1022, and
+    _round_trips walks exactly the indices 1023..2000."""
+    walked = []
+    round_trips = criteria._round_trips
+
+    def recording(op, s_rows, targets, indices):
+        walked.extend(indices)
+        return round_trips(op, s_rows, targets, indices)
+
+    monkeypatch.setattr(criteria, "_round_trips", recording)
+    check_criterion(rolewicz_instance(upto=2000))
+    assert walked == list(range(1023, 2001))
+
+
 def test_rolewicz_past_float_range_walks(monkeypatch):
     """2^-2000 underflows: the instance walks, and its report is unchanged."""
     steps = _walked_steps(monkeypatch, +1)
@@ -440,26 +493,25 @@ def test_closed_form_refuses_a_non_finite_norm_as_the_walk_does(monkeypatch):
     with pytest.raises(criteria.NonFiniteResidualError, match=message):
         check_criterion(inst)
     assert steps["n"] == 0
-    monkeypatch.setattr(criteria, "_closed_rows", lambda inst: None)
+    monkeypatch.setattr(criteria, "_fits", lambda p, r, room: False)
     with pytest.raises(criteria.NonFiniteResidualError, match=message):
         check_criterion(inst)
     assert steps["n"] > 0
 
 
 def test_closed_form_forms_no_row_past_a_refused_index(monkeypatch):
-    """B against F takes the closed form's shared paths; a decay vector whose
-    norm passes float range is refused at index 0, and only that index's row
-    is formed."""
+    """B against F takes the closed form; a decay vector whose norm passes
+    float range is refused at index 0, and only that index's row is formed."""
     calls = 0
-    shared_rows = criteria._shared_rows
+    target_rows = criteria._target_rows
 
-    def counting(targets, paths):
+    def counting(inst):
         nonlocal calls
-        for row in shared_rows(targets, paths):
+        for row in target_rows(inst):
             calls += 1
             yield row
 
-    monkeypatch.setattr(criteria, "_shared_rows", counting)
+    monkeypatch.setattr(criteria, "_target_rows", counting)
     inst = CriterionInstance(
         operator=BackwardShift(),
         right_inverse=ForwardShift(),
@@ -496,20 +548,22 @@ _SCALED_TARGETS = st.lists(
 @given(_SCALED_TARGETS, st.sampled_from([2.0, 0.5, 2j, -0.5j, -2.0]), st.booleans())
 @example([e(0), e(3)], 0.5, True)
 def test_shared_rows_scale_the_norms_bit_for_bit(targets, factor, home):
-    """Every row of _shared_rows equals _norms over the same paths, bit for
-    bit: the scaled norms where the square range holds, _norms past it.
+    """Every row of _target_rows equals the direct formula bit for bit: the
+    scaled norms where the square range holds, the norms of the scaled
+    entries past it, and the walk where a part leaves the normal range.
     Parts near 2**-500, 1 and 2**500 put its edges at |e| of about 11 and
     511 (505-515 for targets of 1.0), and the indices cross both where the
     parts themselves stay normal; a trip that turns by i is not home."""
-    S = ScalarMultiple(factor, ForwardShift()).dyadic_chain()
-    T = ScalarMultiple((1 if home else 1j) / factor, BackwardShift()).dyadic_chain()
-    room = criteria._room(c for y in targets for _, c in y.entries)
-    paths = [(S.path(0, n), T.path(n, n)) for n in [*range(32), *range(500, 524)]]
-    paths = [(p, r) for p, r in paths if criteria._fits(p, r, room)]  # as _closed_rows asks
-    got = criteria._shared_rows(targets, paths)
-    for (p, r), (s_norms, trip_norms) in zip(paths, got):
-        moves = [(y.entries, repeat((p, r)), criteria._home(p, r)) for y in targets]
-        want = list(zip(*map(criteria._norms, targets, moves)))
+    S = ScalarMultiple(factor, ForwardShift())
+    T = ScalarMultiple((1 if home else 1j) / factor, BackwardShift())
+    indices = (*range(32), *range(500, 524))
+    inst = CriterionInstance(operator=T, right_inverse=S, decay_vectors=(e(0),),
+                             target_vectors=tuple(targets), indices=indices)
+    s_row, done = targets, 0
+    for n, (s_norms, trip_norms) in zip(indices, criteria._target_rows(inst)):
+        s_row, done = [power_apply(S, n - done, sy) for sy in s_row], n  # S^n y, step by step
+        want = ([vector_norm(sy) for sy in s_row],
+                [vector_norm(vector_sub(power_apply(T, n, sy), y)) for sy, y in zip(s_row, targets)])
         assert [list(map(float.hex, s_norms)), list(map(float.hex, trip_norms))] == [
             list(map(float.hex, w)) for w in want]
 
