@@ -318,40 +318,51 @@ _CELL_BITS = 100
 
 
 def cell_sum(terms, bound: X2) -> X2:
-    """x2_sum(terms) for positive terms, or a stand-in that reads the same.
-
-    With dyadic terms and T the top-bit bound of the largest (every term
-    < 2^T), each term is floored onto the grid 2^g, g = T - 300. No floored
-    remainder: the grid sum is exact. Otherwise the sum lies in the open
-    interval (S, S + n) * 2^g (S the floored sum, n the terms with a
-    remainder); when that interval lies in one cell of the aligned grid
-    2^(T - 100) and bound is a multiple of the cell width, the cell
-    midpoint is returned. The sum is at least 2^(T - 1), so every rounding
-    or truncation boundary that float(), round_up_bits(64) and `<= bound`
-    read (multiples of 2^(top bit - 64) or coarser, powers of two, and
-    bound) lies on the cell grid: they give the same answer at the midpoint
-    as at the sum. Anything else, a non-dyadic term included, falls back to
-    the exact x2_sum.
-    """
+    """x2_sum(terms) for positive terms, or a stand-in that reads the same:
+    pair_sum's answer where every term is dyadic and it decides the cell,
+    else the exact x2_sum, a non-dyadic term included."""
     terms = [t for t in terms if t.num]
-    if not terms or bound.den != 1 or any(t.den != 1 or t.num < 0 for t in terms):
-        return x2_sum(terms)
-    g = max(t.exp + t.num.bit_length() for t in terms) - _FLOOR_BITS
+    if all(t.den == 1 and t.num > 0 for t in terms):
+        got = pair_sum([(t.num, t.exp) for t in terms], bound)
+        if got is not None:
+            return got
+    return x2_sum(terms)
+
+
+def pair_sum(pairs, bound: X2) -> X2 | None:
+    """The sum of the positive dyadic terms m * 2^e given as (m, e) pairs
+    with m odd, or a stand-in that reads the same, or None when the cell
+    cannot be decided (the caller then adds the terms exactly).
+
+    With T the top-bit bound of the largest term (every term < 2^T), each
+    term is floored onto the grid 2^g, g = T - 300. No floored remainder:
+    the grid sum is exact. Otherwise the sum lies in the open interval
+    (S, S + n) * 2^g (S the floored sum, n the terms with a remainder);
+    when that interval lies in one cell of the aligned grid 2^(T - 100) and
+    bound is a multiple of the cell width, the cell midpoint is returned.
+    The sum is at least 2^(T - 1), so every rounding or truncation boundary
+    that float(), round_up_bits(64) and `<= bound` read (multiples of
+    2^(top bit - 64) or coarser, powers of two, and bound) lies on the cell
+    grid: they give the same answer at the midpoint as at the sum.
+    """
+    if not pairs:
+        return X2.ZERO
+    g = max(e + m.bit_length() for m, e in pairs) - _FLOOR_BITS
     s = 0
     n = 0
-    for t in terms:
-        d = t.exp - g
+    for m, e in pairs:
+        d = e - g
         if d >= 0:
-            s += t.num << d
+            s += m << d
         else:
-            s += t.num >> -d
-            n += 1  # the mantissa is odd, so the dropped bits are not all zero
+            s += m >> -d
+            n += 1  # m is odd, so the dropped bits are not all zero
     if not n:
         return X2(s, 1, g)
     width = _FLOOR_BITS - _CELL_BITS
     cell = s >> width
-    if (s + n - 1) >> width != cell or bound.exp < g + width:
-        return x2_sum(terms)
+    if (s + n - 1) >> width != cell or bound.den != 1 or bound.exp < g + width:
+        return None
     return X2(2 * cell + 1, 1, g + width - 1)
 
 

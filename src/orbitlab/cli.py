@@ -45,6 +45,9 @@ def _load_targets(cfg: dict, stages: int, domain: str):
         raise jsonio.PreconditionError("targets: expected vectors or default_count, not both")
     if "vectors" not in spec:
         count = jsonio.decode_key(int, spec, "default_count", "targets")
+        if count > constructions.STAGE_CAP + 1:  # before any target is built
+            cap = constructions.STAGE_CAP + 1
+            raise jsonio.PreconditionError(f"targets.default_count: more than {cap:,} targets")
         return jsonio.construct(
             constructions.default_target_family, "targets.default_count", count, domain
         )
@@ -82,6 +85,8 @@ def _cmd_build(cfg: dict, out: "_Output") -> dict:
         build, domain = constructions.build_unilateral, operators.UNILATERAL
     sampler = scalar_sets.from_json(_field(cfg, "set", dict), "set")
     stages = _field(cfg, "stages", int)
+    if stages > constructions.STAGE_CAP:  # before any target is built
+        raise jsonio.PreconditionError(f"stages: more than {constructions.STAGE_CAP:,} stages")
     trace = build(sampler, _load_targets(cfg, stages, domain), stages)
     out.csv("residuals.csv", trace.to_csv)
     return {"trace": trace}

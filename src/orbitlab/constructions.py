@@ -22,11 +22,12 @@ gamma_k B^{m_k} x - y_k.
 
 All stage conditions and residual bounds are verified with exact
 scaled-rational arithmetic: the recorded booleans are exact statements, not
-float comparisons. A residual square is summed on a cell grid
-(_exact.cell_sum) that the bound check and the reported values read exactly
-as they read the exact sum; the exact sums are built only when read. Scalar
-choices follow a margin rule: the first resolver value achieving the strict
-inequality with factor 1/2 slack.
+float comparisons. A residual square is summed from the integers of its
+terms on a cell grid (_exact.pair_sum) that the bound check and the reported
+values read exactly as they read the exact sum; the terms as X2 and their
+exact sums are built only when read. Scalar choices follow a margin rule:
+the first resolver value achieving the strict inequality with factor 1/2
+slack.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from typing import Callable
 
 from . import jsonio
 from .jsonio import Field, PreconditionError, Record
-from ._exact import X2, XC, cell_sum, x2_sum, xvec_from_seq, xvec_norm_sq, xvec_sub
+from ._exact import X2, XC, pair_sum, x2_sum, xvec_from_seq, xvec_norm_sq, xvec_sub
 from ._kernels import spiral_min_scan
 from .operators import (
     BILATERAL,
@@ -78,6 +80,11 @@ class ShiftSearchLimitError(PreconditionError):
 
 # the exact fallback of a residual sum would hold integers of about this many bits
 SHIFT_CAP = 1 << 40
+# the most stages a config may ask for; the CLI refuses more before building
+# targets. Shipped samplers stop far below it: build22 at stage 37 (SHIFT_CAP),
+# build21 at report time from 168 stages (its scalars' integers outgrow
+# Python's digit limit), and a run of 1,000 stages takes under a second.
+STAGE_CAP = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +193,19 @@ class ConstructionTrace(Record):
     residual_sq_upper: tuple[X2, ...]
     conditions: tuple[dict, ...]
     tail_bound: float
-    # per stage: the squared moduli of the residual's entries, by index
-    residual_terms: tuple[tuple[X2, ...], ...] = Field(repr=False)
+    # stage_terms(k) forms stage k's residual terms from the build's exact inputs
+    stage_terms: Callable[[int], tuple[X2, ...]] = Field(repr=False)
 
     @property
     def stages(self) -> int:
         return len(self.choices) - 1
+
+    @functools.cached_property
+    def residual_terms(self) -> tuple[tuple[X2, ...], ...]:
+        """Per stage, the squared moduli of the residual's entries, by index.
+        The build sums them without forming them, so they are formed only
+        when read."""
+        return tuple(map(self.stage_terms, range(len(self.choices))))
 
     @functools.cached_property
     def residual_sq_exact(self) -> tuple[X2, ...]:
@@ -372,23 +386,19 @@ class _Stages:
             for j, c in _shift(t, -m, self.domain).items():
                 term = c * inv
                 x[j] = x[j] + term if j in x else term
-        # (j, |x_j|^2) for XC.on_dyadic_axis picks; a zero x_j adds no term (0 * g - c is -c)
-        sqs = [(j, x[j].mod_sq()) for j in sorted(x) if not x[j].is_zero]
-        terms, sums, conds = [], [], []
-        for k, (g, m, msq, t) in enumerate(zip(self.scalars, self.shifts, self.msqs, self.targets)):
-            # B^m drops the unilateral entries below m
-            lo = bisect_left(sqs, m, key=lambda p: p[0]) if self.domain == UNILATERAL else 0
-            axis, row, near = g.on_dyadic_axis, {}, {}
-            for j, xm in sqs[lo:]:
-                if axis and j - m not in t:
-                    row[j - m] = _times_4_pow(xm * msq, _weight_log2(self.domain, j, m))
-                else:
-                    near[j] = x[j]
-            diff = xvec_sub({j: c * g for j, c in _shift(near, m, self.domain).items()}, t)
-            row.update((i, c.mod_sq()) for i, c in diff.items())
-            terms.append(tuple(row[i] for i in sorted(row)))
+        self.x = x  # with self.entries, the exact inputs terms(k) reads
+        # per nonzero x_j by index (a zero one adds no term: 0 * g - c is -c):
+        # j, |x_j|^2 as num, den, exp, and twice the cap c of its weight
+        # exponent, min(c, n) under B^n (see _weight_log2)
+        self.entries = []
+        for j in sorted(x):
+            if not x[j].is_zero:
+                sq, cap = x[j].mod_sq(), _weight_log2(self.domain, j, max(j, 0))
+                self.entries.append((j, sq.num, sq.den, sq.exp, 2 * cap))
+        sums, conds = [], []
+        for k in range(len(self.scalars)):
             limit = bound(k)
-            sums.append(cell_sum(terms[k], limit))
+            sums.append(self.residual_sq(k, limit))
             if not sums[k] <= limit:
                 raise RuntimeError(f"stage {k} residual exceeds its certified bound")
             conds.append({"stage": k, **conditions(k)})
@@ -402,8 +412,58 @@ class _Stages:
             residual_sq_upper=tuple(r.round_up_bits(64) for r in sums),
             conditions=tuple(conds),
             tail_bound=2.0 ** -(len(self.scalars) - 1),
-            residual_terms=tuple(terms),
+            stage_terms=self.terms,
         )
+
+    def _split(self, k: int):
+        """Stage k's residual terms in two parts. Far: (i, num, den, exp) for
+        each entry x_j that lands on an index i = j - m_k off y_k's support
+        under a pick on a dyadic axis: its term |x_j|^2 |gamma_k|^2 4^w (w
+        the weight exponent B^{m_k} gives index j) built from the integers
+        of the two squares, with the triple of the multiplied-out square
+        (XC.on_dyadic_axis; the pick's den is 1). Near: every other entry of
+        gamma_k B^{m_k} x - y_k, multiplied out, as {i: squared modulus}."""
+        g, m, t, msq = self.scalars[k], self.shifts[k], self.targets[k], self.msqs[k]
+        # B^m drops the unilateral entries below m
+        lo = bisect_left(self.entries, m, key=lambda p: p[0]) if self.domain == UNILATERAL else 0
+        axis, far, near = g.on_dyadic_axis, [], {}
+        gn, ge, m2 = msq.num, msq.exp, 2 * m
+        for j, num, den, exp, cap in self.entries[lo:]:
+            if axis and j - m not in t:
+                far.append((j - m, num * gn, den, exp + ge + (cap if cap < m2 else m2)))
+            else:
+                near[j] = self.x[j]
+        diff = xvec_sub({j: c * g for j, c in _shift(near, m, self.domain).items()}, t)
+        return far, {i: c.mod_sq() for i, c in diff.items()}
+
+    def residual_sq(self, k: int, limit: X2) -> X2:
+        """Stage k's squared residual norm, or a stand-in that float(),
+        round_up_bits(64) and `<= limit` read the same: pair_sum of its terms
+        where every one is dyadic and the cell is decided, else their exact
+        sum in index order. Either way it is cell_sum(terms(k), limit)."""
+        far, near = self._split(k)
+        pairs = _pairs(far, near)
+        total = None if pairs is None else pair_sum(pairs, limit)
+        return x2_sum(_row(far, near)) if total is None else total
+
+    def terms(self, k: int) -> tuple[X2, ...]:
+        """Stage k's residual terms by index (ConstructionTrace.residual_terms)."""
+        return _row(*self._split(k))
+
+
+def _pairs(far, near) -> list | None:
+    """A stage's residual terms (see _Stages._split) as (mantissa, exponent)
+    pairs, in no set order, or None when one of them is not dyadic."""
+    if any(f[2] != 1 for f in far) or any(sq.den != 1 for sq in near.values()):
+        return None
+    return [(num, exp) for _, num, _, exp in far] + [(sq.num, sq.exp) for sq in near.values()]
+
+
+def _row(far, near) -> tuple[X2, ...]:
+    """A stage's residual terms (see _Stages._split) as X2, by index."""
+    row = {i: X2(num, den, exp) for i, num, den, exp in far}
+    row.update(near)
+    return tuple(row[i] for i in sorted(row))
 
 
 # ---------------------------------------------------------------------------

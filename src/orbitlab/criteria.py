@@ -20,10 +20,11 @@ fits (_fits) where, along both paths, after each factor inside a step,
 every nonzero part of every target entry stays normal (_room). Its row is
 then formed in closed form; at the first index that does not fit (2B
 against F/2 at index 1023: 2^-1022 is the least normal float) the
-telescoped walk takes the remaining indices, to the same report. Any other
-pair, or a target off the domain, walks from the start. Each row is formed
-as the decay walk reaches its index, so a refusal comes before any later
-row.
+telescoped walk takes the remaining indices, to the same report. It goes on
+from S^n y at the last closed index n, which _moved builds with the bits n
+calls of apply give. Any other pair, or a target off the domain, walks from
+the start. Each row is formed as the decay walk reaches its index, so a
+refusal comes before any later row.
 
 The closed rows by exact scaling. S^n y is i^q 2^E y, shifted. _norm_sq
 squares each part, adds an entry's two squares and adds that to a running
@@ -131,12 +132,13 @@ class CriterionReport(Record):
     traces: Traces
 
 
-def _iterates(op: OperatorSpec, vecs, indices):
-    """vecs under op^n for each n in indices, computed incrementally; only
-    the latest row is held, so memory does not grow with the largest index.
+def _iterates(op: OperatorSpec, vecs, indices, done: int = 0):
+    """vecs under op^n for each n in indices, computed incrementally from
+    vecs as op^done of the vectors (done below every index); only the
+    latest row is held, so memory does not grow with the largest index.
     A zero sequence vector that apply returned stays as it is (T 0 = 0);
     once the whole row is zero, that same row object comes back."""
-    done, zero = 0, False
+    zero = False
     for n in indices:
         while done < n and not zero:
             vecs = [v if done and _empty(v) else apply(op, v) for v in vecs]
@@ -188,7 +190,7 @@ def _target_rows(inst: CriterionInstance):
     each row formed when it is asked for: in closed form while the index
     fits (see the module docstring), then from the telescoped walk."""
     T, S, targets, indices = inst.operator, inst.right_inverse, inst.target_vectors, inst.indices
-    s, t, done = S.dyadic_chain(), T.dyadic_chain(), 0
+    s, t, done, start = S.dyadic_chain(), T.dyadic_chain(), 0, targets
     if s and t and s.step > 0 and all(on_domain(y, S.operator_domain()) for y in targets):
         room, (floor, ceil) = _room(c for y in targets for _, c in y.entries), _square_room(targets)
         norms, zeros = [entries_norm(y.entries) for y in targets], [0.0] * len(targets)
@@ -204,15 +206,23 @@ def _target_rows(inst: CriterionInstance):
                            for y in targets]
             yield s_norms, zeros if _home(p, r) else [_miss_norm(y, p, r) for y in targets]
             done += 1
-    rest = indices[done:]
-    for s_row, trips in _round_trips(T, _iterates(S, targets, rest), targets, rest):
+        if 0 < done < len(indices):  # the walk goes on from the last closed row's S^n y
+            start = [_moved(y, *s.path(indices[done - 1])[:3]) for y in targets]
+    rest, begin = indices[done:], indices[done - 1] if done else 0
+    for s_row, trips in _round_trips(T, _iterates(S, start, rest, begin), targets, rest):
         yield list(map(vector_norm, s_row)), [r for _, r in trips]
+
+
+def _moved(y: SeqVector, shift: int, e: int, q: int) -> SeqVector:
+    """y with every entry moved to its index + shift and multiplied by
+    i^q 2^e, in the bits the walk gives where its parts stay normal: a zero
+    entry dropped and `0 + c` applied, so no zero part keeps a sign."""
+    return SeqVector(y.domain, tuple((i + shift, 0 + _times(c, e, q)) for i, c in y.entries if c))
 
 
 def _miss_norm(y: SeqVector, p, r) -> float:
     """The norm of T^n S^n y - y, with every entry of y moved along p, then r."""
-    shift, e, q = p[0] + r[0], p[1] + r[1], p[2] + r[2]
-    image = SeqVector(y.domain, tuple((i + shift, _times(c, e, q)) for i, c in y.entries))
+    image = _moved(y, p[0] + r[0], p[1] + r[1], p[2] + r[2])
     return vector_norm(vector_sub(image, y))
 
 

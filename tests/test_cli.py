@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab import cli, criteria, jsonio
+from orbitlab import cli, constructions, criteria, jsonio
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 PACKAGE = Path(cli.__file__).resolve().parent
@@ -575,6 +575,12 @@ def _spiral_density(window, set_=None):
         # criterion: more indices than INDEX_CAP = 10**6, refused before a
         # range of them is built
         (_edited("criterion_rolewicz", lambda c: c.update(indices={"upto": 10**9})), "indices"),
+        # builds: more stages or default targets than STAGE_CAP allows,
+        # refused before the targets are built
+        (_edited("build22", lambda c: c.update(stages=10**6, targets={"default_count": 10**6 + 1})),
+         "stages"),
+        (_edited("build21", lambda c: c.update(targets={"default_count": 10**6})),
+         "targets.default_count"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):
@@ -593,6 +599,18 @@ def test_criterion_index_cap_holds_for_both_forms(monkeypatch, tmp_path, capsys)
         assert _main(cfg, tmp_path) == code
         if code:
             assert "precondition violated: indices: more than 5 indices" in capsys.readouterr().err
+
+
+def test_stage_cap_holds_for_stages_and_default_count(monkeypatch, tmp_path, capsys):
+    # at a cap of 5, stages 5 with six default targets run; one more of
+    # either is refused
+    monkeypatch.setattr(constructions, "STAGE_CAP", 5)
+    for stages, count, refused in ((5, 6, None), (6, 7, "stages: more than 5 stages"),
+                                   (4, 7, "targets.default_count: more than 6 targets")):
+        cfg = _edited("build22", lambda c: c.update(stages=stages, targets={"default_count": count}))
+        assert _main(cfg, tmp_path) == (1 if refused else 0)
+        if refused:
+            assert f"precondition violated: {refused}" in capsys.readouterr().err
 
 
 def test_criterion_tolerance_zero_is_valid(tmp_path):

@@ -3,9 +3,10 @@
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitlab import (
@@ -17,6 +18,7 @@ from orbitlab import (
     Geometric,
     NotAccumulatingAtZeroError,
     ScanRangeError,
+    Sector,
     SeqVector,
     SpiralBaseOneError,
     TargetFamily,
@@ -31,7 +33,7 @@ from orbitlab import (
     power_apply,
     spiral_distance_to,
 )
-from orbitlab._exact import X2, XC, xvec_from_seq, xvec_norm_sq, xvec_sub
+from orbitlab._exact import X2, XC, cell_sum, xvec_from_seq, xvec_norm_sq, xvec_sub
 from orbitlab import jsonio
 from orbitlab.constructions import _shift, _ShiftNorms, _Stages, _weight_log2
 from orbitlab.scalar_sets import pick_modulus_at_least, pick_modulus_at_most
@@ -415,6 +417,73 @@ def test_unilateral_conditions_match_the_pairwise_checks(case):
             msqs[i] * scaled < msqs[k] for i in range(k))
         assert cond["shift_gap"] == all(
             shifts[k] > shifts[i] + targets[i].degree() for i in range(k))
+
+
+_DIFF_SAMPLERS = {
+    # on a dyadic axis, then Geometric(0.3)'s non-dyadic inverses and the
+    # turned picks of 0.3+0.4j, a turned ray and a sector
+    "bi": [Geometric(0.5), Geometric(0.25j), Geometric(-0.5), Geometric(0.3),
+           Geometric(0.3 + 0.4j)],
+    "uni": [positive_ray(), Geometric(2.0), Geometric(-2.5), Geometric(1 / 0.3),
+            Geometric(1.5 + 1.25j), Sector(0.0, math.inf, 0.5, 0.5),
+            Sector(1.0, math.inf, -1.0, 2.0)],
+}
+
+
+@st.composite
+def _differential_builds(draw):
+    """A scheme, one of its samplers and up to six targets: the default
+    family, or explicit ones spread over up to 120 indices. Bilateral
+    non-dyadic sums are exact and costly, so those draws stay smaller."""
+    domain = draw(st.sampled_from(["uni", "bi"]))
+    sampler = draw(st.sampled_from(_DIFF_SAMPLERS[domain]))
+    small = domain == "bi" and sampler.base.real == 0.3
+    count = draw(st.integers(1, 3 if small else 6))
+    if draw(st.booleans()):
+        return domain, sampler, default_target_family(count, domain)
+    width = 12 if small else 60
+    index = st.integers(0 if domain == "uni" else -width, width)
+    vectors = []
+    for _ in range(count):
+        entries = draw(st.lists(st.tuples(index, st.builds(complex, _DYADIC, _DYADIC)),
+                                min_size=1, max_size=3))
+        v = SeqVector.make(domain, entries)
+        assume(not v.is_zero)
+        vectors.append(v)
+    return domain, sampler, TargetFamily(tuple(vectors))
+
+
+# stage 0: y_1's entry at 0 lands off y_0's support 2 bits above the near
+# term its entry at -29 leaves on y_0's entry at -10, and its entry at 5
+# lies far below the floor grid
+@example(("bi", Geometric(0.5), TargetFamily((
+    SeqVector.make("bi", [(0, 1.0), (-10, 1.0)]),
+    SeqVector.make("bi", [(-29, 2.0**-20), (0, 1.0), (5, 2.0**-600)])))))
+@settings(max_examples=120, deadline=None)
+@given(_differential_builds())
+def test_stage_sums_are_cell_sums_of_the_terms(case):
+    """Each stage's sum, from integer pairs or the exact fallback, is
+    cell_sum of the terms residual_terms forms afterwards, triple for
+    triple, and reads as their exact sum does."""
+    domain, sampler, targets = case
+    build = build_unilateral if domain == "uni" else build_bilateral
+    sums, residual_sq = [], _Stages.residual_sq
+
+    def recording(self, k, limit):
+        sums.append((limit, residual_sq(self, k, limit)))
+        return sums[-1][1]
+
+    with mock.patch.object(_Stages, "residual_sq", recording):
+        trace = build(sampler, targets, len(targets) - 1)
+    assert len(sums) == len(trace.residual_terms)
+    for terms, (limit, got), exact in zip(trace.residual_terms, sums, trace.residual_sq_exact):
+        assert _triple(got) == _triple(cell_sum(terms, limit))
+        assert (float(got), _triple(got.round_up_bits(64)), got <= limit) == (
+            float(exact), _triple(exact.round_up_bits(64)), exact <= limit)
+
+
+def _triple(x: X2):
+    return x.num, x.den, x.exp
 
 
 @pytest.fixture(scope="module")

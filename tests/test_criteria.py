@@ -28,7 +28,7 @@ from orbitlab import (
     operators,
     power_apply,
 )
-from orbitlab.operators import DomainMismatchError, vector_norm, vector_sub
+from orbitlab.operators import DomainMismatchError, vector_norm, vector_same, vector_sub
 
 e = lambda j: SeqVector.basis(j, "uni")  # noqa: E731
 BASIS6 = tuple(e(j) for j in range(6))
@@ -403,8 +403,9 @@ def _apply_calls(monkeypatch):
 
 def test_non_finite_residual_is_refused_before_any_later_row(monkeypatch):
     """2B against 2F: T^n S^n e_j = 4^n e_j leaves float range at n = 512.
-    The one walk refuses there and forms no S row past index 512; the decay
-    walk stops applying 2B to e_j once it is zero, after j + 1 steps."""
+    The closed form holds up to index 511, the walk takes one step on from
+    S^511 y, refuses at 512 and forms no S row past it; the decay walk
+    stops applying 2B to e_j once it is zero, after j + 1 steps."""
     calls = _apply_calls(monkeypatch)
     inst = CriterionInstance(
         operator=ScalarMultiple(2.0, BackwardShift()),
@@ -416,7 +417,7 @@ def test_non_finite_residual_is_refused_before_any_later_row(monkeypatch):
     with pytest.raises(criteria.NonFiniteResidualError,
                        match=r"^target_vectors\[0\]: non-finite roundtrip residual inf at index 512$"):
         check_criterion(inst)
-    assert calls["n"] == 1 + 2 + 3 + 4 + 5 + 6 + 512 * len(inst.target_vectors)
+    assert calls["n"] == 1 + 2 + 3 + 4 + 5 + 6 + len(inst.target_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +468,28 @@ def test_closed_form_hands_the_walk_the_indices_past_float_range(monkeypatch):
     monkeypatch.setattr(criteria, "_round_trips", recording)
     check_criterion(rolewicz_instance(upto=2000))
     assert walked == list(range(1023, 2001))
+
+
+def test_hand_off_walks_on_from_the_last_closed_row(monkeypatch):
+    """Rolewicz at N=2000: the walk starts from S^1022 y, which the closed
+    form builds exactly, so F/2 is applied to each target from index 1023
+    until 2^-n underflows at 1075 (53 steps), and 2B to e_j j + 1 times."""
+    calls = _apply_calls(monkeypatch)
+    check_criterion(rolewicz_instance(upto=2000))
+    assert calls["n"] == 6 + 5 + 4 + 3 + 2 + 1 + 53 * 6
+
+
+@pytest.mark.parametrize("factor", [0.5, -0.5j, 0.25 + 0j])
+def test_hand_off_row_holds_the_bits_of_the_walk(factor):
+    """The row the walk goes on from, built by _moved along S's path, is
+    bit for bit n calls of apply, signed zeros included, up to the last
+    index whose parts all stay normal."""
+    S = ScalarMultiple(factor, ForwardShift())
+    targets = BASIS6 + (SeqVector.make("uni", [(0, -3.0 + 0j), (2, 1.5 - 2.0**-60j)]),)
+    chain = S.dyadic_chain()
+    for n in (1, 7, 900 // -chain.k):  # the least part, 2^-60, ends at 2^-960
+        for y in targets:
+            assert vector_same(criteria._moved(y, *chain.path(n)[:3]), power_apply(S, n, y))
 
 
 def test_rolewicz_past_float_range_walks(monkeypatch):
