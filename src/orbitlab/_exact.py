@@ -290,10 +290,6 @@ class XC:
         return f"XC({self.re!r}, {self.im!r})"
 
 
-XC_ZERO = XC(X2.ZERO, X2.ZERO)
-XC_ONE = XC(X2.ONE, X2.ZERO)
-
-
 # ---------------------------------------------------------------------------
 # exact sparse vectors (index -> XC)
 

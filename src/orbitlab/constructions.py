@@ -19,6 +19,14 @@ gamma_k B^{m_k} x - y_k.
   under the a-priori bound (|gamma_k|/|gamma_i|) * 2^{m_i + deg(y_i)} *
   ||y_i|| for the forward cross condition; m_k is then the least shift that
   meets the two decay conditions. The residual norm is at most (k+1) 2^-k.
+  Shifts strictly increase, so the earlier stages i whose test reads
+  |B^n y_k|^2 at an n at or below y_k's first index (where it is q 4^n) or
+  |B^n y_i|^2 at an n at or past every degree (where it is p_i) form a
+  prefix of the stage list. Each test reads that prefix through one exact
+  comparison against a running maximum, of |gamma_i|^2 4^{m_i} or of
+  p_i / |gamma_i|^2, and only the stages after it one by one: O(1) exact
+  comparisons per stage on the default targets, whose prefixes hold every
+  earlier stage.
 
 All stage conditions and residual bounds are verified with exact
 scaled-rational arithmetic: the recorded booleans are exact statements, not
@@ -309,6 +317,16 @@ class _ShiftNorms:
         i = bisect_right(self.indices, n)
         return self.p[i] + _times_4_pow(self.q[i], n)
 
+    def below_support(self, top: X2, bound: X2) -> int:
+        """The least m with top * q[0] < bound * 4^m (top, bound > 0). As
+        at(n) = q[0] 4^n for n <= indices[0], a term c * at(s - m) < bound
+        with c 4^s <= top holds at every such m where s - m <= indices[0]."""
+        r = top * self.q[0] / bound
+        # log2 r lies in (f - 1, f + 1), f as in last_below: 4^m < r at
+        # m = (f + 1) // 2 - 1, and 4^m > r at (f + 1) // 2 + 1
+        m = (r.exp + r.num.bit_length() - r.den.bit_length() + 1) // 2
+        return m if r < X2.pow2(2 * m) else m + 1
+
     def last_below(self, c: X2, bound: X2) -> int | None:
         """The largest n with c * at(n) < bound (c, bound > 0), or None when
         every n passes, that is when c * p[-1] < bound."""
@@ -542,6 +560,10 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
     norms = [_ShiftNorms(items) for items in run.items]
     # per fixed stage i: log2 |gamma_i|, m_i + d_i and log2 ||y_i||
     logs: list[tuple[float, int, float]] = []
+    # running maxima over the first j stages (0 for none): tops[j] of
+    # |gamma_i|^2 4^{m_i} and flats[j] of p_i[-1] / |gamma_i|^2, with
+    # p_i[-1] = |B^n y_i|^2 for every n >= deg(y_i), so for n >= reach
+    tops, flats, reach = [X2.ZERO], [X2.ZERO], max(degrees)
 
     for k in range(stages + 1):
         # a-priori forward-cross bound: |gamma_k| < 2^-k |gamma_i| / (2^{m_i+d_i} ||y_i||)
@@ -558,33 +580,53 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
         )
 
         # the least shift m past every earlier one with c 4^k |B^{s - m} y_k|^2
-        # < |gamma_k|^2 / 4 for each decay term (s, c): a term holds exactly
-        # for s - m <= last_below
+        # < |gamma_k|^2 / 4 for each decay term (s, c): the forward term (0, 1)
+        # and (m_i, |gamma_i|^2) per earlier stage. A term with s <= cut, the
+        # first shift m0 plus y_k's first index, reads c 4^s q[0] 4^-m from m0
+        # on, so those terms hold together from below_support of their
+        # largest c 4^s; shifts increase, so the stages among them are a
+        # prefix, and tops holds its maximum. Any other term holds exactly
+        # for s - m <= last_below.
         y_k, bound = norms[k], msq * X2.pow2(-2 - 2 * k)
-        lasts = [(s, y_k.last_below(c, bound)) for s, c in [(0, X2.ONE), *zip(shifts, msqs)]]
-        m_k = max([shifts[-1] + 1 if k else 0] + [s - n for s, n in lasts if n is not None])
+        m0 = shifts[-1] + 1 if k else 0
+        cut = m0 + y_k.indices[0]
+        if cut < 0:  # no term is far, the forward one included
+            least, near = m0, [(0, X2.ONE), *zip(shifts, msqs)]
+        else:
+            far = bisect_right(shifts, cut)
+            least = max(m0, y_k.below_support(max(tops[far], X2.ONE), bound))
+            near = [*zip(shifts[far:], msqs[far:])]
+        lasts = [(s, y_k.last_below(c, bound)) for s, c in near]
+        m_k = max([least] + [s - n for s, n in lasts if n is not None])
         if m_k > SHIFT_CAP:
             raise ShiftSearchLimitError(
                 f"stages: {stages} stages need a shift beyond the cap "
                 f"2**{SHIFT_CAP.bit_length() - 1} (stage {k} needs {m_k})"
             )
         shifts.append(m_k)
+        tops.append(max(tops[k], _times_4_pow(msq, m_k)))
+        flats.append(max(flats[k], y_k.p[-1] / msq))
         # s 4^k < room, the least |gamma_i|^2 / (4^{m_i+d_i} ||y_i||^2), is each forward-cross test
         gap = msq / _times_4_pow(norm_sqs[k], m_k + degrees[k])
         room = min(room, gap) if k else gap
         logs.append((msq.log2() / 2.0, m_k + degrees[k], norm_sqs[k].log2() / 2.0))
 
     def conditions(k: int) -> dict:
+        # the earlier stages whose pairwise test reads |B^n y_k|^2 at
+        # n = m_i - m_k <= a, y_k's first index, or |B^n y_i|^2 at
+        # n = m_k - m_i >= reach form prefixes, as shifts increase: each is
+        # tested once on its running maximum, the stages after it pair by pair
         m_k, msq, y_k = shifts[k], msqs[k], norms[k]
         four_k = X2.pow2(2 * k)
-        gaps = [m_k - shifts[i] for i in range(k)]
+        below = bisect_right(shifts, m_k + y_k.indices[0], 0, k)
+        past = bisect_right(shifts, m_k - reach, 0, k)
         return {
             "forward_image_small": y_k.at(-m_k) * four_k < msq,
-            "cross_backward_small": all(
-                msqs[i] * y_k.at(-n) * four_k < msq for i, n in enumerate(gaps)
+            "cross_backward_small": _times_4_pow(tops[below] * y_k.q[0], k - m_k) < msq and all(
+                msqs[i] * y_k.at(shifts[i] - m_k) * four_k < msq for i in range(below, k)
             ),
-            "cross_forward_small": all(
-                msq * norms[i].at(n) * four_k < msqs[i] for i, n in enumerate(gaps)
+            "cross_forward_small": msq * flats[past] * four_k < X2.ONE and all(
+                msq * norms[i].at(m_k - shifts[i]) * four_k < msqs[i] for i in range(past, k)
             ),
         }
 

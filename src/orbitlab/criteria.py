@@ -44,6 +44,9 @@ a sequence vector that apply returned empty stays as it is (T 0 = 0); once
 the whole row is zero, _iterates yields it again and check_criterion keeps
 its peak, so 2B is applied to e_j only j + 1 times. The first step applies
 T to every vector, so one off the domain is refused even if it is zero.
+The S walk of the round trips is the same walk: once F/2 has underflowed
+every target (Rolewicz from index 1075), the zero row comes back, and its
+round trips (T^n 0 - y = -y) and norms are the ones already formed.
 
 The walk's round trips are telescoped along the index sequence. For
 consecutive indices p < n, b = T^(n-p) S^n y is computed first. Where b
@@ -152,9 +155,13 @@ def _empty(v) -> bool:
 
 def _round_trips(op: OperatorSpec, s_rows, targets, indices):
     """For each index n, its row S^n y of s_rows and the pairs (T^n S^n y - y,
-    its norm) for the targets y, telescoped as the module docstring says."""
+    its norm) for the targets y, telescoped as the module docstring says. A
+    zero row that _iterates hands back again keeps its trips: T^n 0 - y = -y."""
     prev = None
     for n, row in zip(indices, s_rows):
+        if prev is not None and row is prev[1]:
+            yield row, prev[2]
+            continue
         trips = []
         for j, (sy, y) in enumerate(zip(row, targets)):
             if prev is None:
@@ -208,9 +215,11 @@ def _target_rows(inst: CriterionInstance):
             done += 1
         if 0 < done < len(indices):  # the walk goes on from the last closed row's S^n y
             start = [_moved(y, *s.path(indices[done - 1])[:3]) for y in targets]
-    rest, begin = indices[done:], indices[done - 1] if done else 0
+    rest, begin, last = indices[done:], indices[done - 1] if done else 0, None
     for s_row, trips in _round_trips(T, _iterates(S, start, rest, begin), targets, rest):
-        yield list(map(vector_norm, s_row)), [r for _, r in trips]
+        if s_row is not last:  # a zero row comes back as the same object, norms and all
+            last, norms = s_row, (list(map(vector_norm, s_row)), [r for _, r in trips])
+        yield norms
 
 
 def _moved(y: SeqVector, shift: int, e: int, q: int) -> SeqVector:

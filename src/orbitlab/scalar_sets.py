@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import jsonio
 from .jsonio import Field, PreconditionError, Record
-from ._exact import X2, XC, XC_ONE
+from ._exact import X2, XC
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-9
@@ -807,15 +807,19 @@ def _rotated(r: X2, phase: complex) -> XC:
 
 
 def _cpow_exact(base: XC, j: int) -> XC:
-    """base**j exactly, by squaring: for a power-of-two base every product
-    only adds exponents."""
-    out = XC_ONE
-    while j:
-        if j & 1:
-            out = out * base
-        base = base * base
-        j >>= 1
-    return out
+    """base**j exactly, for a base with both dens 1 (every float is one):
+    base = (a + b i) 2^e with integers a, b and e the lesser exponent, so
+    base**j is the integer pair (a + b i)^j, squared and multiplied bit by
+    bit, times 2^(e j)."""
+    re, im = base.re, base.im
+    e = min(re.exp, im.exp)
+    a, b = re.num << (re.exp - e), im.num << (im.exp - e)
+    ra, rb = 1, 0
+    for bit in bin(j)[2:]:
+        ra, rb = ra * ra - rb * rb, 2 * ra * rb
+        if bit == "1":
+            ra, rb = ra * a - rb * b, ra * b + rb * a
+    return XC(X2(ra, 1, e * j), X2(rb, 1, e * j))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Certified construction traces and the spiral counterexample scenario."""
 
 import math
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -35,7 +36,8 @@ from orbitlab import (
 )
 from orbitlab._exact import X2, XC, cell_sum, xvec_from_seq, xvec_norm_sq, xvec_sub
 from orbitlab import jsonio
-from orbitlab.constructions import _shift, _ShiftNorms, _Stages, _weight_log2
+from orbitlab.constructions import (
+    SHIFT_CAP, ShiftSearchLimitError, _shift, _ShiftNorms, _Stages, _weight_log2)
 from orbitlab.scalar_sets import pick_modulus_at_least, pick_modulus_at_most
 
 IRR = AngleSpec.irrational(1.0, "one radian")
@@ -381,6 +383,82 @@ def _reference_terms(targets, scalars, shifts):
         diff = xvec_sub({j: c * g for j, c in _shift(x, m, domain).items()}, y)
         out.append([(t.num, t.den, t.exp) for t in (diff[i].mod_sq() for i in sorted(diff))])
     return out
+
+
+_NONZERO = st.builds(complex, _DYADIC, _DYADIC).filter(bool)
+
+
+@st.composite
+def _bilateral_families(draw):
+    """A bilateral sampler and up to ten targets (five for the non-dyadic
+    bases) with first indices in -40..40 and degrees 0..40: supports up to
+    80 wide, so earlier stages fall on both sides of the far splits."""
+    base = draw(st.sampled_from([0.5, 0.25j, -0.5, 0.3, 0.3 + 0.4j]))
+    count = draw(st.integers(1, 5 if base in (0.3, 0.3 + 0.4j) else 10))
+    vectors = []
+    for _ in range(count):
+        first = draw(st.integers(-40, 40))
+        last = draw(st.integers(first, 40))
+        entries = draw(st.dictionaries(st.integers(first, last), _NONZERO, max_size=2))
+        entries.update({first: draw(_NONZERO), last: draw(_NONZERO)})
+        vectors.append(SeqVector.make("bi", list(entries.items())))
+    return Geometric(base), TargetFamily(tuple(vectors))
+
+
+def _stage_choices(self, bound, conditions):
+    """_Stages.trace cut to what _reference_bilateral returns: the scalars,
+    the shifts and the condition dicts. The stage loop is what the property
+    below pins, and non-dyadic residual sums over wide supports take
+    seconds."""
+    return self.scalars, self.shifts, [{"stage": k, **conditions(k)} for k in range(len(self.shifts))]
+
+
+# the far split's edge: at stage 1, m0 = 4 and y_1's first index is -2, so
+# stage 0's shift 3 lies one past the split; its term holds at m0 only
+# through at(-1) = |y_1|^2, a quarter of what the far form q[0] 4^-1 gives
+@example((Geometric(0.5), TargetFamily((
+    SeqVector.make("bi", [(0, -1.0)]), SeqVector.make("bi", [(-2, 2.0**-8)])))))
+# y_1's degree 40 keeps stage 0 (shift 3) near stage 1 (shift 11) in the
+# forward test: at(8) is taken pair by pair
+@example((Geometric(0.5), TargetFamily((
+    SeqVector.make("bi", [(0, 1.0)]), SeqVector.make("bi", [(0, 1.0), (40, 2.0**-30)])))))
+# stage 37 of build22 passes the shift cap
+@example((Geometric(0.5), default_target_family(38, "bi")))
+@settings(max_examples=150, deadline=None)
+@given(_bilateral_families())
+def test_bilateral_stage_loop_matches_the_pairwise_reference(case):
+    """Shifts, scalar bits and condition booleans of build_bilateral, whose
+    far stages fold into running maxima, against the pairwise reference; a
+    shift past the cap is refused naming the reference's shift."""
+    sampler, targets = case
+    stages = len(targets) - 1
+    with mock.patch.object(_Stages, "trace", _stage_choices):
+        try:
+            scalars, shifts, conditions = build_bilateral(sampler, targets, stages)
+        except ShiftSearchLimitError as err:
+            k, m = map(int, re.search(r"\(stage (\d+) needs (\d+)\)$", str(err)).groups())
+            assert _reference_bilateral(sampler, targets, k)[1][k] == m > SHIFT_CAP
+            return
+    want_scalars, want_shifts, want_conditions = _reference_bilateral(sampler, targets, stages)
+    assert shifts == want_shifts
+    assert list(map(_bits, scalars)) == list(map(_bits, want_scalars))
+    assert conditions == want_conditions
+
+
+def test_default_targets_search_near_stages_only():
+    """build22 at K=22: the far prefix takes the decay terms of the earlier
+    stages far from each target, so last_below is called at most 3 times
+    per stage, not once per earlier stage."""
+    calls = {"n": 0}
+    last_below = _ShiftNorms.last_below
+
+    def counting(self, c, bound):
+        calls["n"] += 1
+        return last_below(self, c, bound)
+
+    with mock.patch.object(_ShiftNorms, "last_below", counting):
+        build_bilateral(Geometric(0.5), default_target_family(23, "bi"), 22)
+    assert calls["n"] <= 3 * 23
 
 
 _UNI_PARTS = st.sampled_from([0.0, 0.3, -1.0, 1.0, 2.0**-40, 7.5, -(2.0**30)])

@@ -479,6 +479,27 @@ def test_hand_off_walks_on_from_the_last_closed_row(monkeypatch):
     assert calls["n"] == 6 + 5 + 4 + 3 + 2 + 1 + 53 * 6
 
 
+def test_zero_rows_make_no_round_trip_past_underflow(monkeypatch):
+    """Rolewicz: (F/2)^n e_j underflows to zero at index 1075 for every
+    target, so every later index reuses the zero row's round trips and
+    norms: no power_apply call after index 1075, and the same report."""
+    calls = {"n": 0}
+    power = criteria.power_apply
+
+    def counting(op, n, v):
+        calls["n"] += 1
+        return power(op, n, v)
+
+    monkeypatch.setattr(criteria, "power_apply", counting)
+    counts = []
+    for upto in (1075, 2000):
+        calls["n"] = 0
+        report = check_criterion(rolewicz_instance(upto=upto))
+        counts.append(calls["n"])
+    assert counts[0] == counts[1] > 0
+    assert _digest(report) == "a29991ff4b211a4d2392ad3cf7e8d085fd0ab2aed030d87cb1f25bbd439e6689"
+
+
 @pytest.mark.parametrize("factor", [0.5, -0.5j, 0.25 + 0j])
 def test_hand_off_row_holds_the_bits_of_the_walk(factor):
     """The row the walk goes on from, built by _moved along S's path, is

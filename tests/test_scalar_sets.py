@@ -33,7 +33,7 @@ from orbitlab import (
     rotation_group_product,
 )
 from orbitlab import jsonio, scalar_sets
-from orbitlab._exact import X2
+from orbitlab._exact import X2, XC
 
 IRR = AngleSpec.irrational(1.0, "one radian")
 
@@ -442,6 +442,25 @@ class TestPicksMatchFractionReference:
             else scalar_sets.pick_modulus_at_least(s, t)
         )
         assert _canonical(pick.re) == (1, 1, int(t)) and pick.im == X2.ZERO
+
+
+def _xc_cpow(base, j):
+    """base**j by XC square-and-multiply: the reference for _cpow_exact."""
+    out = XC(X2.ONE, X2.ZERO)
+    while j:
+        if j & 1:
+            out = out * base
+        base = base * base
+        j >>= 1
+    return out
+
+
+@pytest.mark.parametrize("base", [0.5, 0.25j, -0.5, -0.5j, 0.3, 0.3 + 0.4j, 1.5 + 1.25j, 2.0, 1 / 0.3])
+def test_integer_pair_powers_match_xc_square_and_multiply(base):
+    x = XC.from_complex(complex(base))
+    for j in [*range(70), 100, 277, 1000, 4097]:
+        got, want = scalar_sets._cpow_exact(x, j), _xc_cpow(x, j)
+        assert [_canonical(got.re), _canonical(got.im)] == [_canonical(want.re), _canonical(want.im)]
 
 
 _RING_METHODS = (
