@@ -32,6 +32,27 @@ dense scan's starting value, so such points are dropped before the tree is
 built; the boxes then hold finite numbers only. A warm start that reads NaN
 (a query with a NaN coordinate) is replaced by inf.
 
+Lattice rows. For each axis d and distinct query coordinate v the row of
+``(v - p_d) * (v - p_d)`` over the points is formed once, and map(add, ...)
+over such rows, axis by axis from a row of 0.0, gives exactly the partial
+sums above, so a full row holds every point's squared distance, bit for bit.
+Only the current chain of prefix rows is kept: density._ball_grid emits its
+points in lattice order, so a run of queries shares every axis but the last,
+and each query's minimum is min(map(add, prefix, last row)). The U cut: U is
+the largest squared distance over the run from one point (the middle
+query's nearest), so it bounds every minimum in the run, and as fl(a + b) >=
+a for b >= 0, a point whose prefix exceeds U attains none of them and is
+dropped. Points are finite, so only a query with a NaN coordinate has NaN
+sums; its minimum reads NaN and becomes inf, and a NaN U drops nothing.
+
+Selection. Rows cost about n * (queries + 2 * rows) element steps in C, the
+2 for a row's squares in Python, and pay only when rows are reused; a kd
+query examines about (L**(1/d) + 1)**d points (Friedman, Bentley and Finkel's
+count for one nearest neighbour, leaves of L, in the max norm), capped at n,
+at d interpreted terms each. Rows are taken when their cost is at most
+_ROW_GAIN times the kd cost, measured on uniform clouds in 2 to 8 dims, and
+their squares fit in _ROW_FLOATS floats.
+
 Spiral scan (Lipschitz branch and bound; Piyavskii 1972, Shubert 1972). With
 lam = log_base and th = angle_rate taken as exact reals, grid point i sits on
 gamma(s) = exp(s*lam) * exp(-i*s*th) at its computed parameter s_i, and
@@ -96,11 +117,14 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import itemgetter
+from itertools import groupby
+from operator import add, itemgetter
 
 BACKEND = "python"  # recorded in every perfbench/run.py result
 
 _LEAF_POINTS = 12  # kd-tree leaf size
+_ROW_GAIN = 2.0  # a kd query's cost per point and axis, in row element steps
+_ROW_FLOATS = 2**18  # the most floats the rows path's squares may hold
 _LEAF_INDICES = 16  # spiral intervals this short are evaluated densely
 _U = 2.0**-53
 _ERR_FACTOR = 64.0 * _U
@@ -123,7 +147,54 @@ def nearest_distances(grid, cloud, dim):
         points = [p for p in points if all(map(math.isfinite, p))]
         if not points:
             return [math.inf] * (len(grid) // dim)
+    if _rows_pay(grid, len(points), dim):
+        return _rows(grid, points, dim)
     return _search(dim)(grid, _kd_build(points, 0, dim), points[0])
+
+
+def _rows_pay(grid, n, dim):
+    """Whether lattice rows for n points beat the kd search (see Selection)."""
+    queries = len(grid) // dim
+    rows = sum(len(set(grid[d::dim])) for d in range(dim))
+    kd = dim * queries * min(n, (_LEAF_POINTS ** (1.0 / dim) + 1.0) ** dim)
+    return n * rows <= _ROW_FLOATS and n * (queries + 2 * rows) <= _ROW_GAIN * kd
+
+
+def _rows(grid, points, dim):
+    """nearest_distances from lattice rows (see the module docstring)."""
+    cols = list(zip(*points))
+    squares = {}  # (axis, v) -> [(v - p) * (v - p) for p on that axis]
+
+    def row(d, v):
+        r = squares.get((d, v))
+        if r is None:
+            r = squares[d, v] = [(v - p) * (v - p) for p in cols[d]]
+        return r
+
+    last = dim - 1
+    chain, before = [[0.0] * len(points)], ()  # chain[d]: the sums over axes 0..d-1 of before
+    dists = []
+    for head, run in groupby(zip(*[iter(grid)] * dim), itemgetter(slice(last))):
+        d = 0
+        while d < len(before) and before[d] == head[d]:
+            d += 1
+        del chain[d + 1:]
+        for a in range(d, last):
+            chain.append(list(map(add, chain[a], row(a, head[a]))))
+        before = head
+        prefix = chain[last]
+        rows = [row(last, q[last]) for q in run]
+        mid = rows[len(rows) // 2]
+        full = list(map(add, prefix, mid))
+        best = min(full)
+        j = full.index(best)
+        u = max(prefix[j] + r[j] for r in rows)  # the U cut; j leads, so pick gives tuples
+        pick = itemgetter(j, *[i for i, x in enumerate(prefix) if not x > u])
+        kept = pick(prefix)
+        for r in rows:
+            s = best if r is mid else min(map(add, kept, pick(r)))
+            dists.append(math.sqrt(s) if s == s else math.inf)
+    return dists
 
 
 def _kd_build(points, axis, dim):

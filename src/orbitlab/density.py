@@ -166,7 +166,9 @@ class Ball(NamedTuple):
 
 
 class Miss(NamedTuple):
-    """A grid point left uncovered, with its nearest-sample distance."""
+    """A grid point left uncovered, with its distance to the nearest sample
+    the prefilter kept (see epsilon_density), which may exceed the nearest
+    sample's."""
 
     point: tuple[complex, ...]
     distance: float
@@ -186,11 +188,12 @@ class DensityReport(Record):
     miss_witnesses: tuple[Miss, ...]
     # full scan data for the heat-map export; omitted from the JSON summary
     grid_points: tuple[tuple[float, ...], ...] = Field((), omit=True)
-    distances: tuple[float, ...] = Field((), omit=True)
+    distances: tuple[float, ...] = Field((), omit=True)  # to kept samples
 
     def heatmap_rows(self):
-        """(grid point, nearest-sample distance) for every grid point, the
-        point as the real and imaginary parts of its coordinates."""
+        """(grid point, distance) for every grid point, the point as the real
+        and imaginary parts of its coordinates and the distance as in
+        epsilon_density: the nearest sample's when at most epsilon."""
         return tuple(zip(self.grid_points, self.distances))
 
 
@@ -200,7 +203,8 @@ def _ball_grid(
     """The ball's grid points and, for each, its per-axis offset indices. A
     bounding box of more than BALL_BOX_CAP lattice points is refused first."""
     axes = _flat([center])
-    steps = int(min(2.0 * radius / step + 1e-12, BALL_BOX_CAP)) + 1
+    # radius / step * 2.0 is 2.0 * radius / step, without its overflow past 2**1023
+    steps = int(min(radius / step * 2.0 + 1e-12, BALL_BOX_CAP)) + 1
     if steps ** len(axes) > BALL_BOX_CAP:
         raise PreconditionError(
             f"grid_step: {step!r} puts more than {BALL_BOX_CAP:,} lattice points in the "
@@ -239,9 +243,15 @@ def epsilon_density(
 ) -> DensityReport:
     """Cover test of the ball's grid against the projected cloud.
 
-    Every grid point's nearest-sample distance is computed; the verdict is
-    covered when all distances are within epsilon, otherwise a fully covered
-    sub-ball is searched for before declaring the region not covered.
+    Every grid point's distance to the samples that a bounding-box prefilter
+    keeps (each section float within radius + epsilon of the center's; the
+    whole cloud when none is kept) is computed. A sample that fails it is
+    farther than epsilon from every grid point (but for the ball edge's
+    1e-12 relative slack), so a distance at most epsilon is the
+    nearest-sample distance, bit for bit, and one above epsilon may exceed
+    it. The verdict is covered when all distances are within epsilon,
+    otherwise a fully covered sub-ball is searched for before declaring the
+    region not covered.
     """
     section = tuple(int(i) for i in section)
     center = tuple(complex(c) for c in center)
@@ -327,7 +337,7 @@ def _somewhere_witness(grid, indices, covered_flags, radius, grid_step):
     """
     sub_r = max(2.0 * grid_step, radius / 4.0)
     sub_rsq = sub_r * sub_r * (1.0 + 1e-12)
-    reach = sub_r / grid_step + 1.0
+    reach = max(2.0, radius / 4.0 / grid_step) + 1.0  # sub_r / grid_step + 1.0, never inf
     stencil = _stencil(reach, len(indices[0]))
     position = {idx: j for j, idx in enumerate(indices)}
     for i, pt in enumerate(grid):
@@ -341,8 +351,11 @@ def _somewhere_witness(grid, indices, covered_flags, radius, grid_step):
             if j is None:
                 continue
             s = 0  # added left to right, as sum() did before Python 3.12
-            for a, b in zip(pt, grid[j]):
-                s += (a - b) ** 2
+            try:
+                for a, b in zip(pt, grid[j]):
+                    s += (a - b) ** 2
+            except OverflowError:  # a square past float range; float ** raises there
+                s = math.inf
             if s <= sub_rsq:
                 count += 1
                 if not covered_flags[j]:

@@ -706,6 +706,21 @@ def test_density_scan_past_a_nan_sample_exits_zero(tmp_path):
     assert [math.isfinite(m["distance"]) for m in density["miss_witnesses"]] == [True] * 5
 
 
+@pytest.mark.parametrize(
+    "radius, grid_step, epsilon",
+    [
+        (1e300, 1e299, 1e300),  # the witness search's squares pass float range
+        (1e308, 1e308, 1e308),  # 2.0 * radius overflows; the box holds 3 points per axis
+    ],
+)
+def test_density_ball_past_float_range_never_exits_two(radius, grid_step, epsilon, tmp_path, capsys):
+    cfg = {**load(CONFIG_DIR / "spiral_density.json"), "grid_step": grid_step, "epsilon": epsilon}
+    cfg["ball"] = {"center": [[0.0, 0.0]], "radius": radius}
+    code = _main(cfg, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 1 and "non-finite" in err), err
+
+
 def _overflowing_direct_sum():
     # the scalar block's right inverse multiplies by 4 600 times: past
     # 4^512 = 2^1024 its residual is inf, which a report cannot hold

@@ -299,6 +299,52 @@ def test_somewhere_witness_matches_full_scan(ball, radius, covered_share, seed):
     assert found == _witness_brute(grid, flags, radius, grid_step)
 
 
+@st.composite
+def _prefilter_case(draw):
+    """A cloud of one- or two-coordinate samples around a ball: some far off,
+    some with one coordinate at the prefilter's reach or one ulp past it."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([1, 2]))
+    center = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(width))
+    radius = rng.uniform(0.05, 1.0)
+    grid_step = radius / rng.randint(1, 6 if width == 1 else 2)
+    epsilon = grid_step * rng.uniform(0.51, 2.0)
+    reach = radius + epsilon
+    axes = [x for z in center for x in (z.real, z.imag)]
+
+    def coord(c):
+        kind = rng.random()
+        if kind < 0.15:
+            edge = c + rng.choice([-reach, reach])
+            return rng.choice([edge, math.nextafter(edge, c), math.nextafter(edge, -c)])
+        return c + rng.uniform(-3.0, 3.0) * reach
+
+    iterates = []
+    for _ in range(draw(st.integers(1, 60))):
+        parts = [coord(c) for c in axes]
+        coords = map(complex, parts[::2], parts[1::2])
+        iterates.append(SeqVector.make("uni", dict(enumerate(coords))))
+    cloud = density.OrbitCloud(BackwardShift(), tuple(iterates), (1 + 0j,))
+    return cloud, tuple(range(width)), center, radius, epsilon, grid_step
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prefilter_case())
+def test_prefilter_moves_only_distances_above_epsilon(case):
+    # the kernel sees only the samples the bounding-box prefilter keeps, so a
+    # distance above epsilon may be to a kept sample rather than the nearest
+    cloud, section, center, radius, epsilon, grid_step = case
+    rep = epsilon_density(cloud, section, center, radius, epsilon, grid_step)
+    flat_grid = [x for pt in rep.grid_points for x in pt]
+    full = density.nearest_distances(flat_grid, cloud.section_coords(section), 2 * len(section))
+    assert [d <= epsilon for d in rep.distances] == [d <= epsilon for d in full]
+    for got, want in zip(rep.distances, full):
+        if want <= epsilon:
+            assert got.hex() == want.hex()
+        else:
+            assert got >= want
+
+
 class TestBoundedness:
     def test_backward_orbit_below_base_norm(self):
         x = SeqVector.make("uni", [(0, 1.0), (3, 2j), (7, -0.5)])

@@ -1,6 +1,8 @@
 """Grid-scan kernels: hand-checked minima, argument checks, and bitwise
 equality with the dense scans they prune."""
 
+import cmath
+import functools
 import math
 import random
 import sys
@@ -9,7 +11,7 @@ import types
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitlab import _kernels, density
@@ -82,6 +84,19 @@ class TestPythonBackend:
 _LATTICE_STEPS = {2: 6, 4: 2, 6: 1, 8: 1}
 
 
+def _tie_coord(rng):
+    """A coordinate that forces exact ties: a repeated value, a point of the
+    cluster 2**-70 wide around 0, now and then inf or nan, else uniform."""
+    kind = rng.random()
+    if kind < 0.01:
+        return rng.choice([math.inf, -math.inf, math.nan])
+    if kind < 0.3:
+        return rng.choice([0.0, 0.5, -0.5, 1.0])
+    if kind < 0.5:
+        return rng.randint(-4, 4) * 2.0**-70
+    return rng.uniform(-2.0, 2.0)
+
+
 @st.composite
 def _nearest_case(draw):
     """Clouds of up to 400 points whose coordinates force exact ties:
@@ -92,17 +107,7 @@ def _nearest_case(draw):
     carries the warm start from each query to its neighbour."""
     dim = draw(st.sampled_from([1, 2, 4, 6, 8]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-
-    def coord():
-        kind = rng.random()
-        if kind < 0.01:
-            return rng.choice([math.inf, -math.inf, math.nan])
-        if kind < 0.3:
-            return rng.choice([0.0, 0.5, -0.5, 1.0])
-        if kind < 0.5:
-            return rng.randint(-4, 4) * 2.0**-70
-        return rng.uniform(-2.0, 2.0)
-
+    coord = functools.partial(_tie_coord, rng)
     cloud = [tuple(coord() for _ in range(dim)) for _ in range(draw(st.integers(1, 320)))]
     cloud += [rng.choice(cloud) for _ in range(len(cloud) // 4)]
     if dim % 2 == 0 and draw(st.booleans()):
@@ -122,6 +127,59 @@ def _nearest_case(draw):
 @given(_nearest_case())
 def test_nearest_matches_dense_scan(case):
     assert _bits(nearest_distances(*case)) == _bits(_nearest_brute(*case))
+
+
+@st.composite
+def _lattice_case(draw):
+    """Ball grids of 50 to 900 queries in dims 2 and 4 against clouds small
+    enough that nearest_distances takes lattice rows, with the coordinates of
+    _nearest_case; a center coordinate that is inf or nan makes that axis of
+    every query inf or nan."""
+    dim = draw(st.sampled_from([2, 4]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cloud = [tuple(_tie_coord(rng) for _ in range(dim)) for _ in range(draw(st.integers(1, 48)))]
+    cloud += [rng.choice(cloud) for _ in range(len(cloud) // 4)]
+    center = [complex(_tie_coord(rng), _tie_coord(rng)) for _ in range(dim // 2)]
+    radius = rng.uniform(0.05, 2.0)
+    steps = draw(st.integers(4, 16) if dim == 2 else st.integers(2, 3))
+    grid, _ = density._ball_grid(center, radius, radius / steps)
+    return [v for p in grid for v in p], [v for p in cloud for v in p], dim
+
+
+def _each_path(grid, cloud, dim):
+    """The kd search and the lattice rows, each called on the finite cloud
+    points as nearest_distances hands them over."""
+    points = [p for p in zip(*[iter(cloud)] * dim) if all(map(math.isfinite, p))]
+    assume(points)
+    kd = _kernels._search(dim)(grid, _kernels._kd_build(points, 0, dim), points[0])
+    return kd, _kernels._rows(grid, points, dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_nearest_case(), _lattice_case()))
+def test_each_path_matches_dense_scan(case):
+    want = _bits(_nearest_brute(*case))
+    for got in _each_path(*case):
+        assert _bits(got) == want
+
+
+def _lattice(center, radius, step):
+    return [v for p in density._ball_grid(center, radius, step)[0] for v in p]
+
+
+def test_rule_takes_rows_for_a_small_cloud_and_kd_for_a_large_one():
+    # density_2b_section: 166 kept samples against a 1,281-point 4-D lattice
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    grid = _lattice((cmath.rect(0.75, 0.0), cmath.rect(0.75, golden)), 0.35, 0.35 / 4)
+    assert len(grid) == 4 * 1281
+    assert _kernels._rows_pay(grid, 166, 4)
+    # density_1d: 4,573 kept samples against a 1,257-point lattice in C
+    grid = _lattice((0j,), 1.0, 0.05)
+    assert len(grid) == 2 * 1257
+    assert not _kernels._rows_pay(grid, 4573, 2)
+    # rows pay only when they are reused: queries off any lattice take kd
+    rng = random.Random(5)
+    assert not _kernels._rows_pay([rng.random() for _ in range(4 * 1281)], 166, 4)
 
 
 def _scanned(grid, cloud, dim, axis):
