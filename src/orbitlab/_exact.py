@@ -7,8 +7,10 @@ num/den * 2^exp with the power-of-two part held in a machine-int exponent, so
 the huge exponents never materialize as big integers during arithmetic;
 mantissas stay small because every input is a float (hence dyadic) or a small
 rational. Full gcd reduction is skipped on purpose (only 2-adic factors are
-extracted): mantissa growth is bounded by the stage count and gcds on
-multi-kilobit integers are the expensive part of Fraction arithmetic.
+extracted): gcds on multi-kilobit integers are the expensive part of Fraction
+arithmetic. A sum keeps one denominator when one divides the other, as the
+powers of one odd number in a non-dyadic stage's terms do, and reported
+bounds (round_up_bits) read the value only, never num/den.
 """
 
 from __future__ import annotations
@@ -91,13 +93,16 @@ class X2:
         if other.num == 0:
             return self
         e0 = min(self.exp, other.exp)
-        a = self.num * other.den << (self.exp - e0)
-        b = other.num * self.den << (other.exp - e0)
-        return X2(a + b, self.den * other.den, e0)
+        a, da = self.num << (self.exp - e0), self.den
+        b, db = other.num << (other.exp - e0), other.den
+        if da != db:  # keep one denominator when one divides the other
+            if da > db:
+                a, da, b, db = b, db, a, da
+            q, r = divmod(db, da)
+            a, b, db = (a * q, b, db) if r == 0 else (a * db, b * da, da * db)
+        return X2(a + b, db, e0)
 
     def __sub__(self, other: "X2") -> "X2":
-        if other.num == 0:
-            return self
         return self + (-other)
 
     def __neg__(self) -> "X2":
@@ -169,13 +174,18 @@ class X2:
         return {"num": num, "den": den << max(-self.exp, 0)}
 
     def round_up_bits(self, bits: int = 64) -> "X2":
-        """Smallest X2 >= self (nonnegative self) whose mantissa fits in ~bits
-        bits: a compact certified upper bound for reporting."""
+        """Smallest multiple of 2^(floor(log2 self) - bits) that is >= self
+        (nonnegative self): a compact certified upper bound for reporting,
+        with a mantissa of bits + 1 bits at most. It depends on the value
+        only, not on how num/den represents it."""
         if self.num < 0:
             raise ValueError("round_up_bits expects a nonnegative value")
         if self.num == 0:
             return self
-        t = self.num.bit_length() - self.den.bit_length() - bits
+        s = self.num.bit_length() - self.den.bit_length()  # floor(log2 num/den) or one above
+        if (self.num < self.den << s) if s >= 0 else (self.num << -s < self.den):
+            s -= 1
+        t = s - bits
         if self.den == 1 and t <= 0:
             return self
         if t >= 0:
@@ -300,8 +310,8 @@ def xvec_from_seq(v) -> dict[int, XC]:
 
 def x2_sum(terms) -> X2:
     """The exact sum, added left to right from zero. X2 skips gcd reduction,
-    so a non-dyadic sum's representation (and its float) depends on this
-    order."""
+    so a non-dyadic sum's num/den (and, at a rounding tie, its float) can
+    depend on this order; its value and its round_up_bits bound do not."""
     out = X2.ZERO
     for t in terms:
         out = out + t

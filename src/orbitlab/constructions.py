@@ -34,8 +34,8 @@ float comparisons. A residual square is summed from the integers of its
 terms on a cell grid (_exact.pair_sum) that the bound check and the reported
 values read exactly as they read the exact sum; the terms as X2 and their
 exact sums are built only when read. Scalar choices follow a margin rule:
-the first resolver value achieving the strict inequality with factor 1/2
-slack.
+one resolver value per stage, asked for with factor 1/2 slack, which the
+strict inequality then holds with exactly (see _Stages.pick).
 """
 
 from __future__ import annotations
@@ -375,24 +375,24 @@ class _Stages:
         self.msqs: list[X2] = []
         self.shifts: list[int] = []
 
-    def pick(self, resolve, want: float, step: float, admissible, missing: str) -> X2:
-        """Append the first resolve(want) whose squared modulus passes
-        admissible, moving want by step after each miss (200 tries), and
-        return its squared modulus. `missing` is the refusal when the set
-        has no scalar to offer."""
-        for _ in range(200):
-            gx = resolve(want)
-            if gx is None:
-                raise self.error(missing)
-            if gx.is_zero:
-                raise self.error("resolver produced zero, which carries no scale")
-            msq = gx.mod_sq()
-            if admissible(msq):
-                self.scalars.append(gx)
-                self.msqs.append(msq)
-                return msq
-            want += step
-        raise self.error("no admissible scalar found")
+    def pick(self, resolve, want: float, admissible, missing: str) -> X2:
+        """Append resolve(want) and return its squared modulus; `missing` is
+        the refusal when the set has no scalar to offer. One ask suffices:
+        want carries one bit of slack on the modulus (unilateral need + 1) or
+        two on the squares (bilateral cap - 1), and the float logs behind it
+        err by about 1e-15 relative on sizes the stage and shift caps keep far
+        below 2^40 bits. So a pick that fails admissible is an internal fault."""
+        gx = resolve(want)
+        if gx is None:
+            raise self.error(missing)
+        if gx.is_zero:
+            raise self.error("resolver produced zero, which carries no scale")
+        msq = gx.mod_sq()
+        if not admissible(msq):
+            raise RuntimeError(f"stage {len(self.scalars)} pick fails its admissibility test")
+        self.scalars.append(gx)
+        self.msqs.append(msq)
+        return msq
 
     def trace(self, bound, conditions) -> ConstructionTrace:
         """The trace of x = sum_i (1/gamma_i) F^{m_i} y_i. Each residual
@@ -525,7 +525,6 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
         run.pick(
             lambda want: pick_modulus_at_least(sampler, want),
             need + 1.0,  # factor 1/2 slack
-            1.0,
             lambda msq: all(dominant(k, msq).values()),
             "scalar set must have unbounded modulus: no scalar of the required size is available",
         )
@@ -573,7 +572,6 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
         msq = run.pick(
             lambda want: pick_modulus_at_most(sampler, want),
             cap - 1.0,  # factor 1/2 slack
-            -1.0,
             lambda s: not k or s * X2.pow2(2 * k) < room,
             "scalar set must have positive moduli accumulating at 0: no "
             "scalar of the required smallness is available",

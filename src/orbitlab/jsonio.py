@@ -48,8 +48,8 @@ def format_int(n: int) -> str:
         ) from None
 
 
-# the text of each JSON leaf type, by exact type; containers write these
-# inline, and subclasses take _encode's isinstance tests
+# the text of each JSON leaf type, by exact type; subclasses take _encode's
+# isinstance tests
 _LEAF_TEXT = {
     float: format_float,
     int: format_int,
@@ -72,11 +72,7 @@ def _encode(obj, parts: list[str], pad: str) -> None:
         sep = ",\n" + inner
         parts.append("[\n" + inner)
         for value in obj:
-            leaf = _LEAF_TEXT.get(type(value))
-            if leaf is None:
-                _encode(value, parts, inner)
-            else:
-                parts.append(leaf(value))
+            _encode(value, parts, inner)
             parts.append(sep)
         parts[-1] = "\n" + pad + "]"
     elif isinstance(obj, complex):
@@ -94,11 +90,7 @@ def _encode(obj, parts: list[str], pad: str) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             parts.append(_quote(key) + ": ")
-            leaf = _LEAF_TEXT.get(type(value))
-            if leaf is None:
-                _encode(value, parts, inner)
-            else:
-                parts.append(leaf(value))
+            _encode(value, parts, inner)
             parts.append(sep)
         parts[-1] = "\n" + pad + "}"
     elif isinstance(obj, int):

@@ -330,7 +330,17 @@ class LogSpiral(ScalarSet, kind="log_spiral"):
             raise PreconditionError("spiral base must be positive, finite and != 1")
 
     def point_at(self, t: float) -> complex:
-        return self.base ** t * complex(math.cos(t * self.rate.value), -math.sin(t * self.rate.value))
+        try:
+            r = self.base ** t
+        except OverflowError:
+            raise PreconditionError(f"set: spiral modulus base**{t!r} is past float range") from None
+        return r * self._turn(t)
+
+    def _turn(self, t: float) -> complex:
+        a = t * self.rate.value
+        if not math.isfinite(a):
+            raise PreconditionError(f"set: spiral angle {t!r} * rate is past float range")
+        return complex(math.cos(a), -math.sin(a))
 
     def contains(self, z, tol=1e-9):
         r = abs(z)
@@ -358,8 +368,7 @@ class LogSpiral(ScalarSet, kind="log_spiral"):
 
     def _pick(self, bound, at_least):
         k = math.ceil(bound) if at_least else math.floor(bound)
-        a = k * math.log(2) / math.log(self.base) * self.rate.value
-        return _rotated(X2.pow2(k), complex(math.cos(a), -math.sin(a)))
+        return _rotated(X2.pow2(k), self._turn(k * math.log(2) / math.log(self.base)))
 
     def _coverage_leaves(self, phase, factor, out):
         pass  # nowhere dense: no coverage of the plane

@@ -283,6 +283,8 @@ def test_misshapen_vector_names_its_field(tmp_path, capsys):
 
 
 _BI = {"domain": "bi", "entries": [[0, 1.0, 0.0]]}
+# a log spiral whose angle t * rate leaves float range from |t| = 2 on
+_SPINNING = {"kind": "log_spiral", "base": 2.0, "rate": {"irrational": 1e308}}
 
 
 def _direct_sum_criterion():
@@ -581,6 +583,20 @@ def _spiral_density(window, set_=None):
          "stages"),
         (_edited("build21", lambda c: c.update(targets={"default_count": 10**6})),
          "targets.default_count"),
+        # log spirals: a modulus base**t or an angle t * rate past float range,
+        # in the density grid and in the builders' picks, bare or inside a set
+        *[(_edited("spiral_density", lambda c, b=b: c["set"].update(base=b)), "set")
+          for b in (1e308, 5e-324, 1e30)],
+        *[(_edited("spiral_density", lambda c, r=r: c["set"]["rate"].update(irrational=r)), "set")
+          for r in (1e308, -1e308)],
+        (_edited("spiral_density", lambda c: c.update(
+            set={"kind": "circle_product", "inner": _SPINNING})), "set"),
+        (_edited("spiral_density", lambda c: c.update(
+            set={"kind": "circle_product", "inner": {**c["set"], "base": 1e308}})), "set"),
+        (_edited("build21", lambda c: c.update(set=_SPINNING)), "set"),
+        (_edited("build22", lambda c: c.update(set=_SPINNING)), "set"),
+        (_edited("build22", lambda c: c.update(set={"kind": "circle_product", "inner": _SPINNING})),
+         "set"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Certified construction traces and the spiral counterexample scenario."""
 
+import cmath
 import math
 import re
 import time
@@ -13,16 +14,23 @@ from hypothesis import strategies as st
 from orbitlab import (
     AngleSpec,
     Annulus,
+    Arc,
     BackwardShift,
     BoundedScalarSetError,
+    Circle,
+    CircleProduct,
+    FinitePoints,
     ForwardShift,
     Geometric,
+    LogSpiral,
     NotAccumulatingAtZeroError,
     ScanRangeError,
+    Scaled,
     Sector,
     SeqVector,
     SpiralBaseOneError,
     TargetFamily,
+    Union,
     WeightedBackward,
     WeightedForward,
     build_bilateral,
@@ -36,6 +44,7 @@ from orbitlab import (
 )
 from orbitlab._exact import X2, XC, cell_sum, xvec_from_seq, xvec_norm_sq, xvec_sub
 from orbitlab import jsonio
+from orbitlab.jsonio import PreconditionError
 from orbitlab.constructions import (
     SHIFT_CAP, ShiftSearchLimitError, _shift, _ShiftNorms, _Stages, _weight_log2)
 from orbitlab.scalar_sets import pick_modulus_at_least, pick_modulus_at_most
@@ -248,7 +257,7 @@ def _reference_bilateral(sampler, targets, stages):
             gi = scalars[i].mod_sq().log2() / 2.0
             cap = min(cap, -k + gi - (shifts[i] + degrees[i]) - norm_sqs[i].log2() / 2.0)
         run.pick(
-            lambda want: pick_modulus_at_most(sampler, want), cap - 1.0, -1.0,
+            lambda want: pick_modulus_at_most(sampler, want), cap - 1.0,
             lambda s: all(
                 s * X2.pow2(2 * (shifts[i] + degrees[i]) + 2 * k) * norm_sqs[i] < scalars[i].mod_sq()
                 for i in range(k)
@@ -316,7 +325,7 @@ def _reference_unilateral(sampler, targets, stages):
         for g in scalars:
             need = max(need, k + nsq.log2() / 2.0 + g.mod_sq().log2() / 2.0)
         run.pick(
-            lambda want: pick_modulus_at_least(sampler, want), need + 1.0, 1.0,
+            lambda want: pick_modulus_at_least(sampler, want), need + 1.0,
             lambda msq: all(dominant(k, msq).values()), "no scalar",
         )
         shifts.append(0 if k == 0 else max(shifts[i] + degrees[i] for i in range(k)) + 1)
@@ -714,3 +723,42 @@ class TestSpiralScenario:
         scn = build_spiral_scenario(2.0, IRR)
         with pytest.raises(ValueError):
             spiral_distance_to(scn, 0j, (-1.0, 1.0), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# one pick per stage: the slack in `want` leaves no pick inadmissible
+
+_MODULI = st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0))
+# a part many binades below the other widens every integer-pair power
+# (_cpow_exact) until a build takes seconds; the picks' slack does not
+# depend on it
+_ANGLES = st.floats(-3.0, 3.0).filter(lambda a: a == 0 or abs(a) > 1e-3)
+_LEAF_SETS = st.one_of(  # the kinds some scheme accepts first
+    st.builds(lambda m, a: Geometric(cmath.rect(m, a)), _MODULI, _ANGLES),
+    st.builds(lambda b, r: LogSpiral(b, AngleSpec.irrational(r)), _MODULI, st.floats(-10.0, 10.0)),
+    st.builds(lambda lo, hi, a, w: Sector(lo, hi, a, a + w), st.sampled_from([0.0, 0.5]),
+              st.sampled_from([2.0, math.inf]), _ANGLES, st.floats(0.0, 3.0)),
+    st.builds(FinitePoints, st.lists(st.builds(cmath.rect, _MODULI, _ANGLES), min_size=1, max_size=3)),
+    st.builds(Circle, _MODULI),
+    st.builds(lambda lo, w: Annulus(lo, lo + w), _MODULI, st.floats(0.0, 5.0)),
+    st.builds(lambda r, a, w: Arc(r, a, a + w), _MODULI, _ANGLES, st.floats(0.0, 3.0)),
+)
+_SAMPLERS = st.one_of(
+    _LEAF_SETS,
+    st.builds(Union, _LEAF_SETS, _LEAF_SETS),
+    st.builds(lambda m, a, inner: Scaled(cmath.rect(m, a), inner), _MODULI, _ANGLES, _LEAF_SETS),
+    st.builds(CircleProduct, _LEAF_SETS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampler=_SAMPLERS, stages=st.integers(0, 5))
+def test_every_pick_passes_its_exact_test_at_once(sampler, stages):
+    """Both builders over drawn samplers of every kind: a set either
+    refuses the scheme or gives each stage an admissible scalar on the
+    first ask, so no internal fault (RuntimeError) is raised."""
+    for build, domain in ((build_unilateral, "uni"), (build_bilateral, "bi")):
+        try:
+            build(sampler, default_target_family(stages + 1, domain), stages)
+        except PreconditionError:
+            pass

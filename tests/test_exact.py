@@ -1,5 +1,6 @@
 """Exact scalars: the canonical X2 form and the cell-grid residual sum."""
 
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -229,3 +230,45 @@ def test_undecided_cell_falls_back_to_the_exact_sum():
 def test_bound_off_the_cell_grid_falls_back_to_the_exact_sum():
     terms = [X2((1 << 300) - 1), X2(1, 1, -1)]
     assert _parts(cell_sum(terms, X2(1, 1, 150))) == _parts(x2_sum(terms))
+
+
+# ---------------------------------------------------------------------------
+# non-dyadic values: bounds read the value, sums keep one denominator
+
+_odd_factor = st.builds(lambda k: 2 * k + 1, st.integers(0, 1 << 80))
+
+
+@given(
+    a=st.integers(0, 1 << 4096), b=_odd_factor, q=_odd_factor, e=st.integers(-5000, 5000),
+)
+@example(a=1, b=3, q=3, e=0)
+@example(a=(1 << 64) + 1, b=1, q=9, e=-5)
+@settings(max_examples=400, deadline=None)
+def test_round_up_bits_depends_on_the_value_only(a, b, q, e):
+    x = X2(a, b, e)
+    up = x.round_up_bits(64)
+    assert x.to_fraction() <= up.to_fraction() <= x.to_fraction() * (1 + Fraction(1, 1 << 63))
+    assert _parts(X2(a * q, b * q, e).round_up_bits(64)) == _parts(up)
+
+
+@given(data=st.data())
+@example(data=None)
+@settings(max_examples=300, deadline=None)
+def test_non_dyadic_sums_equal_fraction_sums(data):
+    """Denominators are powers of one odd base (a non-dyadic stage's terms)
+    or unrelated odd numbers; the sum and its bound do not depend on the order."""
+    if data is None:  # a stage of Geometric(0.3): powers of 3^4 and 5^4 mixed
+        terms = [X2(7, 81, -3), X2(1, 625, 2), X2(5, 81 * 81, 0), X2(3, 1, -9)]
+    else:
+        base = data.draw(st.integers(1, 500)) * 2 + 1
+        dens = st.one_of(st.integers(0, 10).map(lambda p: base**p), _odd_factor)
+        terms = data.draw(st.lists(
+            st.builds(X2, st.integers(1, 1 << 120), dens, st.integers(-300, 300)),
+            min_size=1, max_size=12))
+    exact = sum(t.to_fraction() for t in terms)
+    got = x2_sum(terms)
+    assert got.to_fraction() == exact
+    assert x2_sum(reversed(terms)).to_fraction() == exact
+    assert _parts(x2_sum(reversed(terms)).round_up_bits(64)) == _parts(got.round_up_bits(64))
+    signed = [-t if i % 2 else t for i, t in enumerate(terms)]
+    assert x2_sum(signed).to_fraction() == sum(t.to_fraction() for t in signed)

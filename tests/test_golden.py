@@ -86,11 +86,11 @@ GOLDEN = {
         "residuals.csv": "5f32329e2bc6ec25deb1e6f5994fb87d7d3df5c4d0d1002cdb7b4c3427fa77df",
     },
     "build22_geometric_0.3_K5": {
-        "report.json": "58b3ee65514616ad932ad8921ec9b2d170a25a718356cdb12e896f6d6843ffa9",
+        "report.json": "76e1481a61521708e862ce5bcbb284ca3ec6e498deffffd6501fe0a0d1d78614",
         "residuals.csv": "ff2982538af0aa2e6834fa6227412fd11c66316d4c5f8a3bb8cfe736ab6be702",
     },
     "build21_log_spiral_K12": {
-        "report.json": "03c9be6060910188a55e98581465dde73ad55ac55ab494653a6e5f81b81b5ecb",
+        "report.json": "bfb91337d57a04c1dd19539d6c0ae0e254857f206ab1526550c6cca15f2cc21e",
         "residuals.csv": "5bdf80b9ea041e9cf32763020171faa8f503e5fc94dc0e4d13f32c2cdded8dbd",
     },
     "build22_rotated_K12": {
