@@ -1,22 +1,27 @@
 """Batch command-line front end.
 
-Every subcommand reads one JSON config, the only source of its values, runs
+    orbitlab <command> --config PATH [--out DIR] [--emit-csv]
+
+Every command reads one JSON config, the only source of its values, runs
 deterministically, and emits a report whose only non-reproducible field is
 the timestamp. Exit codes: 0 success; 1 an unreadable config or a refused
 input, a jsonio.PreconditionError naming its field; 2 bad invocation or any
 other exception, a plain ValueError included (an internal error).
 
-Each command imports only the modules it runs, so a process pays for
-compiling and executing just those. A handler returns plain result objects
-(jsonio records, NamedTuples, complex numbers, tuples, dicts); run_config
-writes them in one walk through jsonio.dumps.
+main parses that one grammar itself: options in any order, `--opt=value` or
+`--opt value`, the last repeat winning, and no abbreviations. Each command
+imports only the modules it runs, so a process pays for compiling and
+executing just those, and the start path loads no argparse, datetime or
+hashlib. A handler returns plain result objects (jsonio records,
+NamedTuples, complex numbers, tuples, dicts); run_config writes them in one
+walk through jsonio.dumps.
 """
 
 from __future__ import annotations
 
-import argparse
+import math
 import sys
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from . import __version__, jsonio
@@ -261,7 +266,7 @@ def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
         "version": __version__,
         "command": command,
         "config_sha256": jsonio.config_hash(cfg),
-        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "generated_at": utc_isoformat(time.time()),
     }
     handler, fields = _HANDLERS[command]
     try:
@@ -278,38 +283,88 @@ def run_config(cfg: dict, out_dir=None, emit_csv=False) -> tuple[int, dict]:
     return code, report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="orbitlab",
-        description="Scalar-set orbit dynamics toolkit: classification, "
-        "constructions, density scans, criterion checks, winding audits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        p.add_argument("--emit-csv", action="store_true", help="write companion CSV files")
-    args = parser.parse_args(argv)
+def utc_isoformat(t: float) -> str:
+    """datetime.fromtimestamp(t, timezone.utc).isoformat(), from time alone:
+    microseconds rounded half to even, and no fraction when they are 0."""
+    frac, whole = math.modf(t)
+    carry, us = divmod(round(frac * 1e6), 1_000_000)  # a fraction that rounds to 1 s
+    text = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(int(whole) + carry)[:6]
+    return f"{text}.{us:06d}+00:00" if us else f"{text}+00:00"
 
+
+USAGE = (
+    "usage: orbitlab <command> --config PATH [--out DIR] [--emit-csv]\n"
+    f"commands: {', '.join(_HANDLERS)}\n"
+)
+_VALUED = ("--config", "--out")  # options that take a value; --emit-csv takes none
+
+
+def _bad_invocation(message: str):
+    sys.stderr.write(f"{USAGE}orbitlab: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str]) -> tuple[str, str, str | None, bool]:
+    """(command, config path, out dir or None, emit_csv) of a command line.
+
+    A bad one prints the usage to stderr and raises SystemExit(2); -h or
+    --help prints it to stdout and raises SystemExit(0)."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        raise SystemExit(0)
+    command, values, emit_csv = None, {}, False
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name in _VALUED:
+            if not eq:
+                value = next(args, None)
+                # a separate value never looks like an option; --config=-x.json may
+                if value is None or value.startswith("-"):
+                    _bad_invocation(f"{name} expects a value")
+            values[name] = value
+        elif arg == "--emit-csv":
+            emit_csv = True
+        elif arg.startswith("-"):
+            _bad_invocation(f"unrecognized option {arg!r}")
+        elif command is not None:
+            _bad_invocation(f"unexpected argument {arg!r}")
+        elif arg not in _HANDLERS:
+            _bad_invocation(f"unknown command {arg!r}")
+        else:
+            command = arg
+    if command is None:
+        _bad_invocation("a command is required")
+    if "--config" not in values:
+        _bad_invocation("--config is required")
+    return command, values["--config"], values.get("--out"), emit_csv
+
+
+def main(argv=None) -> int:
+    command, config, out, emit_csv = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg = jsonio.loads(Path(args.config).read_text())
+        cfg = jsonio.loads(Path(config).read_text())
         if not isinstance(cfg, dict):
             raise jsonio.PreconditionError("top level must be a JSON object")
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
     if cfg.get("command") is None:
-        cfg["command"] = args.command
-    elif cfg["command"] != args.command:
+        cfg["command"] = command
+    elif cfg["command"] != command:
         print(
-            f"config command {cfg['command']!r} does not match subcommand {args.command!r}",
+            f"config command {cfg['command']!r} does not match subcommand {command!r}",
             file=sys.stderr,
         )
         return 1
+    if out:
+        try:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at out or above it: the invocation is at fault
+            _bad_invocation(f"--out {out}: cannot make the directory: {exc}")
 
     try:
-        code, report = run_config(cfg, args.out, args.emit_csv)
+        code, report = run_config(cfg, out, emit_csv)
     except jsonio.PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 1

@@ -49,7 +49,6 @@ from typing import Callable
 from . import jsonio
 from .jsonio import Field, PreconditionError, Record
 from ._exact import X2, XC, pair_sum, x2_sum, xvec_from_seq, xvec_norm_sq, xvec_sub
-from ._kernels import spiral_min_scan
 from .operators import (
     BILATERAL,
     UNILATERAL,
@@ -64,6 +63,15 @@ from .scalar_sets import (
     pick_modulus_at_least,
     pick_modulus_at_most,
 )
+
+
+def spiral_min_scan(log_base, angle_rate, target_re, target_im, s_start, step, count):
+    """_kernels.spiral_min_scan, imported on the first call: a build never
+    compiles the kernels. The spiral scan calls this module attribute, so a
+    patched one applies."""
+    from ._kernels import spiral_min_scan as kernel
+
+    return kernel(log_base, angle_rate, target_re, target_im, s_start, step, count)
 
 
 class BoundedScalarSetError(PreconditionError):

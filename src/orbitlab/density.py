@@ -20,7 +20,6 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from ._kernels import nearest_distances
 from .jsonio import Field, PreconditionError, Record
 from .operators import (
     DomainMismatchError,
@@ -37,6 +36,15 @@ from .operators import (
 
 if TYPE_CHECKING:
     from .scalar_sets import ScalarSet
+
+
+def nearest_distances(grid, cloud, dim):
+    """_kernels.nearest_distances, imported on the first call: a process that
+    scans no grid never compiles the kernels. The scan calls this module
+    attribute, so a patched one applies."""
+    from ._kernels import nearest_distances as kernel
+
+    return kernel(grid, cloud, dim)
 
 
 class EmptyCloudError(PreconditionError):

@@ -19,7 +19,7 @@ malformed value.
 from __future__ import annotations
 
 import functools
-import hashlib
+import importlib
 import json
 import math
 import typing
@@ -128,8 +128,25 @@ def loads(text: str):
     return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
 
 
+def find_sha256(modules=("_sha2", "_sha256")):
+    """sha256 of the first of the interpreter's builtin modules that exists
+    (_sha2 from 3.12, _sha256 before), else hashlib's: importing hashlib loads
+    OpenSSL, which costs a CLI process more than the digest of its config."""
+    for name in modules:
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
+    import hashlib
+
+    return hashlib.sha256
+
+
+_sha256 = find_sha256()
+
+
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(dumps(cfg).encode("utf-8")).hexdigest()
+    return _sha256(dumps(cfg).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,30 @@ from typing import Optional
 
 from . import jsonio
 from .jsonio import Field, PreconditionError, Record
-from ._exact import X2, XC
+
+
+class _ExactOnFirstUse:
+    """Stands in for _exact's X2 or XC until the first exact pick, which
+    imports _exact and binds both names here to its classes: a process that
+    picks no member (classify, density) never compiles _exact."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def _bind(self):
+        from . import _exact
+
+        globals().update(X2=_exact.X2, XC=_exact.XC)
+        return getattr(_exact, self.name)
+
+    def __getattr__(self, attr):
+        return getattr(self._bind(), attr)
+
+    def __call__(self, *args):
+        return self._bind()(*args)
+
+
+X2, XC = _ExactOnFirstUse("X2"), _ExactOnFirstUse("XC")
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-9

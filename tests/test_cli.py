@@ -13,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import cli, constructions, criteria, jsonio
 
@@ -135,6 +137,109 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["mystery", "--config", "nowhere.json"])
     assert exc.value.code == 2
+
+
+_RING = str(CONFIG_DIR / "classify_ring.json")
+
+
+def _ran(argv, tmp_path):
+    """main's exit code on argv, with {a} and {b} naming two output dirs;
+    SystemExit's code in its place when main raises it."""
+    argv = [arg.format(a=tmp_path / "a", b=tmp_path / "b") for arg in argv]
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code, written",
+    [
+        (["classify", f"--config={_RING}", "--out", "{a}"], 0, "a"),
+        (["classify", "--config", _RING, "--out={a}"], 0, "a"),
+        (["classify", "--out", "{a}", "--config", _RING], 0, "a"),
+        (["--out", "{a}", "--config", _RING, "classify"], 0, "a"),
+        (["classify", "--config", _RING, "--out", "{b}", "--out", "{a}"], 0, "a"),
+        (["classify", "--out", "{a}"], 2, None),  # no --config
+        (["classify", "--out", "{a}", "--config"], 2, None),  # a missing value
+        (["classify", "--config", "--out", "{a}"], 2, None),  # a value that is an option
+        (["classify", "--config", _RING, "--out", "{a}", "--verbose"], 2, None),
+        (["classify", "--conf", _RING, "--out", "{a}"], 2, None),  # no abbreviations
+        (["classify", "--config", _RING, "--out", "{a}", "--emit-csv=yes"], 2, None),
+        (["classify", "classify", "--config", _RING, "--out", "{a}"], 2, None),
+        (["--config", _RING, "--out", "{a}"], 2, None),  # no command
+        ([], 2, None),
+    ],
+)
+def test_command_line_grammar(argv, code, written, tmp_path, capsys):
+    assert _ran(argv, tmp_path) == code
+    dirs = {d.name for d in tmp_path.iterdir() if (d / "report.json").exists()}
+    assert dirs == ({written} if written else set())
+    if code == 2:
+        assert capsys.readouterr().err.startswith("usage: orbitlab <command> --config PATH")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["classify", "--config", _RING, "-h"]])
+def test_help_prints_usage_and_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli.USAGE
+
+
+def test_emit_csv_flag_writes_the_companion_csv(tmp_path):
+    argv = ["build21", "--emit-csv", "--config", str(CONFIG_DIR / "build21.json")]
+    assert cli.main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert cli.main(argv[:1] + argv[2:] + ["--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "residuals.csv").exists()
+    assert not (tmp_path / "b" / "residuals.csv").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_out_on_a_file_is_a_bad_invocation(under, tmp_path, capsys):
+    blocker = tmp_path / "report"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--config", _RING, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"orbitlab: error: --out {out}: " in err
+    assert "internal error" not in err
+    assert blocker.read_text() == ""
+
+
+def test_module_run_without_arguments_exits_two():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitlab.cli"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(cli.USAGE)
+    assert proc.stdout == ""
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 253402300799).map(float),  # whole seconds, up to 9999-12-31
+        st.floats(0, 253402300799, allow_nan=False),
+        st.integers(0, 4_102_444_799_999_999).map(lambda us: us / 1e6),  # to 2099, in us
+        st.floats(-2e9, 0, allow_nan=False),  # before 1970
+    )
+)
+def test_generated_at_matches_datetime_isoformat(t):
+    from datetime import datetime, timezone
+
+    assert cli.utc_isoformat(t) == datetime.fromtimestamp(t, timezone.utc).isoformat()
+
+
+def test_generated_at_without_microseconds_has_no_fraction():
+    assert cli.utc_isoformat(1_700_000_000.0) == "2023-11-14T22:13:20+00:00"
+    assert cli.utc_isoformat(1_700_000_000.9999996) == "2023-11-14T22:13:21+00:00"
+    assert cli.utc_isoformat(0.000001) == "1970-01-01T00:00:00.000001+00:00"
 
 
 def test_main_rejects_command_mismatch(tmp_path):

@@ -1,6 +1,8 @@
 """The record JSON codec: every variant round-trips, and no JSON tree
 placed where a config expects a variant makes the CLI exit 2."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -567,3 +569,26 @@ def test_every_shipped_result_rewrites_to_the_same_text(name):
         cfg = json.load(fh)
     handler, _ = cli._HANDLERS[cfg["command"]]
     _assert_rewrites_itself(handler(cfg, cli._Output(None, False)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=300))
+def test_builtin_sha256_matches_hashlib(blob):
+    assert jsonio._sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+
+
+def test_hashlib_is_the_sha256_without_a_builtin_module():
+    assert jsonio.find_sha256(("no_such_sha_module",)) is hashlib.sha256
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        assert jsonio.find_sha256() is not hashlib.sha256
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["builtin", "hashlib"])
+@pytest.mark.parametrize("name", _SHIPPED)
+def test_config_hash_is_the_sha256_of_the_canonical_text(name, fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setattr(jsonio, "_sha256", jsonio.find_sha256(("no_such_sha_module",)))
+    with open(os.path.join(_CONFIG_DIR, name)) as fh:
+        cfg = json.load(fh)
+    want = hashlib.sha256(jsonio.dumps(cfg).encode("utf-8")).hexdigest()
+    assert jsonio.config_hash(cfg) == want
