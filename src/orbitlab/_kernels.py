@@ -24,7 +24,8 @@ distance of any point in the box, with no slack, and a node whose bound is at
 least the best value found holds no point that could lower it. Only the
 minimum is returned, so ties need no bookkeeping, and the shape of the tree
 (how it splits, how large its leaves are) moves only the time, never a bit
-of the result.
+of the result. The build sorts each run once per axis, not once per node:
+every split is still a median on its axis (see _kd_build).
 
 NaN and infinities. A cloud point with a coordinate that is inf or NaN is
 at distance inf or NaN from every query, and neither compares below inf, the
@@ -199,17 +200,27 @@ def _rows(grid, points, dim):
 
 def _kd_build(points, axis, dim):
     """Node (a, b, leaf, lo0, hi0, lo1, hi1, ...): either the two children
-    split at the median of the axis, which cycles with the depth, and leaf
-    None, or a and b None and leaf the points. Then the points' bounding
-    box, which a leaf takes from its points and a parent from its children."""
-    if len(points) <= _LEAF_POINTS:
-        return (None, None, points, *[f(c) for c in zip(*points) for f in (min, max)])
-    points = sorted(points, key=itemgetter(axis))
-    mid = len(points) // 2
-    axis = (axis + 1) % dim
-    a = _kd_build(points[:mid], axis, dim)
-    b = _kd_build(points[mid:], axis, dim)
-    return (a, b, None, *[f(x, y) for x, y, f in zip(a[3:], b[3:], (min, max) * dim)])
+    split at a median, and leaf None, or a and b None and leaf the points.
+    Then the points' bounding box, which a leaf takes from its points and a
+    parent from its children. The leaves sit at the least depth that leaves
+    at most _LEAF_POINTS points each. The axes from `axis` on are dealt that
+    depth in turn, and each sorts every run once and halves it as many levels
+    as it was dealt, so every split is a median on its axis."""
+    depth = 0
+    while len(points) > _LEAF_POINTS << depth:
+        depth += 1
+    runs = [points]
+    for k in range(min(depth, dim)):
+        runs = [sorted(run, key=itemgetter((axis + k) % dim)) for run in runs]
+        for _ in range(depth // dim + (k < depth % dim)):
+            runs = [h for run in runs for h in (run[: len(run) // 2], run[len(run) // 2:])]
+    nodes = [(None, None, run, *[f(c) for c in zip(*run) for f in (min, max)]) for run in runs]
+    while len(nodes) > 1:
+        nodes = [
+            (a, b, None, *[f(x, y) for x, y, f in zip(a[3:], b[3:], (min, max) * dim)])
+            for a, b in zip(nodes[::2], nodes[1::2])
+        ]
+    return nodes[0]
 
 
 # The search for one dimension, with every per-axis sum written out: {q},

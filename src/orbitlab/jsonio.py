@@ -11,9 +11,10 @@ class is made, and shares one __init__, __eq__, __hash__ and __repr__
 among all records, with no code generated per class. dumps is the one
 writer: one walk writes the JSON leaves and containers, complex numbers and
 NamedTuples it meets, and any other value through its one-level JSON form
-(_json_value). decode is the one reader: it builds a record from its field
-types, refusing keys it does not declare and naming the path of the first
-malformed value.
+(_json_value). Float texts are shared within one call: each distinct nonzero
+float is formatted once, as a report's lattice coordinates repeat. decode
+is the one reader: it builds a record from its field types, refusing keys
+it does not declare and naming the path of the first malformed value.
 """
 
 from __future__ import annotations
@@ -48,10 +49,20 @@ def format_int(n: int) -> str:
         ) from None
 
 
-# the text of each JSON leaf type, by exact type; subclasses take _encode's
-# isinstance tests
+class _FloatTexts(dict):
+    """One call of dumps' texts of its nonzero floats, each formatted when first
+    met; zeros (0.0 == -0.0) and non-finite floats (refused) are never stored."""
+
+    def __missing__(self, x):
+        text = format_float(x)
+        if x:
+            self[x] = text
+        return text
+
+
+# the text of each other JSON leaf type, by exact type; subclasses take
+# _encode's isinstance tests
 _LEAF_TEXT = {
-    float: format_float,
     int: format_int,
     str: _quote,
     bool: lambda b: "true" if b else "false",
@@ -59,8 +70,11 @@ _LEAF_TEXT = {
 }
 
 
-def _encode(obj, parts: list[str], pad: str) -> None:
+def _encode(obj, parts: list[str], pad: str, floats: _FloatTexts) -> None:
     """Append obj's text to parts; pad is the indent of the line it starts on."""
+    if type(obj) is float:
+        parts.append(floats[obj] if obj else str(obj))  # str(±0.0) is its text
+        return
     leaf = _LEAF_TEXT.get(type(obj))
     if leaf is not None:
         parts.append(leaf(obj))
@@ -72,12 +86,12 @@ def _encode(obj, parts: list[str], pad: str) -> None:
         sep = ",\n" + inner
         parts.append("[\n" + inner)
         for value in obj:
-            _encode(value, parts, inner)
+            _encode(value, parts, inner, floats)
             parts.append(sep)
         parts[-1] = "\n" + pad + "]"
     elif isinstance(obj, complex):
         inner = pad + "  "
-        re, im = format_float(obj.real), format_float(obj.imag)
+        re, im = floats[obj.real], floats[obj.imag]
         parts.append(f"[\n{inner}{re},\n{inner}{im}\n{pad}]")
     elif isinstance(obj, (dict, tuple)):  # a tuple here is a NamedTuple: an object of its fields
         if not obj:
@@ -90,7 +104,7 @@ def _encode(obj, parts: list[str], pad: str) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             parts.append(_quote(key) + ": ")
-            _encode(value, parts, inner)
+            _encode(value, parts, inner, floats)
             parts.append(sep)
         parts[-1] = "\n" + pad + "}"
     elif isinstance(obj, int):
@@ -100,13 +114,13 @@ def _encode(obj, parts: list[str], pad: str) -> None:
     elif isinstance(obj, str):
         parts.append(_quote(obj))
     else:
-        _encode(_json_value(obj), parts, pad)
+        _encode(_json_value(obj), parts, pad, floats)
 
 
 def dumps(obj) -> str:
     """Serialize to canonical JSON text, two-space indented, with a trailing newline."""
     parts: list[str] = []
-    _encode(obj, parts, "")
+    _encode(obj, parts, "", _FloatTexts())
     parts.append("\n")
     return "".join(parts)
 

@@ -551,6 +551,66 @@ def test_format_float_refuses_a_non_finite_float(x):
     assert str(info.value) == f"non-finite float {x!r} cannot appear in a report"
 
 
+# ---------------------------------------------------------------------------
+# float texts shared within one call of dumps
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_signed_zeros_keep_their_texts_in_either_order(first, second):
+    obj = [first, second, complex(first, second), Miss((complex(second, first),), first), second]
+    assert jsonio.dumps(obj) == _reference_dumps(obj)
+    assert jsonio.dumps([first, second]) == f"[\n  {first},\n  {second}\n]\n"
+
+
+def test_repeated_floats_in_complex_numbers_and_named_tuples():
+    x, y = 0.1, 1e16 + 2
+    obj = {
+        "floats": [x, y, x, -x, y],
+        "complex": [complex(x, x), complex(y, -x), complex(x, y)],
+        "miss": Miss((complex(x, y), complex(y, y)), x),
+        "ball": Ball((complex(-x, x),), y),
+        "mixed": [1, True, 1.0, _Float(x), x, 0, 0.0],  # ints and bools equal to floats
+    }
+    assert jsonio.dumps(obj) == _reference_dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "wrap", [float, lambda v: complex(v, 0.5), lambda v: complex(0.5, v), lambda v: Miss((0.5j,), v)]
+)
+def test_a_non_finite_float_after_repeated_ones_is_refused(bad, wrap):
+    with pytest.raises(jsonio.PreconditionError) as info:
+        jsonio.dumps([0.5, 0.5, complex(0.5, 0.5), wrap(bad), 0.5])
+    assert str(info.value) == f"non-finite float {bad!r} cannot appear in a report"
+
+
+# a few floats, drawn again and again, as the ball grid's coordinates are
+_FEW_FLOATS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.1, 1.0, 1e16, 1e16 + 2, 5e-324, math.inf])
+_REPEATED_TREES = st.recursive(
+    st.one_of(
+        _FEW_FLOATS,
+        st.builds(complex, _FEW_FLOATS, _FEW_FLOATS),
+        st.builds(_Float, _FEW_FLOATS),
+        st.sampled_from([0, 1, True, False]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.builds(Miss, inner, inner),
+        st.builds(Ball, inner, inner),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPEATED_TREES)
+def test_dumps_of_repeated_floats_matches_a_writer_formatting_each_afresh(obj):
+    # _reference_dumps calls format_float on every float it meets
+    assert _outcome(jsonio.dumps, obj) == _outcome(_reference_dumps, obj)
+
+
 def _assert_rewrites_itself(obj):
     # what dumps writes reads back as plain JSON values that dumps writes
     # to the same text

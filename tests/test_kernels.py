@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from orbitlab import _kernels, density
 from orbitlab._kernels import _eval_error, nearest_distances, spiral_min_scan
 from orbitlab.constructions import build_spiral_scenario, spiral_distance_to
-from orbitlab.scalar_sets import AngleSpec
+from orbitlab.operators import ScalarOnC
+from orbitlab.scalar_sets import AngleSpec, LogSpiral
 
 
 def _nearest_brute(grid, cloud, dim):
@@ -217,6 +218,68 @@ def test_bound_prunes_a_cluster_apart_on_any_one_axis(dim, axis):
     queries = [rng.random() for _ in range(20 * dim)]
     seen = _scanned(queries, [v for p in near + far for v in p], dim, axis)
     assert sum(x > 50.0 for x in seen) * 10 < len(seen)
+
+
+def _nodes(node):
+    """Every node of the subtree under node, node first."""
+    yield node
+    if node[2] is None:
+        yield from _nodes(node[0])
+        yield from _nodes(node[1])
+
+
+def _held(node):
+    return [p for n in _nodes(node) if n[2] is not None for p in n[2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4, 8]),
+    st.one_of(st.integers(1, _kernels._LEAF_POINTS), st.integers(1, 700)),
+    st.data(),
+)
+def test_kd_tree_holds_the_cloud_in_boxed_median_split_leaves(dim, n, data):
+    # finite coordinates with the ties of _tie_coord, as nearest_distances
+    # hands the tree only finite points
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    points = [tuple(x if math.isfinite(x) else 0.0 for x in (_tie_coord(rng) for _ in range(dim)))
+              for _ in range(n)]
+    root = _kernels._kd_build(points, data.draw(st.integers(0, dim - 1)), dim)
+    leaves = [node[2] for node in _nodes(root) if node[2] is not None]
+    assert all(0 < len(leaf) <= _kernels._LEAF_POINTS for leaf in leaves)
+    assert sorted(p for leaf in leaves for p in leaf) == sorted(points)
+    for node in _nodes(root):
+        held = _held(node)
+        assert list(node[3:]) == [f(c) for c in zip(*held) for f in (min, max)]
+        if node[2] is None:  # two halves of a median split on some axis
+            a, b = _held(node[0]), _held(node[1])
+            assert len(b) - len(a) in (0, 1)
+            assert any(max(p[d] for p in a) <= min(p[d] for p in b) for d in range(dim))
+
+
+def _density_1d_cloud():
+    """The 4,573 samples that the benchmark's density_1d job keeps: the orbit
+    of 1 under (1/2)e^{i} on C, scaled by 100 points of the log spiral
+    2^t e^{-it}, within 1.04 of 0 on both axes."""
+    op = ScalarOnC(complex(0.5 * math.cos(1.0), 0.5 * math.sin(1.0)))
+    spiral = LogSpiral(2.0, AngleSpec.irrational(1.0, "one radian"))
+    flat = density.generate_orbit(op, 1.0 + 0j, spiral, 50, 100).section_coords((0,))
+    return [v for p in zip(flat[::2], flat[1::2]) if max(map(abs, p)) <= 1.04 for v in p]
+
+
+def test_kd_work_on_the_density_1d_cloud(monkeypatch):
+    # counts, not times: the tree sorts each axis once (1 + 32 runs at depth
+    # 9, dealt 5 levels to axis 0 and 4 to axis 1), and the search evaluates
+    # no more points per query than a tree re-sorted at every node did (33.2)
+    cloud, grid = _density_1d_cloud(), _lattice((0j,), 1.0, 0.05)
+    queries = len(grid) // 2
+    assert (len(cloud) // 2, queries) == (4573, 1257)
+    sorts = []
+    monkeypatch.setattr(_kernels, "sorted", lambda *a, **k: sorts.append(1) or sorted(*a, **k),
+                        raising=False)
+    seen = _scanned(grid, cloud, 2, 0)
+    assert len(sorts) == 33
+    assert queries <= len(seen) <= 33.2 * queries
 
 
 @st.composite
