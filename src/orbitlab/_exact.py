@@ -287,6 +287,21 @@ class XC:
     def scale(self, s: X2) -> "XC":
         return XC(self.re * s, self.im * s)
 
+    def power(self, j: int) -> "XC":
+        """self**j exactly, for j >= 0 and both dens 1 (every float is one):
+        self = (a + b i) 2^e with integers a, b and e the lesser exponent, so
+        self**j is the integer pair (a + b i)^j, squared and multiplied bit
+        by bit, times 2^(e j)."""
+        re, im = self.re, self.im
+        e = min(re.exp, im.exp)
+        a, b = re.num << (re.exp - e), im.num << (im.exp - e)
+        ra, rb = 1, 0
+        for bit in bin(j)[2:]:
+            ra, rb = ra * ra - rb * rb, 2 * ra * rb
+            if bit == "1":
+                ra, rb = ra * a - rb * b, ra * b + rb * a
+        return XC(X2(ra, 1, e * j), X2(rb, 1, e * j))
+
     def mod_sq(self) -> X2:
         return self.re * self.re + self.im * self.im
 

@@ -263,6 +263,8 @@ def epsilon_density(
     """
     section = tuple(int(i) for i in section)
     center = tuple(complex(c) for c in center)
+    if not section:
+        raise PreconditionError("section: lists no coordinate")
     if len(center) != len(section):
         raise PreconditionError("ball.center: must list one coordinate per section index")
     for field, x in (("ball.radius", radius), ("grid_step", grid_step)):
@@ -274,6 +276,8 @@ def epsilon_density(
         raise EmptyCloudError("orbit cloud has no samples")
 
     grid, indices = _ball_grid(center, radius, grid_step)
+    if not grid:  # a verdict over no point would be vacuous
+        raise PreconditionError(f"grid_step: {grid_step!r} puts no lattice point in the ball")
     axes = _flat([center])
     dim = len(axes)
     flat = cloud.section_coords(section)
@@ -305,7 +309,7 @@ def epsilon_density(
         grid_step=grid_step,
         grid_count=len(grid),
         covered_count=covered,
-        covered_fraction=covered / len(grid) if grid else 0.0,
+        covered_fraction=covered / len(grid),
         verdict=verdict,
         witness_ball=witness,
         miss_witnesses=tuple(Miss(_floats_to_coords(grid[i]), dists[i]) for i in misses),

@@ -250,6 +250,16 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def members(args: tuple, refusal: str) -> tuple:
+    """A composite record's members (of a union, direct sum or concatenation),
+    given one by one or as one list or tuple; none is refused with refusal."""
+    if len(args) == 1 and isinstance(args[0], (list, tuple)):
+        args = tuple(args[0])
+    if not args:
+        raise PreconditionError(refusal)
+    return args
+
+
 class Family(Record):
     """Root of a variant family, such as ScalarSet.
 

@@ -378,46 +378,53 @@ class OperatorSpec(jsonio.Family):
         return None
 
 
-def _shift_power(op, n: int, v: Vector, outer: tuple) -> SeqVector:
-    """The shifts' _power: each entry follows its own path (see power_apply).
-    _walk drops zeros and applies `0 + c` itself, and the indices move in
-    order, so the entries are already those _from_sorted would keep."""
-    if not on_domain(v, op.domain):
-        raise DomainMismatchError(f"operator expects a {op.domain!r} sequence vector")
-    if not v.entries:
-        return v
-    weights = getattr(op, "weights", None)
-    out = []
-    for i, c in v.entries:
-        # the unilateral backward shift drops index 0: entry i lives i steps
-        if weights is None and op.step < 0 and n > i:
-            continue
-        moved = _walk(i, c, n, op.step, weights, outer)
-        if moved is not None:
-            out.append(moved)
-    return SeqVector(op.domain, tuple(out))
+class _Shift:
+    """The shifts' rules, a mixin as _Ring is the ring sectors': each kind
+    declares `domain` and `step`, and a weighted kind its `weights` field."""
 
+    weights = None
 
-def _shift_norm_bound(op, n: int) -> float:
-    """The sup over j of |product of n consecutive weights| ending (backward)
-    or starting (forward) at j: exact for piecewise-constant weights."""
-    w = getattr(op, "weights", None)
-    if w is None or n == 0:
-        return 1.0
-    best = max(abs(w.values[0]) ** n, abs(w.values[-1]) ** n)
-    for a, b in _windows(w, n):
-        best = max(best, abs(w.window_product(a, b)))
-    return best
+    def _power(self, n: int, v: Vector, outer: tuple) -> SeqVector:
+        """Each entry follows its own path (see power_apply). _walk drops
+        zeros and applies `0 + c` itself, and the indices move in order, so
+        the entries are already those _from_sorted would keep."""
+        if not on_domain(v, self.domain):
+            raise DomainMismatchError(f"operator expects a {self.domain!r} sequence vector")
+        if not v.entries:
+            return v
+        weights = self.weights
+        out = []
+        for i, c in v.entries:
+            # the unilateral backward shift drops index 0: entry i lives i steps
+            if weights is None and self.step < 0 and n > i:
+                continue
+            moved = _walk(i, c, n, self.step, weights, outer)
+            if moved is not None:
+                out.append(moved)
+        return SeqVector(self.domain, tuple(out))
 
+    def power_norm_bound(self, n: int) -> float:
+        """The sup over j of |product of n consecutive weights| ending (backward)
+        or starting (forward) at j: exact for piecewise-constant weights."""
+        w = self.weights
+        if w is None or n == 0:
+            return 1.0
+        best = max(abs(w.values[0]) ** n, abs(w.values[-1]) ** n)
+        for a, b in _windows(w, n):
+            best = max(best, abs(w.window_product(a, b)))
+        return best
 
-def _shift_log2_bound(op, n: int) -> float:
-    w = getattr(op, "weights", None)
-    if w is None or n == 0:
-        return 0.0
-    best = n * math.log2(abs(w.values[0]))
-    for a, b in _windows(w, n):
-        best = max(best, w.window_log2(a, b))
-    return best
+    def log2_norm_bound(self, n: int) -> float:
+        w = self.weights
+        if w is None or n == 0:
+            return 0.0
+        best = n * math.log2(abs(w.values[0]))
+        for a, b in _windows(w, n):
+            best = max(best, w.window_log2(a, b))
+        return best
+
+    def dyadic_chain(self, outer: tuple = ()) -> Optional["DyadicChain"]:
+        return None if self.weights is not None else DyadicChain.of(self.step, outer)
 
 
 def _windows(w: WeightSpec, n: int):
@@ -430,16 +437,10 @@ def _windows(w: WeightSpec, n: int):
     return {(a, a + n - 1) for b in w.breakpoints for a in (b, b - n)}
 
 
-def _shift_chain(op, outer: tuple = ()) -> Optional["DyadicChain"]:
-    return DyadicChain.of(op.step, outer)
-
-
-class BackwardShift(OperatorSpec, kind="backward_shift"):
+class BackwardShift(_Shift, OperatorSpec, kind="backward_shift"):
     """(x0, x1, ...) -> (x1, x2, ...) on unilateral sequences."""
 
     domain, step = UNILATERAL, -1
-    _power, power_norm_bound = _shift_power, _shift_norm_bound
-    log2_norm_bound, dyadic_chain = _shift_log2_bound, _shift_chain
 
     def adjoint_point_spectrum(self):
         # a standard fact, not derived here: the adjoint is the isometric
@@ -447,30 +448,24 @@ class BackwardShift(OperatorSpec, kind="backward_shift"):
         return frozenset()
 
 
-class ForwardShift(OperatorSpec, kind="forward_shift"):
+class ForwardShift(_Shift, OperatorSpec, kind="forward_shift"):
     """(x0, x1, ...) -> (0, x0, x1, ...) on unilateral sequences."""
 
     domain, step = UNILATERAL, 1
-    _power, power_norm_bound = _shift_power, _shift_norm_bound
-    log2_norm_bound, dyadic_chain = _shift_log2_bound, _shift_chain
 
 
-class WeightedBackward(OperatorSpec, kind="weighted_backward"):
+class WeightedBackward(_Shift, OperatorSpec, kind="weighted_backward"):
     """Bilateral backward shift: e_j -> weight(j) * e_{j-1}."""
 
     weights: WeightSpec
     domain, step = BILATERAL, -1
-    _power, power_norm_bound = _shift_power, _shift_norm_bound
-    log2_norm_bound = _shift_log2_bound
 
 
-class WeightedForward(OperatorSpec, kind="weighted_forward"):
+class WeightedForward(_Shift, OperatorSpec, kind="weighted_forward"):
     """Bilateral forward shift: e_j -> weight(j) * e_{j+1}."""
 
     weights: WeightSpec
     domain, step = BILATERAL, 1
-    _power, power_norm_bound = _shift_power, _shift_norm_bound
-    log2_norm_bound = _shift_log2_bound
 
 
 class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
@@ -538,11 +533,7 @@ class DirectSum(OperatorSpec, kind="direct_sum"):
     blocks: tuple[OperatorSpec, ...]
 
     def __init__(self, *blocks):
-        if len(blocks) == 1 and isinstance(blocks[0], (list, tuple)):
-            blocks = tuple(blocks[0])
-        if not blocks:
-            raise PreconditionError("direct sum needs at least one block")
-        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "blocks", jsonio.members(blocks, "direct sum needs at least one block"))
 
     def operator_domain(self):
         return tuple(b.operator_domain() for b in self.blocks)

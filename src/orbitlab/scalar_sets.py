@@ -255,6 +255,13 @@ class _Ring:
         _, _, a_lo, a_hi = self._bounds()
         return a_hi - a_lo >= _TWO_PI
 
+    def rotate(self, phase):
+        """The same kind with its two angle fields (its last two) turned by phase."""
+        if self.is_rotation_invariant():
+            return self
+        *radii, a_lo, a_hi = self._values()
+        return type(self)(*radii, a_lo + phase, a_hi + phase)
+
     def _coverage_leaves(self, phase, factor, out):
         r_lo, r_hi, a_lo, a_hi = self._bounds()
         turn = (None, None) if self.is_rotation_invariant() else (a_lo + phase, a_hi + phase)
@@ -308,11 +315,6 @@ class Arc(_Ring, ScalarSet, kind="arc"):
     def _bounds(self):
         return (self.radius, self.radius, self.angle_lo, self.angle_hi)
 
-    def rotate(self, phase):
-        if self.is_rotation_invariant():
-            return self
-        return Arc(self.radius, self.angle_lo + phase, self.angle_hi + phase)
-
 
 class Sector(_Ring, ScalarSet, kind="sector"):
     """{r*exp(i*a) : radius_lo <= r <= radius_hi, angle_lo <= a <= angle_hi}."""
@@ -330,11 +332,6 @@ class Sector(_Ring, ScalarSet, kind="sector"):
 
     def _bounds(self):
         return (self.radius_lo, self.radius_hi, self.angle_lo, self.angle_hi)
-
-    def rotate(self, phase):
-        if self.is_rotation_invariant():
-            return self
-        return Sector(self.radius_lo, self.radius_hi, self.angle_lo + phase, self.angle_hi + phase)
 
 
 def positive_ray() -> Sector:
@@ -439,7 +436,7 @@ class Geometric(ScalarSet, kind="geometric"):
             return None
         else:
             j = 0
-        return _cpow_exact(XC.from_complex(self.base), j)
+        return XC.from_complex(self.base).power(j)
 
     def _coverage_leaves(self, phase, factor, out):
         pass  # nowhere dense: no coverage of the plane
@@ -449,11 +446,7 @@ class Union(ScalarSet, kind="union"):
     members: tuple[ScalarSet, ...]
 
     def __init__(self, *members):
-        if len(members) == 1 and isinstance(members[0], (list, tuple)):
-            members = tuple(members[0])
-        if not members:
-            raise PreconditionError("union must be non-empty")
-        object.__setattr__(self, "members", tuple(members))
+        object.__setattr__(self, "members", jsonio.members(members, "union must be non-empty"))
 
     def contains(self, z, tol=1e-9):
         return any(m.contains(z, tol) for m in self.members)
@@ -690,7 +683,7 @@ def classify(s: ScalarSet) -> ClassificationResult:
         raise EmptyScalarSetError("scalar set denotes the empty set or {0}")
     ms = stripped.modulus_set()
     sup = ms.sup()
-    bounded = not ms.unbounded and math.isfinite(sup)
+    bounded = not ms.unbounded
     inf_pos = ms.inf_positive()
     away = inf_pos > 0
     empty_interior = not ms.has_interior()
@@ -836,22 +829,6 @@ def _interval_pick(lo, hi, angle, bound, at_least):
 def _rotated(r: X2, phase: complex) -> XC:
     """r times the float phase, exactly."""
     return XC(r, X2.ZERO) * XC.from_complex(phase)
-
-
-def _cpow_exact(base: XC, j: int) -> XC:
-    """base**j exactly, for a base with both dens 1 (every float is one):
-    base = (a + b i) 2^e with integers a, b and e the lesser exponent, so
-    base**j is the integer pair (a + b i)^j, squared and multiplied bit by
-    bit, times 2^(e j)."""
-    re, im = base.re, base.im
-    e = min(re.exp, im.exp)
-    a, b = re.num << (re.exp - e), im.num << (im.exp - e)
-    ra, rb = 1, 0
-    for bit in bin(j)[2:]:
-        ra, rb = ra * ra - rb * rb, 2 * ra * rb
-        if bit == "1":
-            ra, rb = ra * a - rb * b, ra * b + rb * a
-    return XC(X2(ra, 1, e * j), X2(rb, 1, e * j))
 
 
 # ---------------------------------------------------------------------------

@@ -161,11 +161,7 @@ class ConcatCurve(CircleCurve, kind="concat"):
     parts: tuple[CircleCurve, ...]
 
     def __init__(self, *parts):
-        if len(parts) == 1 and isinstance(parts[0], (list, tuple)):
-            parts = tuple(parts[0])
-        if not parts:
-            raise PreconditionError("concatenation needs at least one part")
-        object.__setattr__(self, "parts", tuple(parts))
+        object.__setattr__(self, "parts", jsonio.members(parts, "concatenation needs at least one part"))
 
     def _walk(self):
         return _join([p._walk() for p in self.parts], "the junction from part {} to {}")

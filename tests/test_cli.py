@@ -702,6 +702,16 @@ def _spiral_density(window, set_=None):
         (_edited("build22", lambda c: c.update(set=_SPINNING)), "set"),
         (_edited("build22", lambda c: c.update(set={"kind": "circle_product", "inner": _SPINNING})),
          "set"),
+        # density: an empty section on a sequence space, and a ball that holds
+        # no lattice point, smaller than the step or with its offsets at +-r
+        ({"command": "density", "operator": {"kind": "backward_shift"},
+          "base_point": {"domain": "uni", "entries": [[1, 1.0, 0.0]]},
+          "set": {"kind": "circle", "radius": 1.0}, "horizon": 3, "gamma_grid": 8,
+          "section": [], "ball": {"center": [], "radius": 0.5},
+          "epsilon": 0.2, "grid_step": 0.1}, "section"),
+        *[(_edited("spiral_density", lambda c, r=r: c.update(
+            ball={"center": [[-1.0, 0.0]], "radius": r}, grid_step=0.1, epsilon=0.06)),
+           "grid_step") for r in (0.01, 0.05)],
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

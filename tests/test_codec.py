@@ -249,6 +249,32 @@ def test_decode_errors_name_their_path(root, obj, message):
     assert str(exc.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "cls, key, members, refusal",
+    [
+        (Union, "members", [Circle(1.0), Geometric(2.0)], "union must be non-empty"),
+        (DirectSum, "blocks", [ScalarOnC(1j), ForwardShift()],
+         "direct sum needs at least one block"),
+        (ConcatCurve, "parts", [ConstantCurve(1.0), ParamSegment(1.5, 1.5, 1.0)],
+         "concatenation needs at least one part"),
+    ],
+)
+def test_composites_take_their_members_alike(cls, key, members, refusal):
+    # one by one, as one list or as one tuple: the same record
+    whole = cls(*members)
+    assert getattr(whole, key) == tuple(members)
+    assert cls(list(members)) == whole == cls(tuple(members))
+    assert getattr(cls(members[0]), key) == (members[0],)
+    for empty in ((), ([],), ((),)):
+        with pytest.raises(jsonio.PreconditionError) as exc:
+            cls(*empty)
+        assert str(exc.value) == refusal
+    root = next(r for r in EXAMPLES if issubclass(cls, r))
+    with pytest.raises(jsonio.PreconditionError) as exc:
+        jsonio.decode(root, {"kind": cls.kind, key: []}, "x")
+    assert str(exc.value) == f"x: {refusal}"
+
+
 # ---------------------------------------------------------------------------
 # decode fuzzing through the CLI
 

@@ -730,7 +730,7 @@ class TestSpiralScenario:
 
 _MODULI = st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0))
 # a part many binades below the other widens every integer-pair power
-# (_cpow_exact) until a build takes seconds; the picks' slack does not
+# (XC.power) until a build takes seconds; the picks' slack does not
 # depend on it
 _ANGLES = st.floats(-3.0, 3.0).filter(lambda a: a == 0 or abs(a) > 1e-3)
 _LEAF_SETS = st.one_of(  # the kinds some scheme accepts first

@@ -177,6 +177,18 @@ def test_each_variant_has_one_action():
         assert getattr(cls, "_power", base) is not base, cls
 
 
+_SHIFT_METHODS = ("_power", "power_norm_bound", "log2_norm_bound", "dyadic_chain")
+
+
+def test_shift_kinds_keep_only_their_domain_step_and_weights():
+    # the four shift rules are written once, in the _Shift mixin
+    for cls in (BackwardShift, ForwardShift, WeightedBackward, WeightedForward):
+        assert not set(_SHIFT_METHODS) & set(vars(cls)), cls.__name__
+        assert {"domain", "step"} <= set(vars(cls)), cls.__name__
+    assert BackwardShift().weights is None and BW.weights == doubling_weights()
+    assert B.dyadic_chain() is not None and BW.dyadic_chain() is None
+
+
 def _power_brute(op, n, v):
     """op^n v as n calls of apply: the reference power_apply must equal."""
     for _ in range(n):

@@ -106,6 +106,13 @@ class TestClassify:
             if res.is_somewhere_hypercyclic_scalar_set:
                 assert res.is_hypercyclic_scalar_set
 
+    def test_bounded_is_the_unilateral_builders_test(self):
+        # one rule: bounded iff the unilateral scheme refuses the set, also
+        # where a geometric tail's scale has overflowed to inf
+        for s in [Circle(1), positive_ray(), Geometric(3.0), Scaled(1e300, Annulus(1, 1e10)),
+                  Scaled(1e300, Scaled(1e300, Geometric(0.5)))]:
+            assert classify(s).bounded is not s.modulus_set().unbounded, s
+
     def test_zero_is_stripped(self):
         with_zero = FinitePoints([0.0, 1.0, 1j])
         assert classify(with_zero) == classify(FinitePoints([1.0, 1j]))
@@ -445,7 +452,7 @@ class TestPicksMatchFractionReference:
 
 
 def _xc_cpow(base, j):
-    """base**j by XC square-and-multiply: the reference for _cpow_exact."""
+    """base**j by XC square-and-multiply: the reference for XC.power."""
     out = XC(X2.ONE, X2.ZERO)
     while j:
         if j & 1:
@@ -459,13 +466,13 @@ def _xc_cpow(base, j):
 def test_integer_pair_powers_match_xc_square_and_multiply(base):
     x = XC.from_complex(complex(base))
     for j in [*range(70), 100, 277, 1000, 4097]:
-        got, want = scalar_sets._cpow_exact(x, j), _xc_cpow(x, j)
+        got, want = x.power(j), _xc_cpow(x, j)
         assert [_canonical(got.re), _canonical(got.im)] == [_canonical(want.re), _canonical(want.im)]
 
 
 _RING_METHODS = (
     "contains", "modulus_set", "scalar_grid", "_pick", "strip_zero", "is_rotation_invariant",
-    "_coverage_leaves",
+    "_coverage_leaves", "rotate",
 )
 _LOG_RADII = st.floats(min_value=-9.0, max_value=9.0).map(lambda e: 10.0 ** e)
 
@@ -496,7 +503,7 @@ def _ring_answers(s, z, tol, window, t, phase, factor):
 class TestRingSectors:
     """Circle, Annulus and Arc are ring sectors: each answers as its Sector twin."""
 
-    def test_ring_variants_keep_only_their_bounds_and_rotation(self):
+    def test_ring_variants_keep_only_their_bounds(self):
         for cls in (Circle, Annulus, Arc, Sector):
             assert not set(_RING_METHODS) & set(vars(cls)), cls.__name__
 
