@@ -73,10 +73,11 @@ def _cmd_classify(cfg: dict, out: "_Output") -> dict:
     from . import scalar_sets
 
     s = scalar_sets.from_json(_field(cfg, "set", dict), "set")
-    return {
-        "classification": scalar_sets.classify(s),
-        "modulus_set": s.strip_zero().modulus_set(),
-    }
+    classification = scalar_sets.classify(s)
+    ms = s.strip_zero().modulus_set()
+    if not all(math.isfinite(end) for end, _ in ms.intervals + ms.tails):  # lows and tail scales
+        raise jsonio.PreconditionError("set: a modulus set end is past float range")
+    return {"classification": classification, "modulus_set": ms}
 
 
 def _cmd_build(cfg: dict, out: "_Output") -> dict:

@@ -506,7 +506,7 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
     run = _Stages("unilateral", UNILATERAL, targets, stages, BoundedScalarSetError)
     if not sampler.modulus_set().unbounded:
         raise BoundedScalarSetError(
-            "scalar set must have unbounded modulus: the unilateral scheme "
+            "set: scalar set must have unbounded modulus: the unilateral scheme "
             "requires arbitrarily large scalars"
         )
     msqs, shifts, norm_sqs, degrees = run.msqs, run.shifts, run.norm_sqs, run.degrees
@@ -534,7 +534,7 @@ def build_unilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> 
             lambda want: pick_modulus_at_least(sampler, want),
             need + 1.0,  # factor 1/2 slack
             lambda msq: all(dominant(k, msq).values()),
-            "scalar set must have unbounded modulus: no scalar of the required size is available",
+            "set: scalar set must have unbounded modulus: no scalar of the required size is available",
         )
         shifts.append(reaches[k] + 1)
         reaches.append(max(reaches[k], shifts[k] + degrees[k]))
@@ -560,7 +560,7 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
     run = _Stages("bilateral", BILATERAL, targets, stages, NotAccumulatingAtZeroError)
     if sampler.modulus_set().inf_positive() > 0:
         raise NotAccumulatingAtZeroError(
-            "scalar set must have positive moduli accumulating at 0: the "
+            "set: scalar set must have positive moduli accumulating at 0: the "
             "bilateral scheme requires arbitrarily small nonzero scalars"
         )
     msqs, shifts, norm_sqs, degrees = run.msqs, run.shifts, run.norm_sqs, run.degrees
@@ -581,7 +581,7 @@ def build_bilateral(sampler: ScalarSet, targets: TargetFamily, stages: int) -> C
             lambda want: pick_modulus_at_most(sampler, want),
             cap - 1.0,  # factor 1/2 slack
             lambda s: not k or s * X2.pow2(2 * k) < room,
-            "scalar set must have positive moduli accumulating at 0: no "
+            "set: scalar set must have positive moduli accumulating at 0: no "
             "scalar of the required smallness is available",
         )
 

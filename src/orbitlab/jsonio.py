@@ -7,14 +7,14 @@ integers pass through unchanged up to Python's int-to-str digit limit.
 
 It also owns the package's value classes and the one codec between Python
 values and JSON values. A Record reads its annotated fields once, when its
-class is made, and shares one __init__, __eq__, __hash__ and __repr__
-among all records, with no code generated per class. dumps is the one
-writer: one walk writes the JSON leaves and containers, complex numbers and
-NamedTuples it meets, and any other value through its one-level JSON form
+class is made; records share one __eq__, __hash__ and __repr__, and all but
+SeqVector and the composites one __init__, with no code generated per class.
+dumps is the one writer: one walk writes JSON leaves and containers, complex
+numbers, NamedTuples and any other value through its one-level JSON form
 (_json_value). Float texts are shared within one call: each distinct nonzero
-float is formatted once, as a report's lattice coordinates repeat. decode
-is the one reader: it builds a record from its field types, refusing keys
-it does not declare and naming the path of the first malformed value.
+float is formatted once, as a report's lattice coordinates repeat. decode is
+the one reader: it builds a record from its field types, refusing keys it
+does not declare and naming the path of the first malformed value.
 """
 
 from __future__ import annotations
@@ -191,11 +191,12 @@ class Record:
     table, after those of its bases. Records share one __init__ (fields by
     position or name, then defaults, then __post_init__ where the class has
     one), __eq__ and __hash__ over the field values of one class, and a
-    `Name(field=value, ...)` repr. Assignment is refused, so an __init__ of
-    its own sets fields with object.__setattr__.
+    `Name(field=value, ...)` repr. Assignment is refused, so the __init__s of
+    SeqVector and the composites set fields with object.__setattr__.
     """
 
     fields: tuple = ()
+    _converted = ()  # (name, converter) pairs, applied by __init__
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -225,6 +226,8 @@ class Record:
             values[f.name] = value
         if kwargs:
             raise TypeError(f"{name}() got an unexpected argument {next(iter(kwargs))!r}")
+        for key, convert in self._converted:
+            values[key] = convert(values[key])
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
@@ -265,10 +268,16 @@ class Family(Record):
 
     Each member names its kind, `class Circle(ScalarSet, kind="circle")`, and
     so enters the root's `kinds` table. Its JSON object leads with "kind".
+    Its fields annotated complex or tuple[complex, ...] hold complex values
+    (_converted), whatever numbers they are given; checks go in __post_init__.
     """
+
+    _CONVERTERS = {"complex": complex, "tuple[complex, ...]": lambda v: tuple(map(complex, v))}
 
     def __init_subclass__(cls, kind=None, **kwargs):
         super().__init_subclass__(**kwargs)
+        notes = cls.__dict__.get("__annotations__", {})
+        cls._converted += tuple((n, cls._CONVERTERS[t]) for n, t in notes.items() if t in cls._CONVERTERS)
         if Family in cls.__bases__:
             cls.kinds = {}
         elif kind is not None:

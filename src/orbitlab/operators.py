@@ -474,9 +474,6 @@ class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
     value: complex
     domain = "scalar"
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", complex(value))
-
     def _power(self, n, v, outer):
         if not on_domain(v, self.domain):
             raise DomainMismatchError("scalar operator acts on complex numbers")
@@ -499,10 +496,6 @@ class ScalarOnC(OperatorSpec, kind="scalar_on_c"):
 class ScalarMultiple(OperatorSpec, kind="scalar_multiple"):
     factor: complex
     inner: OperatorSpec
-
-    def __init__(self, factor, inner):
-        object.__setattr__(self, "factor", complex(factor))
-        object.__setattr__(self, "inner", inner)
 
     def operator_domain(self):
         return self.inner.operator_domain()

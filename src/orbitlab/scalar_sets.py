@@ -171,9 +171,6 @@ class ScalarSet(jsonio.Family):
 class FinitePoints(ScalarSet, kind="finite_points"):
     points: tuple[complex, ...]
 
-    def __init__(self, points):
-        object.__setattr__(self, "points", tuple(complex(p) for p in points))
-
     def contains(self, z, tol=1e-9):
         return any(abs(z - p) <= tol for p in self.points)
 
@@ -399,8 +396,7 @@ class Geometric(ScalarSet, kind="geometric"):
 
     base: complex
 
-    def __init__(self, base):
-        object.__setattr__(self, "base", complex(base))
+    def __post_init__(self):
         m = abs(self.base)
         if m == 0 or m == 1.0 or not math.isfinite(m):
             raise PreconditionError("geometric base must satisfy 0 < |base| != 1")
@@ -494,12 +490,9 @@ class Scaled(ScalarSet, kind="scaled"):
     factor: complex
     inner: ScalarSet
 
-    def __init__(self, factor, inner):
-        factor = complex(factor)
-        if factor == 0:
+    def __post_init__(self):
+        if self.factor == 0:
             raise PreconditionError("scaling factor must be nonzero")
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "inner", inner)
 
     def contains(self, z, tol=1e-9):
         return self.inner.contains(z / self.factor, tol / max(1.0, abs(self.factor)))
@@ -680,16 +673,17 @@ def classify(s: ScalarSet) -> ClassificationResult:
     """
     stripped = s.strip_zero()
     if stripped is None:
-        raise EmptyScalarSetError("scalar set denotes the empty set or {0}")
+        raise EmptyScalarSetError("set: scalar set denotes the empty set or {0}")
     ms = stripped.modulus_set()
     sup = ms.sup()
+    sup_text = f"sup = {sup}" if sup < math.inf else "sup past float range"
     bounded = not ms.unbounded
     inf_pos = ms.inf_positive()
     away = inf_pos > 0
     empty_interior = not ms.has_interior()
     notes = (
         "nonzero part is non-empty",
-        f"modulus set bounded (sup = {sup})" if bounded else "modulus set unbounded",
+        f"modulus set bounded ({sup_text})" if bounded else "modulus set unbounded",
         f"modulus set bounded away from 0 (inf = {inf_pos})"
         if away
         else "moduli reach arbitrarily close to 0",

@@ -93,8 +93,8 @@ class CircleCurve(jsonio.Family):
 class SampledCurve(CircleCurve, kind="sampled"):
     points: tuple[complex, ...]
 
-    def __init__(self, points):
-        pts = tuple(complex(p) for p in points)
+    def __post_init__(self):
+        pts = self.points
         if len(pts) < 2:
             raise PreconditionError("sampled curve needs at least two points")
         if any(p == 0 or not cmath.isfinite(p) for p in pts):
@@ -102,7 +102,6 @@ class SampledCurve(CircleCurve, kind="sampled"):
         for i, (a, b) in enumerate(zip(pts, pts[1:])):
             if _through_origin(a, b):
                 raise PreconditionError(f"the step from point {i} to {i + 1} passes through 0")
-        object.__setattr__(self, "points", pts)
 
     def _walk(self):
         return _join([_Walk(0.0, 0.0, abs(p), p, p) for p in self.points], "the step from point {} to {}")
@@ -144,11 +143,9 @@ class ParamSegment(CircleCurve, kind="param_segment"):
 class ConstantCurve(CircleCurve, kind="constant"):
     value: complex
 
-    def __init__(self, value):
-        value = complex(value)
-        if value == 0 or not cmath.isfinite(value):
+    def __post_init__(self):
+        if self.value == 0 or not cmath.isfinite(self.value):
             raise PreconditionError("constant curve must be finite and avoid the origin")
-        object.__setattr__(self, "value", value)
 
     def _walk(self):
         return _Walk(0.0, 0.0, abs(self.value), self.value, self.value)

@@ -477,8 +477,23 @@ def _main(cfg, tmp_path):
     return cli.main([cfg["command"], "--config", str(cfg_path), "--out", str(tmp_path)])
 
 
+def _classify(scalar_set):
+    return {"command": "classify", "set": scalar_set}
+
+
 def _circle(radius):
-    return {"command": "classify", "set": {"kind": "circle", "radius": radius}}
+    return _classify({"kind": "circle", "radius": radius})
+
+
+_CIRCLE = {"kind": "circle", "radius": 1.0}
+
+
+def _scaled(factor, inner):
+    return {"kind": "scaled", "factor": [factor, 0.0], "inner": inner}
+
+
+def _annulus(inner_radius, outer_radius):
+    return {"kind": "annulus", "inner_radius": inner_radius, "outer_radius": outer_radius}
 
 
 def _edited(name, edit):
@@ -712,6 +727,18 @@ def _spiral_density(window, set_=None):
         *[(_edited("spiral_density", lambda c, r=r: c.update(
             ball={"center": [[-1.0, 0.0]], "radius": r}, grid_step=0.1, epsilon=0.06)),
            "grid_step") for r in (0.01, 0.05)],
+        # refusals the scalar set causes: an empty set, a set the scheme
+        # cannot use or that has no scalar of the size a stage needs, and
+        # modulus set ends past float range
+        ({"command": "classify", "set": {"kind": "finite_points", "points": []}}, "set"),
+        (_edited("build21", lambda c: c.update(set=_CIRCLE, stages=3)), "set"),
+        (_edited("build22", lambda c: c.update(set=_CIRCLE, stages=3)), "set"),
+        (_edited("build21", lambda c: c.update(set=_scaled(10.0, {**_CIRCLE, "radius": 1e308}))),
+         "set"),
+        (_edited("build22", lambda c: c.update(set=_scaled(1e-300, _annulus(1e-30, 1.0)))), "set"),
+        (_classify(_scaled(1e300, _scaled(1e300, {"kind": "geometric", "base": [0.5, 0.0]}))),
+         "set"),
+        (_classify(_scaled(1e300, _annulus(1e10, 1e20))), "set"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(cfg, field, tmp_path, capsys):

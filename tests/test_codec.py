@@ -1,8 +1,10 @@
 """The record JSON codec: every variant round-trips, and no JSON tree
 placed where a config expects a variant makes the CLI exit 2."""
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -346,12 +348,15 @@ _PLACEMENTS = {
 def test_malformed_variant_exits_zero_or_one_never_two(place, data):
     examples, make_config = _PLACEMENTS[place]
     cfg = make_config(data.draw(_trees | _broken(examples)))
-    with tempfile.TemporaryDirectory() as tmp:
+    err = io.StringIO()  # capsys is per test, and Hypothesis reruns the body
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         code = cli.main([cfg["command"], "--config", path, "--out", tmp])
     assert code in (0, 1), cfg
+    if code == 1 and place == "set":  # a refusal the scalar set causes names it
+        assert err.getvalue().startswith("precondition violated: set"), (cfg, err.getvalue())
 
 
 # ---------------------------------------------------------------------------

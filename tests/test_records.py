@@ -16,6 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlab import jsonio
+from orbitlab.operators import BackwardShift, OperatorSpec, ScalarMultiple, ScalarOnC, WeightSpec
+from orbitlab.scalar_sets import Circle, FinitePoints, Geometric, ScalarSet, Scaled
+from orbitlab.winding import CircleCurve, ConstantCurve, SampledCurve
 from test_codec import EXAMPLES
 
 for _module in ("scalar_sets", "operators", "constructions", "density", "criteria", "winding"):
@@ -115,7 +118,9 @@ def _cases(draw, cls):
 
 
 def _uses_record_init(cls):
-    return cls.__init__ is jsonio.Record.__init__ and not hasattr(cls, "__post_init__")
+    # a class with converted fields is left out: converting a drawn value such as None raises
+    return (cls.__init__ is jsonio.Record.__init__ and not hasattr(cls, "__post_init__")
+            and not cls._converted)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
@@ -143,3 +148,49 @@ def test_drawn_records_match_their_twins(cls, data):
             if required:
                 with pytest.raises(TypeError):
                     make(*required[:-1])
+
+
+
+# ---------------------------------------------------------------------------
+# one constructor: a variant declares its fields, and Record converts the complex ones
+
+_FAMILIES = (ScalarSet, OperatorSpec, CircleCurve)
+
+
+def test_only_composite_variants_write_an_init():
+    own = {kind for root in _FAMILIES for kind, cls in root.kinds.items()
+           if cls.__init__ is not jsonio.Record.__init__}
+    assert own == {"union", "direct_sum", "concat"}
+
+
+# the positional fields of each converting variant, made from one number
+_CONVERTING = {
+    FinitePoints: lambda v: ([v, 2 * v],),
+    Geometric: lambda v: (v,),
+    Scaled: lambda v: (v, Circle(1.0)),
+    ScalarOnC: lambda v: (v,),
+    ScalarMultiple: lambda v: (v, BackwardShift()),
+    SampledCurve: lambda v: ([v, 1j * v, -v],),
+    ConstantCurve: lambda v: (v,),
+}
+
+
+@pytest.mark.parametrize("cls", list(_CONVERTING), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("number", [2, 2.5, 2 - 1j], ids=["int", "float", "complex"])
+def test_variants_hold_complex_values_from_any_number(cls, number):
+    values = _CONVERTING[cls](number)
+    by_position = cls(*values)
+    assert cls(**{f.name: v for f, v in zip(cls.fields, values)}) == by_position
+    held = []
+    for name, _ in cls._converted:
+        value = getattr(by_position, name)
+        held.extend(value if isinstance(value, tuple) else [value])
+    assert held and all(type(z) is complex for z in held)
+    root = next(root for root in _FAMILIES if issubclass(cls, root))
+    assert jsonio.decode(root, jsonio.loads(jsonio.dumps(by_position)), "x") == by_position
+
+
+def test_the_conversion_stops_at_variants():
+    # float ** n and complex ** n round differently, so WeightSpec keeps float weights
+    values = WeightSpec((1,), (1.0, 2.0)).values
+    assert type(values) is tuple and [type(w) for w in values] == [float, float]

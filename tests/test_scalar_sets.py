@@ -113,6 +113,11 @@ class TestClassify:
                   Scaled(1e300, Scaled(1e300, Geometric(0.5)))]:
             assert classify(s).bounded is not s.modulus_set().unbounded, s
 
+    def test_bounded_note_says_when_its_sup_passes_float_range(self):
+        assert classify(Circle(2.0)).explanation[1] == "modulus set bounded (sup = 2.0)"
+        past = classify(Scaled(1e300, Scaled(1e300, Geometric(0.5))))
+        assert past.explanation[1] == "modulus set bounded (sup past float range)"
+
     def test_zero_is_stripped(self):
         with_zero = FinitePoints([0.0, 1.0, 1j])
         assert classify(with_zero) == classify(FinitePoints([1.0, 1j]))
