@@ -48,17 +48,21 @@ The S walk of the round trips is the same walk: once F/2 has underflowed
 every target (Rolewicz from index 1075), the zero row comes back, and its
 round trips (T^n 0 - y = -y) and norms are the ones already formed.
 
-The walk's round trips are telescoped along the index sequence. For
-consecutive indices p < n, b = T^(n-p) S^n y is computed first. Where b
-holds the same bits as S^p y, T^n S^n y = T^p b is bit for bit T^p S^p y,
-so the miss at p is reused; otherwise T^p b finishes the n steps.
-power_apply equals n calls of apply bit for bit, so both ways give the bits
-of the direct T^n S^n y. Reuse applies wherever S is an exact right inverse
-of T along the orbit of y (a dyadic pair past float range, and many states
-of inexact pairs); there a round trip costs n - p steps instead of n, and a
-full index sequence up to N costs O(N) steps per target instead of O(N^2).
-The walk holds only the rows at the current and the previous index; the
-closed form one pair of paths per index.
+The walk's round trips are telescoped along the index sequence, and only
+their norms are kept. For consecutive indices p < n, b = T^(n-p) S^n y is
+computed first. Where b == S^p y, the norm at p is reused; otherwise T^p b
+finishes the n steps, which power_apply gives with the bits of n calls of
+apply. Equality is enough: == ignores only the sign of a zero part, and
+NaN equals nothing. A catalog step only multiplies, adds and drops zeros,
+so a zero's sign never reaches a nonzero part or a NaN, and T^p b equals
+T^p S^p y up to zero signs. vector_sub writes `0 + c` on sequences, and
+every norm squares its parts, so both misses have the same norm bits.
+Reuse applies wherever S is an exact right inverse of T along the orbit of
+y (a dyadic pair past float range, and many states of inexact pairs);
+there a round trip costs n - p steps instead of n, and a full index
+sequence up to N costs O(N) steps per target instead of O(N^2). The walk
+holds only the rows at the current and the previous index; the closed form
+one pair of paths per index.
 
 A residual norm that is not finite (an overflow to inf, or NaN) is refused
 at its index with NonFiniteResidualError naming its vector: max() would
@@ -83,7 +87,6 @@ from .operators import (
     on_domain,
     power_apply,
     vector_norm,
-    vector_same,
     vector_sub,
 )
 
@@ -154,29 +157,26 @@ def _empty(v) -> bool:
 
 
 def _round_trips(op: OperatorSpec, s_rows, targets, indices):
-    """For each index n, its row S^n y of s_rows and the pairs (T^n S^n y - y,
-    its norm) for the targets y, telescoped as the module docstring says. A
-    zero row that _iterates hands back again keeps its trips: T^n 0 - y = -y."""
-    prev = None
+    """Per index n, the norms of S^n y, its row of s_rows, and of
+    T^n S^n y - y over the targets, telescoped as the module docstring says.
+    A zero row comes back from _iterates as the same object, and its norms
+    with it: T^n 0 - y = -y."""
+    last = None
     for n, row in zip(indices, s_rows):
-        if prev is not None and row is prev[1]:
-            yield row, prev[2]
-            continue
-        trips = []
-        for j, (sy, y) in enumerate(zip(row, targets)):
-            if prev is None:
-                image = power_apply(op, n, sy)
-            else:
-                p, p_row, p_trips = prev
-                b = power_apply(op, n - p, sy)
-                if vector_same(b, p_row[j]):
-                    trips.append(p_trips[j])
-                    continue
-                image = power_apply(op, p, b)
-            miss = vector_sub(image, y)
-            trips.append((miss, vector_norm(miss)))
-        yield row, trips
-        prev = n, row, trips
+        if row is not last:
+            trips = []
+            for j, (sy, y) in enumerate(zip(row, targets)):
+                if last is None:
+                    image = power_apply(op, n, sy)
+                else:
+                    b = power_apply(op, n - p, sy)
+                    if b == last[j]:
+                        trips.append(norms[1][j])
+                        continue
+                    image = power_apply(op, p, b)
+                trips.append(vector_norm(vector_sub(image, y)))
+            p, last, norms = n, row, (list(map(vector_norm, row)), trips)
+        yield norms
 
 
 def _peak(norms, field: str, trace: str, n: int) -> float:
@@ -215,11 +215,8 @@ def _target_rows(inst: CriterionInstance):
             done += 1
         if 0 < done < len(indices):  # the walk goes on from the last closed row's S^n y
             start = [_moved(y, *s.path(indices[done - 1])[:3]) for y in targets]
-    rest, begin, last = indices[done:], indices[done - 1] if done else 0, None
-    for s_row, trips in _round_trips(T, _iterates(S, start, rest, begin), targets, rest):
-        if s_row is not last:  # a zero row comes back as the same object, norms and all
-            last, norms = s_row, (list(map(vector_norm, s_row)), [r for _, r in trips])
-        yield norms
+    rest, begin = indices[done:], indices[done - 1] if done else 0
+    yield from _round_trips(T, _iterates(S, start, rest, begin), targets, rest)
 
 
 def _moved(y: SeqVector, shift: int, e: int, q: int) -> SeqVector:

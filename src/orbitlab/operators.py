@@ -238,31 +238,6 @@ def vector_inner(a: Vector, b: Vector) -> complex:
     return s
 
 
-def vector_same(a: Vector, b: Vector) -> bool:
-    """Whether a and b hold the same bits. Unlike ==, signed zeros differ
-    (scalar-domain values are not normalised by `0 + c`), and NaN, which
-    never equals itself, never matches."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is tuple:
-        return len(a) == len(b) and all(map(vector_same, a, b))
-    if type(a) is SeqVector:
-        return (
-            a.domain == b.domain
-            and len(a.entries) == len(b.entries)
-            and all(i == j and _same_number(c, d) for (i, c), (j, d) in zip(a.entries, b.entries))
-        )
-    return _same_number(a, b)
-
-
-def _same_number(c: complex, d: complex) -> bool:
-    return (
-        c == d
-        and math.copysign(1.0, c.real) == math.copysign(1.0, d.real)
-        and math.copysign(1.0, c.imag) == math.copysign(1.0, d.imag)
-    )
-
-
 def on_domain(v, dom) -> bool:
     """Whether v is a vector on the operator_domain() dom: a complex on
     "scalar", a SeqVector of that domain on "uni" or "bi", and on a direct
@@ -330,7 +305,10 @@ class WeightSpec(Record):
 
     def window_log2(self, lo: int, hi: int) -> float:
         """log2 |window_product(lo, hi)|, summed run by run: it cannot overflow."""
-        return sum(count * math.log2(abs(self.values[k])) for k, count in self.runs(lo, hi))
+        s = 0  # added left to right, as sum() did before Python 3.12
+        for k, count in self.runs(lo, hi):
+            s += count * math.log2(abs(self.values[k]))
+        return s
 
     def inverse_shifted(self) -> "WeightSpec":
         """Weights nu with nu_i = 1/weight(i+1): the forward inverse of the

@@ -28,7 +28,7 @@ from orbitlab import (
     operators,
     power_apply,
 )
-from orbitlab.operators import DomainMismatchError, vector_norm, vector_same, vector_sub
+from orbitlab.operators import DomainMismatchError, vector_norm, vector_sub
 
 e = lambda j: SeqVector.basis(j, "uni")  # noqa: E731
 BASIS6 = tuple(e(j) for j in range(6))
@@ -321,6 +321,17 @@ _BACKWARD_S = CriterionInstance(
 )
 
 
+# every S^n y is a zero of some signs, and T = 1-0j moves only those signs:
+# T^(n-p) S^n y == S^p y at each later index, although the bits differ
+_ZERO_SIGNS = CriterionInstance(
+    operator=DirectSum(ScalarOnC(complex(1, -0.0))),
+    right_inverse=DirectSum(ScalarOnC(3 + 0j)),
+    decay_vectors=((complex(3, -0.0),),),
+    target_vectors=((complex(-0.0, 0.0),),),
+    indices=(4, 8, 20, 21, 29, 31),
+)
+
+
 def _refusal(traces, inst):
     """The NonFiniteResidualError message check_criterion gives for these
     per-index norm lists, or None where every norm is finite."""
@@ -340,22 +351,24 @@ def _refusal(traces, inst):
 @example(_FACTOR_600)
 @example(_BACKWARD_S)
 @example(_LATE_FIT)
+@example(_ZERO_SIGNS)
 @example(CriterionInstance(**{**rolewicz_instance().__dict__,
                               "indices": (0, 3, 1020, 1022, 1023, 1025)}))
 def test_telescoped_round_trips_match_the_direct_formula_bit_for_bit(inst):
-    """check_criterion against the direct per-index formula: each miss
-    T^n S^n y - y bit for bit, and all three traces, or the same refusal
-    where a residual is not finite. Dyadic pairs in float range take the
+    """check_criterion against the direct per-index formula: the norm of
+    each miss T^n S^n y - y bit for bit, and all three traces, or the same
+    refusal where a residual is not finite. Dyadic pairs in float range take the
     closed form up to the first index out of range, and the walk after it;
     every other instance walks."""
     T, S, indices, targets = inst.operator, inst.right_inverse, inst.indices, inst.target_vectors
     s_rows = [[power_apply(S, n, y) for y in targets] for n in indices]
     direct = [[vector_sub(power_apply(T, n, sy), y) for sy, y in zip(row, targets)]
               for n, row in zip(indices, s_rows)]
-    trips = criteria._round_trips(T, s_rows, targets, indices)
-    assert [[_bits(m) for m, _ in row] for _, row in trips] == [list(map(_bits, row)) for row in direct]
-
     norms = lambda vecs: list(map(vector_norm, vecs))  # noqa: E731
+    hexes = lambda xs: list(map(float.hex, xs))  # noqa: E731
+    trips = criteria._round_trips(T, s_rows, targets, indices)
+    assert [hexes(row) for _, row in trips] == [hexes(norms(row)) for row in direct]
+
     rows = (
         [norms(power_apply(T, n, x) for x in inst.decay_vectors) for n in indices],
         list(map(norms, s_rows)),
@@ -479,10 +492,8 @@ def test_hand_off_walks_on_from_the_last_closed_row(monkeypatch):
     assert calls["n"] == 6 + 5 + 4 + 3 + 2 + 1 + 53 * 6
 
 
-def test_zero_rows_make_no_round_trip_past_underflow(monkeypatch):
-    """Rolewicz: (F/2)^n e_j underflows to zero at index 1075 for every
-    target, so every later index reuses the zero row's round trips and
-    norms: no power_apply call after index 1075, and the same report."""
+def _power_calls(monkeypatch):
+    """A counter of the criteria.power_apply calls."""
     calls = {"n": 0}
     power = criteria.power_apply
 
@@ -491,6 +502,14 @@ def test_zero_rows_make_no_round_trip_past_underflow(monkeypatch):
         return power(op, n, v)
 
     monkeypatch.setattr(criteria, "power_apply", counting)
+    return calls
+
+
+def test_zero_rows_make_no_round_trip_past_underflow(monkeypatch):
+    """Rolewicz: (F/2)^n e_j underflows to zero at index 1075 for every
+    target, so every later index reuses the zero row's round trips and
+    norms: no power_apply call after index 1075, and the same report."""
+    calls = _power_calls(monkeypatch)
     counts = []
     for upto in (1075, 2000):
         calls["n"] = 0
@@ -498,6 +517,16 @@ def test_zero_rows_make_no_round_trip_past_underflow(monkeypatch):
         counts.append(calls["n"])
     assert counts[0] == counts[1] > 0
     assert _digest(report) == "a29991ff4b211a4d2392ad3cf7e8d085fd0ab2aed030d87cb1f25bbd439e6689"
+
+
+def test_round_trips_equal_up_to_zero_signs_are_reused(monkeypatch):
+    """On _ZERO_SIGNS each later index finds T^(n-p) S^n y == S^p y, so its
+    round trip costs one power_apply call, not two, and the report keeps
+    the bits of the direct formula."""
+    calls = _power_calls(monkeypatch)
+    report = check_criterion(_ZERO_SIGNS)
+    assert calls["n"] == len(_ZERO_SIGNS.indices)
+    assert _digest(report) == "fe7e74665c3f76815daa707a1d01806de79ada7d20b0d706bd725fddd93f2e01"
 
 
 @pytest.mark.parametrize("factor", [0.5, -0.5j, 0.25 + 0j])
@@ -510,7 +539,7 @@ def test_hand_off_row_holds_the_bits_of_the_walk(factor):
     chain = S.dyadic_chain()
     for n in (1, 7, 900 // -chain.k):  # the least part, 2^-60, ends at 2^-960
         for y in targets:
-            assert vector_same(criteria._moved(y, *chain.path(n)[:3]), power_apply(S, n, y))
+            assert _bits(criteria._moved(y, *chain.path(n)[:3])) == _bits(power_apply(S, n, y))
 
 
 def test_rolewicz_past_float_range_walks(monkeypatch):

@@ -11,7 +11,7 @@ from operator import add
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitlab import (
@@ -421,6 +421,16 @@ class TestAdjointPointSpectrum:
         assert adjoint_point_spectrum(F) is None
 
 
+@st.composite
+def _log_windows(draw):
+    """(weights, lo, hi) with windows across the breakpoints."""
+    cuts = tuple(sorted(draw(st.sets(st.integers(-8, 8), max_size=4))))
+    values = st.floats(0.01, 10.0) | st.sampled_from([3.0, 1j, 0.5 + 2j, 1e-300])
+    vals = draw(st.lists(values, min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    lo = draw(st.integers(-12, 12))
+    return WeightSpec(cuts, tuple(vals)), lo, draw(st.integers(lo - 1, 12))
+
+
 class TestWeightSpec:
     def test_window_product(self):
         w = doubling_weights()
@@ -434,6 +444,16 @@ class TestWeightSpec:
         nu = w.inverse_shifted()
         for i in range(-5, 6):
             assert nu.weight(i) == 1 / w.weight(i + 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_log_windows())
+    # Python 3.13's sum() gives 20.65148445440323 here, left to right 20.651484454403228
+    @example((WeightSpec((-6, -5, -3, 3), (7.0, 2.0, 7.0, 7.0, 1j)), -9, -2))
+    def test_window_log2_adds_left_to_right(self, case):
+        """As sum() did before Python 3.12, which compensates float sums."""
+        w, lo, hi = case
+        terms = [count * math.log2(abs(w.values[k])) for k, count in w.runs(lo, hi)]
+        assert w.window_log2(lo, hi) == reduce(add, terms, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
